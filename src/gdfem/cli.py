@@ -21,15 +21,12 @@ files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import (METHODS, assemble_a_dg, assemble_a_volume, assemble_b_dg,
-                    assemble_b_volume, assemble_method, error_norms,
-                    method_spaces, paper_coefficients, rotational_flow,
-                    CoefficientSet)
+from .forms import (METHODS, assemble_method, error_norms, method_forms,
+                    method_spaces, rotational_flow, CoefficientSet)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -77,7 +74,6 @@ class StudyRow:
 class StudyReport:
     study: str
     rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def add(self, h, p, cs2, method, metric_name, value):
         if value is None:
@@ -134,8 +130,7 @@ def emit_study_csv(report, path):
         for key in sorted(groups):
             cells = groups[key]
             h = -key[2]
-            second = key[0] if conv else key[0]
-            line = [_fmt(h), ("%d" % second) if conv else _fmt(second)]
+            line = [_fmt(h), ("%d" % key[0]) if conv else _fmt(key[0])]
             line += [_fmt(cells[c]) if c in cells else "" for c in colnames]
             fh.write(",".join(line) + "\n")
 
@@ -303,11 +298,7 @@ def run_convergence(p_list=(1, 2, 3, 4), levels=None, methods=METHODS,
                     out_path=None, cs2=1.0, lambda_b=None, lambda_n=None,
                     geom_order=None, progress=None):
     """h-convergence of the smooth manufactured solution, one CSV + SVG per p."""
-    report = StudyReport("convergence", metadata={
-        "study": "convergence", "cs2": cs2, "lambda_b": lambda_b,
-        "lambda_n": lambda_n, "geom_order": geom_order,
-        "methods": tuple(methods), "p_list": tuple(p_list),
-        "timestamp": time.time(), "version": "gdfem-0.1.0"})
+    report = StudyReport("convergence")
     warnings = []
     for p in p_list:
         lv = default_convergence_levels(p) if levels is None else levels
@@ -349,11 +340,7 @@ def run_locking(cs2_list=(1.0, 10.0, 100.0, 1000.0), levels=(0, 1, 2),
                 lambda_n=None, geom_order=None, progress=None):
     """Sound-speed sweep on a divergence-free solution at fixed p."""
     g = default_geom_order(p) if geom_order is None else geom_order
-    report = StudyReport("locking", metadata={
-        "study": "locking", "p": p, "lambda_b": lambda_b,
-        "lambda_n": lambda_n, "geom_order": g, "methods": tuple(methods),
-        "cs2_list": tuple(cs2_list), "levels": tuple(levels),
-        "timestamp": time.time(), "version": "gdfem-0.1.0"})
+    report = StudyReport("locking")
     warnings = []
     meshes = {lv: make_unit_disc_mesh(lv, geom_order=g) for lv in levels}
     for cs2 in cs2_list:
@@ -395,11 +382,7 @@ def run_gradrob(cs2_list=(1.0, 10.0, 100.0, 1000.0), levels=(1, 2, 3),
                 lambda_n=None, geom_order=None, progress=None):
     """Sound-speed sweep under pure-gradient forcing; records solution norms."""
     g = default_geom_order(p) if geom_order is None else geom_order
-    report = StudyReport("gradrob", metadata={
-        "study": "gradrob", "p": p, "lambda_b": lambda_b,
-        "lambda_n": lambda_n, "geom_order": g, "methods": tuple(methods),
-        "cs2_list": tuple(cs2_list), "levels": tuple(levels),
-        "timestamp": time.time(), "version": "gdfem-0.1.0"})
+    report = StudyReport("gradrob")
     warnings = []
     meshes = {lv: make_unit_disc_mesh(lv, geom_order=g) for lv in levels}
     for cs2 in cs2_list:
@@ -453,22 +436,13 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     vel, _ = method_spaces(method, mesh, p)
-    if method == "M1":
-        A = assemble_a_volume(vel, coeffs)
-        B = assemble_b_dg(vel, coeffs)
-    elif method == "M3":
-        A = assemble_a_dg(vel, coeffs)
-        B = assemble_b_volume(vel, coeffs)
-    else:
-        A = assemble_a_dg(vel, coeffs)
-        B = assemble_b_dg(vel, coeffs)
-    constrained = getattr(vel, "constrained_dofs", np.array([], dtype=int))
-    Af = restrict_free(A, constrained)
-    Bf = restrict_free(B, constrained)
+    A, B = method_forms(method, vel, coeffs)
+    Af = restrict_free(A, vel.constrained_dofs)
+    Bf = restrict_free(B, vel.constrained_dofs)
     c_bh, c_hat, kdim = estimate_control_constant(Af, Bf)
     result = {"method": method, "level": level, "p": p, "geom_order": g,
-              "ndof_free": Af.shape[0] if hasattr(Af, "shape") else A.shape[0],
-              "kernel_dim": kdim, "c_bh": c_bh, "c_hat": c_hat}
+              "ndof_free": Af.shape[0], "kernel_dim": kdim,
+              "c_bh": c_bh, "c_hat": c_hat}
     if out_path is not None:
         with open(out_path, "w", newline="\n") as fh:
             for k, v in result.items():
@@ -565,13 +539,15 @@ def build_parser():
                     "streamline-derivative model problem on the unit disc.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, cs2=True):
+    def common(sp, study=False, cs2=True):
         sp.add_argument("--config", help="key=value config file; flags override")
         sp.add_argument("--p", help="polynomial degree(s), e.g. 2 or 1,2,3")
-        sp.add_argument("--levels", help="refinement levels, e.g. 1-4 or 0,1,2")
+        if study:
+            sp.add_argument("--levels",
+                            help="refinement levels, e.g. 1-4 or 0,1,2")
+            sp.add_argument("--methods", help="subset of M1,M2,M3,M4")
         if cs2:
             sp.add_argument("--cs2", help="squared sound speed(s), e.g. 1,1000")
-        sp.add_argument("--methods", help="subset of M1,M2,M3,M4")
         sp.add_argument("--lambda-b", dest="lambda_b", type=float,
                         help="flow-jump penalty (default 10 p^2)")
         sp.add_argument("--lambda-n", dest="lambda_n", type=float,
@@ -581,9 +557,12 @@ def build_parser():
                         help="geometry map degree (default: by degree p)")
         sp.add_argument("--out", help="output directory (default: no files)")
 
-    common(sub.add_parser("convergence", help="h-convergence study"))
-    common(sub.add_parser("locking", help="volume-locking study"))
-    common(sub.add_parser("gradrob", help="gradient-robustness study"))
+    common(sub.add_parser("convergence", help="h-convergence study"),
+           study=True)
+    common(sub.add_parser("locking", help="volume-locking study"),
+           study=True)
+    common(sub.add_parser("gradrob", help="gradient-robustness study"),
+           study=True)
 
     sp = sub.add_parser("solve", help="single assemble+solve with reports")
     common(sp)
@@ -679,10 +658,12 @@ def main(argv=None):
             if method not in METHODS:
                 parser.error("solve requires --method M1|M2|M3|M4")
             cs2 = opts.get("cs2", (1.0,))
+            if len(cs2) != 1:
+                parser.error("solve takes a single --cs2 value")
             try:
                 res = run_solve(method, opts.get("level", 1),
                                 _single(opts.get("p", (2,)), parser),
-                                cs2=cs2[0] if isinstance(cs2, tuple) else cs2,
+                                cs2=cs2[0],
                                 out_path=out,
                                 dump_mesh=getattr(args, "dump_mesh", False),
                                 dump_system=getattr(args, "dump_system", False),

@@ -22,10 +22,11 @@ facet functionals, normal-trace continuity needs no orientation table.
 """
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import FacetGeometry, GeometryMap, facet_ref_points, facet_sides
+from .linalg import assemble_csr, assemble_vector
+from .mesh import (FacetGeometry, GeometryMap, element_quadrature,
+                   facet_ref_points)
 from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomial_grads, eval_monomials, lagrange_basis,
@@ -51,8 +52,9 @@ class FeSpace:
         self.family = family
         self.mesh = mesh
         self.degree = degree
-        self._bdm_cache = {}
         self._build_dof_map()
+        if family == "hdiv_bdm":
+            self._bdm_coeffs = self._bdm_local_bases()
 
     @property
     def ncomp(self):
@@ -114,182 +116,202 @@ class FeSpace:
 
     # -- basis evaluation ---------------------------------------------------
 
-    def eval_basis(self, elem, ref_pts, need_grad=True):
-        """Physical basis values on one element.
+    def eval_basis(self, elems, ref_pts, need_grad=True):
+        """Physical basis values on one element (int) or a batch (int array).
 
-        Returns (values, gradients, divergences):
-        scalar family: (nq, nloc), (nq, nloc, 2), None;
-        vector families: (nq, nloc, 2), (nq, nloc, 2, 2) with
-        grad[c, d] = d u_c / d x_d, and (nq, nloc).
+        `ref_pts` is (q, 2), shared by every element, or (E, q, 2), one set
+        per element.  Returns (values, gradients, divergences):
+        scalar family: (q, nloc), (q, nloc, 2), None;
+        vector families: (q, nloc, 2), (q, nloc, 2, 2) with
+        grad[c, d] = d u_c / d x_d, and (q, nloc).
+        For an element array every shape gains a leading E axis.
         """
-        ref_pts = np.atleast_2d(ref_pts)
+        return self._evaluate(elems, ref_pts, need_grad)
+
+    def _evaluate(self, elems, ref_pts, need_grad, coefficients=None):
+        """eval_basis, or with a coefficient vector the field it spans.
+
+        The coefficients are applied on the reference element, before the
+        (linear) map to the physical elements, so a field evaluation never
+        forms arrays with a basis axis.
+        """
+        single = np.ndim(elems) == 0
+        elems = np.atleast_1d(elems)
+        ref = np.asarray(ref_pts, dtype=float)
+        if ref.ndim == 1:
+            ref = ref[None]
+        u, g = self._reference_shapes(elems, ref, coefficients)
+        out = self._map(elems, ref, u, g, need_grad)
+        if coefficients is not None:
+            out = tuple(None if a is None else a[:, :, 0] for a in out)
+        return tuple(a[0] if single and a is not None else a for a in out)
+
+    def _reference_shapes(self, elems, ref, coefficients):
+        """Local shapes on the reference element and their reference gradients.
+
+        Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
+        the local BDM bases C[e] over x/y copies of the monomials.  Values
+        are (..., q, n) or (..., q, n, 2), gradients have one more trailing
+        axis; with coefficients n = 1, the field they span.
+        """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
-            return self._piola_eval(elem, ref_pts,
-                                    eval_monomials(exps, ref_pts),
-                                    eval_monomial_grads(exps, ref_pts),
-                                    self._bdm_local(elem), need_grad)
-        if self.family == "vector_dg":
+            u = _ref_table(lambda x: eval_monomials(exps, x), ref)
+            g = _ref_table(lambda x: eval_monomial_grads(exps, x), ref)
+        else:
             basis = lagrange_basis(self.degree)
-            return self._piola_eval(elem, ref_pts, basis.eval(ref_pts),
-                                    basis.grad(ref_pts), None, need_grad)
-        basis = lagrange_basis(self.degree)
-        vals = basis.eval(ref_pts)            # (nq, nsc)
-        gm = self.mesh.geometry(elem)
-        jac = gm.jacobian(ref_pts)
-        jinv = GeometryMap.inv(jac)
-        grads = np.einsum("njd,nde->nje", basis.grad(ref_pts), jinv)
+            u, g = _ref_table(basis.eval, ref), _ref_table(basis.grad, ref)
+        if self.ncomp == 2:
+            u, g = _xy_copies(u, g)
+        W = None if coefficients is None \
+            else coefficients[self.dof_map[elems]][:, :, None]
+        if self.family == "hdiv_bdm":
+            C = self._bdm_coeffs[elems]
+            W = C if W is None else C @ W
+        if W is None:
+            return u, g
+        lead = "q" if ref.ndim == 2 else "eq"
+        return (np.einsum(lead + "m...,emi->eqi...", u, W, optimize=True),
+                np.einsum(lead + "m...,emi->eqi...", g, W, optimize=True))
+
+    def _map(self, elems, ref, u, g, need_grad):
+        """(values, gradients, divergences) on the physical elements.
+
+        Lagrange shapes keep their values; gradients map by J^-1.  The Piola
+        map sends a reference field u with reference gradient g to P u with
+        P = J / det J, divergence div_ref u / det J and gradient
+        (dP u + P g) J^-1, where dP = dP / d ref.
+        """
+        gm = self.mesh.geometry(elems)
+        jac = gm.jacobian(ref)
         if self.family == "scalar_lagrange":
-            return vals, grads, None
-        nq, nsc = vals.shape
-        v = np.zeros((nq, 2 * nsc, 2))
-        g = np.zeros((nq, 2 * nsc, 2, 2))
-        for c in range(2):
-            v[:, c::2, c] = vals
-            g[:, c::2, c, :] = grads
-        div = np.zeros((nq, 2 * nsc))
-        div[:, 0::2] = grads[:, :, 0]
-        div[:, 1::2] = grads[:, :, 1]
-        return v, g, div
+            grads = np.einsum("...qnd,...qde->...qne", g, GeometryMap.inv(jac),
+                              optimize=True)
+            return np.broadcast_to(u, grads.shape[:-1]), grads, None
+        if self.family == "vector_lagrange":
+            grads = np.einsum("...qncd,...qde->...qnce", g,
+                              GeometryMap.inv(jac), optimize=True)
+            return (np.broadcast_to(u, grads.shape[:-1]), grads,
+                    grads[..., 0, 0] + grads[..., 1, 1])
+        det = GeometryMap.dets(jac)
+        P = jac / det[..., None, None]                        # Piola matrix
+        vals = np.einsum("...qck,...qik->...qic", P, u, optimize=True)
+        div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
+        if not need_grad:
+            return vals, None, div
+        jinv = GeometryMap.inv(jac)
+        dJ = gm.jacobian_derivative(ref)                      # zero if affine
+        # d det / d ref_e = det * tr(J^-1 dJ/dref_e)
+        ddet = det[..., None] * np.einsum("...ij,...jie->...e", jinv, dJ)
+        dP = (dJ / det[..., None, None, None]
+              - jac[..., None] * ddet[..., None, None, :]
+              / (det ** 2)[..., None, None, None])
+        # contract the per-point geometric factors with J^-1 first, so the
+        # only arrays with a basis axis are the two terms of the result
+        grads = np.einsum("...qckd,...qik->...qicd", np.einsum(
+            "...qcke,...qed->...qckd", dP, jinv), u, optimize=True)
+        grads += np.einsum("...qcked,...qike->...qicd", np.einsum(
+            "...qck,...qed->...qcked", P, jinv), g, optimize=True)
+        return vals, grads, div
 
     # -- BDM construction ---------------------------------------------------
 
-    def _bdm_local(self, elem):
-        """Coefficient matrix C of the element-local BDM basis.
+    def _bdm_local_bases(self):
+        """Coefficient matrices C (E, nloc, nloc) of the local BDM bases.
 
-        Column i of C expresses basis function i in the Piola images of the
-        reference vector monomials; the basis is dual to the global facet
-        moments and the element interior moments.
+        Column i of C[e] expresses basis function i of element e in the Piola
+        images of the reference vector monomials; the basis is dual to the
+        global facet moments and the element interior moments.
         """
-        if elem in self._bdm_cache:
-            return self._bdm_cache[elem]
         p = self.degree
         mesh = self.mesh
         g = mesh.geom_order
         exps = monomial_exponents(p)
-        nm = len(exps)
-        nloc = 2 * nm
-        gm = mesh.geometry(elem)
-        M = np.zeros((nloc, nloc))
+        nloc = 2 * len(exps)
+        elems = np.arange(mesh.num_triangles)
+        M = np.zeros((len(elems), nloc, nloc))
 
         srule = segment_rule(2 * p + 2)
         ts = srule.points[:, 0]
         leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
-        for k in range(3):
-            f = mesh.elem_facets[elem, k]
-            a, b = mesh.facet_vertices[f]
-            tri = mesh.triangles[elem]
-            va, vb = EDGE_VERTICES[k]
-            flipped = tri[va] != a
-            sign = 1.0 if mesh.facet_elems[f, 0] == elem else -1.0
+        facets = mesh.elem_facets
+        sign = np.where(mesh.facet_elems[facets, 0] == elems[:, None],
+                        1.0, -1.0)
+        starts = np.asarray(EDGE_VERTICES)[:, 0]
+        flipped = mesh.triangles[:, starts] != mesh.facet_vertices[facets, 0]
+        chord = mesh.facet_length(facets)
+        for k, (va, vb) in enumerate(EDGE_VERTICES):
             ell = np.linalg.norm(REF_VERTICES[vb] - REF_VERTICES[va])
-            chord = mesh.facet_length(f)
-            rp = facet_ref_points(k, ts, flipped)
-            mono = eval_monomials(exps, rp)            # (nq, nm)
+            rp = facet_ref_points(k, ts, flipped[:, k])
+            mono = _ref_table(lambda x: eval_monomials(exps, x), rp)
             nref = EDGE_NORMALS[k]
             # identity (u . n) ds = (u_ref . n_ref) dl_ref makes the facet
             # moment a pure reference-element integral
-            for j in range(p + 1):
-                w = srule.weights * leg[j] * sign * ell / chord
-                row = k * (p + 1) + j
-                M[row, 0::2] = w @ (mono * nref[0])
-                M[row, 1::2] = w @ (mono * nref[1])
+            w = (srule.weights * leg * sign[:, k, None, None] * ell
+                 / chord[:, k, None, None])                 # (E, p+1, q)
+            rows = slice(k * (p + 1), (k + 1) * (p + 1))
+            for c in range(2):
+                M[:, rows, c::2] = np.einsum("ejq,eqm->ejm", w,
+                                             mono * nref[c], optimize=True)
 
         if p >= 2:
             vrule = triangle_rule(2 * p + 2 * (g - 1) + 6)
+            gm = mesh.geometry(elems)
             jac = gm.jacobian(vrule.points)
             det = GeometryMap.dets(jac)
-            phys = gm.points(vrule.points)
-            mono = eval_monomials(exps, vrule.points)
-            # Piola values of the shape functions, (nq, nloc, 2)
-            shp = np.zeros((len(vrule.points), nloc, 2))
-            shp[:, 0::2, :] = mono[:, :, None] * jac[:, None, :, 0] / det[:, None, None]
-            shp[:, 1::2, :] = mono[:, :, None] * jac[:, None, :, 1] / det[:, None, None]
-            wm = self._interior_moment_fields(elem, phys)  # (nq, nint, 2)
-            area = float(det @ vrule.weights)
-            wq = vrule.weights * det / area
-            blk = np.einsum("q,qid,qmd->mi", wq, shp, wm)
-            M[3 * (p + 1):, :] = blk
+            shp, _ = _xy_copies(eval_monomials(exps, vrule.points),
+                                eval_monomial_grads(exps, vrule.points))
+            shp = shp @ np.swapaxes(jac / det[..., None, None], -1, -2)
+            wm = self._interior_moment_fields(elems, gm.points(vrule.points))
+            area = det @ vrule.weights
+            wq = vrule.weights * det / area[:, None]
+            M[:, 3 * (p + 1):, :] = np.einsum("eq,eqid,eqmd->emi",
+                                              wq, shp, wm, optimize=True)
+        return np.linalg.inv(M)
 
-        C = np.linalg.inv(M)
-        self._bdm_cache[elem] = C
-        return C
-
-    def _interior_moment_fields(self, elem, phys_pts):
-        """Interior moment test fields at physical points, (nq, nint, 2).
+    def _interior_moment_fields(self, elems, phys_pts):
+        """Interior moment test fields at physical points, (E, q, nint, 2).
 
         Full [P^{p-2}]^2 plus the rotated homogeneous tail X^perp * P~^{p-2},
         in element-centered, diameter-scaled coordinates.
         """
         p = self.degree
-        tri = self.mesh.triangles[elem]
-        v = self.mesh.vertices[tri]
-        xc = v.mean(axis=0)
-        h = max(np.linalg.norm(v[i] - v[j]) for i in range(3) for j in range(i))
-        X = (phys_pts - xc) / h
+        v = self.mesh.vertices[self.mesh.triangles[elems]]      # (E, 3, 2)
+        xc = v.mean(axis=1)
+        h = np.linalg.norm(v[:, [1, 2, 2]] - v[:, [0, 0, 1]], axis=-1).max(1)
+        X = (phys_pts - xc[:, None, :]) / h[:, None, None]
         exps = monomial_exponents(p - 2)
-        mono = eval_monomials(exps, X)  # (nq, nm2)
-        nq, nm2 = mono.shape
-        fields = np.zeros((nq, 2 * nm2 + (p - 1), 2))
-        fields[:, 0:2 * nm2:2, 0] = mono
-        fields[:, 1:2 * nm2:2, 1] = mono
+        mono = _ref_table(lambda x: eval_monomials(exps, x), X)
+        nm2 = mono.shape[-1]
+        fields = np.zeros(X.shape[:2] + (2 * nm2 + (p - 1), 2))
+        fields[..., 0:2 * nm2:2, 0] = mono
+        fields[..., 1:2 * nm2:2, 1] = mono
         for i, a in enumerate(range(p - 1)):
-            q = X[:, 0] ** a * X[:, 1] ** (p - 2 - a)
-            fields[:, 2 * nm2 + i, 0] = -X[:, 1] * q
-            fields[:, 2 * nm2 + i, 1] = X[:, 0] * q
+            q = X[..., 0] ** a * X[..., 1] ** (p - 2 - a)
+            fields[..., 2 * nm2 + i, 0] = -X[..., 1] * q
+            fields[..., 2 * nm2 + i, 1] = X[..., 0] * q
         return fields
 
-    def _piola_eval(self, elem, ref_pts, sval, sgrad, C, need_grad):
-        """Values/gradients/divergences of Piola-mapped vector shapes.
 
-        The shape set interleaves x/y copies of the scalar generators whose
-        reference values and gradients are given by sval (nq, nm) and
-        sgrad (nq, nm, 2).  C re-combines shapes into the local basis
-        (columns), or None for the shapes themselves.
-        """
-        nm = sval.shape[1]
-        nloc = 2 * nm
-        gm = self.mesh.geometry(elem)
-        jac = gm.jacobian(ref_pts)
-        det = GeometryMap.dets(jac)
-        jinv = GeometryMap.inv(jac)
-        nq = len(ref_pts)
+def _ref_table(table, ref):
+    """table(points) at (q, 2) or (E, q, 2) points, keeping leading axes."""
+    t = table(ref.reshape(-1, 2))
+    return t.reshape(ref.shape[:-1] + t.shape[1:])
 
-        shp = np.zeros((nq, nloc, 2))       # Piola values of shapes
-        shp[:, 0::2, :] = sval[:, :, None] * jac[:, None, :, 0] / det[:, None, None]
-        shp[:, 1::2, :] = sval[:, :, None] * jac[:, None, :, 1] / det[:, None, None]
 
-        sdiv = np.zeros((nq, nloc))         # reference divergence of shapes
-        sdiv[:, 0::2] = sgrad[:, :, 0]
-        sdiv[:, 1::2] = sgrad[:, :, 1]
+def _xy_copies(sval, sgrad):
+    """x/y copies of scalar shapes as vector fields, interleaved.
 
-        gshp = None
-        if need_grad:
-            P = jac / det[:, None, None]                      # Piola matrix
-            if gm.affine:
-                dP = np.zeros((nq, 2, 2, 2))
-            else:
-                dJ = gm.jacobian_derivative(ref_pts)          # (nq, c, d, e)
-                # d det / d ref_e = det * tr(J^-1 dJ/dref_e)
-                ddet = det[:, None] * np.einsum("nij,njie->ne", jinv, dJ)
-                dP = (dJ / det[:, None, None, None]
-                      - jac[:, :, :, None] * ddet[:, None, None, :]
-                      / (det ** 2)[:, None, None, None])
-            dref = np.zeros((nq, nloc, 2, 2))  # [q, shape, c, e]
-            for comp in range(2):
-                sl = slice(comp, nloc, 2)
-                dref[:, sl, :, :] += np.einsum("qm,qce->qmce",
-                                               sval, dP[:, :, comp, :])
-                dref[:, sl, :, :] += np.einsum("qme,qc->qmce",
-                                               sgrad, P[:, :, comp])
-            gshp = np.einsum("qmce,qed->qmcd", dref, jinv)
-
-        if C is None:
-            return shp, gshp, sdiv / det[:, None]
-        vals = np.einsum("qmd,mi->qid", shp, C)
-        div = np.einsum("qm,mi->qi", sdiv, C) / det[:, None]
-        grads = np.einsum("qmcd,mi->qicd", gshp, C) if need_grad else None
-        return vals, grads, div
+    Values (..., q, nm) and gradients (..., q, nm, 2) give vector values
+    (..., q, 2 nm, 2) and gradients (..., q, 2 nm, 2, 2), [c, d] = d u_c / d_d.
+    """
+    nm = sval.shape[-1]
+    u = np.zeros(sval.shape[:-1] + (2 * nm, 2))
+    g = np.zeros(sval.shape[:-1] + (2 * nm, 2, 2))
+    for c in range(2):
+        u[..., c::2, c] = sval
+        g[..., c::2, c, :] = sgrad
+    return u, g
 
 
 class DiscreteField:
@@ -302,18 +324,17 @@ class DiscreteField:
         self.space = space
         self.coefficients = coefficients
 
-    def evaluate(self, elem, ref_pts, need_grad=True):
-        """(values, gradients, divergences) of the field on one element."""
-        vals, grads, div = self.space.eval_basis(elem, ref_pts, need_grad)
-        c = self.coefficients[self.space.dof_map[elem]]
-        if self.space.family == "scalar_lagrange":
-            v = vals @ c
-            g = np.einsum("qjd,j->qd", grads, c)
-            return v, g, None
-        v = np.einsum("qjc,j->qc", vals, c)
-        g = np.einsum("qjcd,j->qcd", grads, c) if grads is not None else None
-        d = div @ c
-        return v, g, d
+    def evaluate(self, elems, ref_pts, need_grad=True):
+        """(values, gradients, divergences) of the field on one element or a
+        batch; shapes as in FeSpace.eval_basis without the basis axis."""
+        return self.space._evaluate(elems, ref_pts, need_grad,
+                                    self.coefficients)
+
+
+def eval_pointwise(fun, pts):
+    """Pointwise callable fun((n, 2) points) applied to (..., 2) points."""
+    out = np.asarray(fun(pts.reshape(-1, 2)), dtype=float)
+    return out.reshape(pts.shape[:-1] + out.shape[1:])
 
 
 def bdm_interpolate(space, v, order=None):
@@ -334,29 +355,25 @@ def bdm_interpolate(space, v, order=None):
                          else 2 * p + 2 + 2 * (g - 1))
     ts = srule.points[:, 0]
     leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
-    for f in range(mesh.num_facets):
-        fg = FacetGeometry(mesh, f, ts)
-        vn = np.einsum("qc,qc->q", v(fg.points), fg.normals)
-        chord = mesh.facet_length(f)
-        for j in range(p + 1):
-            mom = np.sum(srule.weights * leg[j] * vn * fg.dline) / chord
-            coeffs[f * (p + 1) + j] = mom
+    facets = np.arange(mesh.num_facets)
+    fg = FacetGeometry(mesh, facets, ts)
+    vn = np.einsum("fqc,fqc->fq", eval_pointwise(v, fg.points), fg.normals)
+    moms = np.einsum("q,jq,fq->fj", srule.weights, leg, vn * fg.dline)
+    coeffs[:mesh.num_facets * (p + 1)] = \
+        (moms / mesh.facet_length(facets)[:, None]).ravel()
 
     if p >= 2:
-        nint = p * p - 1
         vrule = triangle_rule(order if order is not None
                               else 2 * p + 2 * (g - 1) + 6)
-        for e in range(mesh.num_triangles):
-            gm = mesh.geometry(e)
-            jac = gm.jacobian(vrule.points)
-            det = GeometryMap.dets(jac)
-            phys = gm.points(vrule.points)
-            wm = space._interior_moment_fields(e, phys)
-            area = float(det @ vrule.weights)
-            wq = vrule.weights * det / area
-            moms = np.einsum("q,qd,qmd->m", wq, v(phys), wm)
-            base = mesh.num_facets * (p + 1) + e * nint
-            coeffs[base:base + nint] = moms
+        elems = np.arange(mesh.num_triangles)
+        gm = mesh.geometry(elems)
+        det = GeometryMap.dets(gm.jacobian(vrule.points))
+        phys = gm.points(vrule.points)
+        wm = space._interior_moment_fields(elems, phys)
+        wq = vrule.weights * det / (det @ vrule.weights)[:, None]
+        moms = np.einsum("eq,eqd,eqmd->em", wq, eval_pointwise(v, phys), wm,
+                         optimize=True)
+        coeffs[mesh.num_facets * (p + 1):] = moms.ravel()
     return DiscreteField(space, coeffs)
 
 
@@ -369,32 +386,18 @@ def l2_project(space, f, weight=None, order=None):
     p = space.degree
     if order is None:
         order = 2 * p + 2 * (mesh.geom_order - 1) + 2
-    rule = triangle_rule(order)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(space.ndof)
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        jac = gm.jacobian(rule.points)
-        det = GeometryMap.dets(jac)
-        phys = gm.points(rule.points)
-        w = np.ones(len(phys)) if weight is None else np.asarray(weight(phys))
-        wq = rule.weights * det * w
-        bv, _, _ = space.eval_basis(e, rule.points, need_grad=False)
-        fv = np.asarray(f(phys))
-        if space.ncomp == 1:
-            loc = np.einsum("q,qi,qj->ij", wq, bv, bv)
-            lrhs = np.einsum("q,q,qj->j", wq, fv, bv)
-        else:
-            loc = np.einsum("q,qic,qjc->ij", wq, bv, bv)
-            lrhs = np.einsum("q,qc,qjc->j", wq, fv, bv)
-        dofs = space.dof_map[e]
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        vals.append(loc.ravel())
-        np.add.at(rhs, dofs, lrhs)
-    n = space.ndof
-    A = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
-    x = spla.spsolve(A.tocsc(), rhs)
-    return DiscreteField(space, x)
+    rule, wdet, phys = element_quadrature(mesh, order)
+    wq = wdet if weight is None else wdet * eval_pointwise(weight, phys)
+    elems = np.arange(mesh.num_triangles)
+    bv, _, _ = space.eval_basis(elems, rule.points, need_grad=False)
+    fv = eval_pointwise(f, phys)
+    if space.ncomp == 1:
+        loc = np.einsum("eq,eqi,eqj->eij", wq, bv, bv, optimize=True)
+        lrhs = np.einsum("eq,eq,eqj->ej", wq, fv, bv, optimize=True)
+    else:
+        loc = np.einsum("eq,eqic,eqjc->eij", wq, bv, bv, optimize=True)
+        lrhs = np.einsum("eq,eqc,eqjc->ej", wq, fv, bv, optimize=True)
+    dofs = space.dof_map
+    A = assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+    rhs = assemble_vector(dofs, lrhs, space.ndof)
+    return DiscreteField(space, spla.spsolve(A.tocsc(), rhs))

@@ -10,20 +10,24 @@ The discrete operator of every method is -a_h + b_h:
   penalty and boundary Nitsche terms in the normal jump.  The
   pseudo-pressure variant (M2) replaces div by its weighted L2 projection,
   realized as a symmetric saddle-point block system.
+
+Every form is evaluated on all elements (or all facets of one kind) at
+once: geometry and basis tables carry a leading element or facet axis,
+each local matrix is one einsum, and the global matrix one COO -> CSR sum.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .fespace import DiscreteField, build_space, DegreeError
-from .linalg import LinearSystem
-from .mesh import FacetGeometry, GeometryMap
-from .quadrature import segment_rule, triangle_rule
+from .fespace import DiscreteField, build_space, DegreeError, eval_pointwise
+from .linalg import LinearSystem, assemble_csr, assemble_vector
+from .mesh import FacetGeometry, element_quadrature
+from .quadrature import segment_rule
 
 METHODS = ("M1", "M2", "M3", "M4")
-
 
 def _field(val, vector=False):
     """Normalize a constant or callable coefficient to callable(pts)->array."""
@@ -55,30 +59,29 @@ class CoefficientSet:
         self._cs = _field(self.c_s)
         self._b = _field(self.b_flow, vector=True)
 
+    # The *_at methods take points of shape (..., 2) and keep the leading axes.
+
     def rho_at(self, pts):
-        r = np.asarray(self._rho(pts), dtype=float)
+        r = eval_pointwise(self._rho, pts)
         if np.any(r <= 0):
             raise ValueError("rho must be positive")
         return r
 
     def cs2_at(self, pts):
-        c = np.asarray(self._cs(pts), dtype=float)
+        c = eval_pointwise(self._cs, pts)
         if np.any(c <= 0):
             raise ValueError("c_s must be positive")
         return c * c
 
     def b_at(self, pts):
-        return np.asarray(self._b(pts), dtype=float)
+        return eval_pointwise(self._b, pts)
 
     def boundary_flow_defect(self, mesh, n_samples=7):
         """max |b.n| over boundary quadrature points (compatibility check)."""
         ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-        worst = 0.0
-        for f in np.nonzero(mesh.facet_boundary)[0]:
-            fg = FacetGeometry(mesh, f, ts)
-            bn = np.einsum("qc,qc->q", self.b_at(fg.points), fg.normals)
-            worst = max(worst, float(np.abs(bn).max()))
-        return worst
+        fg = FacetGeometry(mesh, np.nonzero(mesh.facet_boundary)[0], ts)
+        bn = np.einsum("fqc,fqc->fq", self.b_at(fg.points), fg.normals)
+        return float(np.abs(bn).max(initial=0.0))
 
 
 def rotational_flow(amplitude=0.1):
@@ -98,110 +101,72 @@ def _default_order(space):
     return 2 * space.degree + 2 * (space.mesh.geom_order - 1) + 2
 
 
-class _Accumulator:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
+def _all_elems(space):
+    return np.arange(space.mesh.num_triangles)
 
-    def add(self, dofs_r, dofs_c, loc):
-        self.rows.append(np.repeat(dofs_r, len(dofs_c)))
-        self.cols.append(np.tile(dofs_c, len(dofs_r)))
-        self.vals.append(loc.ravel())
 
-    def build(self, nrows, ncols=None):
-        ncols = nrows if ncols is None else ncols
-        if not self.rows:
-            return sp.csr_matrix((nrows, ncols))
-        return sp.csr_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(nrows, ncols))
+def _matrix(space, loc):
+    """Global square matrix of the local blocks loc (E, nloc, nloc)."""
+    return assemble_csr(space.dof_map, space.dof_map, loc,
+                        (space.ndof, space.ndof))
 
 
 # -- volume forms -----------------------------------------------------------
 
-def _volume_loop(space, order):
-    rule = triangle_rule(order)
-    mesh = space.mesh
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        jac = gm.jacobian(rule.points)
-        det = GeometryMap.dets(jac)
-        phys = gm.points(rule.points)
-        yield e, rule, det, phys
-
-
 def assemble_a_volume(space, coeffs, order=None):
     """Volume part of a_h: <rho (b.grad)u, (b.grad)u'> + |b|_inf^2 <rho u, u'>."""
     order = _default_order(space) if order is None else order
-    acc = _Accumulator()
-    beta2 = coeffs.b_inf ** 2
-    for e, rule, det, phys in _volume_loop(space, order):
-        vals, grads, _ = space.eval_basis(e, rule.points)
-        rho = coeffs.rho_at(phys)
-        b = coeffs.b_at(phys)
-        wq = rule.weights * det * rho
-        conv = np.einsum("qjcd,qd->qjc", grads, b)   # (b.grad) of each basis fn
-        loc = np.einsum("q,qic,qjc->ij", wq, conv, conv)
-        loc += beta2 * np.einsum("q,qic,qjc->ij", wq, vals, vals)
-        dofs = space.dof_map[e]
-        acc.add(dofs, dofs, loc)
-    return acc.build(space.ndof)
+    rule, wdet, phys = element_quadrature(space.mesh, order)
+    vals, grads, _ = space.eval_basis(_all_elems(space), rule.points)
+    wq = wdet * coeffs.rho_at(phys)
+    conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
+                     optimize=True)
+    loc = np.einsum("eq,eqic,eqjc->eij", wq, conv, conv, optimize=True)
+    loc += coeffs.b_inf ** 2 * np.einsum("eq,eqic,eqjc->eij", wq, vals, vals,
+                                         optimize=True)
+    return _matrix(space, loc)
 
 
 def assemble_b_volume(space, coeffs, order=None):
     """Volume part of b_h: <rho c_s^2 div u, div u'>."""
     order = _default_order(space) if order is None else order
-    acc = _Accumulator()
-    for e, rule, det, phys in _volume_loop(space, order):
-        _, _, div = space.eval_basis(e, rule.points)
-        wq = rule.weights * det * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
-        loc = np.einsum("q,qi,qj->ij", wq, div, div)
-        dofs = space.dof_map[e]
-        acc.add(dofs, dofs, loc)
-    return acc.build(space.ndof)
+    rule, wdet, phys = element_quadrature(space.mesh, order)
+    _, _, div = space.eval_basis(_all_elems(space), rule.points,
+                                 need_grad=False)
+    wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
+    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wq, div, div,
+                                    optimize=True))
 
 
 def assemble_rhs(space, f, order=None):
     """Load vector <f, basis>."""
     order = _default_order(space) if order is None else order
-    rhs = np.zeros(space.ndof)
-    ffun = _field(f, vector=(space.ncomp == 2))
-    for e, rule, det, phys in _volume_loop(space, order):
-        vals, _, _ = space.eval_basis(e, rule.points, need_grad=False)
-        fv = np.asarray(ffun(phys), dtype=float)
-        wq = rule.weights * det
-        if space.ncomp == 2:
-            loc = np.einsum("q,qc,qjc->j", wq, fv, vals)
-        else:
-            loc = np.einsum("q,q,qj->j", wq, fv, vals)
-        np.add.at(rhs, space.dof_map[e], loc)
-    return rhs
+    rule, wdet, phys = element_quadrature(space.mesh, order)
+    vals, _, _ = space.eval_basis(_all_elems(space), rule.points,
+                                  need_grad=False)
+    fv = eval_pointwise(_field(f, vector=(space.ncomp == 2)), phys)
+    spec = "eq,eqc,eqjc->ej" if space.ncomp == 2 else "eq,eq,eqj->ej"
+    loc = np.einsum(spec, wdet, fv, vals, optimize=True)
+    return assemble_vector(space.dof_map, loc, space.ndof)
 
 
 # -- facet forms ------------------------------------------------------------
 
-def _facet_sides_data(space, fg, need_grad=True):
-    """Combined-trace arrays over both owners of a facet.
+def _facet_basis(space, fg, need_grad=True):
+    """Basis traces of every owner of a facet batch, owners side by side.
 
-    Returns (dofs, values (nq, ncomb, 2), conv-ready grads, divs,
-    side signs) where sign is +1 for owner 0 and -1 for owner 1.
+    Returns (dofs (F, ns nloc), values, gradients, divergences, signs)
+    with the owners concatenated along the basis axis; the sign of a basis
+    function is +1 on owner 0 and -1 on owner 1.
     """
-    vals_l, grads_l, divs_l, dofs_l, signs = [], [], [], [], []
-    for s, ((e, k, fl), rp) in enumerate(zip(fg.sides, fg.ref_points)):
-        v, g, d = space.eval_basis(e, rp, need_grad=need_grad)
-        vals_l.append(v)
-        grads_l.append(g)
-        divs_l.append(d)
-        dofs_l.append(space.dof_map[e])
-        signs.append(1.0 if s == 0 else -1.0)
-    dofs = np.concatenate(dofs_l)
-    vals = np.concatenate(vals_l, axis=1)
-    grads = np.concatenate(grads_l, axis=1) if need_grad else None
-    divs = np.concatenate(divs_l, axis=1)
-    sgn = np.concatenate([np.full(v.shape[1], s)
-                          for v, s in zip(vals_l, signs)])
-    nsides = len(fg.sides)
-    return dofs, vals, grads, divs, sgn, nsides
+    traces = [space.eval_basis(e, rp, need_grad=need_grad)
+              for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
+    dofs = np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
+    vals, grads, divs = (None if part[0] is None
+                         else np.concatenate(part, axis=2)
+                         for part in zip(*traces))
+    sgn = np.repeat([1.0, -1.0][:len(traces)], space.dof_map.shape[1])
+    return dofs, vals, grads, divs, sgn
 
 
 def assemble_a_dg(space, coeffs, order=None):
@@ -212,28 +177,23 @@ def assemble_a_dg(space, coeffs, order=None):
     A = assemble_a_volume(space, coeffs, order=order)
     order = _default_order(space) if order is None else order
     srule = segment_rule(order)
-    ts = srule.points[:, 0]
     mesh = space.mesh
-    acc = _Accumulator()
-    for f in range(mesh.num_facets):
-        if mesh.facet_boundary[f]:
-            continue
-        fg = FacetGeometry(mesh, f, ts)
-        hF = mesh.facet_length(f)
-        dofs, vals, grads, _, sgn, _ = _facet_sides_data(space, fg)
-        rho = coeffs.rho_at(fg.points)
-        b = coeffs.b_at(fg.points)
-        bn = np.einsum("qc,qc->q", b, fg.normals)        # b . n+
-        wq = srule.weights * fg.dline * rho
-        # b-weighted jump of each combined basis fn: sign * (b.n+) * trace
-        bjump = vals * (sgn[None, :] * bn[:, None])[:, :, None]
-        conv = np.einsum("qjcd,qd->qjc", grads, b)
-        avg = 0.5 * conv
-        loc = (coeffs.lambda_b / hF) * np.einsum("q,qic,qjc->ij", wq, bjump, bjump)
-        cross = np.einsum("q,qic,qjc->ij", wq, avg, bjump)
-        loc -= cross + cross.T
-        acc.add(dofs, dofs, loc)
-    return A + acc.build(space.ndof)
+    interior = np.nonzero(~mesh.facet_boundary)[0]
+    fg = FacetGeometry(mesh, interior, srule.points[:, 0])
+    dofs, vals, grads, _, sgn = _facet_basis(space, fg)
+    rho = coeffs.rho_at(fg.points)
+    b = coeffs.b_at(fg.points)
+    bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
+    wq = srule.weights * fg.dline * rho
+    # b-weighted jump of each combined basis fn: sign * (b.n+) * trace
+    bjump = vals * (sgn * bn[..., None])[..., None]
+    avg = 0.5 * np.einsum("fqjcd,fqd->fqjc", grads, b, optimize=True)
+    pen = coeffs.lambda_b / mesh.facet_length(interior)
+    loc = pen[:, None, None] * np.einsum("fq,fqic,fqjc->fij",
+                                         wq, bjump, bjump, optimize=True)
+    cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
+    loc -= cross + cross.transpose(0, 2, 1)
+    return A + assemble_csr(dofs, dofs, loc, A.shape)
 
 
 def assemble_b_dg(space, coeffs, order=None):
@@ -246,23 +206,23 @@ def assemble_b_dg(space, coeffs, order=None):
     B = assemble_b_volume(space, coeffs, order=order)
     order = _default_order(space) if order is None else order
     srule = segment_rule(order)
-    ts = srule.points[:, 0]
     mesh = space.mesh
-    acc = _Accumulator()
-    for f in range(mesh.num_facets):
-        fg = FacetGeometry(mesh, f, ts)
-        hF = mesh.facet_length(f)
-        dofs, vals, _, divs, sgn, nsides = _facet_sides_data(
-            space, fg, need_grad=False)
+    for facets in (np.nonzero(~mesh.facet_boundary)[0],
+                   np.nonzero(mesh.facet_boundary)[0]):
+        fg = FacetGeometry(mesh, facets, srule.points[:, 0])
+        dofs, vals, _, divs, sgn = _facet_basis(space, fg, need_grad=False)
         wq = (srule.weights * fg.dline * coeffs.rho_at(fg.points)
               * coeffs.cs2_at(fg.points))
-        njump = np.einsum("qjc,qc->qj", vals, fg.normals) * sgn[None, :]
-        davg = divs if nsides == 1 else 0.5 * divs
-        loc = (coeffs.lambda_n / hF) * np.einsum("q,qi,qj->ij", wq, njump, njump)
-        cross = np.einsum("q,qi,qj->ij", wq, davg, njump)
-        loc -= cross + cross.T
-        acc.add(dofs, dofs, loc)
-    return B + acc.build(space.ndof)
+        njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals,
+                          optimize=True) * sgn
+        davg = divs / len(fg.sides)
+        pen = coeffs.lambda_n / mesh.facet_length(facets)
+        loc = pen[:, None, None] * np.einsum("fq,fqi,fqj->fij",
+                                             wq, njump, njump, optimize=True)
+        cross = np.einsum("fq,fqi,fqj->fij", wq, davg, njump, optimize=True)
+        loc -= cross + cross.transpose(0, 2, 1)
+        B = B + assemble_csr(dofs, dofs, loc, B.shape)
+    return B
 
 
 # -- the pseudo-pressure block system ----------------------------------------
@@ -279,53 +239,61 @@ def assemble_m2_system(vel_space, pp_space, coeffs, f, order=None):
         raise DegreeError("pseudo-pressure degree must be p - 1")
     order = _default_order(vel_space) if order is None else order
     mesh = vel_space.mesh
+    nu, npp = vel_space.ndof, pp_space.ndof
     A = assemble_a_volume(vel_space, coeffs, order=order)
 
     # volume couplings
-    dacc, macc = _Accumulator(), _Accumulator()
-    rule = triangle_rule(order)
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
-        wq = rule.weights * det * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
-        _, _, div = vel_space.eval_basis(e, rule.points)
-        qv, _, _ = pp_space.eval_basis(e, rule.points, need_grad=False)
-        dacc.add(pp_space.dof_map[e], vel_space.dof_map[e],
-                 np.einsum("q,qi,qj->ij", wq, qv, div))
-        macc.add(pp_space.dof_map[e], pp_space.dof_map[e],
-                 np.einsum("q,qi,qj->ij", wq, qv, qv))
-    D = dacc.build(pp_space.ndof, vel_space.ndof)
-    Mp = macc.build(pp_space.ndof)
+    rule, wdet, phys = element_quadrature(mesh, order)
+    wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
+    _, _, div = vel_space.eval_basis(_all_elems(vel_space), rule.points,
+                                     need_grad=False)
+    qv, _, _ = pp_space.eval_basis(_all_elems(pp_space), rule.points,
+                                   need_grad=False)
+    D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
+                     np.einsum("eq,eqi,eqj->eij", wq, qv, div, optimize=True),
+                     (npp, nu))
+    Mp = _matrix(pp_space, np.einsum("eq,eqi,eqj->eij", wq, qv, qv,
+                                     optimize=True))
 
     # boundary terms
     srule = segment_rule(order)
-    ts = srule.points[:, 0]
-    nacc, gacc = _Accumulator(), _Accumulator()
-    for f_idx in np.nonzero(mesh.facet_boundary)[0]:
-        fg = FacetGeometry(mesh, f_idx, ts)
-        hF = mesh.facet_length(f_idx)
-        e, k, fl = fg.sides[0]
-        uv, _, _ = vel_space.eval_basis(e, fg.ref_points[0], need_grad=False)
-        qv, _, _ = pp_space.eval_basis(e, fg.ref_points[0], need_grad=False)
-        wq = (srule.weights * fg.dline * coeffs.rho_at(fg.points)
-              * coeffs.cs2_at(fg.points))
-        un = np.einsum("qjc,qc->qj", uv, fg.normals)
-        nacc.add(vel_space.dof_map[e], vel_space.dof_map[e],
-                 (coeffs.lambda_n / hF) * np.einsum("q,qi,qj->ij", wq, un, un))
-        gacc.add(pp_space.dof_map[e], vel_space.dof_map[e],
-                 np.einsum("q,qi,qj->ij", wq, qv, un))
-    N = nacc.build(vel_space.ndof)
-    G = gacc.build(pp_space.ndof, vel_space.ndof)
+    bnd = np.nonzero(mesh.facet_boundary)[0]
+    fg = FacetGeometry(mesh, bnd, srule.points[:, 0])
+    e, rp = fg.sides[0][0], fg.ref_points[0]
+    uv, _, _ = vel_space.eval_basis(e, rp, need_grad=False)
+    qv, _, _ = pp_space.eval_basis(e, rp, need_grad=False)
+    wq = (srule.weights * fg.dline * coeffs.rho_at(fg.points)
+          * coeffs.cs2_at(fg.points))
+    un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
+    pen = coeffs.lambda_n / mesh.facet_length(bnd)
+    udofs = vel_space.dof_map[e]
+    N = assemble_csr(udofs, udofs, pen[:, None, None] * np.einsum(
+        "fq,fqi,fqj->fij", wq, un, un, optimize=True), (nu, nu))
+    G = assemble_csr(pp_space.dof_map[e], udofs, np.einsum(
+        "fq,fqi,fqj->fij", wq, qv, un, optimize=True), (npp, nu))
 
     DG = D - G
     K = sp.bmat([[-A + N, DG.T], [DG, -Mp]], format="csr")
     rhs = np.concatenate([assemble_rhs(vel_space, f, order=order),
-                          np.zeros(pp_space.ndof)])
+                          np.zeros(npp)])
     return LinearSystem(K, rhs)
 
 
 # -- method dispatch ----------------------------------------------------------
+
+# method -> (velocity family, a-form, b-form).  Strong boundary constraints
+# come with the space: only BDM pins dofs (its boundary normal moments).
+# M2 has no b-form of its own; its projected grad-div term lives in the
+# saddle system of assemble_m2_system.  Forms are named rather than held,
+# so a wrapper installed on this module's attribute (a profiler or tracer)
+# sees every call.
+METHOD_FORMS = {
+    "M1": ("vector_lagrange", "assemble_a_volume", "assemble_b_dg"),
+    "M2": ("vector_lagrange", "assemble_a_volume", None),
+    "M3": ("hdiv_bdm", "assemble_a_dg", "assemble_b_volume"),
+    "M4": ("vector_dg", "assemble_a_dg", "assemble_b_dg"),
+}
+
 
 @dataclass
 class MethodSystem:
@@ -344,98 +312,58 @@ class MethodSystem:
 
 
 def method_spaces(method, mesh, p):
-    if method == "M1" or method == "M2":
-        vel = build_space("vector_lagrange", mesh, p)
-    elif method == "M3":
-        vel = build_space("hdiv_bdm", mesh, p)
-    elif method == "M4":
-        vel = build_space("vector_dg", mesh, p)
-    else:
+    if method not in METHOD_FORMS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "M2":
-        if p < 2:
-            raise DegreeError("M2 requires p >= 2")
-        return vel, build_space("scalar_lagrange", mesh, p - 1)
-    return vel, None
+    vel = build_space(METHOD_FORMS[method][0], mesh, p)
+    if method != "M2":
+        return vel, None
+    if p < 2:
+        raise DegreeError("M2 requires p >= 2")
+    return vel, build_space("scalar_lagrange", mesh, p - 1)
+
+
+def method_forms(method, space, coeffs, order=None):
+    """(a_h, b_h) of a single-field method (M1, M3, M4) on its space."""
+    _, a_form, b_form = METHOD_FORMS[method]
+    if b_form is None:
+        raise ValueError(f"{method} has no single-field b_h "
+                         "(see assemble_m2_system)")
+    forms = globals()
+    return (forms[a_form](space, coeffs, order=order),
+            forms[b_form](space, coeffs, order=order))
 
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
     """Assemble the full discrete operator -a_h + b_h of one method."""
     vel, pp = method_spaces(method, mesh, p)
-    if method == "M2":
+    if pp is not None:
         system = assemble_m2_system(vel, pp, coeffs, f, order=order)
         return MethodSystem(method, system, vel, pp)
-    if method == "M1":
-        K = -assemble_a_volume(vel, coeffs, order=order) \
-            + assemble_b_dg(vel, coeffs, order=order)
-        constrained = np.array([], dtype=int)
-    elif method == "M3":
-        K = -assemble_a_dg(vel, coeffs, order=order) \
-            + assemble_b_volume(vel, coeffs, order=order)
-        constrained = vel.constrained_dofs
-    else:  # M4
-        K = -assemble_a_dg(vel, coeffs, order=order) \
-            + assemble_b_dg(vel, coeffs, order=order)
-        constrained = np.array([], dtype=int)
+    A, B = method_forms(method, vel, coeffs, order=order)
     rhs = assemble_rhs(vel, f, order=order)
-    return MethodSystem(method, LinearSystem(K.tocsr(), rhs, constrained), vel)
-
-
-# -- facet traces of a discrete field -----------------------------------------
-
-@dataclass
-class FacetTrace:
-    points: np.ndarray
-    normal: np.ndarray          # unit normal out of owner 0
-    values: list                # per-side traces
-    average: np.ndarray
-    jump_b: np.ndarray          # u+(b.n+) + u-(b.n-)
-    jump_n: np.ndarray          # u+.n+ + u-.n-  (u.n on the boundary)
-    boundary: bool
-
-
-def facet_traces(field, coeffs, f, ts):
-    mesh = field.space.mesh
-    fg = FacetGeometry(mesh, f, ts)
-    vals = [field.evaluate(e, rp, need_grad=False)[0]
-            for (e, k, fl), rp in zip(fg.sides, fg.ref_points)]
-    bn = np.einsum("qc,qc->q", coeffs.b_at(fg.points), fg.normals)
-    if len(vals) == 1:
-        avg = vals[0]
-        jb = vals[0] * bn[:, None]
-        jn = np.einsum("qc,qc->q", vals[0], fg.normals)
-        bnd = True
-    else:
-        avg = 0.5 * (vals[0] + vals[1])
-        jb = (vals[0] - vals[1]) * bn[:, None]
-        jn = np.einsum("qc,qc->q", vals[0] - vals[1], fg.normals)
-        bnd = False
-    return FacetTrace(fg.points, fg.normals, vals, avg, jb, jn, bnd)
+    return MethodSystem(
+        method, LinearSystem((-A + B).tocsr(), rhs, vel.constrained_dofs), vel)
 
 
 # -- error norms ---------------------------------------------------------------
 
 def _project_div_error(pp_space, coeffs, u_h, exact, order):
     """rho c_s^2 weighted projection of div(u_h - u) onto the pp space."""
-    rule = triangle_rule(order)
-    mesh = pp_space.mesh
-    macc = _Accumulator()
-    rhs = np.zeros(pp_space.ndof)
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
-        wq = rule.weights * det * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
-        qv, _, _ = pp_space.eval_basis(e, rule.points, need_grad=False)
-        _, _, div = u_h.evaluate(e, rule.points)
-        ediv = div - (exact.div_u(phys) if exact is not None else 0.0)
-        macc.add(pp_space.dof_map[e], pp_space.dof_map[e],
-                 np.einsum("q,qi,qj->ij", wq, qv, qv))
-        np.add.at(rhs, pp_space.dof_map[e],
-                  np.einsum("q,q,qj->j", wq, ediv, qv))
-    M = macc.build(pp_space.ndof).tocsc()
-    import scipy.sparse.linalg as spla
-    return DiscreteField(pp_space, spla.spsolve(M, rhs))
+    rule, wdet, phys = element_quadrature(pp_space.mesh, order)
+    elems = _all_elems(pp_space)
+    wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
+    qv, _, _ = pp_space.eval_basis(elems, rule.points, need_grad=False)
+    _, _, div = u_h.evaluate(elems, rule.points, need_grad=False)
+    ediv = div - eval_pointwise(exact.div_u, phys)
+    M = _matrix(pp_space, np.einsum("eq,eqi,eqj->eij", wq, qv, qv,
+                                    optimize=True))
+    rhs = assemble_vector(pp_space.dof_map, np.einsum(
+        "eq,eq,eqj->ej", wq, ediv, qv, optimize=True), pp_space.ndof)
+    return DiscreteField(pp_space, spla.spsolve(M.tocsc(), rhs))
+
+
+def _dot(u, v):
+    return np.einsum("...c,...c->...", u, v)
 
 
 def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
@@ -448,8 +376,8 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
     mesh = space.mesh
     if order is None:
         order = _default_order(space) + 2
-    rule = triangle_rule(order)
-    beta2 = coeffs.b_inf ** 2
+    rule, wq, phys = element_quadrature(mesh, order)
+    elems = _all_elems(space)
 
     pdiv = None
     if method == "M2" and exact is not None:
@@ -457,98 +385,74 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
             pp_space = build_space("scalar_lagrange", mesh, space.degree - 1)
         pdiv = _project_div_error(pp_space, coeffs, u_h, exact, order)
 
-    l2_err2 = 0.0
-    l2_norm2 = 0.0
-    xh2 = 0.0
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
-        wq = rule.weights * det
-        vals, grads, div = u_h.evaluate(e, rule.points)
-        rho = coeffs.rho_at(phys)
-        cs2 = coeffs.cs2_at(phys)
-        b = coeffs.b_at(phys)
-        l2_norm2 += float(wq @ np.einsum("qc,qc->q", vals, vals))
-        if exact is None:
-            continue
-        ev = vals - exact.u(phys)
-        eg = grads - exact.grad_u(phys)
-        ed = div - exact.div_u(phys)
-        l2_err2 += float(wq @ np.einsum("qc,qc->q", ev, ev))
-        conv = np.einsum("qcd,qd->qc", eg, b)
-        xh2 += float((wq * rho) @ (np.einsum("qc,qc->q", conv, conv)
-                                   + beta2 * np.einsum("qc,qc->q", ev, ev)))
-        if method == "M2":
-            pv, _, _ = pdiv.evaluate(e, rule.points, need_grad=False)
-            xh2 += float((wq * rho * cs2) @ (pv * pv))
-        else:
-            xh2 += float((wq * rho * cs2) @ (ed * ed))
-
+    vals, grads, div = u_h.evaluate(elems, rule.points)
+    rho = coeffs.rho_at(phys)
+    cs2 = coeffs.cs2_at(phys)
+    b = coeffs.b_at(phys)
+    l2_norm = float(np.sqrt(np.sum(wq * _dot(vals, vals))))
     if exact is None:
-        return {"l2_error": None, "xh_error": None,
-                "l2_norm": float(np.sqrt(l2_norm2))}
+        return {"l2_error": None, "xh_error": None, "l2_norm": l2_norm}
 
+    ev = vals - eval_pointwise(exact.u, phys)
+    eg = grads - eval_pointwise(exact.grad_u, phys)
+    l2_err2 = np.sum(wq * _dot(ev, ev))
+    conv = np.einsum("eqcd,eqd->eqc", eg, b, optimize=True)
+    xh2 = np.sum((wq * rho) * (_dot(conv, conv)
+                               + coeffs.b_inf ** 2 * _dot(ev, ev)))
+    if method == "M2":
+        dv, _, _ = pdiv.evaluate(elems, rule.points, need_grad=False)
+    else:
+        dv = div - eval_pointwise(exact.div_u, phys)
+    xh2 += np.sum((wq * rho * cs2) * (dv * dv))
     xh2 += _facet_error_terms(u_h, exact, coeffs, method, order, pdiv)
     return {"l2_error": float(np.sqrt(l2_err2)),
             "xh_error": float(np.sqrt(max(xh2, 0.0))),
-            "l2_norm": float(np.sqrt(l2_norm2))}
+            "l2_norm": l2_norm}
 
 
 def _facet_error_terms(u_h, exact, coeffs, method, order, pdiv):
     """Facet contributions of the method's triple norm applied to the error."""
-    space = u_h.space
-    mesh = space.mesh
+    mesh = u_h.space.mesh
     srule = segment_rule(order)
     ts = srule.points[:, 0]
-    acc = 0.0
     a_interior = method in ("M3", "M4")
     b_interior = method == "M4"
-    b_boundary = method in ("M1", "M2", "M4")
-    for f in range(mesh.num_facets):
-        bnd = bool(mesh.facet_boundary[f])
-        if bnd and not b_boundary:
-            continue
-        if not bnd and not (a_interior or b_interior):
-            continue
-        fg = FacetGeometry(mesh, f, ts)
-        hF = mesh.facet_length(f)
-        rho = coeffs.rho_at(fg.points)
-        cs2 = coeffs.cs2_at(fg.points)
+    acc = 0.0
+    if method in ("M1", "M2", "M4"):
+        bnd = np.nonzero(mesh.facet_boundary)[0]
+        fg = FacetGeometry(mesh, bnd, ts)
+        e, rp = fg.sides[0][0], fg.ref_points[0]
+        v, _, d = u_h.evaluate(e, rp, need_grad=False)
+        un = _dot(v - eval_pointwise(exact.u, fg.points), fg.normals)
+        if method == "M2":
+            dv, _, _ = pdiv.evaluate(e, rp, need_grad=False)
+        else:
+            dv = d - eval_pointwise(exact.div_u, fg.points)
+        w = (srule.weights * fg.dline * coeffs.rho_at(fg.points)
+             * coeffs.cs2_at(fg.points))
+        pen = coeffs.lambda_n / mesh.facet_length(bnd)
+        acc += np.sum(w * (pen[:, None] * un * un - 2.0 * dv * un))
+    if not (a_interior or b_interior):
+        return acc
+    # interior facets: the exact solution is continuous, jumps see u_h only
+    interior = np.nonzero(~mesh.facet_boundary)[0]
+    fg = FacetGeometry(mesh, interior, ts)
+    hF = mesh.facet_length(interior)[:, None]
+    w = srule.weights * fg.dline * coeffs.rho_at(fg.points)
+    (v0, g0, d0), (v1, g1, d1) = (
+        u_h.evaluate(e, rp, need_grad=a_interior)
+        for (e, _, _), rp in zip(fg.sides, fg.ref_points))
+    vjump = v0 - v1
+    if a_interior:
         b = coeffs.b_at(fg.points)
-        bn = np.einsum("qc,qc->q", b, fg.normals)
-        w = srule.weights * fg.dline
-        sides = [u_h.evaluate(e, rp) for (e, k, fl), rp in
-                 zip(fg.sides, fg.ref_points)]
-        eu = exact.u(fg.points)
-        egrad = exact.grad_u(fg.points)
-        ediv = exact.div_u(fg.points)
-        if bnd:
-            ev = sides[0][0] - eu
-            edv = sides[0][2] - ediv
-            un = np.einsum("qc,qc->q", ev, fg.normals)
-            if method == "M2":
-                e0 = fg.sides[0][0]
-                pv, _, _ = pdiv.evaluate(e0, fg.ref_points[0], need_grad=False)
-                dv = pv
-            else:
-                dv = edv
-            acc += float((w * rho * cs2) @
-                         ((coeffs.lambda_n / hF) * un * un - 2.0 * dv * un))
-            continue
-        # interior facet: exact solution is continuous, jumps see u_h only
-        vjump = sides[0][0] - sides[1][0]
-        if a_interior:
-            bj = vjump * bn[:, None]
-            cavg = 0.5 * (np.einsum("qcd,qd->qc", sides[0][1], b)
-                          + np.einsum("qcd,qd->qc", sides[1][1], b)) \
-                - np.einsum("qcd,qd->qc", egrad, b)
-            acc += float((w * rho) @
-                         ((coeffs.lambda_b / hF) * np.einsum("qc,qc->q", bj, bj)
-                          - 2.0 * np.einsum("qc,qc->q", cavg, bj)))
-        if b_interior:
-            nj = np.einsum("qc,qc->q", vjump, fg.normals)
-            davg = 0.5 * (sides[0][2] + sides[1][2]) - ediv
-            acc += float((w * rho * cs2) @
-                         ((coeffs.lambda_n / hF) * nj * nj - 2.0 * davg * nj))
+        bj = vjump * _dot(b, fg.normals)[..., None]
+        egrad = 0.5 * (g0 + g1) - eval_pointwise(exact.grad_u, fg.points)
+        cavg = np.einsum("fqcd,fqd->fqc", egrad, b)
+        acc += np.sum(w * ((coeffs.lambda_b / hF) * _dot(bj, bj)
+                           - 2.0 * _dot(cavg, bj)))
+    if b_interior:
+        nj = _dot(vjump, fg.normals)
+        davg = 0.5 * (d0 + d1) - eval_pointwise(exact.div_u, fg.points)
+        acc += np.sum((w * coeffs.cs2_at(fg.points))
+                      * ((coeffs.lambda_n / hF) * nj * nj - 2.0 * davg * nj))
     return acc

@@ -30,6 +30,19 @@ class LinearSystem:
     constrained: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
 
+def assemble_csr(rows, cols, local, shape):
+    """Sum the local blocks local[e] (E, n, m) into the global entries
+    (rows[e, i], cols[e, j]) of a CSR matrix of the given shape."""
+    r = np.broadcast_to(rows[:, :, None], local.shape)
+    c = np.broadcast_to(cols[:, None, :], local.shape)
+    return sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
+
+
+def assemble_vector(dofs, local, n):
+    """Sum the local vectors local[e] (E, n_loc) into entries dofs[e]."""
+    return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
+
+
 def check_symmetry(M, tol=1e-12):
     """Maximum absolute skew |M - M^T|; raises if it exceeds tol * max|entry|."""
     skew = abs(M - M.T).max()

@@ -10,6 +10,7 @@ elements stay affine.
 
 import numpy as np
 
+from .quadrature import triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         lagrange_basis, lattice_multiindices)
 
@@ -28,7 +29,6 @@ class Mesh:
     elem_facets : (nt, 3) int array, facet index of each local edge
     geom_order : int
     domain : "disc", "square" or None
-    curved_edge_nodes : dict facet -> (g-1, 2) interior arc nodes
     """
 
     def __init__(self, vertices, triangles, geom_order=1, domain=None):
@@ -81,26 +81,35 @@ class Mesh:
                     self.elem_facets[e, k] = f
 
     def _build_curved_data(self):
-        self.curved_edge_nodes = {}
-        self._curved_controls = {}
+        """Stack the geometry control points of the curved elements.
+
+        `_curved_controls` holds one (ng, 2) block per curved element and
+        `_curved_slot[e]` the block of element e, or -1 when e is affine.
+        """
+        controls = self._curved_control_points()
+        curved = sorted(controls)
+        self._curved_slot = np.full(self.num_triangles, -1)
+        self._curved_slot[curved] = np.arange(len(curved))
+        ng = len(lattice_multiindices(self.geom_order))
+        self._curved_controls = np.array(
+            [controls[e] for e in curved]).reshape(len(curved), ng, 2)
+
+    def _curved_control_points(self):
+        """Degree-g geometry lattice control points per boundary element."""
+        controls = {}
         if self.domain != "disc" or self.geom_order < 2:
-            return
+            return controls
         g = self.geom_order
-        for f in np.nonzero(self.facet_boundary)[0]:
-            a, b = self.facet_vertices[f]
-            self.curved_edge_nodes[f] = _arc_nodes(
-                self.vertices[a], self.vertices[b], g)
-        # per curved element: geometry lattice control points of degree g
         mi = lattice_multiindices(g)
-        for f, arc in self.curved_edge_nodes.items():
+        for f in np.nonzero(self.facet_boundary)[0]:
             e = self.facet_elems[f, 0]
             k = self.facet_local[f, 0]
-            pts = self._curved_controls.get(e)
+            pts = controls.get(e)
             if pts is None:
                 lam = np.array([[a0 / g, a1 / g, a2 / g] for a0, a1, a2 in mi])
                 tri = self.triangles[e]
                 pts = lam @ self.vertices[tri]  # affine positions
-                self._curved_controls[e] = pts
+                controls[e] = pts
             va, vb = EDGE_VERTICES[k]
             w0 = self.vertices[self.triangles[e][va]]
             w1 = self.vertices[self.triangles[e][vb]]
@@ -116,6 +125,7 @@ class Mesh:
                 # transfinite blend: full displacement on the edge itself,
                 # decaying linearly towards the opposite vertex
                 pts[idx] = pts[idx] + (1.0 - lam_o) * (arc - chord)
+        return controls
 
     # -- queries ---------------------------------------------------------
 
@@ -131,15 +141,18 @@ class Mesh:
     def num_facets(self):
         return len(self.facet_vertices)
 
-    def is_curved(self, elem):
-        return elem in self._curved_controls
+    def is_curved(self, elems):
+        return self._curved_slot[elems] >= 0
 
-    def geometry(self, elem):
-        return GeometryMap(self, elem)
+    def geometry(self, elems):
+        """GeometryMap of one element (int) or of a batch (int array)."""
+        return GeometryMap(self, elems)
 
-    def facet_length(self, f):
-        a, b = self.facet_vertices[f]
-        return float(np.linalg.norm(self.vertices[a] - self.vertices[b]))
+    def facet_length(self, facets):
+        """Chord length of one facet or of an array of facets."""
+        fv = self.facet_vertices[facets]
+        d = self.vertices[fv[..., 0]] - self.vertices[fv[..., 1]]
+        return np.linalg.norm(d, axis=-1)
 
     def dump(self, path):
         """Plain-text debug dump."""
@@ -158,23 +171,6 @@ class Mesh:
                          % (a, b, e0, e1, int(self.facet_boundary[f])))
 
 
-def _arc_nodes_full(w0, w1, g):
-    """g+1 points on the unit circle, uniformly spaced in arc length from w0 to w1."""
-    t0 = np.arctan2(w0[1], w0[0])
-    t1 = np.arctan2(w1[1], w1[0])
-    dt = t1 - t0
-    if dt > np.pi:
-        dt -= 2.0 * np.pi
-    elif dt < -np.pi:
-        dt += 2.0 * np.pi
-    ang = t0 + dt * np.arange(g + 1) / g
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def _arc_nodes(w0, w1, g):
-    return _arc_nodes_full(w0, w1, g)[1:-1]
-
-
 def _arc_point(w0, w1, t):
     """Point at arc-length fraction t on the short unit-circle arc w0 -> w1."""
     t0 = np.arctan2(w0[1], w0[0])
@@ -189,44 +185,74 @@ def _arc_point(w0, w1, t):
 
 
 class GeometryMap:
-    """Polynomial map from the reference triangle to one physical element."""
+    """Polynomial map from the reference triangle to one element or a batch.
 
-    def __init__(self, mesh, elem):
-        self.mesh = mesh
-        self.elem = elem
-        controls = mesh._curved_controls.get(elem)
-        if controls is None:
-            tri = mesh.triangles[elem]
-            v = mesh.vertices[tri]
-            self.affine = True
-            self._origin = v[0]
-            self._jac = np.column_stack([v[1] - v[0], v[2] - v[0]])
-            self._det = float(np.linalg.det(self._jac))
-        else:
-            self.affine = False
-            self._controls = controls
-            self._basis = lagrange_basis(mesh.geom_order)
+    `elems` is an int or an int array of E elements.  Reference points are
+    (q, 2), shared by every element, or (E, q, 2), one set per element.  For
+    an int the results have shapes (q, ...); for an array they gain a
+    leading E axis.  Affine elements use their vertex Jacobian; curved ones
+    contract the geometry basis with their stacked control points.
+    """
+
+    def __init__(self, mesh, elems):
+        self._single = np.ndim(elems) == 0
+        elems = np.atleast_1d(elems)
+        v = mesh.vertices[mesh.triangles[elems]]             # (E, 3, 2)
+        self._origin = v[:, 0]
+        self._jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
+        slot = mesh._curved_slot[elems]
+        self._curved = np.nonzero(slot >= 0)[0]              # batch positions
+        self._controls = mesh._curved_controls[slot[self._curved]]
+        self._basis = lagrange_basis(mesh.geom_order)
+        self.affine = len(self._curved) == 0
+
+    def _out(self, arr):
+        return arr[0] if self._single else arr
+
+    def _curved_table(self, table, ref):
+        """Geometry basis table at ref on the C curved elements, (C, q, ..)."""
+        if ref.ndim == 2:
+            t = table(ref)
+            return np.broadcast_to(t, (len(self._curved),) + t.shape)
+        r = ref[self._curved]
+        t = table(r.reshape(-1, 2))
+        return t.reshape(r.shape[:2] + t.shape[1:])
+
+    @staticmethod
+    def _ref(ref):
+        ref = np.asarray(ref, dtype=float)
+        return ref[None] if ref.ndim == 1 else ref
 
     def points(self, ref):
-        ref = np.atleast_2d(ref)
-        if self.affine:
-            return self._origin + ref @ self._jac.T
-        return self._basis.eval(ref) @ self._controls
+        ref = self._ref(ref)
+        out = self._origin[:, None, :] + ref @ self._jac.transpose(0, 2, 1)
+        if not self.affine:
+            T = self._curved_table(self._basis.eval, ref)
+            out[self._curved] = np.einsum("eqj,ejc->eqc", T, self._controls)
+        return self._out(out)
 
     def jacobian(self, ref):
-        ref = np.atleast_2d(ref)
-        if self.affine:
-            return np.broadcast_to(self._jac, (len(ref), 2, 2)).copy()
-        G = self._basis.grad(ref)  # (n, ndof, 2)
-        return np.einsum("njd,jc->ncd", G, self._controls)
+        ref = self._ref(ref)
+        nq = ref.shape[-2]
+        out = np.broadcast_to(self._jac[:, None],
+                              (len(self._jac), nq, 2, 2)).copy()
+        if not self.affine:
+            G = self._curved_table(self._basis.grad, ref)
+            out[self._curved] = np.einsum("eqjd,ejc->eqcd", G, self._controls)
+        return self._out(out)
 
     def jacobian_derivative(self, ref):
-        """d J / d ref, shape (n, 2, 2, 2): out[n, c, d, e] = d^2 Phi_c / (d_d d_e)."""
-        ref = np.atleast_2d(ref)
-        if self.affine:
-            return np.zeros((len(ref), 2, 2, 2))
-        H = self._basis.hess(ref)  # (n, ndof, 2, 2)
-        return np.einsum("njde,jc->ncde", H, self._controls)
+        """d J / d ref, shape (..., q, 2, 2, 2).
+
+        [c, d, e] = d^2 Phi_c / (d_d d_e).
+        """
+        ref = self._ref(ref)
+        out = np.zeros((len(self._jac), ref.shape[-2], 2, 2, 2))
+        if not self.affine:
+            H = self._curved_table(self._basis.hess, ref)
+            out[self._curved] = np.einsum("nqjde,njc->nqcde", H,
+                                          self._controls)
+        return self._out(out)
 
     @staticmethod
     def dets(jac):
@@ -304,83 +330,99 @@ def mesh_size(mesh: Mesh) -> float:
     return float(np.max([d01, d12, d20]))
 
 
+def _facet_owner_flips(mesh, facets):
+    """(F, 2) bool: owner s walks facet f against its global direction.
+
+    The global direction runs from the lower vertex index to the higher one;
+    entries of a missing owner (boundary facets, side 1) are meaningless.
+    """
+    e = mesh.facet_elems[facets]
+    start = np.asarray(EDGE_VERTICES)[mesh.facet_local[facets], 0]
+    first = mesh.facet_vertices[facets, 0][..., None]
+    return mesh.triangles[e, start] != first
+
+
 def facet_sides(mesh, f):
     """(elem, local_edge, flipped) per owner of facet f.
 
     `flipped` is True when the local edge direction runs opposite to the
     global facet direction (lower vertex index -> higher).
     """
-    a, _ = mesh.facet_vertices[f]
-    sides = []
-    for e, k in zip(mesh.facet_elems[f], mesh.facet_local[f]):
-        if e < 0:
-            continue
-        va, vb = EDGE_VERTICES[k]
-        sides.append((int(e), int(k), mesh.triangles[e][va] != a))
-    return sides
+    flips = _facet_owner_flips(mesh, f)
+    return [(int(e), int(k), bool(fl)) for e, k, fl in
+            zip(mesh.facet_elems[f], mesh.facet_local[f], flips) if e >= 0]
 
 
 def facet_ref_points(k, ts, flipped):
-    """Reference coordinates of facet points at global params ts for local edge k."""
-    va, vb = EDGE_VERTICES[k]
-    s = 1.0 - ts if flipped else ts
-    return REF_VERTICES[va] + np.outer(s, REF_VERTICES[vb] - REF_VERTICES[va])
+    """Reference points of local edge k at global facet params ts.
+
+    `k` and `flipped` are scalars, giving (q, 2), or arrays of F facets,
+    giving (F, q, 2).
+    """
+    va, vb = np.asarray(EDGE_VERTICES)[k].T
+    s = np.where(np.asarray(flipped)[..., None], 1.0 - ts, ts)
+    a = REF_VERTICES[va]
+    d = REF_VERTICES[vb] - a
+    return a[..., None, :] + s[..., None] * d[..., None, :]
+
+
+def _unit_normals(jac, k):
+    """Unit outward normals of local edge k mapped by jac: cof(J) n_ref."""
+    nref = EDGE_NORMALS[k][..., None, :]
+    n0, n1 = nref[..., 0], nref[..., 1]
+    nn = np.stack([jac[..., 1, 1] * n0 - jac[..., 1, 0] * n1,
+                   jac[..., 0, 0] * n1 - jac[..., 0, 1] * n0], axis=-1)
+    return nn / np.linalg.norm(nn, axis=-1)[..., None]
 
 
 class FacetGeometry:
-    """Physical geometry of one facet sampled at global params ts in [0, 1].
+    """Physical geometry of one facet or a batch at global params ts in [0, 1].
 
-    Provides physical points, arc-length weights per unit t, and the unit
-    normal pointing out of owner 0 (for boundary facets: out of the domain).
+    `facets` is an int or an int array of F facets.  Provides physical
+    points, arc-length weights per unit t (`dline`) and the unit normal
+    pointing out of owner 0 (for boundary facets: out of the domain), with
+    shapes (q, ...) for an int and (F, q, ...) for an array.  `sides[s]` is
+    (elem, local edge, flipped) of owner s and `ref_points[s]` its reference
+    points; owner 1 is included only when no facet of the batch is a
+    boundary facet.
     """
 
-    def __init__(self, mesh, f, ts):
+    def __init__(self, mesh, facets, ts):
         self.ts = np.asarray(ts, dtype=float)
-        self.sides = facet_sides(mesh, f)
-        e0, k0, flip0 = self.sides[0]
+        nsides = 1 if np.any(mesh.facet_boundary[facets]) else 2
+        flips = _facet_owner_flips(mesh, facets)
+        self.sides = [(mesh.facet_elems[facets][..., s],
+                       mesh.facet_local[facets][..., s], flips[..., s])
+                      for s in range(nsides)]
         self.ref_points = [facet_ref_points(k, self.ts, fl)
                            for (_, k, fl) in self.sides]
+        e0, k0, flip0 = self.sides[0]
         gm = mesh.geometry(e0)
         jac = gm.jacobian(self.ref_points[0])
         self.points = gm.points(self.ref_points[0])
-        va, vb = EDGE_VERTICES[k0]
+        va, vb = np.asarray(EDGE_VERTICES)[k0].T
         dref = REF_VERTICES[vb] - REF_VERTICES[va]
-        if flip0:
-            dref = -dref
-        tang = jac @ dref
-        self.dline = np.linalg.norm(tang, axis=1)  # ds/dt
-        # unnormalized outward normal: det(J) J^{-T} n_ref
-        nref = EDGE_NORMALS[k0]
-        co = np.empty_like(jac)
-        co[:, 0, 0] = jac[:, 1, 1]
-        co[:, 0, 1] = -jac[:, 1, 0]
-        co[:, 1, 0] = -jac[:, 0, 1]
-        co[:, 1, 1] = jac[:, 0, 0]
-        nn = co @ nref
-        self.normals = nn / np.linalg.norm(nn, axis=1)[:, None]
+        dref = np.where(np.asarray(flip0)[..., None], -dref, dref)
+        tang = np.einsum("...qcd,...d->...qc", jac, dref)
+        self.dline = np.linalg.norm(tang, axis=-1)  # ds/dt
+        self.normals = _unit_normals(jac, k0)
 
     def normal_from_side(self, mesh, side_index):
         """Outward unit normal recomputed from the given owner (for checks)."""
         e, k, _ = self.sides[side_index]
-        gm = mesh.geometry(e)
-        jac = gm.jacobian(self.ref_points[side_index])
-        nref = EDGE_NORMALS[k]
-        co = np.empty_like(jac)
-        co[:, 0, 0] = jac[:, 1, 1]
-        co[:, 0, 1] = -jac[:, 1, 0]
-        co[:, 1, 0] = -jac[:, 0, 1]
-        co[:, 1, 1] = jac[:, 0, 0]
-        nn = co @ nref
-        return nn / np.linalg.norm(nn, axis=1)[:, None]
+        jac = mesh.geometry(e).jacobian(self.ref_points[side_index])
+        return _unit_normals(jac, k)
+
+
+def element_quadrature(mesh, order):
+    """Triangle rule, weights * det (E, q) and points (E, q, 2) of all
+    elements of the mesh."""
+    rule = triangle_rule(order)
+    gm = mesh.geometry(np.arange(mesh.num_triangles))
+    det = GeometryMap.dets(gm.jacobian(rule.points))
+    return rule, rule.weights * det, gm.points(rule.points)
 
 
 def total_area(mesh, order=8):
     """Sum of element areas by quadrature (exercises the geometry maps)."""
-    from .quadrature import triangle_rule
-    rule = triangle_rule(order)
-    area = 0.0
-    for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        area += float(det @ rule.weights)
-    return area
+    return float(element_quadrature(mesh, order)[1].sum())

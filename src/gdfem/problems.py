@@ -11,7 +11,7 @@ forms below were derived and checked symbolically; validate() additionally
 cross-checks them against finite differences at runtime.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -169,6 +169,15 @@ def test_invalid_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--level", "0"])  # missing --method
     assert exc.value.code == 2
+    # one solve takes one sound speed, level and method
+    for argv in (["solve", "--method", "M4", "--cs2", "1,1000"],
+                 ["solve", "--method", "M4", "--levels", "3"],
+                 ["solve", "--method", "M4", "--methods", "M3"],
+                 ["diagnostics", "--method", "M3", "--levels", "0"],
+                 ["diagnostics", "--method", "M3", "--methods", "M4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_degenerate_flow_rejected():

@@ -9,7 +9,7 @@ from gdfem.fespace import DegreeError, DiscreteField, bdm_interpolate, \
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
                          assemble_a_volume, assemble_b_dg, assemble_b_volume,
                          assemble_m2_system, assemble_method, assemble_rhs,
-                         error_norms, facet_traces, method_spaces,
+                         error_norms, method_spaces,
                          paper_coefficients, rotational_flow)
 from gdfem.linalg import check_symmetry, solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
@@ -171,26 +171,6 @@ def test_gram_matrices_psd(disc1_curved, method):
             x = RNG.standard_normal(space.ndof)
             x /= np.linalg.norm(x)
             assert x @ (M @ x) >= -1e-10 * scale
-
-
-# -- facet traces -------------------------------------------------------------
-
-def test_facet_traces_continuous_field(disc1_curved):
-    space = build_space("vector_lagrange", disc1_curved, 2)
-    u = l2_project(space, lambda q: np.column_stack([-q[:, 1], q[:, 0]]))
-    co = unit_coeffs()
-    ts = np.array([0.25, 0.75])
-    interior = np.nonzero(~disc1_curved.facet_boundary)[0][0]
-    tr = facet_traces(u, co, interior, ts)
-    assert not tr.boundary
-    assert np.abs(tr.jump_b).max() <= 1e-11
-    assert np.abs(tr.jump_n).max() <= 1e-11
-    assert np.abs(tr.average - tr.values[0]).max() <= 1e-11
-    boundary = np.nonzero(disc1_curved.facet_boundary)[0][0]
-    trb = facet_traces(u, co, boundary, ts)
-    assert trb.boundary
-    un = np.einsum("qc,qc->q", trb.values[0], trb.normal)
-    assert np.abs(trb.jump_n - un).max() <= 1e-13
 
 
 # -- M2 saddle system ---------------------------------------------------------
