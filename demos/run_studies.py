@@ -7,7 +7,7 @@ Writes into demos/output/ (or the directory given as the first argument):
                                solution at p = 2
   rob.csv, rob_M*.svg          pure-gradient forcing at p = 3
 
-Expect a few minutes of runtime; progress is printed per solve.
+Expect about half a minute on two cores; progress is printed per solve.
 
 Run:  python3 demos/run_studies.py [outdir]
 """

@@ -21,12 +21,13 @@ files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .forms import (METHODS, assemble_method, error_norms, method_forms,
-                    method_spaces, rotational_flow, CoefficientSet)
+                    method_spaces, paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -56,6 +57,67 @@ def default_geom_order(p):
 
 def default_convergence_levels(p):
     return (1, 2, 3, 4) if p <= 2 else (1, 2, 3)
+
+
+# -- the studies --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Study:
+    """Problem, defaults and report layout of one study.
+
+    `axis` is the report field in the CSV's second column ("p" or "cs2");
+    a run takes a single value of the other one.  `svg`, `label` and
+    `title` are formatted with the fields of a StudyRow.
+    """
+    problem: object      # problem(p=, cs2=, lambda_b=, lambda_n=)
+    p_list: tuple
+    levels: object       # p -> default refinement levels
+    cs2_list: tuple
+    axis: str
+    metrics: tuple       # (error_norms key, method -> metric), CSV one first
+    csv: str
+    svg: str
+    svg_groups: tuple    # report fields: one SVG per value, one series per value
+    label: str           # series legend
+    ref_slope: object    # p -> slope of the dashed reference line
+    title: str
+    ylabel: str
+
+    @property
+    def columns(self):
+        """method -> CSV column."""
+        return self.metrics[0][1]
+
+
+_ERRORS = (("l2_error", ERROR_COLUMNS), ("xh_error", XH_COLUMNS))
+_SWEEP = (1.0, 10.0, 100.0, 1000.0)
+
+STUDIES = {
+    "convergence": Study(
+        problem=convergence_problem, p_list=(1, 2, 3, 4),
+        levels=default_convergence_levels, cs2_list=(1.0,), axis="p",
+        metrics=_ERRORS, csv="hconv.csv", svg="hconv_p{p}.svg",
+        svg_groups=("p", "method"), label="{method}",
+        ref_slope=lambda p: p + 0.5,
+        title="h-convergence, degree p={p}", ylabel="L2 error"),
+    "locking": Study(
+        problem=locking_problem, p_list=(2,), levels=lambda p: (0, 1, 2),
+        cs2_list=_SWEEP, axis="cs2", metrics=_ERRORS, csv="locking.csv",
+        svg="locking_{method}.svg", svg_groups=("method", "cs2"),
+        label="cs2={cs2:g}", ref_slope=lambda p: p + 0.5,
+        title="volume locking study, {method}, p={p}", ylabel="L2 error"),
+    "gradrob": Study(
+        problem=gradrob_problem, p_list=(3,), levels=lambda p: (1, 2, 3),
+        cs2_list=_SWEEP, axis="cs2", metrics=(("l2_norm", NORM_COLUMNS),),
+        csv="rob.csv", svg="rob_{method}.svg", svg_groups=("method", "cs2"),
+        label="cs2={cs2:g}", ref_slope=lambda p: 0.0,
+        title="gradient-robustness study, {method}, p={p}",
+        ylabel="L2 norm of u_h"),
+}
+
+# CSV second column per axis: (header, format, parser, the fixed field)
+_CSV_AXIS = {"p": ("p", "%d", int, "cs2"),
+             "cs2": ("cs", "%.17g", float, "p")}
 
 
 # -- study report -------------------------------------------------------------
@@ -89,8 +151,7 @@ class StudyReport:
 
     def csv_rows(self):
         """The subset of rows that the pinned CSV schema can carry."""
-        cols = NORM_COLUMNS if self.study == "gradrob" else ERROR_COLUMNS
-        keep = set(cols.values())
+        keep = set(STUDIES[self.study].columns.values())
         return [r for r in self.rows if r.metric_name in keep]
 
 
@@ -109,6 +170,10 @@ def _fmt(v):
     return "%.17g" % v
 
 
+def _csv_header(spec):
+    return ["h", _CSV_AXIS[spec.axis][0]] + [spec.columns[m] for m in METHODS]
+
+
 def emit_study_csv(report, path):
     """Write the pinned CSV schema for the given study.
 
@@ -117,21 +182,19 @@ def emit_study_csv(report, path):
     gradrob:     h,cs,normH1,normH1pp,normHdiv,normDG
     Cells of skipped or failed method runs stay empty.
     """
-    conv = report.study == "convergence"
-    cols = NORM_COLUMNS if report.study == "gradrob" else ERROR_COLUMNS
-    colnames = [cols[m] for m in METHODS]
-    header = ["h", "p" if conv else "cs"] + colnames
+    spec = STUDIES[report.study]
+    header = _csv_header(spec)
+    _, fmt, _, fixed = _CSV_AXIS[spec.axis]
     groups = {}
     for r in report.csv_rows():
-        key = (r.p, r.cs2, -r.h) if conv else (r.cs2, r.p, -r.h)
+        key = (getattr(r, spec.axis), getattr(r, fixed), -r.h)
         groups.setdefault(key, {})[r.metric_name] = r.value
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for key in sorted(groups):
             cells = groups[key]
-            h = -key[2]
-            line = [_fmt(h), ("%d" % key[0]) if conv else _fmt(key[0])]
-            line += [_fmt(cells[c]) if c in cells else "" for c in colnames]
+            line = [_fmt(-key[2]), fmt % key[0]]
+            line += [_fmt(cells[c]) if c in cells else "" for c in header[2:]]
             fh.write(",".join(line) + "\n")
 
 
@@ -146,26 +209,22 @@ def read_study_csv(path):
     with open(path, newline="\n") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
-    if header[1] == "p":
-        study, p_def, cs2_def = "convergence", None, 1.0
-    elif header[2].startswith("norm"):
-        study, p_def, cs2_def = "gradrob", 3, None
-    else:
-        study, p_def, cs2_def = "locking", 2, None
-    colnames = header[2:]
-    col_method = {v: k for k, v in
-                  (NORM_COLUMNS if study == "gradrob" else ERROR_COLUMNS).items()}
+    study = next((name for name, spec in STUDIES.items()
+                  if _csv_header(spec) == header), None)
+    if study is None:
+        raise ValueError(f"{path}: not a study CSV header: {lines[0]!r}")
+    spec = STUDIES[study]
+    parse = _CSV_AXIS[spec.axis][2]
+    col_method = {v: k for k, v in spec.columns.items()}
     report = StudyReport(study)
     for ln in lines[1:]:
         cells = ln.split(",")
-        h = float(cells[0])
-        if study == "convergence":
-            p, cs2 = int(cells[1]), cs2_def
-        else:
-            p, cs2 = p_def, float(cells[1])
-        for name, cell in zip(colnames, cells[2:]):
+        at = {"p": spec.p_list[0], "cs2": spec.cs2_list[0],
+              spec.axis: parse(cells[1])}
+        for name, cell in zip(header[2:], cells[2:]):
             if cell:
-                report.add(h, p, cs2, col_method[name], name, float(cell))
+                report.add(float(cells[0]), at["p"], at["cs2"],
+                           col_method[name], name, float(cell))
     return report.sort()
 
 
@@ -277,144 +336,98 @@ def write_svg(path, series, ref_slope, title, ylabel):
 
 # -- study runners ------------------------------------------------------------
 
-def _solve_cell(method, mesh, p, prob, warnings):
-    """One (method, mesh) solve; returns error_norms dict or None on failure."""
-    try:
-        ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
-        x = solve(ms.system)
-        u = ms.split(x)
-        if method == "M2":
-            u, _ = u
-            return error_norms(u, prob if prob.has_exact else None, prob.coeffs,
-                               method=method, pp_space=ms.pressure_space)
-        return error_norms(u, prob if prob.has_exact else None, prob.coeffs,
-                           method=method)
-    except SingularMatrixError as exc:
-        warnings.append(f"warning: {method} p={p} solve failed: {exc}")
-        return None
+def _assemble_unit(method, mesh, p, prob):
+    """The operator pair of prob's coefficients at c_s = 1.
+
+    Every b_h term is linear in rho c_s^2, so -A_h + c_s^2 B_h of this pair
+    is the operator at any constant c_s^2; a c_s^2 sweep assembles it once.
+    """
+    if callable(prob.coeffs.c_s) or callable(prob.coeffs.rho):
+        raise ValueError("a c_s^2 sweep needs constant rho and c_s")
+    return assemble_method(method, mesh, p, replace(prob.coeffs, c_s=1.0),
+                           prob.f)
 
 
-def run_convergence(p_list=(1, 2, 3, 4), levels=None, methods=METHODS,
-                    out_path=None, cs2=1.0, lambda_b=None, lambda_n=None,
-                    geom_order=None, progress=None):
-    """h-convergence of the smooth manufactured solution, one CSV + SVG per p."""
-    report = StudyReport("convergence")
+def _solve_cell(method, mesh, p, prob, ms):
+    """Solve the (method, mesh, p) cell of prob and measure it.
+
+    `ms` is the cell's operator pair from _assemble_unit; the cell solves
+    -A_h + c_s^2 B_h against the load of prob.f.  Returns the error_norms
+    dict of the velocity and the solved LinearSystem; raises
+    SingularMatrixError if the solve fails.
+    """
+    system = ms.system_at(prob.coeffs.c_s ** 2, prob.f)
+    u = ms.velocity(solve(system))
+    res = error_norms(u, prob if prob.has_exact else None, prob.coeffs,
+                      method=method, pp_space=ms.pressure_space)
+    return res, system
+
+
+def run_study(study, p_list=None, cs2_list=None, levels=None,
+              methods=METHODS, out_path=None, lambda_b=None, lambda_n=None,
+              geom_order=None, progress=None):
+    """Run one study of STUDIES; returns (report, warnings).
+
+    Arguments left None take the study's defaults.  The runner loops
+    level -> method -> c_s^2 and assembles each (mesh, method) operator
+    pair once.  With out_path it writes the study's CSV and SVGs there.
+    """
+    spec = STUDIES[study]
+    p_list = spec.p_list if p_list is None else tuple(p_list)
+    cs2_list = spec.cs2_list if cs2_list is None else tuple(cs2_list)
+    values = {"p": p_list, "cs2": cs2_list, "method": tuple(methods)}
+    fixed = _CSV_AXIS[spec.axis][3]
+    if len(values[fixed]) != 1:
+        raise ValueError(f"{study} takes a single --{fixed} value")
+    report = StudyReport(study)
     warnings = []
     for p in p_list:
-        lv = default_convergence_levels(p) if levels is None else levels
         g = default_geom_order(p) if geom_order is None else geom_order
-        prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
-                                   lambda_n=lambda_n)
-        for level in lv:
+        probs = [spec.problem(p=p, cs2=cs2, lambda_b=lambda_b,
+                              lambda_n=lambda_n) for cs2 in cs2_list]
+        for level in spec.levels(p) if levels is None else levels:
             mesh = make_unit_disc_mesh(level, geom_order=g)
             h = mesh_size(mesh)
             for m in methods:
                 if m == "M2" and p < 2:
                     continue
-                if progress:
-                    progress(f"convergence p={p} level={level} {m}")
-                res = _solve_cell(m, mesh, p, prob, warnings)
-                if res is None:
-                    continue
-                report.add(h, p, cs2, m, ERROR_COLUMNS[m], res["l2_error"])
-                report.add(h, p, cs2, m, XH_COLUMNS[m], res["xh_error"])
+                ms = _assemble_unit(m, mesh, p, probs[0])
+                for cs2, prob in zip(cs2_list, probs):
+                    if progress:
+                        progress(f"{study} p={p} cs2={cs2:g} level={level} {m}")
+                    try:
+                        res, _ = _solve_cell(m, mesh, p, prob, ms)
+                    except SingularMatrixError as exc:
+                        warnings.append(f"warning: {m} p={p} solve failed: "
+                                        f"{exc}")
+                        continue
+                    for key, names in spec.metrics:
+                        report.add(h, p, cs2, m, names[m], res[key])
     report.sort()
     if out_path is not None:
-        emit_study_csv(report, f"{out_path}/hconv.csv")
-        for p in p_list:
+        emit_study_csv(report, f"{out_path}/{spec.csv}")
+        rows = report.csv_rows()
+        per_svg, per_series = spec.svg_groups
+        for v in values[per_svg]:
+            svg_rows = [r for r in rows if getattr(r, per_svg) == v]
             series = []
-            for m in methods:
-                rows = [r for r in report.csv_rows()
-                        if r.p == p and r.method == m]
-                if rows:
-                    series.append((m, [r.h for r in rows],
-                                   [r.value for r in rows]))
+            for sv in values[per_series]:
+                sr = [r for r in svg_rows if getattr(r, per_series) == sv]
+                if sr:
+                    series.append((spec.label.format(**vars(sr[0])),
+                                   [r.h for r in sr], [r.value for r in sr]))
             if series:
-                write_svg(f"{out_path}/hconv_p{p}.svg", series, p + 0.5,
-                          f"h-convergence, degree p={p}", "L2 error")
+                fields = vars(svg_rows[0])
+                write_svg(f"{out_path}/{spec.svg.format(**fields)}", series,
+                          spec.ref_slope(fields["p"]),
+                          spec.title.format(**fields), spec.ylabel)
     return report, warnings
 
 
-def run_locking(cs2_list=(1.0, 10.0, 100.0, 1000.0), levels=(0, 1, 2),
-                methods=METHODS, out_path=None, p=2, lambda_b=None,
-                lambda_n=None, geom_order=None, progress=None):
-    """Sound-speed sweep on a divergence-free solution at fixed p."""
-    g = default_geom_order(p) if geom_order is None else geom_order
-    report = StudyReport("locking")
-    warnings = []
-    meshes = {lv: make_unit_disc_mesh(lv, geom_order=g) for lv in levels}
-    for cs2 in cs2_list:
-        prob = locking_problem(cs2, p=p, lambda_b=lambda_b, lambda_n=lambda_n)
-        for level in levels:
-            mesh = meshes[level]
-            h = mesh_size(mesh)
-            for m in methods:
-                if m == "M2" and p < 2:
-                    continue
-                if progress:
-                    progress(f"locking cs2={cs2:g} level={level} {m}")
-                res = _solve_cell(m, mesh, p, prob, warnings)
-                if res is None:
-                    continue
-                report.add(h, p, cs2, m, ERROR_COLUMNS[m], res["l2_error"])
-                report.add(h, p, cs2, m, XH_COLUMNS[m], res["xh_error"])
-    report.sort()
-    if out_path is not None:
-        emit_study_csv(report, f"{out_path}/locking.csv")
-        for m in methods:
-            if m == "M2" and p < 2:
-                continue
-            series = []
-            for cs2 in cs2_list:
-                rows = [r for r in report.csv_rows()
-                        if r.cs2 == cs2 and r.method == m]
-                if rows:
-                    series.append((f"cs2={cs2:g}", [r.h for r in rows],
-                                   [r.value for r in rows]))
-            if series:
-                write_svg(f"{out_path}/locking_{m}.svg", series, p + 0.5,
-                          f"volume locking study, {m}, p={p}", "L2 error")
-    return report, warnings
-
-
-def run_gradrob(cs2_list=(1.0, 10.0, 100.0, 1000.0), levels=(1, 2, 3),
-                methods=METHODS, out_path=None, p=3, lambda_b=None,
-                lambda_n=None, geom_order=None, progress=None):
-    """Sound-speed sweep under pure-gradient forcing; records solution norms."""
-    g = default_geom_order(p) if geom_order is None else geom_order
-    report = StudyReport("gradrob")
-    warnings = []
-    meshes = {lv: make_unit_disc_mesh(lv, geom_order=g) for lv in levels}
-    for cs2 in cs2_list:
-        prob = gradrob_problem(cs2, p=p, lambda_b=lambda_b, lambda_n=lambda_n)
-        for level in levels:
-            mesh = meshes[level]
-            h = mesh_size(mesh)
-            for m in methods:
-                if m == "M2" and p < 2:
-                    continue
-                if progress:
-                    progress(f"gradrob cs2={cs2:g} level={level} {m}")
-                res = _solve_cell(m, mesh, p, prob, warnings)
-                if res is None:
-                    continue
-                report.add(h, p, cs2, m, NORM_COLUMNS[m], res["l2_norm"])
-    report.sort()
-    if out_path is not None:
-        emit_study_csv(report, f"{out_path}/rob.csv")
-        for m in methods:
-            series = []
-            for cs2 in cs2_list:
-                rows = [r for r in report.csv_rows()
-                        if r.cs2 == cs2 and r.method == m]
-                if rows:
-                    series.append((f"cs2={cs2:g}", [r.h for r in rows],
-                                   [r.value for r in rows]))
-            if series:
-                write_svg(f"{out_path}/rob_{m}.svg", series, 0.0,
-                          f"gradient-robustness study, {m}, p={p}",
-                          "L2 norm of u_h")
-    return report, warnings
+# The three studies by name, as the demos and benchmarks call them.
+run_convergence = partial(run_study, "convergence")
+run_locking = partial(run_study, "locking")
+run_gradrob = partial(run_study, "gradrob")
 
 
 def run_diagnostics(method, level, p, out_path=None, geom_order=None,
@@ -425,14 +438,8 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
     c_bh <= 1) and the dimension of the discrete kernel of b_h on the free
     dofs.  Dense computation, capped at 2000 dofs.
     """
-    if method == "M2":
-        raise ValueError("diagnostics target the single-field methods "
-                         "M1/M3/M4 (M2 couples an auxiliary scalar field)")
-    coeffs = CoefficientSet(
-        rho=1.0, c_s=1.0, b_flow=rotational_flow(0.1 * b_scale),
-        b_inf=0.1 * b_scale,
-        lambda_b=10.0 * p * p if lambda_b is None else lambda_b,
-        lambda_n=100.0 * p * p if lambda_n is None else lambda_n)
+    coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
+                                b_scale=b_scale)
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     vel, _ = method_spaces(method, mesh, p)
@@ -460,17 +467,11 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
     prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
-    ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
-    x = solve(ms.system)
-    u = ms.split(x)
-    pp_space = None
-    if method == "M2":
-        u, _ = u
-        pp_space = ms.pressure_space
-    res = error_norms(u, prob, prob.coeffs, method=method, pp_space=pp_space)
+    res, system = _solve_cell(method, mesh, p, prob,
+                              _assemble_unit(method, mesh, p, prob))
     res.update({"method": method, "level": level, "p": p, "cs2": cs2,
                 "geom_order": g, "h": mesh_size(mesh),
-                "ndof": ms.system.matrix.shape[0]})
+                "ndof": system.matrix.shape[0]})
     if out_path is not None:
         with open(f"{out_path}/solve.txt", "w", newline="\n") as fh:
             for k in ("method", "p", "level", "cs2", "geom_order", "h",
@@ -479,7 +480,7 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
         if dump_mesh:
             mesh.dump(f"{out_path}/mesh.txt")
         if dump_system:
-            dump_matrix(ms.system.matrix, f"{out_path}/matrix.txt")
+            dump_matrix(system.matrix, f"{out_path}/matrix.txt")
     return res
 
 
@@ -539,35 +540,33 @@ def build_parser():
                     "streamline-derivative model problem on the unit disc.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(sp, name, help):
+        # values stay text here; _resolve parses flags and config alike
+        sp.add_argument("--" + name.replace("_", "-"), dest=name, help=help)
+
     def common(sp, study=False, cs2=True):
         sp.add_argument("--config", help="key=value config file; flags override")
-        sp.add_argument("--p", help="polynomial degree(s), e.g. 2 or 1,2,3")
+        option(sp, "p", "polynomial degree(s), e.g. 2 or 1,2,3")
         if study:
-            sp.add_argument("--levels",
-                            help="refinement levels, e.g. 1-4 or 0,1,2")
-            sp.add_argument("--methods", help="subset of M1,M2,M3,M4")
+            option(sp, "levels", "refinement levels, e.g. 1-4 or 0,1,2")
+            option(sp, "methods", "subset of M1,M2,M3,M4")
         if cs2:
-            sp.add_argument("--cs2", help="squared sound speed(s), e.g. 1,1000")
-        sp.add_argument("--lambda-b", dest="lambda_b", type=float,
-                        help="flow-jump penalty (default 10 p^2)")
-        sp.add_argument("--lambda-n", dest="lambda_n", type=float,
-                        help="normal-jump penalty (default 100 p^2, "
-                             "locking study 10 p^2)")
-        sp.add_argument("--geom-order", dest="geom_order", type=int,
-                        help="geometry map degree (default: by degree p)")
-        sp.add_argument("--out", help="output directory (default: no files)")
+            option(sp, "cs2", "squared sound speed(s), e.g. 1,1000")
+        option(sp, "lambda_b", "flow-jump penalty (default 10 p^2)")
+        option(sp, "lambda_n", "normal-jump penalty (default 100 p^2, "
+                               "locking study 10 p^2)")
+        option(sp, "geom_order", "geometry map degree (default: by degree p)")
+        option(sp, "out", "output directory (default: no files)")
 
-    common(sub.add_parser("convergence", help="h-convergence study"),
-           study=True)
-    common(sub.add_parser("locking", help="volume-locking study"),
-           study=True)
-    common(sub.add_parser("gradrob", help="gradient-robustness study"),
-           study=True)
+    for name, help in (("convergence", "h-convergence study"),
+                       ("locking", "volume-locking study"),
+                       ("gradrob", "gradient-robustness study")):
+        common(sub.add_parser(name, help=help), study=True)
 
     sp = sub.add_parser("solve", help="single assemble+solve with reports")
     common(sp)
-    sp.add_argument("--method", help="one of M1,M2,M3,M4")
-    sp.add_argument("--level", type=int, help="refinement level")
+    option(sp, "method", "one of M1,M2,M3,M4")
+    option(sp, "level", "refinement level")
     sp.add_argument("--dump-mesh", action="store_true",
                     help="write mesh.txt next to the report")
     sp.add_argument("--dump-system", action="store_true",
@@ -576,49 +575,36 @@ def build_parser():
     sp = sub.add_parser("diagnostics",
                         help="control/inf-sup constant of one method (dense)")
     common(sp, cs2=False)
-    sp.add_argument("--method", help="one of M1,M3,M4")
-    sp.add_argument("--level", type=int, help="refinement level")
-    sp.add_argument("--b-scale", dest="b_scale", type=float,
-                    help="scale factor on the background flow (default 1)")
+    option(sp, "method", "one of M1,M3,M4")
+    option(sp, "level", "refinement level")
+    option(sp, "b_scale", "scale factor on the background flow (default 1)")
     return parser
 
 
 def _resolve(args, parser):
-    """Merge config file values under explicit flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            raw = read_config(args.config)
-            for key, val in raw.items():
-                if key not in _CONFIG_PARSERS:
-                    raise ValueError(f"unknown config key {key!r}")
-                cfg[key] = _CONFIG_PARSERS[key](val)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-    out = dict(cfg)
-    for key in ("p", "levels", "cs2", "methods", "lambda_b", "lambda_n",
-                "geom_order", "out", "method", "level", "b_scale"):
-        val = getattr(args, key, None)
-        if val is not None:
-            if key in ("p", "levels") and isinstance(val, str):
-                val = _parse_int_list(val)
-            elif key == "cs2" and isinstance(val, str):
-                val = _parse_float_list(val)
-            elif key == "methods" and isinstance(val, str):
-                val = _parse_methods(val)
-            out[key] = val
-    return out
+    """Option values: config file values under explicit flags.
+
+    Both are parsed by _CONFIG_PARSERS.  A config key must be an option of
+    the subcommand; any other key is an error (exit 2).
+    """
+    flags = {k: v for k, v in vars(args).items()
+             if k in _CONFIG_PARSERS and v is not None}
+    try:
+        raw = read_config(args.config) if args.config else {}
+        for key in raw:
+            if key not in _CONFIG_PARSERS or key not in vars(args):
+                raise ValueError(f"config key {key!r} is not an option of "
+                                 f"{args.command}")
+        raw.update(flags)
+        return {k: _CONFIG_PARSERS[k](v) for k, v in raw.items()}
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        opts = _resolve(args, parser)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    methods = opts.get("methods", METHODS)
+    opts = _resolve(args, parser)
     out = opts.get("out")
     kw = {"lambda_b": opts.get("lambda_b"), "lambda_n": opts.get("lambda_n"),
           "geom_order": opts.get("geom_order")}
@@ -627,29 +613,11 @@ def main(argv=None):
         print(msg, file=sys.stderr, flush=True)
 
     try:
-        if args.command == "convergence":
-            cs2 = opts.get("cs2", (1.0,))
-            if len(cs2) != 1:
-                parser.error("convergence takes a single --cs2 value")
-            report, warnings = run_convergence(
-                p_list=opts.get("p", (1, 2, 3, 4)),
-                levels=opts.get("levels"), methods=methods, out_path=out,
-                cs2=cs2[0], progress=progress, **kw)
-            _print_report(report, warnings)
-            return 1 if warnings else 0
-        if args.command == "locking":
-            report, warnings = run_locking(
-                cs2_list=opts.get("cs2", (1.0, 10.0, 100.0, 1000.0)),
-                levels=opts.get("levels", (0, 1, 2)), methods=methods,
-                out_path=out, p=_single(opts.get("p", (2,)), parser),
-                progress=progress, **kw)
-            _print_report(report, warnings)
-            return 1 if warnings else 0
-        if args.command == "gradrob":
-            report, warnings = run_gradrob(
-                cs2_list=opts.get("cs2", (1.0, 10.0, 100.0, 1000.0)),
-                levels=opts.get("levels", (1, 2, 3)), methods=methods,
-                out_path=out, p=_single(opts.get("p", (3,)), parser),
+        if args.command in STUDIES:
+            report, warnings = run_study(
+                args.command, p_list=opts.get("p"), cs2_list=opts.get("cs2"),
+                levels=opts.get("levels"),
+                methods=opts.get("methods", METHODS), out_path=out,
                 progress=progress, **kw)
             _print_report(report, warnings)
             return 1 if warnings else 0
@@ -657,17 +625,13 @@ def main(argv=None):
             method = opts.get("method")
             if method not in METHODS:
                 parser.error("solve requires --method M1|M2|M3|M4")
-            cs2 = opts.get("cs2", (1.0,))
-            if len(cs2) != 1:
-                parser.error("solve takes a single --cs2 value")
             try:
                 res = run_solve(method, opts.get("level", 1),
-                                _single(opts.get("p", (2,)), parser),
-                                cs2=cs2[0],
-                                out_path=out,
-                                dump_mesh=getattr(args, "dump_mesh", False),
-                                dump_system=getattr(args, "dump_system", False),
-                                **kw)
+                                _single(opts.get("p", (2,)), "--p", parser),
+                                cs2=_single(opts.get("cs2", (1.0,)), "--cs2",
+                                            parser),
+                                out_path=out, dump_mesh=args.dump_mesh,
+                                dump_system=args.dump_system, **kw)
             except SingularMatrixError as exc:
                 print(f"solver failure: {exc}", file=sys.stderr)
                 return 1
@@ -681,7 +645,7 @@ def main(argv=None):
             parser.error("diagnostics requires --method M1|M3|M4")
         try:
             res = run_diagnostics(method, opts.get("level", 1),
-                                  _single(opts.get("p", (1,)), parser),
+                                  _single(opts.get("p", (1,)), "--p", parser),
                                   out_path=f"{out}/diagnostics.txt" if out else None,
                                   b_scale=opts.get("b_scale", 1.0), **kw)
         except SizeLimitError as exc:
@@ -693,23 +657,18 @@ def main(argv=None):
         parser.error(str(exc))
 
 
-def _single(vals, parser):
-    if isinstance(vals, tuple):
-        if len(vals) != 1:
-            parser.error("this study takes a single --p value")
-        return vals[0]
-    return vals
+def _single(vals, flag, parser):
+    if len(vals) != 1:
+        parser.error(f"this subcommand takes a single {flag} value")
+    return vals[0]
 
 
 def _print_report(report, warnings):
     for w in warnings:
         print(w, file=sys.stderr)
-    cols = NORM_COLUMNS if report.study == "gradrob" else ERROR_COLUMNS
-    keep = set(cols.values())
-    for r in report.rows:
-        if r.metric_name in keep:
-            print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
-                  f"{r.method} {r.metric_name}={r.value:.6e}")
+    for r in report.csv_rows():
+        print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
+              f"{r.method} {r.metric_name}={r.value:.6e}")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ each local matrix is one einsum, and the global matrix one COO -> CSR sum.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,10 +90,17 @@ def rotational_flow(amplitude=0.1):
     return lambda pts: amplitude * np.column_stack([-pts[:, 1], pts[:, 0]])
 
 
-def paper_coefficients(p, lambda_b=None, lambda_n=None):
-    """rho = c_s = 1, b = 0.1 (-y, x) with default penalties 10p^2 / 100p^2."""
+def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
+                       b_scale=1.0):
+    """The paper's coefficients at degree p and squared sound speed cs2.
+
+    rho = 1, c_s = sqrt(cs2), b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
+    b_scale on the unit disc; default penalties lambda_b = 10 p^2 and
+    lambda_n = 100 p^2.
+    """
     return CoefficientSet(
-        rho=1.0, c_s=1.0, b_flow=rotational_flow(0.1), b_inf=0.1,
+        rho=1.0, c_s=np.sqrt(cs2), b_flow=rotational_flow(0.1 * b_scale),
+        b_inf=0.1 * b_scale,
         lambda_b=10.0 * p * p if lambda_b is None else lambda_b,
         lambda_n=100.0 * p * p if lambda_n is None else lambda_n)
 
@@ -199,16 +207,19 @@ def assemble_a_dg(space, coeffs, order=None):
 def assemble_b_dg(space, coeffs, order=None):
     """b_h^DG: volume terms plus normal-jump penalty/consistency terms.
 
-    Interior facets get the interior-penalty terms (identically zero for a
-    continuous space); boundary facets get the Nitsche terms enforcing
-    u.n = 0 with the one-sided trace convention.
+    Boundary facets get the Nitsche terms enforcing u.n = 0 with the
+    one-sided trace convention.  Interior facets get the interior-penalty
+    terms on the discontinuous family only: the normal jump of a continuous
+    space vanishes, and assembling its terms would store round-off entries.
     """
     B = assemble_b_volume(space, coeffs, order=order)
     order = _default_order(space) if order is None else order
     srule = segment_rule(order)
     mesh = space.mesh
-    for facets in (np.nonzero(~mesh.facet_boundary)[0],
-                   np.nonzero(mesh.facet_boundary)[0]):
+    groups = [np.nonzero(mesh.facet_boundary)[0]]
+    if space.family == "vector_dg":
+        groups.insert(0, np.nonzero(~mesh.facet_boundary)[0])
+    for facets in groups:
         fg = FacetGeometry(mesh, facets, srule.points[:, 0])
         dofs, vals, _, divs, sgn = _facet_basis(space, fg, need_grad=False)
         wq = (srule.weights * fg.dline * coeffs.rho_at(fg.points)
@@ -227,10 +238,14 @@ def assemble_b_dg(space, coeffs, order=None):
 
 # -- the pseudo-pressure block system ----------------------------------------
 
-def assemble_m2_system(vel_space, pp_space, coeffs, f, order=None):
-    """Symmetric indefinite block system of the pseudo-pressure formulation.
+def assemble_m2_system(vel_space, pp_space, coeffs, order=None):
+    """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
-    Unknowns (u_h, p_h); eliminating p_h reproduces -a + b^pp with the
+    Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
+    B_h = [[N, (D - G)^T], [D - G, -M_p]] with N the boundary normal
+    penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
+    the pseudo-pressure mass matrix, all weighted by rho c_s^2.  -A_h + B_h
+    is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
     rho c_s^2 weighted L2 projection of the divergence.
     """
     if vel_space.degree < 2:
@@ -273,23 +288,21 @@ def assemble_m2_system(vel_space, pp_space, coeffs, f, order=None):
         "fq,fqi,fqj->fij", wq, qv, un, optimize=True), (npp, nu))
 
     DG = D - G
-    K = sp.bmat([[-A + N, DG.T], [DG, -Mp]], format="csr")
-    rhs = np.concatenate([assemble_rhs(vel_space, f, order=order),
-                          np.zeros(npp)])
-    return LinearSystem(K, rhs)
+    return (sp.block_diag([A, sp.csr_matrix((npp, npp))], format="csr"),
+            sp.bmat([[N, DG.T], [DG, -Mp]], format="csr"))
 
 
 # -- method dispatch ----------------------------------------------------------
 
 # method -> (velocity family, a-form, b-form).  Strong boundary constraints
 # come with the space: only BDM pins dofs (its boundary normal moments).
-# M2 has no b-form of its own; its projected grad-div term lives in the
-# saddle system of assemble_m2_system.  Forms are named rather than held,
-# so a wrapper installed on this module's attribute (a profiler or tracer)
-# sees every call.
+# M2 has no single-field forms: its pair acts on (u_h, p_h) and comes from
+# assemble_m2_system.  Forms are named rather than held, so a wrapper
+# installed on this module's attribute (a profiler or tracer) sees every
+# call.
 METHOD_FORMS = {
     "M1": ("vector_lagrange", "assemble_a_volume", "assemble_b_dg"),
-    "M2": ("vector_lagrange", "assemble_a_volume", None),
+    "M2": ("vector_lagrange", None, None),
     "M3": ("hdiv_bdm", "assemble_a_dg", "assemble_b_volume"),
     "M4": ("vector_dg", "assemble_a_dg", "assemble_b_dg"),
 }
@@ -297,18 +310,44 @@ METHOD_FORMS = {
 
 @dataclass
 class MethodSystem:
+    """Operator pair (A_h, B_h) of one method on one mesh, and its forcing.
+
+    The discrete operator is -A_h + B_h.  Every term of B_h is linear in
+    rho c_s^2, so with constant rho and c_s a pair assembled at c_s = 1
+    gives the operator at any c_s^2 through `system_at`.
+    """
     method: str
-    system: LinearSystem
     velocity_space: object
-    pressure_space: object = None
+    pressure_space: object      # M2's pseudo-pressure space, else None
+    a: object                   # A_h, CSR
+    b: object                   # B_h, CSR
+    f: object                   # the forcing of `system`
+    order: int = None
+
+    def system_at(self, cs2, f):
+        """(-A_h + cs2 B_h) x = load of f, zero on pseudo-pressure rows."""
+        rhs = assemble_rhs(self.velocity_space, f, order=self.order)
+        rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
+        return LinearSystem(cs2 * self.b - self.a, rhs,
+                            self.velocity_space.constrained_dofs)
+
+    @cached_property
+    def system(self):
+        """The system at the coefficients and forcing assembled with."""
+        return self.system_at(1.0, self.f)
+
+    def velocity(self, x):
+        """The velocity DiscreteField of a raw solution vector."""
+        return DiscreteField(self.velocity_space,
+                             x[:self.velocity_space.ndof])
 
     def split(self, x):
         """DiscreteField(s) from a raw solution vector."""
-        nu = self.velocity_space.ndof
-        u = DiscreteField(self.velocity_space, x[:nu])
+        u = self.velocity(x)
         if self.pressure_space is None:
             return u
-        return u, DiscreteField(self.pressure_space, x[nu:])
+        return u, DiscreteField(self.pressure_space,
+                                x[self.velocity_space.ndof:])
 
 
 def method_spaces(method, mesh, p):
@@ -322,27 +361,24 @@ def method_spaces(method, mesh, p):
     return vel, build_space("scalar_lagrange", mesh, p - 1)
 
 
-def method_forms(method, space, coeffs, order=None):
-    """(a_h, b_h) of a single-field method (M1, M3, M4) on its space."""
+def method_forms(method, space, coeffs, order=None, pp_space=None):
+    """(A_h, B_h) of a method on its velocity space (and M2's pp_space)."""
     _, a_form, b_form = METHOD_FORMS[method]
     if b_form is None:
-        raise ValueError(f"{method} has no single-field b_h "
-                         "(see assemble_m2_system)")
+        if pp_space is None:
+            raise ValueError(f"{method} has no single-field forms: its pair "
+                             "needs the pseudo-pressure space")
+        return assemble_m2_system(space, pp_space, coeffs, order=order)
     forms = globals()
     return (forms[a_form](space, coeffs, order=order),
             forms[b_form](space, coeffs, order=order))
 
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
-    """Assemble the full discrete operator -a_h + b_h of one method."""
+    """Assemble the operator pair of one method; -A_h + B_h is its operator."""
     vel, pp = method_spaces(method, mesh, p)
-    if pp is not None:
-        system = assemble_m2_system(vel, pp, coeffs, f, order=order)
-        return MethodSystem(method, system, vel, pp)
-    A, B = method_forms(method, vel, coeffs, order=order)
-    rhs = assemble_rhs(vel, f, order=order)
-    return MethodSystem(
-        method, LinearSystem((-A + B).tocsr(), rhs, vel.constrained_dofs), vel)
+    A, B = method_forms(method, vel, coeffs, order=order, pp_space=pp)
+    return MethodSystem(method, vel, pp, A, B, f, order)
 
 
 # -- error norms ---------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import CoefficientSet, rotational_flow
+from .forms import CoefficientSet, paper_coefficients
 
 
 @dataclass
@@ -92,17 +92,9 @@ def _fd_operator(u, coeffs, pts, h=1e-4, div_u=None):
             - coeffs.b_inf ** 2 * u(pts) - graddiv)
 
 
-def _coeffs(cs2, lambda_b, lambda_n):
-    return CoefficientSet(rho=1.0, c_s=np.sqrt(cs2),
-                          b_flow=rotational_flow(0.1), b_inf=0.1,
-                          lambda_b=lambda_b, lambda_n=lambda_n)
-
-
 def convergence_problem(p, cs2=1.0, lambda_b=None, lambda_n=None):
     """u = sin(pi x) cos(pi y) (-y, x); smooth, not divergence free."""
-    co = _coeffs(cs2,
-                 10.0 * p * p if lambda_b is None else lambda_b,
-                 100.0 * p * p if lambda_n is None else lambda_n)
+    co = paper_coefficients(p, cs2, lambda_b, lambda_n)
     pi = np.pi
 
     def u(pts):
@@ -157,9 +149,8 @@ def locking_problem(cs2, p=2, lambda_b=None, lambda_n=None):
     Since div u = 0, the forcing f = -0.02 u is independent of c_s, which is
     what exposes volume locking as c_s grows.
     """
-    co = _coeffs(cs2,
-                 10.0 * p * p if lambda_b is None else lambda_b,
-                 10.0 * p * p if lambda_n is None else lambda_n)
+    co = paper_coefficients(p, cs2, lambda_b,
+                            10.0 * p * p if lambda_n is None else lambda_n)
     pi = np.pi
 
     def u(pts):
@@ -194,9 +185,7 @@ def gradrob_problem(cs2, p=3, lambda_b=None, lambda_n=None):
     A gradient-robust method produces u_h whose size scales like 1/c_s^2,
     uniformly in the mesh.
     """
-    co = _coeffs(cs2,
-                 10.0 * p * p if lambda_b is None else lambda_b,
-                 100.0 * p * p if lambda_n is None else lambda_n)
+    co = paper_coefficients(p, cs2, lambda_b, lambda_n)
 
     def f(pts):
         return np.column_stack([6.0 * pts[:, 0] ** 5, 6.0 * pts[:, 1] ** 5])

@@ -10,7 +10,8 @@ Each test pins one headline property of the four discretizations:
 4. Stability diagnostics: the grad-div form controls the streamline form
    on the complement of its kernel with constant > 1.
 5. Gradient orthogonality of discretely divergence-free fields.
-6. Cross-cutting property suites (exactness, symmetry, positivity,
+6. The study fixtures reproduce the committed demos/output CSVs.
+7. Cross-cutting property suites (exactness, symmetry, positivity,
    interpolation identities, FD gates, CSV round trip) live in the other
    test files; a compact re-check is included here.
 
@@ -19,6 +20,7 @@ contrasts are asserted, not absolute values.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +159,32 @@ def test_kernel_fields_orthogonal_to_gradients(n, method):
         assert abs(rhs @ v) <= 1e-9 * grad_norm * vnorm
 
 
-# -- 6. compact property re-check --------------------------------------------
+# -- 6. committed study outputs ---------------------------------------------
+
+OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
+
+
+@pytest.mark.parametrize("fixture,csv_name,rel", [
+    ("convergence_report", "hconv.csv", 1e-6),
+    ("convergence_m1p4_report", "hconv.csv", 1e-6),
+    ("locking_report", "locking.csv", 1e-7),
+    ("gradrob_report", "rob.csv", 1e-7)])
+def test_studies_match_committed_outputs(request, fixture, csv_name, rel):
+    """Every CSV cell of a study fixture matches demos/output.
+
+    hconv is held to 1e-6: its M4 p=3 level-3 cell is ill-conditioned and
+    moves by ~2e-7 under round-off alone.
+    """
+    committed = {(r.p, r.cs2, r.h, r.method, r.metric_name): r.value
+                 for r in read_study_csv(OUTPUT / csv_name).rows}
+    rows = request.getfixturevalue(fixture).csv_rows()
+    assert rows
+    for r in rows:
+        want = committed[(r.p, r.cs2, r.h, r.method, r.metric_name)]
+        assert abs(r.value - want) <= rel * abs(want), (r, want)
+
+
+# -- 7. compact property re-check --------------------------------------------
 
 def test_property_suite_recheck(tmp_path):
     """One fast instance of each cross-cutting property suite."""

@@ -1,15 +1,17 @@
 """CLI and study harness: CSV schema, determinism, SVG structure, exit codes."""
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, StudyReport,
+from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
                        read_study_csv, run_convergence, run_diagnostics,
                        run_gradrob, run_locking, run_solve, write_svg)
+from gdfem.problems import convergence_problem
 
 
 # -- defaults -----------------------------------------------------------------
@@ -159,7 +161,7 @@ def test_config_flags_override(tmp_path):
 
 # -- exit codes ---------------------------------------------------------------
 
-def test_invalid_flags_exit_2(capsys):
+def test_invalid_flags_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["locking", "--methods", "M7", "--levels", "0"])
     assert exc.value.code == 2
@@ -178,6 +180,34 @@ def test_invalid_flags_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    # a config key must be an option of the subcommand
+    cfg = tmp_path / "run.cfg"
+    one = ["--method", "M3", "--level", "0", "--p", "1"]
+    tiny = ["--p", "1", "--levels", "0", "--methods", "M3", "--cs2", "1"]
+    for argv, text in ((["solve"] + one, "levels=3\n"),
+                       (["solve"] + one, "methods=M4\n"),
+                       (["diagnostics"] + one, "cs2=10\n"),
+                       (["locking"] + tiny, "b_scale=2\n"),
+                       (["gradrob"] + tiny, "method=M3\n"),
+                       (["convergence"] + tiny, "level=1\n"),
+                       (["convergence"] + tiny, "frobnicate=1\n")):
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--config", str(cfg)])
+        assert exc.value.code == 2, (argv, text)
+
+
+def test_sweep_rejects_variable_coefficients(monkeypatch):
+    """A c_s^2 sweep scales one operator pair assembled at c_s = 1, which
+    needs constant rho and c_s."""
+    def problem(**kw):
+        prob = convergence_problem(**kw)
+        prob.coeffs = replace(prob.coeffs, c_s=lambda pts: np.ones(len(pts)))
+        return prob
+    monkeypatch.setitem(STUDIES, "convergence",
+                        replace(STUDIES["convergence"], problem=problem))
+    with pytest.raises(ValueError):
+        run_convergence(p_list=(1,), levels=(0,), methods=("M3",))
 
 
 def test_degenerate_flow_rejected():

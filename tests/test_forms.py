@@ -96,6 +96,18 @@ def test_b_dg_oracle_square(square1):
     assert abs(u.coefficients @ (B @ u.coefficients) - 196.0) <= 1e-9
 
 
+@pytest.mark.parametrize("mesh", ["square2", "disc3_curved"])
+def test_b_dg_continuous_space_skips_interior_facets(mesh):
+    """The normal jump of a continuous space vanishes, so b_h^DG of M1 stores
+    no interior-facet entries beyond the volume pattern.  (Not equality:
+    the sparse sum prunes explicit zeros the volume matrix keeps.)"""
+    msh = (make_unit_square_mesh(2) if mesh == "square2"
+           else make_unit_disc_mesh(3, geom_order=2))
+    space = build_space("vector_lagrange", msh, 2)
+    co = paper_coefficients(2)
+    assert assemble_b_dg(space, co).nnz <= assemble_b_volume(space, co).nnz
+
+
 def test_a_dg_matches_a_volume_for_continuous_fields(square2):
     """All jump terms of a_h^DG vanish on a continuous field."""
     co = unit_coeffs(lambda_b=40.0)
@@ -152,8 +164,8 @@ def test_all_matrices_symmetric(disc1_curved):
             assert check_symmetry(asm(space, co), tol=1e-12) >= 0.0
     vel = build_space("vector_lagrange", disc1_curved, 2)
     pp = build_space("scalar_lagrange", disc1_curved, 1)
-    sys2 = assemble_m2_system(vel, pp, co, lambda q: 0.0 * q)
-    assert check_symmetry(sys2.matrix, tol=1e-12) >= 0.0
+    A2, B2 = assemble_m2_system(vel, pp, co)
+    assert check_symmetry(-A2 + B2, tol=1e-12) >= 0.0
 
 
 @pytest.mark.parametrize("method", ["M3", "M4"])
@@ -175,6 +187,20 @@ def test_gram_matrices_psd(disc1_curved, method):
 
 # -- M2 saddle system ---------------------------------------------------------
 
+@pytest.mark.parametrize("method", METHODS)
+def test_cs2_split_matches_assembly(method):
+    """The pair assembled at c_s = 1 gives -A_h + c^2 B_h equal to the
+    operator assembled at c_s^2 = c^2, for every method."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    f = convergence_problem(2).f
+    unit = assemble_method(method, mesh, 2, paper_coefficients(2), f)
+    for c2 in (1.0, 10.0, 1000.0):
+        K = assemble_method(method, mesh, 2, paper_coefficients(2, cs2=c2),
+                            f).system.matrix
+        Ks = unit.system_at(c2, f).matrix
+        assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
+
+
 def test_m2_requires_degree_two(square1):
     with pytest.raises(DegreeError):
         method_spaces("M2", square1, 1)
@@ -193,8 +219,8 @@ def test_m2_schur_oracle(square1):
     co = unit_coeffs(lambda_n=100.0 * p * p)
     vel = build_space("vector_lagrange", square1, p)
     pp = build_space("scalar_lagrange", square1, p - 1)
-    sys2 = assemble_m2_system(vel, pp, co, lambda q: 0.0 * q)
-    K = sys2.matrix.toarray()
+    A2, B2 = assemble_m2_system(vel, pp, co)
+    K = (-A2 + B2).toarray()
     nu = vel.ndof
     K11 = K[:nu, :nu]
     K21 = K[nu:, :nu]
