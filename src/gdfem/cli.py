@@ -20,6 +20,7 @@ files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -606,6 +607,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     opts = _resolve(args, parser)
     out = opts.get("out")
+    if out is not None and not os.path.isdir(out):
+        parser.error(f"--out directory {out!r} does not exist")
     kw = {"lambda_b": opts.get("lambda_b"), "lambda_n": opts.get("lambda_n"),
           "geom_order": opts.get("geom_order")}
 

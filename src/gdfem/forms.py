@@ -16,7 +16,7 @@ once: geometry and basis tables carry a leading element or facet axis,
 each local matrix is one einsum, and the global matrix one COO -> CSR sum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,13 +64,13 @@ class CoefficientSet:
 
     def rho_at(self, pts):
         r = eval_pointwise(self._rho, pts)
-        if np.any(r <= 0):
+        if not np.all(r > 0):
             raise ValueError("rho must be positive")
         return r
 
     def cs2_at(self, pts):
         c = eval_pointwise(self._cs, pts)
-        if np.any(c <= 0):
+        if not np.all(c > 0):
             raise ValueError("c_s must be positive")
         return c * c
 
@@ -96,8 +96,10 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
 
     rho = 1, c_s = sqrt(cs2), b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
     b_scale on the unit disc; default penalties lambda_b = 10 p^2 and
-    lambda_n = 100 p^2.
+    lambda_n = 100 p^2.  Raises ValueError unless cs2 > 0 (NaN included).
     """
+    if not cs2 > 0:
+        raise ValueError(f"cs2 must be positive, got {cs2!r}")
     return CoefficientSet(
         rho=1.0, c_s=np.sqrt(cs2), b_flow=rotational_flow(0.1 * b_scale),
         b_inf=0.1 * b_scale,
@@ -323,12 +325,21 @@ class MethodSystem:
     b: object                   # B_h, CSR
     f: object                   # the forcing of `system`
     order: int = None
+    _load: tuple = field(default=(None, None), init=False, repr=False)
 
     def system_at(self, cs2, f):
-        """(-A_h + cs2 B_h) x = load of f, zero on pseudo-pressure rows."""
-        rhs = assemble_rhs(self.velocity_space, f, order=self.order)
-        rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
-        return LinearSystem(cs2 * self.b - self.a, rhs,
+        """(-A_h + cs2 B_h) x = load of f, zero on pseudo-pressure rows.
+
+        The load of the last f is kept, read-only, and shared by the
+        systems built from it, so a c_s^2 sweep with one forcing function
+        assembles it once.
+        """
+        if self._load[0] is not f:
+            rhs = assemble_rhs(self.velocity_space, f, order=self.order)
+            rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
+            rhs.setflags(write=False)
+            self._load = (f, rhs)
+        return LinearSystem(cs2 * self.b - self.a, self._load[1],
                             self.velocity_space.constrained_dofs)
 
     @cached_property

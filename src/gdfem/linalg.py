@@ -68,18 +68,42 @@ def apply_constraints(matrix, rhs, constrained):
     return A, r
 
 
+# Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
+# keeps the diagonal pivot of a column unless it is below this fraction of
+# the column's largest entry.  Fill of the level-4, p=2 disc operators
+# (L + U entries), COLAMD with partial pivoting -> symmetric mode at 1e-3:
+# M1 1.50M -> 0.77M, M2 3.39M -> 1.85M, M3 7.87M -> 3.58M, M4 13.08M ->
+# 3.94M, relative residuals <= 1.3e-15.  At 1e-2 M3/M4 fill 4.5M/6.2M, at
+# 1e-1 8.2M/11.7M.
+SYMMETRIC_PIVOT_THRESHOLD = 1e-3
+
+
 def solve(system: LinearSystem) -> np.ndarray:
     """Direct sparse solve of a symmetric (possibly indefinite) system.
 
-    Verifies the residual contract ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||)
-    and raises SingularMatrixError on factorization failure or a bad residual.
+    The constrained matrix is factored by SuperLU in symmetric mode: a
+    minimum-degree ordering of A^T + A with diagonal pivots down to
+    SYMMETRIC_PIVOT_THRESHOLD of the column maximum (Demmel et al., SIMAX
+    1999; Li, ACM TOMS 2005).  Every solve must meet the residual contract
+    ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||).  If the symmetric-mode
+    factor fails or misses it, the system is factored again with COLAMD and
+    partial pivoting; SingularMatrixError is raised when that fails too.
     """
     if system.matrix.shape[0] != len(system.rhs):
         raise ValueError("matrix/rhs dimension mismatch")
     A, r = apply_constraints(system.matrix, system.rhs, system.constrained)
     try:
-        lu = spla.splu(A)
-        x = lu.solve(r)
+        return _factor_solve(A, r, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
+                             options={"SymmetricMode": True})
+    except SingularMatrixError:
+        return _factor_solve(A, r)
+
+
+def _factor_solve(A, r, **splu_options):
+    """spla.splu(A, **splu_options).solve(r) under the residual contract."""
+    try:
+        x = spla.splu(A, **splu_options).solve(r)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
     if not np.all(np.isfinite(x)):

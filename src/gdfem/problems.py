@@ -143,20 +143,26 @@ def convergence_problem(p, cs2=1.0, lambda_b=None, lambda_n=None):
     return ManufacturedProblem("convergence", co, f, u, grad_u, div_u)
 
 
+def _locking_u(pts):
+    x, y = pts[:, 0], pts[:, 1]
+    phi = np.cos(np.pi * (x * x + y * y))
+    return np.column_stack([-y * phi, x * phi])
+
+
+def _locking_f(pts):
+    return -0.02 * _locking_u(pts)
+
+
 def locking_problem(cs2, p=2, lambda_b=None, lambda_n=None):
     """Divergence-free u = cos(pi (x^2 + y^2)) (-y, x).
 
     Since div u = 0, the forcing f = -0.02 u is independent of c_s, which is
-    what exposes volume locking as c_s grows.
+    what exposes volume locking as c_s grows; every c_s^2 shares the one
+    forcing function, so a sweep assembles its load once.
     """
     co = paper_coefficients(p, cs2, lambda_b,
                             10.0 * p * p if lambda_n is None else lambda_n)
     pi = np.pi
-
-    def u(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        phi = np.cos(pi * (x * x + y * y))
-        return np.column_stack([-y * phi, x * phi])
 
     def grad_u(pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -173,24 +179,18 @@ def locking_problem(cs2, p=2, lambda_b=None, lambda_n=None):
     def div_u(pts):
         return np.zeros(len(pts))
 
-    def f(pts):
-        return -0.02 * u(pts)
-
-    return ManufacturedProblem("locking", co, f, u, grad_u, div_u)
+    return ManufacturedProblem("locking", co, _locking_f, _locking_u, grad_u,
+                               div_u)
 
 
 def gradrob_problem(cs2, p=3, lambda_b=None, lambda_n=None):
     """Pure gradient forcing f = grad(x^6 + y^6); exact velocity not needed.
 
     A gradient-robust method produces u_h whose size scales like 1/c_s^2,
-    uniformly in the mesh.
+    uniformly in the mesh.  Every c_s^2 shares the one forcing function.
     """
     co = paper_coefficients(p, cs2, lambda_b, lambda_n)
-
-    def f(pts):
-        return np.column_stack([6.0 * pts[:, 0] ** 5, 6.0 * pts[:, 1] ** 5])
-
-    return ManufacturedProblem("gradrob", co, f)
+    return ManufacturedProblem("gradrob", co, gradient_potential_grad)
 
 
 def gradient_potential(pts):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gdfem import cli, forms
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
@@ -180,6 +181,18 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    # c_s^2 must be positive, and --out must name an existing directory
+    for argv in (["locking", "--cs2=-4", "--levels", "0", "--out",
+                  str(tmp_path)],
+                 ["solve", "--method", "M3", "--p", "1", "--level", "0",
+                  "--cs2=-4"],
+                 ["solve", "--method", "M3", "--p", "1", "--level", "0",
+                  "--cs2=nan"],
+                 ["locking", "--levels", "0", "--out",
+                  str(tmp_path / "missing")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     # a config key must be an option of the subcommand
     cfg = tmp_path / "run.cfg"
     one = ["--method", "M3", "--level", "0", "--p", "1"]
@@ -195,6 +208,39 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--config", str(cfg)])
         assert exc.value.code == 2, (argv, text)
+
+
+def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):
+    """A study with a nonpositive c_s^2 or a missing output directory exits
+    before it solves anything."""
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_solve_cell", no_cell)
+    for argv in (["locking", "--cs2=1,-4", "--levels", "0"],
+                 ["gradrob", "--cs2=nan", "--levels", "0"],
+                 ["convergence", "--p", "1", "--levels", "0", "--out",
+                  str(tmp_path / "missing")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_sweep_assembles_load_once(monkeypatch):
+    """The locking forcing does not depend on c_s^2: one load vector per
+    (mesh, method), not one per cell."""
+    calls = []
+    assemble_rhs = forms.assemble_rhs
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return assemble_rhs(*args, **kw)
+
+    monkeypatch.setattr(forms, "assemble_rhs", counted)
+    report, warnings = run_locking(levels=(0,))
+    assert not warnings
+    assert len(report.csv_rows()) == 16
+    assert len(calls) == 4
 
 
 def test_sweep_rejects_variable_coefficients(monkeypatch):

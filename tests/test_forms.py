@@ -35,9 +35,15 @@ def test_coefficient_validation():
     co = CoefficientSet(rho=-1.0, b_inf=0.1)
     with pytest.raises(ValueError):
         co.rho_at(np.zeros((1, 2)))
-    co = CoefficientSet(c_s=0.0, b_inf=0.1)
-    with pytest.raises(ValueError):
-        co.cs2_at(np.zeros((1, 2)))
+    for bad in (0.0, np.nan):
+        co = CoefficientSet(rho=bad, c_s=bad, b_inf=0.1)
+        with pytest.raises(ValueError):
+            co.rho_at(np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            co.cs2_at(np.zeros((1, 2)))
+    for cs2 in (0.0, -4.0, np.nan):
+        with pytest.raises(ValueError):
+            paper_coefficients(2, cs2=cs2)
 
 
 def test_paper_coefficient_defaults():

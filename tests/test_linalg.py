@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
-from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, LinearSystem,
-                          SingularMatrixError, SizeLimitError,
+from gdfem.forms import METHODS, assemble_method
+from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SYMMETRIC_PIVOT_THRESHOLD,
+                          LinearSystem, SingularMatrixError, SizeLimitError,
                           apply_constraints, check_symmetry, dense_nullspace,
                           dump_matrix, estimate_control_constant,
                           restrict_free, solve)
+from gdfem.mesh import make_unit_disc_mesh
+from gdfem.problems import convergence_problem
 
 
 def test_solve_hand_case():
@@ -33,6 +38,102 @@ def test_solve_dimension_mismatch():
     A = sp.eye(3, format="csr")
     with pytest.raises(ValueError):
         solve(LinearSystem(A, np.zeros(2)))
+
+
+def meets_contract(A, x, r):
+    bound = 1e-9 * (abs(A).max() * np.linalg.norm(x) + np.linalg.norm(r))
+    return np.linalg.norm(A @ x - r) <= bound
+
+
+def disc_system(method, level, p):
+    """A disc cell's system and the (matrix, rhs) that solve factors."""
+    prob = convergence_problem(p)
+    system = assemble_method(method, make_unit_disc_mesh(level), p,
+                             prob.coeffs, prob.f).system
+    return system, apply_constraints(system.matrix, system.rhs,
+                                     system.constrained)
+
+
+def record_splu(monkeypatch, factor=spla.splu):
+    """Route spla.splu calls through factor(A, **kw); returns the list of
+    the keyword arguments of each call."""
+    calls = []
+
+    def recording(A, **kw):
+        calls.append(kw)
+        return factor(A, **kw)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_symmetric_mode_matches_colamd(method, monkeypatch):
+    """The symmetric-mode factor solves the disc operators as the general
+    COLAMD factor with partial pivoting does, with less fill, first time."""
+    system, (A, r) = disc_system(method, 2, 2)
+    lu = spla.splu(A)
+    x_ref = lu.solve(r)
+    calls = record_splu(monkeypatch)
+    x = solve(system)
+    monkeypatch.undo()
+    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+    assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
+                      "diag_pivot_thresh": SYMMETRIC_PIVOT_THRESHOLD,
+                      "options": {"SymmetricMode": True}}]
+    assert fill(spla.splu(A, **calls[0])) < fill(lu)
+
+
+class _BadFactor:
+    """A factor whose solutions miss the residual contract."""
+
+    def solve(self, r):
+        return 1.01 * np.ones_like(r)
+
+
+@pytest.mark.parametrize("failure", ["raises", "bad_residual"])
+def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
+    """A symmetric-mode factor that fails or misses the residual contract
+    is replaced by the COLAMD factor, whose answer solve returns."""
+    system, (A, r) = disc_system("M4", 1, 2)
+    splu = spla.splu
+    x_ref = splu(A).solve(r)
+
+    def factor(A, **kw):
+        if not kw:
+            return splu(A)
+        if failure == "raises":
+            raise RuntimeError("Factor is exactly singular")
+        return _BadFactor()
+
+    calls = record_splu(monkeypatch, factor)
+    x = solve(system)
+    assert [bool(kw) for kw in calls] == [True, False]
+    assert np.array_equal(x, x_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+       c=st.floats(1.0, 1e3))
+def test_solve_indefinite_property(n, seed, c):
+    """K = -A + c B with A SPD and B PSD of low rank, like -a_h + c_s^2 b_h:
+    the solution meets the residual contract and agrees with a dense solve."""
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+    A = G @ G.T + np.eye(n)
+    H = rng.standard_normal((n, rng.integers(1, n + 1)))
+    H *= rng.random(H.shape) < 0.5
+    K = -A + c * (H @ H.T)
+    assume(np.linalg.cond(K) < 1e8)
+    r = rng.standard_normal(n)
+    x = solve(LinearSystem(sp.csr_matrix(K), r))
+    assert meets_contract(K, x, r)
+    x_ref = np.linalg.solve(K, r)
+    assert np.linalg.norm(x - x_ref) <= 1e-6 * np.linalg.norm(x_ref)
 
 
 def test_constrained_solve():
