@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .forms import (METHODS, assemble_method, error_norms, method_forms,
-                    method_spaces, paper_coefficients)
+from .forms import (METHOD_FORMS, METHODS, assemble_method, error_norms,
+                    method_forms, method_spaces, paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -644,8 +644,9 @@ def main(argv=None):
             return 0
         # diagnostics
         method = opts.get("method")
-        if method not in ("M1", "M3", "M4"):
-            parser.error("diagnostics requires --method M1|M3|M4")
+        if method not in METHODS or METHOD_FORMS[method][1] is not None:
+            single = (m for m in METHODS if METHOD_FORMS[m][1] is None)
+            parser.error(f"diagnostics requires --method {'|'.join(single)}")
         try:
             res = run_diagnostics(method, opts.get("level", 1),
                                   _single(opts.get("p", (1,)), "--p", parser),

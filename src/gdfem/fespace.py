@@ -25,8 +25,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .linalg import assemble_csr, assemble_vector
-from .mesh import (FacetGeometry, GeometryMap, element_quadrature,
-                   facet_ref_points)
+from .mesh import FacetGeometry, GeometryMap, facet_ref_points
 from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomial_grads, eval_monomials, lagrange_basis,
@@ -37,6 +36,13 @@ FAMILIES = ("scalar_lagrange", "vector_lagrange", "vector_dg", "hdiv_bdm")
 
 class DegreeError(ValueError):
     pass
+
+
+def quadrature_order(space):
+    """Default exactness order of quadrature on a space: 2p for a product
+    of two degree-p fields, 2(g - 1) for the Jacobian factors of a degree-g
+    geometry map, plus 2."""
+    return 2 * space.degree + 2 * (space.mesh.geom_order - 1) + 2
 
 
 def build_space(family, mesh, p):
@@ -225,7 +231,6 @@ class FeSpace:
         """
         p = self.degree
         mesh = self.mesh
-        g = mesh.geom_order
         exps = monomial_exponents(p)
         nloc = 2 * len(exps)
         elems = np.arange(mesh.num_triangles)
@@ -255,7 +260,7 @@ class FeSpace:
                                              mono * nref[c], optimize=True)
 
         if p >= 2:
-            vrule = triangle_rule(2 * p + 2 * (g - 1) + 6)
+            vrule = triangle_rule(quadrature_order(self) + 4)
             gm = mesh.geometry(elems)
             jac = gm.jacobian(vrule.points)
             det = GeometryMap.dets(jac)
@@ -348,11 +353,9 @@ def bdm_interpolate(space, v, order=None):
         raise ValueError("bdm_interpolate requires an hdiv_bdm space")
     p = space.degree
     mesh = space.mesh
-    g = mesh.geom_order
     coeffs = np.zeros(space.ndof)
 
-    srule = segment_rule(order if order is not None
-                         else 2 * p + 2 + 2 * (g - 1))
+    srule = segment_rule(quadrature_order(space) if order is None else order)
     ts = srule.points[:, 0]
     leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
     facets = np.arange(mesh.num_facets)
@@ -363,8 +366,8 @@ def bdm_interpolate(space, v, order=None):
         (moms / mesh.facet_length(facets)[:, None]).ravel()
 
     if p >= 2:
-        vrule = triangle_rule(order if order is not None
-                              else 2 * p + 2 * (g - 1) + 6)
+        vrule = triangle_rule(quadrature_order(space) + 4 if order is None
+                              else order)
         elems = np.arange(mesh.num_triangles)
         gm = mesh.geometry(elems)
         det = GeometryMap.dets(gm.jacobian(vrule.points))
@@ -383,10 +386,8 @@ def l2_project(space, f, weight=None, order=None):
     Solves <w u_h, q_h> = <w f, q_h> for all q_h; w defaults to 1.
     """
     mesh = space.mesh
-    p = space.degree
-    if order is None:
-        order = 2 * p + 2 * (mesh.geom_order - 1) + 2
-    rule, wdet, phys = element_quadrature(mesh, order)
+    order = quadrature_order(space) if order is None else order
+    rule, wdet, phys = mesh.element_quadrature(order)
     wq = wdet if weight is None else wdet * eval_pointwise(weight, phys)
     elems = np.arange(mesh.num_triangles)
     bv, _, _ = space.eval_basis(elems, rule.points, need_grad=False)

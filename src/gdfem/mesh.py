@@ -10,7 +10,7 @@ elements stay affine.
 
 import numpy as np
 
-from .quadrature import triangle_rule
+from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         lagrange_basis, lattice_multiindices)
 
@@ -41,6 +41,7 @@ class Mesh:
         self._check_orientation()
         self._build_facets()
         self._build_curved_data()
+        self._quadrature = {}   # (kind, order) -> quadrature geometry
 
     # -- construction ---------------------------------------------------
 
@@ -154,6 +155,33 @@ class Mesh:
         d = self.vertices[fv[..., 0]] - self.vertices[fv[..., 1]]
         return np.linalg.norm(d, axis=-1)
 
+    def element_quadrature(self, order):
+        """Triangle rule, weights * det (E, q) and points (E, q, 2) of all
+        elements; computed once per order, its arrays read-only."""
+        key = ("elements", order)
+        if key not in self._quadrature:
+            rule = triangle_rule(order)
+            gm = self.geometry(np.arange(self.num_triangles))
+            det = GeometryMap.dets(gm.jacobian(rule.points))
+            wdet, phys = rule.weights * det, gm.points(rule.points)
+            _read_only(rule.points, rule.weights, wdet, phys)
+            self._quadrature[key] = rule, wdet, phys
+        return self._quadrature[key]
+
+    def facet_quadrature(self, order, boundary):
+        """Segment rule and FacetGeometry at its points of the boundary (or
+        the interior) facets; computed once per order, arrays read-only."""
+        key = ("boundary" if boundary else "interior", order)
+        if key not in self._quadrature:
+            rule = segment_rule(order)
+            facets = np.nonzero(self.facet_boundary == boundary)[0]
+            fg = FacetGeometry(self, facets, rule.points[:, 0])
+            _read_only(rule.points, rule.weights, fg.ts, fg.points,
+                       fg.dline, fg.normals, fg.length, *fg.ref_points,
+                       *(a for side in fg.sides for a in side))
+            self._quadrature[key] = rule, fg
+        return self._quadrature[key]
+
     def dump(self, path):
         """Plain-text debug dump."""
         with open(path, "w") as fh:
@@ -169,6 +197,11 @@ class Mesh:
                 e0, e1 = self.facet_elems[f]
                 fh.write("f %d %d %d %d %d\n"
                          % (a, b, e0, e1, int(self.facet_boundary[f])))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _arc_point(w0, w1, t):
@@ -342,17 +375,6 @@ def _facet_owner_flips(mesh, facets):
     return mesh.triangles[e, start] != first
 
 
-def facet_sides(mesh, f):
-    """(elem, local_edge, flipped) per owner of facet f.
-
-    `flipped` is True when the local edge direction runs opposite to the
-    global facet direction (lower vertex index -> higher).
-    """
-    flips = _facet_owner_flips(mesh, f)
-    return [(int(e), int(k), bool(fl)) for e, k, fl in
-            zip(mesh.facet_elems[f], mesh.facet_local[f], flips) if e >= 0]
-
-
 def facet_ref_points(k, ts, flipped):
     """Reference points of local edge k at global facet params ts.
 
@@ -381,10 +403,10 @@ class FacetGeometry:
     `facets` is an int or an int array of F facets.  Provides physical
     points, arc-length weights per unit t (`dline`) and the unit normal
     pointing out of owner 0 (for boundary facets: out of the domain), with
-    shapes (q, ...) for an int and (F, q, ...) for an array.  `sides[s]` is
-    (elem, local edge, flipped) of owner s and `ref_points[s]` its reference
-    points; owner 1 is included only when no facet of the batch is a
-    boundary facet.
+    shapes (q, ...) for an int and (F, q, ...) for an array, and the chord
+    `length` of each facet.  `sides[s]` is (elem, local edge, flipped) of
+    owner s and `ref_points[s]` its reference points; owner 1 is included
+    only when no facet of the batch is a boundary facet.
     """
 
     def __init__(self, mesh, facets, ts):
@@ -406,6 +428,7 @@ class FacetGeometry:
         tang = np.einsum("...qcd,...d->...qc", jac, dref)
         self.dline = np.linalg.norm(tang, axis=-1)  # ds/dt
         self.normals = _unit_normals(jac, k0)
+        self.length = mesh.facet_length(facets)
 
     def normal_from_side(self, mesh, side_index):
         """Outward unit normal recomputed from the given owner (for checks)."""
@@ -414,15 +437,6 @@ class FacetGeometry:
         return _unit_normals(jac, k)
 
 
-def element_quadrature(mesh, order):
-    """Triangle rule, weights * det (E, q) and points (E, q, 2) of all
-    elements of the mesh."""
-    rule = triangle_rule(order)
-    gm = mesh.geometry(np.arange(mesh.num_triangles))
-    det = GeometryMap.dets(gm.jacobian(rule.points))
-    return rule, rule.weights * det, gm.points(rule.points)
-
-
 def total_area(mesh, order=8):
     """Sum of element areas by quadrature (exercises the geometry maps)."""
-    return float(element_quadrature(mesh, order)[1].sum())
+    return float(mesh.element_quadrature(order)[1].sum())

@@ -5,8 +5,7 @@ import pytest
 
 from gdfem.fespace import (DegreeError, DiscreteField, bdm_interpolate,
                            build_space, l2_project)
-from gdfem.mesh import (FacetGeometry, GeometryMap, facet_ref_points,
-                        facet_sides, make_unit_disc_mesh,
+from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh)
 from gdfem.quadrature import triangle_rule
 from gdfem.reference import lattice_points
@@ -53,11 +52,9 @@ def test_invalid_spaces_rejected(square1):
 def _trace_pair(mesh, space, coeffs_vec, f, ts):
     """Both-side traces of a field on interior facet f at params ts."""
     field = DiscreteField(space, coeffs_vec)
-    out = []
-    for e, k, flipped in facet_sides(mesh, f):
-        rp = facet_ref_points(k, ts, flipped)
-        out.append(field.evaluate(e, rp, need_grad=False)[0])
-    return out
+    fg = FacetGeometry(mesh, f, ts)
+    return [field.evaluate(e, rp, need_grad=False)[0]
+            for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
 
 
 @pytest.mark.parametrize("geom", [1, 2])

@@ -9,7 +9,7 @@ from gdfem.fespace import DegreeError, DiscreteField, bdm_interpolate, \
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
                          assemble_a_volume, assemble_b_dg, assemble_b_volume,
                          assemble_m2_system, assemble_method, assemble_rhs,
-                         error_norms, method_spaces,
+                         error_norms, method_forms, method_spaces,
                          paper_coefficients, rotational_flow)
 from gdfem.linalg import check_symmetry, solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
@@ -392,6 +392,24 @@ def test_error_norms_trivial_cases(square1):
     res = error_norms(u_h, same, co, method="M1")
     assert res["l2_error"] <= 1e-12
     assert res["xh_error"] <= 1e-11
+
+
+@pytest.mark.parametrize("method", ["M1", "M3", "M4"])
+def test_triple_norm_is_operator_energy(disc1_curved, method):
+    """At exact u = 0 the triple-norm error of u_h = sum x_i phi_i is the
+    energy x.(A_h + B_h)x of the method's operator pair."""
+    co = paper_coefficients(2)
+    space, _ = method_spaces(method, disc1_curved, 2)
+    x = np.random.default_rng(5).standard_normal(space.ndof)
+    zero = _FieldExact(u=lambda q: np.zeros((len(q), 2)),
+                       grad_u=lambda q: np.zeros((len(q), 2, 2)),
+                       div_u=lambda q: np.zeros(len(q)))
+    for k in (8, 10):
+        A, B = method_forms(method, space, co, order=k)
+        energy = x @ ((A + B) @ x)
+        xh = error_norms(DiscreteField(space, x), zero, co, method=method,
+                         order=k)["xh_error"]
+        assert abs(xh ** 2 - energy) <= 1e-12 * abs(energy)
 
 
 def test_error_norms_quadrature_stability():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gdfem.mesh import (FacetGeometry, Mesh, facet_sides, make_unit_disc_mesh,
+from gdfem.mesh import (FacetGeometry, Mesh, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size, refine, total_area)
 
 
@@ -104,10 +104,29 @@ def test_only_boundary_elements_curved():
 def test_facet_sides_orientation():
     mesh = make_unit_square_mesh(2)
     for f in range(mesh.num_facets):
-        sides = facet_sides(mesh, f)
+        sides = FacetGeometry(mesh, f, np.array([0.5])).sides
         assert len(sides) == (1 if mesh.facet_boundary[f] else 2)
         for e, k, _ in sides:
             assert mesh.elem_facets[e, k] == f
+
+
+def test_quadrature_geometry_cached_read_only():
+    """Quadrature geometry is computed once per order, read-only, and equal
+    to a fresh FacetGeometry."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    rule, wdet, phys = mesh.element_quadrature(6)
+    assert mesh.element_quadrature(6)[2] is phys
+    for boundary in (False, True):
+        srule, fg = mesh.facet_quadrature(6, boundary)
+        assert mesh.facet_quadrature(6, boundary)[1] is fg
+        facets = np.nonzero(mesh.facet_boundary == boundary)[0]
+        fresh = FacetGeometry(mesh, facets, srule.points[:, 0])
+        assert np.array_equal(fg.points, fresh.points)
+        assert np.array_equal(fg.length, mesh.facet_length(facets))
+        for a in (rule.points, wdet, phys, fg.points, fg.normals, fg.dline,
+                  *fg.ref_points):
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
 
 def test_orientation_check_rejects_clockwise():
