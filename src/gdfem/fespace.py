@@ -17,8 +17,9 @@ BDM shape functions are contravariant Piola images of reference vector
 monomials; the local basis on each element is obtained by inverting the
 matrix of degree-of-freedom functionals (facet moments of the normal
 trace against Legendre polynomials in the global facet parameter, plus
-interior moments).  Because every element evaluates the *same* global
-facet functionals, normal-trace continuity needs no orientation table.
+interior moments).  Every element evaluates the *same* global facet
+functionals, mapping the facet parameter onto its local edge through the
+mesh's `elem_flipped`, so normal-trace continuity needs no dof sign table.
 """
 
 import numpy as np
@@ -69,56 +70,39 @@ class FeSpace:
     # -- dof maps ---------------------------------------------------------
 
     def _build_dof_map(self):
+        """Dofs of each element: its vertex and facet dofs, then a block of
+        element-interior dofs numbered after all shared ones.
+
+        The Lagrange nodes of a facet are numbered along the facet's
+        direction, so an element whose edge runs against it takes them in
+        reverse; the x/y components of a vector Lagrange dof are adjacent.
+        """
         p = self.degree
         mesh = self.mesh
         nt, nf, nv = mesh.num_triangles, mesh.num_facets, mesh.num_vertices
-        if self.family in ("scalar_lagrange", "vector_lagrange"):
-            nint = (p - 1) * (p - 2) // 2
-            scal = np.zeros((nt, 3 + 3 * (p - 1) + nint), dtype=int)
-            for e, tri in enumerate(mesh.triangles):
-                scal[e, :3] = tri
-                for k, (va, vb) in enumerate(EDGE_VERTICES):
-                    f = mesh.elem_facets[e, k]
-                    flipped = tri[va] != mesh.facet_vertices[f][0]
-                    for s in range(1, p):
-                        pos = (p - 1 - s) if flipped else (s - 1)
-                        scal[e, 3 + k * (p - 1) + s - 1] = nv + f * (p - 1) + pos
-                base = nv + nf * (p - 1) + e * nint
-                scal[e, 3 + 3 * (p - 1):] = base + np.arange(nint)
-            nsc = nv + nf * (p - 1) + nt * nint
-            if self.family == "scalar_lagrange":
-                self.dof_map = scal
-                self.ndof = nsc
-            else:
-                nloc = scal.shape[1]
-                vec = np.zeros((nt, 2 * nloc), dtype=int)
-                vec[:, 0::2] = 2 * scal
-                vec[:, 1::2] = 2 * scal + 1
-                self.dof_map = vec
-                self.ndof = 2 * nsc
-            self.constrained_dofs = np.array([], dtype=int)
-        elif self.family == "vector_dg":
-            nloc = (p + 1) * (p + 2)
-            self.dof_map = (np.arange(nt)[:, None] * nloc
-                            + np.arange(nloc)[None, :])
-            self.ndof = nt * nloc
-            self.constrained_dofs = np.array([], dtype=int)
-        else:  # hdiv_bdm
-            nint = p * p - 1
-            nloc = 3 * (p + 1) + nint
-            dof = np.zeros((nt, nloc), dtype=int)
-            for e in range(nt):
-                for k in range(3):
-                    f = mesh.elem_facets[e, k]
-                    dof[e, k * (p + 1):(k + 1) * (p + 1)] = \
-                        f * (p + 1) + np.arange(p + 1)
-                base = nf * (p + 1) + e * nint
-                dof[e, 3 * (p + 1):] = base + np.arange(nint)
-            self.dof_map = dof
-            self.ndof = nf * (p + 1) + nt * nint
+        facets = mesh.elem_facets[..., None]
+        self.constrained_dofs = np.array([], dtype=int)
+        if self.family == "vector_dg":
+            blocks, nint, shared = [], (p + 1) * (p + 2), 0
+        elif self.family == "hdiv_bdm":
+            blocks = [facets * (p + 1) + np.arange(p + 1)]
+            nint, shared = p * p - 1, nf * (p + 1)
             bnd = np.nonzero(mesh.facet_boundary)[0]
             self.constrained_dofs = (bnd[:, None] * (p + 1)
-                                     + np.arange(p + 1)[None, :]).ravel()
+                                     + np.arange(p + 1)).ravel()
+        else:
+            s = np.arange(p - 1)
+            along = np.where(mesh.elem_flipped[..., None], p - 2 - s, s)
+            blocks = [mesh.triangles, nv + facets * (p - 1) + along]
+            nint, shared = (p - 1) * (p - 2) // 2, nv + nf * (p - 1)
+        interior = shared + np.arange(nt * nint).reshape(nt, nint)
+        self.dof_map = np.hstack([b.reshape(nt, -1) for b in blocks]
+                                 + [interior])
+        self.ndof = shared + nt * nint
+        if self.family == "vector_lagrange":
+            self.dof_map = np.stack([2 * self.dof_map, 2 * self.dof_map + 1],
+                                    axis=-1).reshape(nt, -1)
+            self.ndof *= 2
 
     # -- basis evaluation ---------------------------------------------------
 
@@ -242,12 +226,10 @@ class FeSpace:
         facets = mesh.elem_facets
         sign = np.where(mesh.facet_elems[facets, 0] == elems[:, None],
                         1.0, -1.0)
-        starts = np.asarray(EDGE_VERTICES)[:, 0]
-        flipped = mesh.triangles[:, starts] != mesh.facet_vertices[facets, 0]
         chord = mesh.facet_length(facets)
         for k, (va, vb) in enumerate(EDGE_VERTICES):
             ell = np.linalg.norm(REF_VERTICES[vb] - REF_VERTICES[va])
-            rp = facet_ref_points(k, ts, flipped[:, k])
+            rp = facet_ref_points(k, ts, mesh.elem_flipped[:, k])
             mono = _ref_table(lambda x: eval_monomials(exps, x), rp)
             nref = EDGE_NORMALS[k]
             # identity (u . n) ds = (u_ref . n_ref) dl_ref makes the facet

@@ -18,6 +18,10 @@ from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
 class Mesh:
     """Immutable triangle mesh with facet topology and curved boundary data.
 
+    Facets are numbered by first appearance over the (element, local edge)
+    pairs in element-major order; owner 0 of a facet is the first element to
+    reach it, and its normal points out of owner 0.
+
     Attributes
     ----------
     vertices : (nv, 2) float array
@@ -27,6 +31,8 @@ class Mesh:
     facet_local : (nf, 2) int array, local edge index within each owner
     facet_boundary : (nf,) bool array
     elem_facets : (nt, 3) int array, facet index of each local edge
+    elem_flipped : (nt, 3) bool array, local edge k of e runs from its higher
+        vertex index to its lower one, against the facet's direction
     geom_order : int
     domain : "disc", "square" or None
     """
@@ -40,6 +46,7 @@ class Mesh:
             raise ValueError("geom_order must be >= 1")
         self._check_orientation()
         self._build_facets()
+        self._check_disc_boundary()
         self._build_curved_data()
         self._quadrature = {}   # (kind, order) -> quadrature geometry
 
@@ -55,78 +62,76 @@ class Mesh:
             raise ValueError("all triangles must be counterclockwise")
 
     def _build_facets(self):
-        key_to_idx = {}
-        fverts, felems, flocal = [], [], []
-        for e, tri in enumerate(self.triangles):
-            for k, (a, b) in enumerate(EDGE_VERTICES):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                if key not in key_to_idx:
-                    key_to_idx[key] = len(fverts)
-                    fverts.append(key)
-                    felems.append([e, -1])
-                    flocal.append([k, -1])
-                else:
-                    f = key_to_idx[key]
-                    if felems[f][1] != -1:
-                        raise ValueError("facet with more than 2 owners")
-                    felems[f][1] = e
-                    flocal[f][1] = k
-        self.facet_vertices = np.array(fverts, dtype=int)
-        self.facet_elems = np.array(felems, dtype=int)
-        self.facet_local = np.array(flocal, dtype=int)
-        self.facet_boundary = self.facet_elems[:, 1] == -1
-        self.elem_facets = np.full((len(self.triangles), 3), -1, dtype=int)
-        for f, (elems, locs) in enumerate(zip(self.facet_elems, self.facet_local)):
-            for e, k in zip(elems, locs):
-                if e >= 0:
-                    self.elem_facets[e, k] = f
+        nt = self.num_triangles
+        ends = self.triangles[:, EDGE_VERTICES]                 # (E, 3, 2)
+        self.elem_flipped = ends[..., 0] > ends[..., 1]
+        keys, first, inverse, counts = np.unique(
+            np.sort(ends, axis=-1).reshape(-1, 2), axis=0, return_index=True,
+            return_inverse=True, return_counts=True)
+        if np.any(counts > 2):
+            raise ValueError("facet with more than 2 owners")
+        order = np.argsort(first)                 # by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        facet = rank[inverse.ravel()]             # facet of each (e, k) pair
+        pair0 = first[order]
+        pair1 = np.full(len(order), -1)
+        second = np.arange(3 * nt) != pair0[facet]
+        pair1[facet[second]] = np.nonzero(second)[0]
+        pairs = np.stack([pair0, pair1], axis=1)
+        self.facet_vertices = keys[order]
+        self.facet_elems = np.where(pairs >= 0, pairs // 3, -1)
+        self.facet_local = np.where(pairs >= 0, pairs % 3, -1)
+        self.facet_boundary = pair1 == -1
+        self.elem_facets = facet.reshape(nt, 3)
+
+    def _check_disc_boundary(self):
+        """Disc boundary edges are bent onto the unit circle, and refinement
+        projects boundary midpoints onto it, so the boundary vertices must lie
+        on it.  Vertices from cos/sin or from a normalised midpoint sit within
+        a few ulps (~1e-16) of radius 1; the bound allows round-off in
+        vertices computed elsewhere and rejects any misplacement that would
+        distort the curved elements."""
+        if self.domain != "disc":
+            return
+        bverts = self.facet_vertices[self.facet_boundary]
+        radius = np.linalg.norm(self.vertices[bverts], axis=-1)
+        if np.any(np.abs(radius - 1.0) > 1e-12):
+            raise ValueError("boundary vertices of a disc mesh must lie on "
+                             "the unit circle")
 
     def _build_curved_data(self):
         """Stack the geometry control points of the curved elements.
 
-        `_curved_controls` holds one (ng, 2) block per curved element and
-        `_curved_slot[e]` the block of element e, or -1 when e is affine.
+        Disc elements with a boundary edge carry the degree-g lattice of
+        their affine map, each edge point moved onto the arc and the move
+        blended linearly to zero at the opposite vertex.  `_curved_controls`
+        holds one (ng, 2) block per curved element and `_curved_slot[e]` the
+        block of element e, or -1 when e is affine.
         """
-        controls = self._curved_control_points()
-        curved = sorted(controls)
+        g = self.geom_order
+        mi = np.array(lattice_multiindices(g))
+        bnd = np.nonzero(self.facet_boundary)[0]
+        if self.domain != "disc" or g < 2:
+            bnd = bnd[:0]
+        elem = self.facet_elems[bnd, 0]
+        curved = np.unique(elem)
         self._curved_slot = np.full(self.num_triangles, -1)
         self._curved_slot[curved] = np.arange(len(curved))
-        ng = len(lattice_multiindices(self.geom_order))
-        self._curved_controls = np.array(
-            [controls[e] for e in curved]).reshape(len(curved), ng, 2)
-
-    def _curved_control_points(self):
-        """Degree-g geometry lattice control points per boundary element."""
-        controls = {}
-        if self.domain != "disc" or self.geom_order < 2:
-            return controls
-        g = self.geom_order
-        mi = lattice_multiindices(g)
-        for f in np.nonzero(self.facet_boundary)[0]:
-            e = self.facet_elems[f, 0]
-            k = self.facet_local[f, 0]
-            pts = controls.get(e)
-            if pts is None:
-                lam = np.array([[a0 / g, a1 / g, a2 / g] for a0, a1, a2 in mi])
-                tri = self.triangles[e]
-                pts = lam @ self.vertices[tri]  # affine positions
-                controls[e] = pts
-            va, vb = EDGE_VERTICES[k]
-            w0 = self.vertices[self.triangles[e][va]]
-            w1 = self.vertices[self.triangles[e][vb]]
-            other = 3 - va - vb
-            for idx, tri_bary in enumerate(mi):
-                lam_o = tri_bary[other] / g
-                if lam_o == 1.0:
-                    continue
-                # parameter along the edge direction va -> vb
-                t = tri_bary[vb] / (g - tri_bary[other])
-                arc = _arc_point(w0, w1, t)
-                chord = (1.0 - t) * w0 + t * w1
-                # transfinite blend: full displacement on the edge itself,
-                # decaying linearly towards the opposite vertex
-                pts[idx] = pts[idx] + (1.0 - lam_o) * (arc - chord)
-        return controls
+        pts = (mi / g) @ self.vertices[self.triangles[curved]]   # affine
+        # every (boundary facet, lattice point off the opposite vertex)
+        va, vb = np.asarray(EDGE_VERTICES)[self.facet_local[bnd, 0]].T
+        other = mi[:, 3 - va - vb].T                          # (B, ng)
+        b, idx = np.nonzero(other < g)
+        w0 = self.vertices[self.triangles[elem[b], va[b]]]
+        w1 = self.vertices[self.triangles[elem[b], vb[b]]]
+        # parameter along the edge direction va -> vb
+        t = mi[idx, vb[b]] / (g - other[b, idx])
+        chord = (1.0 - t)[:, None] * w0 + t[:, None] * w1
+        move = ((1.0 - other[b, idx] / g)[:, None]
+                * (_arc_point(w0, w1, t) - chord))
+        np.add.at(pts, (self._curved_slot[elem[b]], idx), move)
+        self._curved_controls = pts
 
     # -- queries ---------------------------------------------------------
 
@@ -141,9 +146,6 @@ class Mesh:
     @property
     def num_facets(self):
         return len(self.facet_vertices)
-
-    def is_curved(self, elems):
-        return self._curved_slot[elems] >= 0
 
     def geometry(self, elems):
         """GeometryMap of one element (int) or of a batch (int array)."""
@@ -205,16 +207,14 @@ def _read_only(*arrays):
 
 
 def _arc_point(w0, w1, t):
-    """Point at arc-length fraction t on the short unit-circle arc w0 -> w1."""
-    t0 = np.arctan2(w0[1], w0[0])
-    t1 = np.arctan2(w1[1], w1[0])
-    dt = t1 - t0
-    if dt > np.pi:
-        dt -= 2.0 * np.pi
-    elif dt < -np.pi:
-        dt += 2.0 * np.pi
+    """Points at arc-length fractions t (N,) on the short unit-circle arcs
+    w0 -> w1, (N, 2)."""
+    t0 = np.arctan2(w0[:, 1], w0[:, 0])
+    dt = np.arctan2(w1[:, 1], w1[:, 0]) - t0
+    dt = np.where(dt > np.pi, dt - 2.0 * np.pi,
+                  np.where(dt < -np.pi, dt + 2.0 * np.pi, dt))
     ang = t0 + dt * t
-    return np.array([np.cos(ang), np.sin(ang)])
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
 
 
 class GeometryMap:
@@ -307,17 +307,11 @@ def make_unit_square_mesh(n: int) -> Mesh:
     if n < 1:
         raise ValueError("n must be >= 1")
     xs = np.linspace(0.0, 1.0, n + 1)
-    verts = np.array([[x, y] for y in xs for x in xs])
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append([v00, v10, v11])
-            tris.append([v00, v11, v01])
-    return Mesh(verts, np.array(tris), geom_order=1, domain="square")
+    verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v11 = v00 + n + 2
+    tris = np.stack([v00, v00 + 1, v11, v00, v11, v00 + n + 1], axis=1)
+    return Mesh(verts, tris.reshape(-1, 3), geom_order=1, domain="square")
 
 
 def make_unit_disc_mesh(level: int, geom_order: int = 1) -> Mesh:
@@ -342,15 +336,10 @@ def refine(mesh: Mesh) -> Mesh:
         bnd = mesh.facet_boundary
         mids[bnd] /= np.linalg.norm(mids[bnd], axis=1)[:, None]
     verts = np.vstack([mesh.vertices, mids])
-    tris = []
-    for e, tri in enumerate(mesh.triangles):
-        m = nv + mesh.elem_facets[e]  # midpoints of local edges 0,1,2
-        v0, v1, v2 = tri
-        tris.extend([[v0, m[0], m[2]],
-                     [m[0], v1, m[1]],
-                     [m[2], m[1], v2],
-                     [m[0], m[1], m[2]]])
-    return Mesh(verts, np.array(tris), geom_order=mesh.geom_order,
+    # nodes 0-2: the vertices, 3-5: the midpoints of local edges 0-2
+    nodes = np.hstack([mesh.triangles, nv + mesh.elem_facets])
+    children = nodes[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
+    return Mesh(verts, children.reshape(-1, 3), geom_order=mesh.geom_order,
                 domain=mesh.domain)
 
 
@@ -361,18 +350,6 @@ def mesh_size(mesh: Mesh) -> float:
     d12 = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
     d20 = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
     return float(np.max([d01, d12, d20]))
-
-
-def _facet_owner_flips(mesh, facets):
-    """(F, 2) bool: owner s walks facet f against its global direction.
-
-    The global direction runs from the lower vertex index to the higher one;
-    entries of a missing owner (boundary facets, side 1) are meaningless.
-    """
-    e = mesh.facet_elems[facets]
-    start = np.asarray(EDGE_VERTICES)[mesh.facet_local[facets], 0]
-    first = mesh.facet_vertices[facets, 0][..., None]
-    return mesh.triangles[e, start] != first
 
 
 def facet_ref_points(k, ts, flipped):
@@ -412,9 +389,9 @@ class FacetGeometry:
     def __init__(self, mesh, facets, ts):
         self.ts = np.asarray(ts, dtype=float)
         nsides = 1 if np.any(mesh.facet_boundary[facets]) else 2
-        flips = _facet_owner_flips(mesh, facets)
-        self.sides = [(mesh.facet_elems[facets][..., s],
-                       mesh.facet_local[facets][..., s], flips[..., s])
+        elems, local = mesh.facet_elems[facets], mesh.facet_local[facets]
+        self.sides = [(elems[..., s], local[..., s],
+                       mesh.elem_flipped[elems[..., s], local[..., s]])
                       for s in range(nsides)]
         self.ref_points = [facet_ref_points(k, self.ts, fl)
                            for (_, k, fl) in self.sides]
@@ -429,14 +406,3 @@ class FacetGeometry:
         self.dline = np.linalg.norm(tang, axis=-1)  # ds/dt
         self.normals = _unit_normals(jac, k0)
         self.length = mesh.facet_length(facets)
-
-    def normal_from_side(self, mesh, side_index):
-        """Outward unit normal recomputed from the given owner (for checks)."""
-        e, k, _ = self.sides[side_index]
-        jac = mesh.geometry(e).jacobian(self.ref_points[side_index])
-        return _unit_normals(jac, k)
-
-
-def total_area(mesh, order=8):
-    """Sum of element areas by quadrature (exercises the geometry maps)."""
-    return float(mesh.element_quadrature(order)[1].sum())

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from gdfem.mesh import (FacetGeometry, Mesh, make_unit_disc_mesh,
-                        make_unit_square_mesh, mesh_size, refine, total_area)
+from gdfem.mesh import (FacetGeometry, Mesh, _unit_normals,
+                        make_unit_disc_mesh, make_unit_square_mesh, mesh_size,
+                        refine)
+
+
+def total_area(mesh, order=8):
+    """Sum of element areas by quadrature (exercises the geometry maps)."""
+    return mesh.element_quadrature(order)[1].sum()
+
+
+def normal_from_side(fg, mesh, side_index):
+    """Outward unit normal of a FacetGeometry recomputed from one owner."""
+    e, k, _ = fg.sides[side_index]
+    jac = mesh.geometry(e).jacobian(fg.ref_points[side_index])
+    return _unit_normals(jac, k)
 
 
 def test_square_counts_and_area():
@@ -66,7 +79,7 @@ def test_interior_normal_antisymmetry():
     for mesh in (make_unit_square_mesh(2), make_unit_disc_mesh(1, geom_order=2)):
         for f in np.nonzero(~mesh.facet_boundary)[0]:
             fg = FacetGeometry(mesh, f, ts)
-            n1 = fg.normal_from_side(mesh, 1)
+            n1 = normal_from_side(fg, mesh, 1)
             assert np.abs(fg.normals + n1).max() <= 1e-12
 
 
@@ -98,7 +111,7 @@ def test_only_boundary_elements_curved():
     curved = {mesh.facet_elems[f, 0]
               for f in np.nonzero(mesh.facet_boundary)[0]}
     for e in range(mesh.num_triangles):
-        assert mesh.is_curved(e) == (e in curved)
+        assert (not mesh.geometry(e).affine) == (e in curved)
 
 
 def test_facet_sides_orientation():
@@ -133,6 +146,24 @@ def test_orientation_check_rejects_clockwise():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         Mesh(verts, np.array([[0, 2, 1]]))
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.2])
+def test_disc_rejects_boundary_off_the_circle(scale):
+    """A disc mesh bends its boundary edges onto the unit circle; a boundary
+    away from it would give inverted curved elements (scale 2) or a wrong
+    area (scale 0.2), so it is refused."""
+    square = make_unit_square_mesh(2)
+    with pytest.raises(ValueError, match="unit circle"):
+        Mesh((square.vertices - 0.5) * scale, square.triangles,
+             geom_order=2, domain="disc")
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_disc_meshes_pass_the_circle_check(level):
+    for g in (1, 2, 3, 4):
+        mesh = make_unit_disc_mesh(level, geom_order=g)
+        assert np.all(mesh.element_quadrature(8)[1] > 0)
 
 
 def test_mesh_dump(tmp_path):
