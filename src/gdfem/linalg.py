@@ -1,4 +1,11 @@
-"""Sparse systems, symmetric-indefinite solves, dense stability diagnostics."""
+"""Sparse systems, symmetric-indefinite solves, dense stability diagnostics.
+
+The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify each of A_h and B_h
+once: a Cholesky factorization checks A_h, one symmetric eigensolve of
+B_h gives its kernel, a Householder QR gives the a-orthogonal complement,
+sparse products reduce A_h and B_h onto it, and the reduced pencil is
+solved for its full spectrum.
+"""
 
 from dataclasses import dataclass, field
 
@@ -41,15 +48,6 @@ def assemble_csr(rows, cols, local, shape):
 def assemble_vector(dofs, local, n):
     """Sum the local vectors local[e] (E, n_loc) into entries dofs[e]."""
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
-
-
-def check_symmetry(M, tol=1e-12):
-    """Maximum absolute skew |M - M^T|; raises if it exceeds tol * max|entry|."""
-    skew = abs(M - M.T).max()
-    scale = abs(M).max()
-    if skew > tol * max(scale, 1.0):
-        raise ValueError(f"matrix not symmetric: skew {skew:g}, scale {scale:g}")
-    return float(skew)
 
 
 def apply_constraints(matrix, rhs, constrained):
@@ -116,68 +114,81 @@ def _factor_solve(A, r, **splu_options):
     return x
 
 
-def _as_dense(M):
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
+def _symmetric_part(M):
+    """(M + M^T)/2 of a square sparse or dense M, as CSR, for the dense
+    diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT)."""
+    if M.shape[0] > DIAGNOSTIC_SIZE_LIMIT:
+        raise SizeLimitError(
+            f"dense diagnostics limited to n <= {DIAGNOSTIC_SIZE_LIMIT}")
+    M = sp.csr_matrix(M, dtype=float)
+    return ((M + M.T) * 0.5).tocsr()
 
 
 def dense_nullspace(M, tol=1e-8):
-    """Orthonormal basis of the numerical kernel {x : ||Mx|| <= tol ||M||}.
+    """Orthonormal basis of the numerical kernel of a symmetric positive
+    semidefinite M.
 
-    Diagnostic scale only (n <= 2000); columns of the returned array span
-    the kernel.
+    The kernel is spanned by the eigenvectors whose |eigenvalue|, which
+    is the singular value, is at most tol times the largest; an eigenvalue
+    below -tol times the largest raises ValueError.  Diagnostic scale only
+    (n <= 2000).
     """
-    A = _as_dense(M)
-    n = A.shape[0]
-    if n > DIAGNOSTIC_SIZE_LIMIT:
-        raise SizeLimitError(f"dense nullspace limited to n <= {DIAGNOSTIC_SIZE_LIMIT}")
-    _, s, Vt = dla.svd(A)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return np.eye(n)
-    mask = s <= tol * smax
-    # singular values are sorted descending; append fully-zero rows of Vt
-    k = int(np.sum(mask)) + (n - len(s))
-    if k == 0:
-        return np.zeros((n, 0))
-    return Vt[-k:].T.copy()
+    lam, Q = dla.eigh(_symmetric_part(M).toarray(), driver="evd",
+                      overwrite_a=True)
+    scale = np.abs(lam).max(initial=0.0)
+    if lam.min(initial=0.0) < -tol * scale:
+        raise ValueError(f"matrix not positive semidefinite: eigenvalue "
+                         f"{lam[0]:g}, largest magnitude {scale:g}")
+    return Q[:, np.abs(lam) <= tol * scale]
 
 
 def restrict_free(M, constrained):
-    """Submatrix on the unconstrained dofs (for diagnostics)."""
+    """CSR submatrix on the unconstrained dofs (for diagnostics)."""
     if len(constrained) == 0:
         return M
-    n = M.shape[0]
-    free = np.setdiff1d(np.arange(n), constrained)
-    return _as_dense(M)[np.ix_(free, free)]
+    free = np.setdiff1d(np.arange(M.shape[0]), constrained)
+    return sp.csr_matrix(M)[free][:, free]
 
 
 def estimate_control_constant(A, B, tol=1e-8):
     """Smallest ratio b(w, w)/a(w, w) over the a-orthogonal complement of ker B.
 
     A must be symmetric positive definite, B symmetric positive
-    semidefinite.  Returns (c_bh, c_hat, dim_kernel) where
-    c_hat = (c_bh - 1)/(c_bh + 1) when c_bh > 1, else None.
+    semidefinite and nonzero, both square of one shape (dense or sparse,
+    n <= 2000); inputs that break this raise ValueError.  Returns
+    (c_bh, c_hat, dim_kernel) where c_hat = (c_bh - 1)/(c_bh + 1) when
+    c_bh > 1, else None.
+
+    A Cholesky factorization checks that A is SPD.  One symmetric
+    eigensolve of B (dense_nullspace) gives its numerical kernel V, the
+    eigenvectors with |lambda| <= tol max|lambda|, and shows a negative
+    eigenvalue.  The trailing n - k columns of the full Householder QR of
+    A V are an orthonormal basis W of {w : V^T A w = 0}, and W^T A W and
+    W^T B W are formed with A and B kept sparse.  The pencil (W^T B W, W^T A W) is
+    solved for its full spectrum: on cells whose kernel is barely
+    separated (M1 at p=2, level 3) its smallest eigenvalue is determined
+    only to about 1e-6 relative, and solving for that eigenvalue alone
+    (subset_by_index=[0, 0]) moves it by 2.6e-6 relative.
     """
-    Ad = _as_dense(A)
-    Bd = _as_dense(B)
-    n = Ad.shape[0]
-    if n > DIAGNOSTIC_SIZE_LIMIT:
-        raise SizeLimitError(f"diagnostics limited to n <= {DIAGNOSTIC_SIZE_LIMIT}")
-    Ad = 0.5 * (Ad + Ad.T)
-    Bd = 0.5 * (Bd + Bd.T)
-    amin = dla.eigvalsh(Ad, subset_by_index=[0, 0])[0]
-    if amin <= 0:
-        raise ValueError("A is not symmetric positive definite")
-    V = dense_nullspace(Bd, tol=tol)
+    if A.shape != B.shape or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A {A.shape} and B {B.shape} must be square "
+                         "matrices of one shape")
+    A, B = _symmetric_part(A), _symmetric_part(B)
+    try:
+        dla.cholesky(A.toarray(), overwrite_a=True)
+    except dla.LinAlgError:
+        raise ValueError("A is not symmetric positive definite") from None
+    V = dense_nullspace(B, tol)
     k = V.shape[1]
+    if k == A.shape[0]:
+        raise ValueError("b_h vanishes: its numerical kernel is the whole "
+                         "space")
     if k == 0:
-        W = np.eye(n)
+        Aw, Bw = A.toarray(), B.toarray()
     else:
-        # W = {w : V^T A w = 0}
-        _, s, Vt = dla.svd(V.T @ Ad)
-        W = Vt[k:].T
-    Aw = W.T @ Ad @ W
-    Bw = W.T @ Bd @ W
+        W = dla.qr(A @ V, mode="full")[0][:, k:]
+        Aw = W.T @ (A @ W)
+        Bw = W.T @ (B @ W)
     eigs = dla.eigh(Bw, Aw, eigvals_only=True)
     c_bh = float(eigs[0])
     c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None

@@ -65,3 +65,12 @@ def series(report, method, metric, p=None, cs2=None):
     rows.sort(key=lambda r: -r.h)
     return (np.array([r.h for r in rows]),
             np.array([r.value for r in rows]))
+
+
+def check_symmetry(M, tol=1e-12):
+    """Maximum absolute skew |M - M^T|; raises if it exceeds tol * max|entry|."""
+    skew = abs(M - M.T).max()
+    scale = abs(M).max()
+    if skew > tol * max(scale, 1.0):
+        raise ValueError(f"matrix not symmetric: skew {skew:g}, scale {scale:g}")
+    return float(skew)

@@ -25,13 +25,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import series
+from conftest import check_symmetry, series
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, emit_study_csv, fit_slope,
                        read_study_csv, run_diagnostics)
 from gdfem.fespace import build_space
 from gdfem.forms import (assemble_b_dg, assemble_b_volume, assemble_rhs,
                          paper_coefficients)
-from gdfem.linalg import check_symmetry, dense_nullspace, restrict_free
+from gdfem.linalg import dense_nullspace, restrict_free
 from gdfem.mesh import GeometryMap, make_unit_square_mesh
 from gdfem.problems import (convergence_problem, gradient_potential_grad,
                             locking_problem)

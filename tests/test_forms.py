@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import check_symmetry
 from gdfem.fespace import DegreeError, DiscreteField, bdm_interpolate, \
     build_space, l2_project
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
@@ -11,7 +12,7 @@ from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
                          assemble_m2_system, assemble_method, assemble_rhs,
                          error_norms, method_forms, method_spaces,
                          paper_coefficients, rotational_flow)
-from gdfem.linalg import check_symmetry, solve
+from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
 from gdfem.problems import convergence_problem

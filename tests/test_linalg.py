@@ -6,10 +6,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import check_symmetry
 from gdfem.forms import METHODS, assemble_method
 from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SYMMETRIC_PIVOT_THRESHOLD,
                           LinearSystem, SingularMatrixError, SizeLimitError,
-                          apply_constraints, check_symmetry, dense_nullspace,
+                          apply_constraints, dense_nullspace,
                           dump_matrix, estimate_control_constant,
                           restrict_free, solve)
 from gdfem.mesh import make_unit_disc_mesh
@@ -218,10 +219,27 @@ def test_estimate_requires_spd():
         estimate_control_constant(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def test_estimate_rejects_vanishing_b():
+    """A zero B leaves no complement of its kernel to take a ratio on."""
+    with pytest.raises(ValueError, match="b_h vanishes"):
+        estimate_control_constant(np.eye(3), np.zeros((3, 3)))
+
+
+def test_estimate_rejects_indefinite_b():
+    """A negative B would report a negative control constant."""
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        estimate_control_constant(np.eye(2), -np.eye(2))
+
+
+def test_estimate_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
+        estimate_control_constant(np.eye(3), np.eye(2))
+
+
 def test_restrict_free():
     M = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
     R = restrict_free(M, np.array([1]))
-    assert np.allclose(R, [[0.0, 2.0], [6.0, 8.0]])
+    assert np.allclose(R.toarray(), [[0.0, 2.0], [6.0, 8.0]])
     assert restrict_free(M, np.array([], dtype=int)) is M
 
 
