@@ -116,9 +116,8 @@ STUDIES = {
         ylabel="L2 norm of u_h"),
 }
 
-# CSV second column per axis: (header, format, parser, the fixed field)
-_CSV_AXIS = {"p": ("p", "%d", int, "cs2"),
-             "cs2": ("cs", "%.17g", float, "p")}
+# CSV second column per axis: (header, format, the fixed field)
+_CSV_AXIS = {"p": ("p", "%d", "cs2"), "cs2": ("cs", "%.17g", "p")}
 
 
 # -- study report -------------------------------------------------------------
@@ -185,7 +184,7 @@ def emit_study_csv(report, path):
     """
     spec = STUDIES[report.study]
     header = _csv_header(spec)
-    _, fmt, _, fixed = _CSV_AXIS[spec.axis]
+    _, fmt, fixed = _CSV_AXIS[spec.axis]
     groups = {}
     for r in report.csv_rows():
         key = (getattr(r, spec.axis), getattr(r, fixed), -r.h)
@@ -197,36 +196,6 @@ def emit_study_csv(report, path):
             line = [_fmt(-key[2]), fmt % key[0]]
             line += [_fmt(cells[c]) if c in cells else "" for c in header[2:]]
             fh.write(",".join(line) + "\n")
-
-
-def read_study_csv(path):
-    """Parse a study CSV back into a StudyReport.
-
-    The study kind is inferred from the header.  The field absent from the
-    file (cs2 for convergence, p for locking/gradrob) is restored from the
-    study defaults, so parse(emit(report)) reproduces the CSV-carried rows
-    of a default run exactly.
-    """
-    with open(path, newline="\n") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    study = next((name for name, spec in STUDIES.items()
-                  if _csv_header(spec) == header), None)
-    if study is None:
-        raise ValueError(f"{path}: not a study CSV header: {lines[0]!r}")
-    spec = STUDIES[study]
-    parse = _CSV_AXIS[spec.axis][2]
-    col_method = {v: k for k, v in spec.columns.items()}
-    report = StudyReport(study)
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        at = {"p": spec.p_list[0], "cs2": spec.cs2_list[0],
-              spec.axis: parse(cells[1])}
-        for name, cell in zip(header[2:], cells[2:]):
-            if cell:
-                report.add(float(cells[0]), at["p"], at["cs2"],
-                           col_method[name], name, float(cell))
-    return report.sort()
 
 
 # -- SVG ----------------------------------------------------------------------
@@ -377,7 +346,7 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     p_list = spec.p_list if p_list is None else tuple(p_list)
     cs2_list = spec.cs2_list if cs2_list is None else tuple(cs2_list)
     values = {"p": p_list, "cs2": cs2_list, "method": tuple(methods)}
-    fixed = _CSV_AXIS[spec.axis][3]
+    fixed = _CSV_AXIS[spec.axis][2]
     if len(values[fixed]) != 1:
         raise ValueError(f"{study} takes a single --{fixed} value")
     report = StudyReport(study)
@@ -460,6 +429,11 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
 
 # -- single solve -------------------------------------------------------------
 
+# Keys of the solve report, in the order solve.txt and stdout list them.
+_SOLVE_KEYS = ("method", "p", "level", "cs2", "geom_order", "h", "ndof",
+               "l2_error", "xh_error", "l2_norm")
+
+
 def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
               lambda_b=None, lambda_n=None, dump_mesh=False,
               dump_system=False):
@@ -475,8 +449,7 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
                 "ndof": system.matrix.shape[0]})
     if out_path is not None:
         with open(f"{out_path}/solve.txt", "w", newline="\n") as fh:
-            for k in ("method", "p", "level", "cs2", "geom_order", "h",
-                      "ndof", "l2_error", "xh_error", "l2_norm"):
+            for k in _SOLVE_KEYS:
                 fh.write(f"{k}={res[k]}\n")
         if dump_mesh:
             mesh.dump(f"{out_path}/mesh.txt")
@@ -638,8 +611,7 @@ def main(argv=None):
             except SingularMatrixError as exc:
                 print(f"solver failure: {exc}", file=sys.stderr)
                 return 1
-            for k in ("method", "p", "level", "cs2", "geom_order", "h",
-                      "ndof", "l2_error", "xh_error", "l2_norm"):
+            for k in _SOLVE_KEYS:
                 print(f"{k}={res[k]}")
             return 0
         # diagnostics

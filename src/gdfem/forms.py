@@ -26,7 +26,6 @@ import scipy.sparse.linalg as spla
 from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
 from .linalg import LinearSystem, assemble_csr, assemble_vector
-from .mesh import FacetGeometry
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -76,13 +75,6 @@ class CoefficientSet:
 
     def b_at(self, pts):
         return eval_pointwise(self._b, pts)
-
-    def boundary_flow_defect(self, mesh, n_samples=7):
-        """max |b.n| over boundary quadrature points (compatibility check)."""
-        ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-        fg = FacetGeometry(mesh, np.nonzero(mesh.facet_boundary)[0], ts)
-        bn = np.einsum("fqc,fqc->fq", self.b_at(fg.points), fg.normals)
-        return float(np.abs(bn).max(initial=0.0))
 
 
 def rotational_flow(amplitude=0.1):

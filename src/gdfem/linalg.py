@@ -1,5 +1,8 @@
 """Sparse systems, symmetric-indefinite solves, dense stability diagnostics.
 
+Strong constraints are imposed by restriction: solve and the diagnostics
+both work on the block of the free dofs (restrict_free).
+
 The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify each of A_h and B_h
 once: a Cholesky factorization checks A_h, one symmetric eigensolve of
 B_h gives its kernel, a Householder QR gives the a-orthogonal complement,
@@ -29,8 +32,9 @@ class SizeLimitError(ValueError):
 class LinearSystem:
     """Sparse symmetric matrix, right-hand side, and strong constraints.
 
-    Constrained dofs are eliminated symmetrically (zeroed row/column with a
-    unit diagonal) before factorization, so solutions are exactly zero there.
+    The matrix and rhs stay full size.  solve factors the block of the
+    unconstrained (free) dofs only, so solutions are exactly zero at the
+    constrained dofs.
     """
     matrix: sp.spmatrix
     rhs: np.ndarray
@@ -50,20 +54,22 @@ def assemble_vector(dofs, local, n):
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=n)
 
 
-def apply_constraints(matrix, rhs, constrained):
-    """Symmetric strong-constraint elimination (zero row/col, unit diagonal)."""
+def restrict_free(M, constrained):
+    """CSR submatrix of M on the free dofs, those not in constrained; M
+    itself when nothing is constrained.  The one constraint mechanism:
+    solve factors this block, the diagnostics densify it."""
     if len(constrained) == 0:
-        return matrix.tocsc(), np.asarray(rhs, dtype=float)
-    n = matrix.shape[0]
-    keep = np.ones(n)
-    keep[constrained] = 0.0
-    P = sp.diags(keep)
-    fix = sp.coo_matrix((np.ones(len(constrained)),
-                         (constrained, constrained)), shape=(n, n))
-    A = (P @ matrix @ P + fix).tocsc()
-    r = np.asarray(rhs, dtype=float).copy()
-    r[constrained] = 0.0
-    return A, r
+        return M
+    free = np.setdiff1d(np.arange(M.shape[0]), constrained)
+    return sp.csr_matrix(M)[free][:, free]
+
+
+def apply_constraints(system):
+    """The free-dof system solve factors: (restrict_free of the matrix as
+    CSC, the rhs on the free dofs, the free dofs)."""
+    free = np.setdiff1d(np.arange(len(system.rhs)), system.constrained)
+    A = restrict_free(system.matrix, system.constrained)
+    return A.tocsc(), np.asarray(system.rhs, dtype=float)[free], free
 
 
 # Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
@@ -79,23 +85,27 @@ SYMMETRIC_PIVOT_THRESHOLD = 1e-3
 def solve(system: LinearSystem) -> np.ndarray:
     """Direct sparse solve of a symmetric (possibly indefinite) system.
 
-    The constrained matrix is factored by SuperLU in symmetric mode: a
-    minimum-degree ordering of A^T + A with diagonal pivots down to
-    SYMMETRIC_PIVOT_THRESHOLD of the column maximum (Demmel et al., SIMAX
-    1999; Li, ACM TOMS 2005).  Every solve must meet the residual contract
-    ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||).  If the symmetric-mode
-    factor fails or misses it, the system is factored again with COLAMD and
-    partial pivoting; SingularMatrixError is raised when that fails too.
+    The free-dof block (apply_constraints) is factored by SuperLU in
+    symmetric mode: a minimum-degree ordering of A^T + A with diagonal
+    pivots down to SYMMETRIC_PIVOT_THRESHOLD of the column maximum (Demmel
+    et al., SIMAX 1999; Li, ACM TOMS 2005).  Every solve must meet the
+    residual contract ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||) on that
+    block.  If the symmetric-mode factor fails or misses it, the block is
+    factored again with COLAMD and partial pivoting; SingularMatrixError is
+    raised when that fails too.  The solution is zero at constrained dofs.
     """
-    if system.matrix.shape[0] != len(system.rhs):
+    n = system.matrix.shape[0]
+    if n != len(system.rhs):
         raise ValueError("matrix/rhs dimension mismatch")
-    A, r = apply_constraints(system.matrix, system.rhs, system.constrained)
+    A, r, free = apply_constraints(system)
+    x = np.zeros(n)
     try:
-        return _factor_solve(A, r, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
-                             options={"SymmetricMode": True})
+        x[free] = _factor_solve(A, r, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
+                                options={"SymmetricMode": True})
     except SingularMatrixError:
-        return _factor_solve(A, r)
+        x[free] = _factor_solve(A, r)
+    return x
 
 
 def _factor_solve(A, r, **splu_options):
@@ -140,14 +150,6 @@ def dense_nullspace(M, tol=1e-8):
         raise ValueError(f"matrix not positive semidefinite: eigenvalue "
                          f"{lam[0]:g}, largest magnitude {scale:g}")
     return Q[:, np.abs(lam) <= tol * scale]
-
-
-def restrict_free(M, constrained):
-    """CSR submatrix on the unconstrained dofs (for diagnostics)."""
-    if len(constrained) == 0:
-        return M
-    free = np.setdiff1d(np.arange(M.shape[0]), constrained)
-    return sp.csr_matrix(M)[free][:, free]
 
 
 def estimate_control_constant(A, B, tol=1e-8):

@@ -65,7 +65,7 @@ def lattice_multiindices(p):
     local vertex of each edge), then interior nodes.
     """
     nodes = [(p, 0, 0), (0, p, 0), (0, 0, p)]
-    for k, (va, vb) in enumerate(EDGE_VERTICES):
+    for va, vb in EDGE_VERTICES:
         for s in range(1, p):
             tri = [0, 0, 0]
             tri[va] = p - s
@@ -74,15 +74,12 @@ def lattice_multiindices(p):
     for a1 in range(1, p):
         for a2 in range(1, p - a1):
             nodes.append((p - a1 - a2, a1, a2))
-    if p == 0:
-        nodes = [(0, 0, 0)]
     return nodes
 
 
 def lattice_points(p):
-    mi = lattice_multiindices(p)
-    return np.array([[a1 / p, a2 / p] for (_, a1, a2) in mi]) if p > 0 \
-        else np.array([[1.0 / 3.0, 1.0 / 3.0]])
+    return np.array([[a1 / p, a2 / p]
+                     for (_, a1, a2) in lattice_multiindices(p)])
 
 
 class LagrangeBasis:
@@ -93,13 +90,10 @@ class LagrangeBasis:
     """
 
     def __init__(self, p):
-        self.p = p
         self.exps = monomial_exponents(p)
         self.nodes = lattice_points(p)
-        self.multiindices = lattice_multiindices(p)
         V = eval_monomials(self.exps, self.nodes)
         self.coeffs = np.linalg.inv(V)  # column j: monomial coeffs of basis j
-        self.ndof = len(self.nodes)
 
     def eval(self, pts):
         """Basis values, shape (npts, ndof)."""

@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 Expensive study runs (used by the acceptance tests) are session-scoped so
 they execute once even when several tests assert on them.
@@ -7,7 +7,8 @@ they execute once even when several tests assert on them.
 import numpy as np
 import pytest
 
-from gdfem.cli import run_convergence, run_gradrob, run_locking
+from gdfem.cli import (STUDIES, StudyReport, _csv_header,
+                       run_convergence, run_gradrob, run_locking)
 from gdfem.mesh import make_unit_disc_mesh, make_unit_square_mesh
 
 
@@ -74,3 +75,95 @@ def check_symmetry(M, tol=1e-12):
     if skew > tol * max(scale, 1.0):
         raise ValueError(f"matrix not symmetric: skew {skew:g}, scale {scale:g}")
     return float(skew)
+
+
+def read_study_csv(path):
+    """Parse a study CSV back into a StudyReport.
+
+    The study kind is inferred from the header.  The field absent from the
+    file (cs2 for convergence, p for locking/gradrob) is restored from the
+    study defaults, so parse(emit(report)) reproduces the CSV-carried rows
+    of a default run exactly.
+    """
+    with open(path, newline="\n") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    study = next((name for name, spec in STUDIES.items()
+                  if _csv_header(spec) == header), None)
+    if study is None:
+        raise ValueError(f"{path}: not a study CSV header: {lines[0]!r}")
+    spec = STUDIES[study]
+    parse = int if spec.axis == "p" else float
+    col_method = {v: k for k, v in spec.columns.items()}
+    report = StudyReport(study)
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        at = {"p": spec.p_list[0], "cs2": spec.cs2_list[0],
+              spec.axis: parse(cells[1])}
+        for name, cell in zip(header[2:], cells[2:]):
+            if cell:
+                report.add(float(cells[0]), at["p"], at["cs2"],
+                           col_method[name], name, float(cell))
+    return report.sort()
+
+
+# Finite-difference check of a manufactured problem: sample count, step of
+# the first differences, step of the operator differences, sample seed.
+FD_SAMPLES, FD_STEP, FD_OPERATOR_STEP, FD_SEED = 40, 1e-5, 1e-4, 4
+
+
+def manufactured_defect(prob):
+    """Finite-difference consistency of grad_u, div_u and f against u.
+
+    Returns the worst relative defect found; raises AssertionError above
+    the FD truncation floor.  0.0 for a problem without an exact solution.
+    """
+    if not prob.has_exact:
+        return 0.0
+    rng = np.random.default_rng(FD_SEED)
+    r = 0.8 * np.sqrt(rng.uniform(0.01, 1.0, FD_SAMPLES))
+    th = rng.uniform(0.0, 2.0 * np.pi, FD_SAMPLES)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    h = FD_STEP
+    ex = np.array([1.0, 0.0])
+    ey = np.array([0.0, 1.0])
+    gfd = np.stack([(prob.u(pts + h * ex) - prob.u(pts - h * ex)) / (2 * h),
+                    (prob.u(pts + h * ey) - prob.u(pts - h * ey)) / (2 * h)],
+                   axis=2)
+    g = prob.grad_u(pts)
+    scale = max(float(np.abs(g).max()), 1.0)
+    worst = float(np.abs(g - gfd).max()) / scale
+    dfd = gfd[:, 0, 0] + gfd[:, 1, 1]
+    worst = max(worst, float(np.abs(prob.div_u(pts) - dfd).max()) / scale)
+    ffd = _fd_operator(prob.u, prob.coeffs, pts, prob.div_u)
+    fscale = max(float(np.abs(prob.f(pts)).max()), 1.0)
+    worst = max(worst, float(np.abs(prob.f(pts) - ffd).max()) / fscale)
+    if worst > 1e-4:
+        raise AssertionError(f"manufactured forms inconsistent: {worst:g}")
+    return worst
+
+
+def _fd_operator(u, coeffs, pts, div_u):
+    """(b.grad)^2 u - b_inf^2 u - grad(c^2 div u) by central differences.
+
+    div_u (already FD-checked against u) replaces the inner difference
+    quotient; this keeps the grad-div term to a single FD layer so large
+    c_s^2 does not amplify truncation noise.
+    """
+    h = FD_OPERATOR_STEP
+    ex = np.array([1.0, 0.0])
+    ey = np.array([0.0, 1.0])
+
+    def conv(fun, q):
+        b = coeffs.b_at(q)
+        gx = (fun(q + h * ex) - fun(q - h * ex)) / (2 * h)
+        gy = (fun(q + h * ey) - fun(q - h * ey)) / (2 * h)
+        return b[:, :1] * gx + b[:, 1:] * gy
+
+    def div(q):
+        return coeffs.cs2_at(q) * div_u(q)
+
+    graddiv = np.column_stack([(div(pts + h * ex) - div(pts - h * ex)) / (2 * h),
+                               (div(pts + h * ey) - div(pts - h * ey)) / (2 * h)])
+    return (conv(lambda q: conv(u, q), pts)
+            - coeffs.b_inf ** 2 * u(pts) - graddiv)

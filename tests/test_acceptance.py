@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import check_symmetry, series
+from conftest import (check_symmetry, manufactured_defect, read_study_csv,
+                      series)
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, emit_study_csv, fit_slope,
-                       read_study_csv, run_diagnostics)
+                       run_diagnostics)
 from gdfem.fespace import build_space
 from gdfem.forms import (assemble_b_dg, assemble_b_volume, assemble_rhs,
                          paper_coefficients)
@@ -204,8 +205,8 @@ def test_property_suite_recheck(tmp_path):
         xv /= np.linalg.norm(xv)
         assert xv @ (B @ xv) >= -1e-10 * abs(B).max()
     # manufactured-problem FD gate
-    assert convergence_problem(2).validate() <= 1e-4
-    assert locking_problem(100.0).validate() <= 1e-4
+    assert manufactured_defect(convergence_problem(2)) <= 1e-4
+    assert manufactured_defect(locking_problem(100.0)) <= 1e-4
     # CSV round trip of a synthetic report
     report = _tiny_report()
     emit_study_csv(report, tmp_path / "r.csv")

@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import read_study_csv
 from gdfem import cli, forms
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
-                       read_study_csv, run_convergence, run_diagnostics,
+                       run_convergence, run_diagnostics,
                        run_gradrob, run_locking, run_solve, write_svg)
 from gdfem.problems import convergence_problem
 

@@ -10,9 +10,8 @@ from conftest import check_symmetry
 from gdfem.forms import METHODS, assemble_method
 from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SYMMETRIC_PIVOT_THRESHOLD,
                           LinearSystem, SingularMatrixError, SizeLimitError,
-                          apply_constraints, dense_nullspace,
-                          dump_matrix, estimate_control_constant,
-                          restrict_free, solve)
+                          dense_nullspace, dump_matrix,
+                          estimate_control_constant, restrict_free, solve)
 from gdfem.mesh import make_unit_disc_mesh
 from gdfem.problems import convergence_problem
 
@@ -47,12 +46,14 @@ def meets_contract(A, x, r):
 
 
 def disc_system(method, level, p):
-    """A disc cell's system and the (matrix, rhs) that solve factors."""
+    """A disc cell's system, the free-dof matrix and rhs that solve factors,
+    and the free dofs."""
     prob = convergence_problem(p)
     system = assemble_method(method, make_unit_disc_mesh(level), p,
                              prob.coeffs, prob.f).system
-    return system, apply_constraints(system.matrix, system.rhs,
-                                     system.constrained)
+    free = np.setdiff1d(np.arange(len(system.rhs)), system.constrained)
+    return (system, restrict_free(system.matrix, system.constrained).tocsc(),
+            system.rhs[free], free)
 
 
 def record_splu(monkeypatch, factor=spla.splu):
@@ -76,13 +77,13 @@ def fill(lu):
 def test_symmetric_mode_matches_colamd(method, monkeypatch):
     """The symmetric-mode factor solves the disc operators as the general
     COLAMD factor with partial pivoting does, with less fill, first time."""
-    system, (A, r) = disc_system(method, 2, 2)
+    system, A, r, free = disc_system(method, 2, 2)
     lu = spla.splu(A)
     x_ref = lu.solve(r)
     calls = record_splu(monkeypatch)
     x = solve(system)
     monkeypatch.undo()
-    assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x[free] - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
     assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
                       "diag_pivot_thresh": SYMMETRIC_PIVOT_THRESHOLD,
                       "options": {"SymmetricMode": True}}]
@@ -100,7 +101,7 @@ class _BadFactor:
 def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     """A symmetric-mode factor that fails or misses the residual contract
     is replaced by the COLAMD factor, whose answer solve returns."""
-    system, (A, r) = disc_system("M4", 1, 2)
+    system, A, r, free = disc_system("M4", 1, 2)
     splu = spla.splu
     x_ref = splu(A).solve(r)
 
@@ -114,7 +115,7 @@ def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     calls = record_splu(monkeypatch, factor)
     x = solve(system)
     assert [bool(kw) for kw in calls] == [True, False]
-    assert np.array_equal(x, x_ref)
+    assert np.array_equal(x[free], x_ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,12 +152,24 @@ def test_constrained_solve():
     assert np.allclose(x[free], xr, atol=1e-12)
 
 
-def test_apply_constraints_symmetric():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    Ac, rc = apply_constraints(A, np.array([5.0, 6.0]), np.array([0]))
-    Ad = Ac.toarray()
-    assert Ad[0, 0] == 1.0 and Ad[0, 1] == 0.0 and Ad[1, 0] == 0.0
-    assert rc[0] == 0.0 and rc[1] == 6.0
+def test_constrained_solve_factors_free_block(monkeypatch):
+    """On an M3 disc cell, whose boundary normal dofs are pinned, splu
+    factors only the free-dof block, and the solution is exactly zero at
+    the constrained dofs."""
+    system, A, r, free = disc_system("M3", 1, 2)
+    n, n_c = len(system.rhs), len(system.constrained)
+    assert n_c > 0
+    splu, shapes = spla.splu, []
+
+    def factor(A, **kw):
+        shapes.append(A.shape)
+        return splu(A, **kw)
+
+    record_splu(monkeypatch, factor)
+    x = solve(system)
+    assert shapes == [(n - n_c, n - n_c)]
+    assert np.all(x[system.constrained] == 0.0)
+    assert meets_contract(A, x[free], r)
 
 
 def test_check_symmetry():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import manufactured_defect
 from gdfem.problems import (convergence_problem, gradient_potential,
                             gradient_potential_grad, gradrob_problem,
                             locking_problem)
@@ -29,7 +30,7 @@ def fd_grad(u, pts, h=1e-5):
 def test_finite_difference_gates(make):
     """Closed-form gradient, divergence and forcing agree with differences."""
     prob = make()
-    assert prob.validate() <= 1e-4
+    assert manufactured_defect(prob) <= 1e-4
     pts = interior_points()
     g = prob.grad_u(pts)
     gfd = fd_grad(prob.u, pts)
@@ -85,7 +86,7 @@ def test_locking_penalty_defaults():
 def test_gradrob_forcing_is_gradient():
     prob = gradrob_problem(100.0)
     assert not prob.has_exact
-    assert prob.validate() == 0.0
+    assert manufactured_defect(prob) == 0.0
     pts = interior_points()
     assert np.abs(prob.f(pts) - gradient_potential_grad(pts)).max() == 0.0
     gfd = np.column_stack([
@@ -111,4 +112,4 @@ def test_validate_detects_broken_forcing():
     good_f = prob.f
     prob.f = lambda pts: good_f(pts) + 0.1
     with pytest.raises(AssertionError):
-        prob.validate()
+        manufactured_defect(prob)
