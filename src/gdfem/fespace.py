@@ -20,6 +20,12 @@ trace against Legendre polynomials in the global facet parameter, plus
 interior moments).  Every element evaluates the *same* global facet
 functionals, mapping the facet parameter onto its local edge through the
 mesh's `elem_flipped`, so normal-trace continuity needs no dof sign table.
+
+Basis tables are reference tables mapped by per-element geometry.  The
+Piola gradient (dP u + P g) J^-1 has a term in the derivative dP of the
+Piola matrix, which vanishes on affine elements, so it is formed on the
+curved elements of a batch only.  Without `need_grad` the Piola families
+map a reference divergence table and build no gradient.
 """
 
 import numpy as np
@@ -130,19 +136,22 @@ class FeSpace:
         ref = np.asarray(ref_pts, dtype=float)
         if ref.ndim == 1:
             ref = ref[None]
-        u, g = self._reference_shapes(elems, ref, coefficients)
+        u, g = self._reference_shapes(elems, ref, need_grad, coefficients)
         out = self._map(elems, ref, u, g, need_grad)
         if coefficients is not None:
             out = tuple(None if a is None else a[:, :, 0] for a in out)
         return tuple(a[0] if single and a is not None else a for a in out)
 
-    def _reference_shapes(self, elems, ref, coefficients):
-        """Local shapes on the reference element and their reference gradients.
+    def _reference_shapes(self, elems, ref, need_grad, coefficients):
+        """Local shapes on the reference element and their reference derivatives.
 
         Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
         the local BDM bases C[e] over x/y copies of the monomials.  Values
-        are (..., q, n) or (..., q, n, 2), gradients have one more trailing
-        axis; with coefficients n = 1, the field they span.
+        are (..., q, n) or (..., q, n, 2).  The derivatives are the
+        reference gradients, with one more trailing axis than the values,
+        except for a Piola family without need_grad, whose map reads only
+        the reference divergences (..., q, n).  With coefficients n = 1,
+        the field they span.
         """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
@@ -152,7 +161,14 @@ class FeSpace:
             basis = lagrange_basis(self.degree)
             u, g = _ref_table(basis.eval, ref), _ref_table(basis.grad, ref)
         if self.ncomp == 2:
-            u, g = _xy_copies(u, g)
+            u = _xy_copies(u)
+            if need_grad or self.family == "vector_lagrange":
+                g = _xy_copies(g, axis=-2)
+            else:
+                # the Piola map reads only divergences; those of the x/y
+                # copies of a scalar shape s are ds/dx and ds/dy in turn,
+                # its gradient table flattened
+                g = g.reshape(g.shape[:-2] + (-1,))
         W = None if coefficients is None \
             else coefficients[self.dof_map[elems]][:, :, None]
         if self.family == "hdiv_bdm":
@@ -170,7 +186,8 @@ class FeSpace:
         Lagrange shapes keep their values; gradients map by J^-1.  The Piola
         map sends a reference field u with reference gradient g to P u with
         P = J / det J, divergence div_ref u / det J and gradient
-        (dP u + P g) J^-1, where dP = dP / d ref.
+        (dP u + P g) J^-1, where dP = dP / d ref.  dP is zero on affine
+        elements, so its term is formed on the curved elements only.
         """
         gm = self.mesh.geometry(elems)
         jac = gm.jacobian(ref)
@@ -186,22 +203,27 @@ class FeSpace:
         det = GeometryMap.dets(jac)
         P = jac / det[..., None, None]                        # Piola matrix
         vals = np.einsum("...qck,...qik->...qic", P, u, optimize=True)
-        div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
         if not need_grad:
-            return vals, None, div
+            return vals, None, g / det[..., None]
+        div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
         jinv = GeometryMap.inv(jac)
-        dJ = gm.jacobian_derivative(ref)                      # zero if affine
-        # d det / d ref_e = det * tr(J^-1 dJ/dref_e)
-        ddet = det[..., None] * np.einsum("...ij,...jie->...e", jinv, dJ)
-        dP = (dJ / det[..., None, None, None]
-              - jac[..., None] * ddet[..., None, None, :]
-              / (det ** 2)[..., None, None, None])
         # contract the per-point geometric factors with J^-1 first, so the
-        # only arrays with a basis axis are the two terms of the result
-        grads = np.einsum("...qckd,...qik->...qicd", np.einsum(
-            "...qcke,...qed->...qckd", dP, jinv), u, optimize=True)
-        grads += np.einsum("...qcked,...qike->...qicd", np.einsum(
+        # only arrays with a basis axis are the terms of the result
+        grads = np.einsum("...qcked,...qike->...qicd", np.einsum(
             "...qck,...qed->...qcked", P, jinv), g, optimize=True)
+        c = gm.curved
+        if len(c):
+            jac, det, jinv = jac[c], det[c], jinv[c]
+            dJ = gm.curved_jacobian_derivative(ref)
+            # d det / d ref_e = det * tr(J^-1 dJ/dref_e)
+            ddet = det[..., None] * np.einsum("...ij,...jie->...e", jinv, dJ)
+            dP = (dJ / det[..., None, None, None]
+                  - jac[..., None] * ddet[..., None, None, :]
+                  / (det ** 2)[..., None, None, None])
+            # u has an element axis unless it is one table for all elements
+            uc = u[c] if u.ndim == jac.ndim else u
+            grads[c] += np.einsum("...qckd,...qik->...qicd", np.einsum(
+                "...qcke,...qed->...qckd", dP, jinv), uc, optimize=True)
         return vals, grads, div
 
     # -- BDM construction ---------------------------------------------------
@@ -246,8 +268,7 @@ class FeSpace:
             gm = mesh.geometry(elems)
             jac = gm.jacobian(vrule.points)
             det = GeometryMap.dets(jac)
-            shp, _ = _xy_copies(eval_monomials(exps, vrule.points),
-                                eval_monomial_grads(exps, vrule.points))
+            shp = _xy_copies(eval_monomials(exps, vrule.points))
             shp = shp @ np.swapaxes(jac / det[..., None, None], -1, -2)
             wm = self._interior_moment_fields(elems, gm.points(vrule.points))
             area = det @ vrule.weights
@@ -286,19 +307,19 @@ def _ref_table(table, ref):
     return t.reshape(ref.shape[:-1] + t.shape[1:])
 
 
-def _xy_copies(sval, sgrad):
+def _xy_copies(table, axis=-1):
     """x/y copies of scalar shapes as vector fields, interleaved.
 
-    Values (..., q, nm) and gradients (..., q, nm, 2) give vector values
-    (..., q, 2 nm, 2) and gradients (..., q, 2 nm, 2, 2), [c, d] = d u_c / d_d.
+    `axis` is the shape axis of `table`: values (..., q, nm) (axis -1) give
+    (..., q, 2 nm, 2); gradients (..., q, nm, 2) (axis -2) give
+    (..., q, 2 nm, 2, 2) with [c, d] = d u_c / d_d.
     """
-    nm = sval.shape[-1]
-    u = np.zeros(sval.shape[:-1] + (2 * nm, 2))
-    g = np.zeros(sval.shape[:-1] + (2 * nm, 2, 2))
+    nm = table.shape[axis]
+    out = np.zeros(table.shape[:axis] + (2 * nm, 2) + table.shape[axis:][1:])
     for c in range(2):
-        u[..., c::2, c] = sval
-        g[..., c::2, c, :] = sgrad
-    return u, g
+        out[(Ellipsis, slice(c, None, 2), c) + (slice(None),) * (-1 - axis)] \
+            = table
+    return out
 
 
 class DiscreteField:

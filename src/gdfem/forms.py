@@ -14,6 +14,8 @@ The discrete operator of every method is -a_h + b_h:
 Every form is evaluated on all elements (or all facets of one kind) at
 once: geometry and basis tables carry a leading element or facet axis,
 each local matrix is one einsum, and the global matrix one COO -> CSR sum.
+The forms of one assembly share their tables, one point set at a time
+(_assemble).
 """
 
 from dataclasses import dataclass, field
@@ -122,9 +124,13 @@ def _matrix(space, loc):
 
 # -- volume forms -----------------------------------------------------------
 
-def assemble_a_volume(space, coeffs, order=None):
+# The volume forms take `tables`, the space's _volume at the order, from a
+# caller that shares them between forms; a_h reads their gradients.
+
+def assemble_a_volume(space, coeffs, order=None, tables=None):
     """Volume part of a_h: <rho (b.grad)u, (b.grad)u'> + |b|_inf^2 <rho u, u'>."""
-    wdet, phys, vals, grads, _ = _volume(space, order)
+    wdet, phys, vals, grads, _ = (_volume(space, order) if tables is None
+                                  else tables)
     wq = wdet * coeffs.rho_at(phys)
     conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
                      optimize=True)
@@ -134,24 +140,26 @@ def assemble_a_volume(space, coeffs, order=None):
     return _matrix(space, loc)
 
 
-def assemble_b_volume(space, coeffs, order=None):
+def assemble_b_volume(space, coeffs, order=None, tables=None):
     """Volume part of b_h: <rho c_s^2 div u, div u'>."""
-    wdet, phys, _, _, div = _volume(space, order, need_grad=False)
+    wdet, phys, _, _, div = (_volume(space, order, need_grad=False)
+                             if tables is None else tables)
     wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
     return _matrix(space, np.einsum("eq,eqi,eqj->eij", wq, div, div,
                                     optimize=True))
 
 
-def assemble_rhs(space, f, order=None):
+def assemble_rhs(space, f, order=None, tables=None):
     """Load vector <f, basis>."""
-    wdet, phys, vals, _, _ = _volume(space, order, need_grad=False)
+    wdet, phys, vals, _, _ = (_volume(space, order, need_grad=False)
+                              if tables is None else tables)
     fv = eval_pointwise(_field(f, vector=(space.ncomp == 2)), phys)
     spec = "eq,eqc,eqjc->ej" if space.ncomp == 2 else "eq,eq,eqj->ej"
     loc = np.einsum(spec, wdet, fv, vals, optimize=True)
     return assemble_vector(space.dof_map, loc, space.ndof)
 
 
-# -- facet forms ------------------------------------------------------------
+# -- facet terms --------------------------------------------------------------
 
 def _facet_basis(space, fg, need_grad=True):
     """Basis traces of every owner of a facet batch, owners side by side.
@@ -170,15 +178,10 @@ def _facet_basis(space, fg, need_grad=True):
     return dofs, vals, grads, divs, sgn
 
 
-def assemble_a_dg(space, coeffs, order=None):
-    """a_h^DG: volume terms plus interior-facet interior-penalty terms.
-
-    Boundary facets contribute nothing since b.n = 0 there by assumption.
-    """
-    order = _order(space, order)
-    A = assemble_a_volume(space, coeffs, order=order)
-    rule, fg = space.mesh.facet_quadrature(order, boundary=False)
-    dofs, vals, grads, _, sgn = _facet_basis(space, fg)
+def _a_jumps(space, coeffs, rule, fg, traces):
+    """Interior-penalty terms of a_h^DG on the facet batch fg, from its
+    _facet_basis traces (with gradients)."""
+    dofs, vals, grads, _, sgn = traces
     rho = coeffs.rho_at(fg.points)
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
@@ -191,7 +194,72 @@ def assemble_a_dg(space, coeffs, order=None):
                                          wq, bjump, bjump, optimize=True)
     cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return A + assemble_csr(dofs, dofs, loc, A.shape)
+    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+
+
+def _b_jumps(space, coeffs, rule, fg, traces):
+    """Normal-jump penalty and consistency terms of b_h^DG on the facet
+    batch fg, from its _facet_basis traces; on boundary facets they are
+    the Nitsche terms with the one-sided trace convention."""
+    dofs, vals, _, divs, sgn = traces
+    wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
+          * coeffs.cs2_at(fg.points))
+    njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals,
+                      optimize=True) * sgn
+    davg = divs / len(fg.sides)
+    pen = coeffs.lambda_n / fg.length
+    loc = pen[:, None, None] * np.einsum("fq,fqi,fqj->fij",
+                                         wq, njump, njump, optimize=True)
+    cross = np.einsum("fq,fqi,fqj->fij", wq, davg, njump, optimize=True)
+    loc -= cross + cross.transpose(0, 2, 1)
+    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+
+
+def _assemble(space, coeffs, order, a_form=None, b_form=None, f=None):
+    """(A_h, B_h, load) of the named a- and b-forms and of f on one space,
+    None for each one not asked for, one point set at a time.
+
+    The element tables are evaluated once (with gradients when A_h is
+    asked for) and read by every volume term and the load; then the
+    traces of each facet set a form has terms on are evaluated once and
+    read by all of them.  A set's tables are dropped before the next set
+    is evaluated, so only one set is held at a time.
+    """
+    order = _order(space, order)
+    A = B = load = None
+    vol = _volume(space, order, need_grad=a_form is not None)
+    if a_form is not None:
+        A = assemble_a_volume(space, coeffs, order, tables=vol)
+    if b_form is not None:
+        B = assemble_b_volume(space, coeffs, order, tables=vol)
+    if f is not None:
+        load = assemble_rhs(space, f, order, tables=vol)
+    del vol
+    for boundary in (False, True):
+        # b.n = 0 on the boundary: a_h has no boundary terms.  The normal
+        # jump of a continuous space vanishes on interior facets, and
+        # assembling its terms would store round-off entries.
+        in_a = a_form == "assemble_a_dg" and not boundary
+        in_b = b_form == "assemble_b_dg" and (
+            boundary or space.family == "vector_dg")
+        if not (in_a or in_b):
+            continue
+        rule, fg = space.mesh.facet_quadrature(order, boundary)
+        traces = _facet_basis(space, fg, need_grad=in_a)
+        if in_a:
+            A = A + _a_jumps(space, coeffs, rule, fg, traces)
+        if in_b:
+            B = B + _b_jumps(space, coeffs, rule, fg, traces)
+        del traces
+    return A, B, load
+
+
+def assemble_a_dg(space, coeffs, order=None):
+    """a_h^DG: volume terms plus interior-facet interior-penalty terms.
+
+    Boundary facets contribute nothing since b.n = 0 there by assumption.
+    """
+    return _assemble(space, coeffs, order, a_form="assemble_a_dg")[0]
 
 
 def assemble_b_dg(space, coeffs, order=None):
@@ -202,35 +270,20 @@ def assemble_b_dg(space, coeffs, order=None):
     terms on the discontinuous family only: the normal jump of a continuous
     space vanishes, and assembling its terms would store round-off entries.
     """
-    order = _order(space, order)
-    B = assemble_b_volume(space, coeffs, order=order)
-    for boundary in ((False, True) if space.family == "vector_dg"
-                     else (True,)):
-        rule, fg = space.mesh.facet_quadrature(order, boundary)
-        dofs, vals, _, divs, sgn = _facet_basis(space, fg, need_grad=False)
-        wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
-              * coeffs.cs2_at(fg.points))
-        njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals,
-                          optimize=True) * sgn
-        davg = divs / len(fg.sides)
-        pen = coeffs.lambda_n / fg.length
-        loc = pen[:, None, None] * np.einsum("fq,fqi,fqj->fij",
-                                             wq, njump, njump, optimize=True)
-        cross = np.einsum("fq,fqi,fqj->fij", wq, davg, njump, optimize=True)
-        loc -= cross + cross.transpose(0, 2, 1)
-        B = B + assemble_csr(dofs, dofs, loc, B.shape)
-    return B
+    return _assemble(space, coeffs, order, b_form="assemble_b_dg")[1]
 
 
 # -- the pseudo-pressure block system ----------------------------------------
 
-def _pressure_blocks(vel_space, pp_space, coeffs, order):
+def _pressure_blocks(vel_space, pp_space, coeffs, order, tables=None):
     """Volume blocks (D, M_p) of the pseudo-pressure system.
 
     D (npp, nu) couples div u to the pseudo-pressure basis and M_p is its
-    mass matrix, both weighted by rho c_s^2.
+    mass matrix, both weighted by rho c_s^2.  `tables` is the velocity
+    space's _volume, as for the volume forms.
     """
-    wdet, phys, _, _, div = _volume(vel_space, order, need_grad=False)
+    wdet, phys, _, _, div = (_volume(vel_space, order, need_grad=False)
+                             if tables is None else tables)
     qv = _volume(pp_space, order, need_grad=False)[2]
     wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
     D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
@@ -240,7 +293,7 @@ def _pressure_blocks(vel_space, pp_space, coeffs, order):
                                           optimize=True))
 
 
-def assemble_m2_system(vel_space, pp_space, coeffs, order=None):
+def assemble_m2_system(vel_space, pp_space, coeffs, order=None, tables=None):
     """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
@@ -248,7 +301,8 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None):
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
     the pseudo-pressure mass matrix, all weighted by rho c_s^2.  -A_h + B_h
     is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    rho c_s^2 weighted L2 projection of the divergence.
+    rho c_s^2 weighted L2 projection of the divergence.  `tables` is the
+    velocity space's _volume, as for the volume forms.
     """
     if vel_space.degree < 2:
         raise DegreeError("pseudo-pressure formulation requires p >= 2")
@@ -256,8 +310,11 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None):
         raise DegreeError("pseudo-pressure degree must be p - 1")
     order = _order(vel_space, order)
     nu, npp = vel_space.ndof, pp_space.ndof
-    A = assemble_a_volume(vel_space, coeffs, order=order)
-    D, Mp = _pressure_blocks(vel_space, pp_space, coeffs, order)
+    if tables is None:
+        tables = _volume(vel_space, order)
+    A = assemble_a_volume(vel_space, coeffs, order, tables=tables)
+    D, Mp = _pressure_blocks(vel_space, pp_space, coeffs, order, tables)
+    del tables
 
     # boundary terms
     rule, fg = vel_space.mesh.facet_quadrature(order, boundary=True)
@@ -320,15 +377,18 @@ class MethodSystem:
 
         The load of the last f is kept, read-only, and shared by the
         systems built from it, so a c_s^2 sweep with one forcing function
-        assembles it once.
+        assembles it once; assemble_method keeps the load of its f.
         """
         if self._load[0] is not f:
-            rhs = assemble_rhs(self.velocity_space, f, order=self.order)
-            rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
-            rhs.setflags(write=False)
-            self._load = (f, rhs)
+            self._keep_load(f, assemble_rhs(self.velocity_space, f,
+                                            order=self.order))
         return LinearSystem(cs2 * self.b - self.a, self._load[1],
                             self.velocity_space.constrained_dofs)
+
+    def _keep_load(self, f, rhs):
+        rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
+        rhs.setflags(write=False)
+        self._load = (f, rhs)
 
     @cached_property
     def system(self):
@@ -363,22 +423,33 @@ def method_spaces(method, mesh, p):
 
 def method_forms(method, space, coeffs, order=None, pp_space=None):
     """(A_h, B_h) of a method on its velocity space (and pp_space)."""
+    return _operators(method, space, coeffs, order, pp_space)[:2]
+
+
+def _operators(method, space, coeffs, order, pp_space, f=None):
+    """(A_h, B_h, load of f or None): the forms of method_forms and the
+    load read one table of the velocity space's elements."""
     _, pp_family, a_form, b_form = METHOD_FORMS[method]
-    if pp_family is not None:
-        if pp_space is None:
-            raise ValueError(f"{method} has no single-field forms: its pair "
-                             "needs the pseudo-pressure space")
-        return assemble_m2_system(space, pp_space, coeffs, order=order)
-    forms = globals()
-    return (forms[a_form](space, coeffs, order=order),
-            forms[b_form](space, coeffs, order=order))
+    if pp_family is None:
+        return _assemble(space, coeffs, order, a_form, b_form, f)
+    if pp_space is None:
+        raise ValueError(f"{method} has no single-field forms: its pair "
+                         "needs the pseudo-pressure space")
+    vol = _volume(space, order)
+    load = None if f is None else assemble_rhs(space, f, order, tables=vol)
+    return assemble_m2_system(space, pp_space, coeffs, order,
+                              tables=vol) + (load,)
 
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
-    """Assemble the operator pair of one method; -A_h + B_h is its operator."""
+    """Assemble the operator pair of one method and the load of f;
+    -A_h + B_h is its operator."""
     vel, pp = method_spaces(method, mesh, p)
-    A, B = method_forms(method, vel, coeffs, order=order, pp_space=pp)
-    return MethodSystem(method, vel, pp, A, B, f, order)
+    A, B, load = _operators(method, vel, coeffs, order, pp, f)
+    ms = MethodSystem(method, vel, pp, A, B, f, order)
+    if load is not None:
+        ms._keep_load(f, load)
+    return ms
 
 
 # -- error norms ---------------------------------------------------------------

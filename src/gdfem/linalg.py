@@ -43,9 +43,14 @@ class LinearSystem:
 
 def assemble_csr(rows, cols, local, shape):
     """Sum the local blocks local[e] (E, n, m) into the global entries
-    (rows[e, i], cols[e, j]) of a CSR matrix of the given shape."""
-    r = np.broadcast_to(rows[:, :, None], local.shape)
-    c = np.broadcast_to(cols[:, None, :], local.shape)
+    (rows[e, i], cols[e, j]) of a CSR matrix of the given shape.
+
+    The COO indices are built as int32, which scipy keeps for a matrix
+    with fewer than 2^31 rows and columns, so the broadcast index arrays
+    are not built as int64 only to be converted."""
+    itype = np.int32 if max(shape) < 2 ** 31 else np.int64
+    r = np.broadcast_to(rows.astype(itype)[:, :, None], local.shape)
+    c = np.broadcast_to(cols.astype(itype)[:, None, :], local.shape)
     return sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())), shape=shape)
 
 

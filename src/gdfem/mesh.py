@@ -225,6 +225,7 @@ class GeometryMap:
     an int the results have shapes (q, ...); for an array they gain a
     leading E axis.  Affine elements use their vertex Jacobian; curved ones
     contract the geometry basis with their stacked control points.
+    `curved` holds the batch positions of the curved elements.
     """
 
     def __init__(self, mesh, elems):
@@ -234,10 +235,10 @@ class GeometryMap:
         self._origin = v[:, 0]
         self._jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
         slot = mesh._curved_slot[elems]
-        self._curved = np.nonzero(slot >= 0)[0]              # batch positions
-        self._controls = mesh._curved_controls[slot[self._curved]]
+        self.curved = np.nonzero(slot >= 0)[0]               # batch positions
+        self._controls = mesh._curved_controls[slot[self.curved]]
         self._basis = lagrange_basis(mesh.geom_order)
-        self.affine = len(self._curved) == 0
+        self.affine = len(self.curved) == 0
 
     def _out(self, arr):
         return arr[0] if self._single else arr
@@ -246,8 +247,8 @@ class GeometryMap:
         """Geometry basis table at ref on the C curved elements, (C, q, ..)."""
         if ref.ndim == 2:
             t = table(ref)
-            return np.broadcast_to(t, (len(self._curved),) + t.shape)
-        r = ref[self._curved]
+            return np.broadcast_to(t, (len(self.curved),) + t.shape)
+        r = ref[self.curved]
         t = table(r.reshape(-1, 2))
         return t.reshape(r.shape[:2] + t.shape[1:])
 
@@ -261,7 +262,7 @@ class GeometryMap:
         out = self._origin[:, None, :] + ref @ self._jac.transpose(0, 2, 1)
         if not self.affine:
             T = self._curved_table(self._basis.eval, ref)
-            out[self._curved] = np.einsum("eqj,ejc->eqc", T, self._controls)
+            out[self.curved] = np.einsum("eqj,ejc->eqc", T, self._controls)
         return self._out(out)
 
     def jacobian(self, ref):
@@ -271,21 +272,17 @@ class GeometryMap:
                               (len(self._jac), nq, 2, 2)).copy()
         if not self.affine:
             G = self._curved_table(self._basis.grad, ref)
-            out[self._curved] = np.einsum("eqjd,ejc->eqcd", G, self._controls)
+            out[self.curved] = np.einsum("eqjd,ejc->eqcd", G, self._controls)
         return self._out(out)
 
-    def jacobian_derivative(self, ref):
-        """d J / d ref, shape (..., q, 2, 2, 2).
+    def curved_jacobian_derivative(self, ref):
+        """d J / d ref on the curved elements of the batch, (C, q, 2, 2, 2)
+        in the order of `curved`; it is zero on affine elements.
 
         [c, d, e] = d^2 Phi_c / (d_d d_e).
         """
-        ref = self._ref(ref)
-        out = np.zeros((len(self._jac), ref.shape[-2], 2, 2, 2))
-        if not self.affine:
-            H = self._curved_table(self._basis.hess, ref)
-            out[self._curved] = np.einsum("nqjde,njc->nqcde", H,
-                                          self._controls)
-        return self._out(out)
+        H = self._curved_table(self._basis.hess, self._ref(ref))
+        return np.einsum("nqjde,njc->nqcde", H, self._controls)
 
     @staticmethod
     def dets(jac):

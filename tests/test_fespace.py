@@ -202,6 +202,103 @@ def test_gradients_match_finite_differences(family, p):
         assert abs(div[q] - (grads[q, 0, 0] + grads[q, 1, 1])) <= 1e-12
 
 
+# -- the Piola map: derivative term on curved elements only -------------------
+
+def _piola_reference(space, elems, ref, u, g):
+    """The Piola map of reference shapes u, g with the derivative term
+    formed on every element, zero on affine ones: the map as it was before
+    that term was restricted to the curved elements."""
+    gm = space.mesh.geometry(elems)
+    jac = gm.jacobian(ref)
+    det = GeometryMap.dets(jac)
+    P = jac / det[..., None, None]
+    vals = np.einsum("...qck,...qik->...qic", P, u)
+    div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
+    jinv = GeometryMap.inv(jac)
+    dJ = np.zeros(jac.shape + (2,))
+    dJ[gm.curved] = gm.curved_jacobian_derivative(ref)
+    ddet = det[..., None] * np.einsum("...ij,...jie->...e", jinv, dJ)
+    dP = (dJ / det[..., None, None, None]
+          - jac[..., None] * ddet[..., None, None, :]
+          / (det ** 2)[..., None, None, None])
+    grads = np.einsum("...qckd,...qik->...qicd", np.einsum(
+        "...qcke,...qed->...qckd", dP, jinv), u)
+    grads += np.einsum("...qcked,...qike->...qicd", np.einsum(
+        "...qck,...qed->...qcked", P, jinv), g)
+    return vals, grads, div
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("family", ["vector_dg", "hdiv_bdm"])
+@pytest.mark.parametrize("batch", ["affine", "curved", "mixed", "one_affine",
+                                   "one_curved"])
+@pytest.mark.parametrize("points", ["shared", "per_element"])
+def test_piola_map_matches_full_derivative_formula(disc1_curved, family,
+                                                   batch, points):
+    """The derivative of the Piola matrix is formed on the curved elements
+    of a batch only; values, gradients and divergences of the basis and of
+    a field equal the formula that forms it on every element."""
+    mesh = disc1_curved
+    space = build_space(family, mesh, 2)
+    curved = mesh.geometry(np.arange(mesh.num_triangles)).curved
+    affine = np.setdiff1d(np.arange(mesh.num_triangles), curved)
+    assert len(curved) and len(affine)
+    elems = {"affine": affine, "curved": curved,
+             "mixed": np.arange(mesh.num_triangles),
+             "one_affine": int(affine[0]), "one_curved": int(curved[0])}[batch]
+    batch_elems = np.atleast_1d(elems)
+    if points == "shared":
+        ref = triangle_rule(6).points
+    else:
+        ref = RNG.uniform(0.05, 0.45, (len(batch_elems), 5, 2))
+        if np.ndim(elems) == 0:
+            ref = ref[0]
+    coeffs = RNG.standard_normal(space.ndof)
+    for c, got in ((None, space.eval_basis(elems, ref)),
+                   (coeffs, DiscreteField(space, coeffs).evaluate(elems,
+                                                                  ref))):
+        u, g = space._reference_shapes(batch_elems, ref, True, c)
+        want = _piola_reference(space, batch_elems, ref, u, g)
+        if c is not None:
+            want = tuple(a[:, :, 0] for a in want)
+        if np.ndim(elems) == 0:
+            want = tuple(a[0] for a in want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            _close(a, b)
+
+
+@pytest.mark.parametrize("family", ["scalar_lagrange", "vector_lagrange",
+                                    "vector_dg", "hdiv_bdm"])
+def test_values_and_divergences_without_gradients(disc1_curved, family):
+    """need_grad=False gives the values and divergences of need_grad=True;
+    the Piola families build a reference divergence table in place of the
+    gradient and return no gradients."""
+    mesh = disc1_curved
+    space = build_space(family, mesh, 2)
+    field = DiscreteField(space, RNG.standard_normal(space.ndof))
+    elems = np.arange(mesh.num_triangles)
+    _, fg = mesh.facet_quadrature(6, boundary=False)
+    for e, ref in ((elems, triangle_rule(6).points), (0, np.array([0.2, 0.3])),
+                   (fg.sides[1][0], fg.ref_points[1])):
+        for evaluate in (space.eval_basis, field.evaluate):
+            vals, grads, div = evaluate(e, ref)
+            nvals, ngrads, ndiv = evaluate(e, ref, need_grad=False)
+            assert np.array_equal(nvals, vals)
+            if family == "scalar_lagrange":
+                assert div is None and ndiv is None
+                continue
+            if family in ("vector_dg", "hdiv_bdm"):
+                assert ngrads is None
+            # the divergence table is contracted in another order than the
+            # gradient, so the two agree to round-off, not bitwise
+            _close(ndiv, div)
+
+
 # -- projection ---------------------------------------------------------------
 
 def test_l2_project_matches_dense_oracle(square1):

@@ -1,12 +1,14 @@
 """Bilinear form assembly: hand oracles, symmetry, positivity, consistency."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import check_symmetry
-from gdfem.fespace import DegreeError, DiscreteField, bdm_interpolate, \
-    build_space, l2_project
+from gdfem.fespace import DegreeError, DiscreteField, FeSpace, \
+    bdm_interpolate, build_space, l2_project
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
                          assemble_a_volume, assemble_b_dg, assemble_b_volume,
                          assemble_m2_system, assemble_method, assemble_rhs,
@@ -214,6 +216,38 @@ def test_cs2_split_matches_assembly(method):
                             f).system.matrix
         Ks = unit.system_at(c2, f).matrix
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
+
+
+@pytest.mark.parametrize("method,point_sets", [("M1", 2), ("M2", 4),
+                                               ("M3", 3), ("M4", 4)])
+def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
+                                                point_sets):
+    """One assembly (A_h, B_h and the load) evaluates the basis once per
+    space and point set: the elements, and each owner side of the facet
+    sets the method has terms on.  Apart from M2's volume couplings of
+    two spaces, no earlier set's table is held when a set is evaluated."""
+    calls, held = [], []
+    eval_basis = FeSpace.eval_basis
+
+    def counted(space, elems, ref_pts, need_grad=True):
+        if method != "M2":
+            alive = [i for i, (ref, _) in enumerate(held)
+                     if ref() is not None]
+            # the other owner of the same facet batch, while concatenated
+            assert alive in ([], [len(held) - 1])
+            assert not alive or np.shape(ref_pts) == held[-1][1] \
+                and np.ndim(ref_pts) == 3
+        calls.append((id(space), id(ref_pts)))
+        out = eval_basis(space, elems, ref_pts, need_grad)
+        held.append((weakref.ref(out[0]), np.shape(ref_pts)))
+        return out
+
+    monkeypatch.setattr(FeSpace, "eval_basis", counted)
+    prob = convergence_problem(2)
+    ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
+                         prob.coeffs, prob.f)
+    ms.system_at(10.0, prob.f)          # the load of f was kept
+    assert len(calls) == len(set(calls)) == point_sets
 
 
 def test_m2_requires_degree_two(square1):

@@ -7,10 +7,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import check_symmetry
+from gdfem import forms
 from gdfem.forms import METHODS, assemble_method
 from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SYMMETRIC_PIVOT_THRESHOLD,
                           LinearSystem, SingularMatrixError, SizeLimitError,
-                          dense_nullspace, dump_matrix,
+                          assemble_csr, dense_nullspace, dump_matrix,
                           estimate_control_constant, restrict_free, solve)
 from gdfem.mesh import make_unit_disc_mesh
 from gdfem.problems import convergence_problem
@@ -170,6 +171,30 @@ def test_constrained_solve_factors_free_block(monkeypatch):
     assert shapes == [(n - n_c, n - n_c)]
     assert np.all(x[system.constrained] == 0.0)
     assert meets_contract(A, x[free], r)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_assemble_csr_int32_indices_match_int64(method, monkeypatch):
+    """assemble_csr builds its COO indices as int32; every block of a disc
+    L2 cell gives the data, indices and indptr of the int64 construction."""
+    blocks = []
+
+    def checked(rows, cols, local, shape):
+        got = assemble_csr(rows, cols, local, shape)
+        r = np.broadcast_to(rows.astype(np.int64)[:, :, None], local.shape)
+        c = np.broadcast_to(cols.astype(np.int64)[:, None, :], local.shape)
+        want = sp.csr_matrix((local.ravel(), (r.ravel(), c.ravel())),
+                             shape=shape)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        blocks.append(got.nnz)
+        return got
+
+    monkeypatch.setattr(forms, "assemble_csr", checked)
+    prob = convergence_problem(2)
+    assemble_method(method, make_unit_disc_mesh(2, geom_order=2), 2,
+                    prob.coeffs, prob.f)
+    assert blocks and all(blocks)
 
 
 def test_check_symmetry():
