@@ -24,8 +24,7 @@ mesh's `elem_flipped`, so normal-trace continuity needs no dof sign table.
 Basis tables are reference tables mapped by per-element geometry.  The
 Piola gradient (dP u + P g) J^-1 has a term in the derivative dP of the
 Piola matrix, which vanishes on affine elements, so it is formed on the
-curved elements of a batch only.  Without `need_grad` the Piola families
-map a reference divergence table and build no gradient.
+curved elements of a batch only.
 """
 
 import numpy as np
@@ -136,22 +135,19 @@ class FeSpace:
         ref = np.asarray(ref_pts, dtype=float)
         if ref.ndim == 1:
             ref = ref[None]
-        u, g = self._reference_shapes(elems, ref, need_grad, coefficients)
+        u, g = self._reference_shapes(elems, ref, coefficients)
         out = self._map(elems, ref, u, g, need_grad)
         if coefficients is not None:
             out = tuple(None if a is None else a[:, :, 0] for a in out)
         return tuple(a[0] if single and a is not None else a for a in out)
 
-    def _reference_shapes(self, elems, ref, need_grad, coefficients):
-        """Local shapes on the reference element and their reference derivatives.
+    def _reference_shapes(self, elems, ref, coefficients):
+        """Local shapes on the reference element and their reference gradients.
 
         Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
         the local BDM bases C[e] over x/y copies of the monomials.  Values
-        are (..., q, n) or (..., q, n, 2).  The derivatives are the
-        reference gradients, with one more trailing axis than the values,
-        except for a Piola family without need_grad, whose map reads only
-        the reference divergences (..., q, n).  With coefficients n = 1,
-        the field they span.
+        are (..., q, n) or (..., q, n, 2), gradients have one more trailing
+        axis; with coefficients n = 1, the field they span.
         """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
@@ -161,14 +157,7 @@ class FeSpace:
             basis = lagrange_basis(self.degree)
             u, g = _ref_table(basis.eval, ref), _ref_table(basis.grad, ref)
         if self.ncomp == 2:
-            u = _xy_copies(u)
-            if need_grad or self.family == "vector_lagrange":
-                g = _xy_copies(g, axis=-2)
-            else:
-                # the Piola map reads only divergences; those of the x/y
-                # copies of a scalar shape s are ds/dx and ds/dy in turn,
-                # its gradient table flattened
-                g = g.reshape(g.shape[:-2] + (-1,))
+            u, g = _xy_copies(u), _xy_copies(g, axis=-2)
         W = None if coefficients is None \
             else coefficients[self.dof_map[elems]][:, :, None]
         if self.family == "hdiv_bdm":
@@ -203,9 +192,9 @@ class FeSpace:
         det = GeometryMap.dets(jac)
         P = jac / det[..., None, None]                        # Piola matrix
         vals = np.einsum("...qck,...qik->...qic", P, u, optimize=True)
-        if not need_grad:
-            return vals, None, g / det[..., None]
         div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
+        if not need_grad:
+            return vals, None, div
         jinv = GeometryMap.inv(jac)
         # contract the per-point geometric factors with J^-1 first, so the
         # only arrays with a basis axis are the terms of the result

@@ -178,10 +178,19 @@ def _facet_basis(space, fg, need_grad=True):
     return dofs, vals, grads, divs, sgn
 
 
-def _a_jumps(space, coeffs, rule, fg, traces):
-    """Interior-penalty terms of a_h^DG on the facet batch fg, from its
-    _facet_basis traces (with gradients)."""
-    dofs, vals, grads, _, sgn = traces
+def assemble_a_dg(space, coeffs, order=None, volume=None, traces=None):
+    """a_h^DG: volume terms plus interior-facet interior-penalty terms.
+
+    Boundary facets contribute nothing since b.n = 0 there by assumption.
+    A caller that shares tables between forms passes `volume`, the volume
+    terms it assembled, and `traces`, the interior facets' _facet_basis.
+    """
+    order = _order(space, order)
+    A = (assemble_a_volume(space, coeffs, order=order) if volume is None
+         else volume)
+    rule, fg = space.mesh.facet_quadrature(order, boundary=False)
+    dofs, vals, grads, _, sgn = (_facet_basis(space, fg) if traces is None
+                                 else traces)
     rho = coeffs.rho_at(fg.points)
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
@@ -194,18 +203,16 @@ def _a_jumps(space, coeffs, rule, fg, traces):
                                          wq, bjump, bjump, optimize=True)
     cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+    return A + assemble_csr(dofs, dofs, loc, A.shape)
 
 
 def _b_jumps(space, coeffs, rule, fg, traces):
     """Normal-jump penalty and consistency terms of b_h^DG on the facet
-    batch fg, from its _facet_basis traces; on boundary facets they are
-    the Nitsche terms with the one-sided trace convention."""
+    batch fg, from its _facet_basis traces."""
     dofs, vals, _, divs, sgn = traces
     wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
           * coeffs.cs2_at(fg.points))
-    njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals,
-                      optimize=True) * sgn
+    njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals, optimize=True) * sgn
     davg = divs / len(fg.sides)
     pen = coeffs.lambda_n / fg.length
     loc = pen[:, None, None] * np.einsum("fq,fqi,fqj->fij",
@@ -215,62 +222,29 @@ def _b_jumps(space, coeffs, rule, fg, traces):
     return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
 
 
-def _assemble(space, coeffs, order, a_form=None, b_form=None, f=None):
-    """(A_h, B_h, load) of the named a- and b-forms and of f on one space,
-    None for each one not asked for, one point set at a time.
-
-    The element tables are evaluated once (with gradients when A_h is
-    asked for) and read by every volume term and the load; then the
-    traces of each facet set a form has terms on are evaluated once and
-    read by all of them.  A set's tables are dropped before the next set
-    is evaluated, so only one set is held at a time.
-    """
-    order = _order(space, order)
-    A = B = load = None
-    vol = _volume(space, order, need_grad=a_form is not None)
-    if a_form is not None:
-        A = assemble_a_volume(space, coeffs, order, tables=vol)
-    if b_form is not None:
-        B = assemble_b_volume(space, coeffs, order, tables=vol)
-    if f is not None:
-        load = assemble_rhs(space, f, order, tables=vol)
-    del vol
-    for boundary in (False, True):
-        # b.n = 0 on the boundary: a_h has no boundary terms.  The normal
-        # jump of a continuous space vanishes on interior facets, and
-        # assembling its terms would store round-off entries.
-        in_a = a_form == "assemble_a_dg" and not boundary
-        in_b = b_form == "assemble_b_dg" and (
-            boundary or space.family == "vector_dg")
-        if not (in_a or in_b):
-            continue
-        rule, fg = space.mesh.facet_quadrature(order, boundary)
-        traces = _facet_basis(space, fg, need_grad=in_a)
-        if in_a:
-            A = A + _a_jumps(space, coeffs, rule, fg, traces)
-        if in_b:
-            B = B + _b_jumps(space, coeffs, rule, fg, traces)
-        del traces
-    return A, B, load
-
-
-def assemble_a_dg(space, coeffs, order=None):
-    """a_h^DG: volume terms plus interior-facet interior-penalty terms.
-
-    Boundary facets contribute nothing since b.n = 0 there by assumption.
-    """
-    return _assemble(space, coeffs, order, a_form="assemble_a_dg")[0]
-
-
-def assemble_b_dg(space, coeffs, order=None):
+def assemble_b_dg(space, coeffs, order=None, volume=None, traces=None):
     """b_h^DG: volume terms plus normal-jump penalty/consistency terms.
 
     Boundary facets get the Nitsche terms enforcing u.n = 0 with the
     one-sided trace convention.  Interior facets get the interior-penalty
     terms on the discontinuous family only: the normal jump of a continuous
     space vanishes, and assembling its terms would store round-off entries.
+    A caller that shares tables between forms passes `volume`, the volume
+    terms it assembled, and `traces`, a dict from `boundary` to the
+    _facet_basis of that facet set.  A set's traces are taken out of the
+    dict, so they are dropped before the next set is evaluated.
     """
-    return _assemble(space, coeffs, order, b_form="assemble_b_dg")[1]
+    order = _order(space, order)
+    B = (assemble_b_volume(space, coeffs, order=order) if volume is None
+         else volume)
+    traces = {} if traces is None else traces
+    for boundary in ((False, True) if space.family == "vector_dg"
+                     else (True,)):
+        rule, fg = space.mesh.facet_quadrature(order, boundary)
+        B = B + _b_jumps(space, coeffs, rule, fg, (
+            traces.pop(boundary) if boundary in traces
+            else _facet_basis(space, fg, need_grad=False)))
+    return B
 
 
 # -- the pseudo-pressure block system ----------------------------------------
@@ -293,7 +267,7 @@ def _pressure_blocks(vel_space, pp_space, coeffs, order, tables=None):
                                           optimize=True))
 
 
-def assemble_m2_system(vel_space, pp_space, coeffs, order=None, tables=None):
+def assemble_m2_system(vel_space, pp_space, coeffs, order=None, volume=None):
     """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
@@ -301,8 +275,9 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None, tables=None):
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
     the pseudo-pressure mass matrix, all weighted by rho c_s^2.  -A_h + B_h
     is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    rho c_s^2 weighted L2 projection of the divergence.  `tables` is the
-    velocity space's _volume, as for the volume forms.
+    rho c_s^2 weighted L2 projection of the divergence.  A caller that
+    shares tables between forms passes `volume`, the blocks (a_h, D, M_p)
+    it assembled.
     """
     if vel_space.degree < 2:
         raise DegreeError("pseudo-pressure formulation requires p >= 2")
@@ -310,11 +285,9 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None, tables=None):
         raise DegreeError("pseudo-pressure degree must be p - 1")
     order = _order(vel_space, order)
     nu, npp = vel_space.ndof, pp_space.ndof
-    if tables is None:
-        tables = _volume(vel_space, order)
-    A = assemble_a_volume(vel_space, coeffs, order, tables=tables)
-    D, Mp = _pressure_blocks(vel_space, pp_space, coeffs, order, tables)
-    del tables
+    A, D, Mp = ((assemble_a_volume(vel_space, coeffs, order=order),)
+                + _pressure_blocks(vel_space, pp_space, coeffs, order)
+                if volume is None else volume)
 
     # boundary terms
     rule, fg = vel_space.mesh.facet_quadrature(order, boundary=True)
@@ -423,29 +396,54 @@ def method_spaces(method, mesh, p):
 
 def method_forms(method, space, coeffs, order=None, pp_space=None):
     """(A_h, B_h) of a method on its velocity space (and pp_space)."""
-    return _operators(method, space, coeffs, order, pp_space)[:2]
-
-
-def _operators(method, space, coeffs, order, pp_space, f=None):
-    """(A_h, B_h, load of f or None): the forms of method_forms and the
-    load read one table of the velocity space's elements."""
     _, pp_family, a_form, b_form = METHOD_FORMS[method]
-    if pp_family is None:
-        return _assemble(space, coeffs, order, a_form, b_form, f)
-    if pp_space is None:
-        raise ValueError(f"{method} has no single-field forms: its pair "
-                         "needs the pseudo-pressure space")
+    if pp_family is not None:
+        if pp_space is None:
+            raise ValueError(f"{method} has no single-field forms: its pair "
+                             "needs the pseudo-pressure space")
+        return assemble_m2_system(space, pp_space, coeffs, order=order)
+    forms = globals()
+    return (forms[a_form](space, coeffs, order=order),
+            forms[b_form](space, coeffs, order=order))
+
+
+def _assemble(method, space, coeffs, order, pp_space, f):
+    """(A_h, B_h, load of f or None) of a method, one point set at a time.
+
+    The velocity space's element table, with gradients, is evaluated once
+    and read by every volume term and the load; it is dropped before the
+    facet traces are evaluated.  The method's forms are then called by
+    name with their volume terms, and M4's two forms share the traces of
+    the interior facets.
+    """
+    _, _, a_form, b_form = METHOD_FORMS[method]
+    order = _order(space, order)
     vol = _volume(space, order)
+    A = assemble_a_volume(space, coeffs, order, tables=vol)
     load = None if f is None else assemble_rhs(space, f, order, tables=vol)
-    return assemble_m2_system(space, pp_space, coeffs, order,
-                              tables=vol) + (load,)
+    if pp_space is not None:
+        D, Mp = _pressure_blocks(space, pp_space, coeffs, order, vol)
+        del vol
+        return assemble_m2_system(space, pp_space, coeffs, order,
+                                  volume=(A, D, Mp)) + (load,)
+    B = assemble_b_volume(space, coeffs, order, tables=vol)
+    del vol
+    traces = {}
+    if a_form == "assemble_a_dg":
+        _, fg = space.mesh.facet_quadrature(order, boundary=False)
+        traces[False] = _facet_basis(space, fg)
+        A = assemble_a_dg(space, coeffs, order, volume=A,
+                          traces=traces[False])
+    if b_form == "assemble_b_dg":
+        B = assemble_b_dg(space, coeffs, order, volume=B, traces=traces)
+    return A, B, load
 
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
     """Assemble the operator pair of one method and the load of f;
     -A_h + B_h is its operator."""
     vel, pp = method_spaces(method, mesh, p)
-    A, B, load = _operators(method, vel, coeffs, order, pp, f)
+    A, B, load = _assemble(method, vel, coeffs, order, pp, f)
     ms = MethodSystem(method, vel, pp, A, B, f, order)
     if load is not None:
         ms._keep_load(f, load)

@@ -9,6 +9,7 @@ import scipy.sparse.linalg as spla
 from conftest import check_symmetry
 from gdfem.fespace import DegreeError, DiscreteField, FeSpace, \
     bdm_interpolate, build_space, l2_project
+from gdfem import forms
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
                          assemble_a_volume, assemble_b_dg, assemble_b_volume,
                          assemble_m2_system, assemble_method, assemble_rhs,
@@ -224,25 +225,38 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
                                                 point_sets):
     """One assembly (A_h, B_h and the load) evaluates the basis once per
     space and point set: the elements, and each owner side of the facet
-    sets the method has terms on.  Apart from M2's volume couplings of
-    two spaces, no earlier set's table is held when a set is evaluated."""
-    calls, held = [], []
-    eval_basis = FeSpace.eval_basis
+    sets the method has terms on.  No earlier set's table is held when a
+    set is evaluated, apart from the other owner of the same facet batch
+    and, for M2, the velocity table on the points where the pseudo-pressure
+    table is evaluated (D and G couple the two).  A facet set's traces are
+    its owners' tables concatenated, so those are tracked too."""
+    calls, held, facet_sets = [], [], []
+    eval_basis, facet_basis = FeSpace.eval_basis, forms._facet_basis
+
+    def traced_facets(space, fg, need_grad=True):
+        out = facet_basis(space, fg, need_grad)
+        facet_sets.append(weakref.ref(out[1]))
+        return out
 
     def counted(space, elems, ref_pts, need_grad=True):
-        if method != "M2":
-            alive = [i for i, (ref, _) in enumerate(held)
-                     if ref() is not None]
-            # the other owner of the same facet batch, while concatenated
-            assert alive in ([], [len(held) - 1])
-            assert not alive or np.shape(ref_pts) == held[-1][1] \
-                and np.ndim(ref_pts) == 3
+        assert all(ref() is None for ref in facet_sets)
+        alive = [i for i, (ref, _, _) in enumerate(held)
+                 if ref() is not None]
+        if alive:
+            assert alive == [len(held) - 1]
+            _, last_space, last_pts = held[-1]
+            other_owner = (last_space is space and np.ndim(ref_pts) == 3
+                           and np.shape(ref_pts) == np.shape(last_pts))
+            pressure = (method == "M2" and last_space is not space
+                        and ref_pts is last_pts)
+            assert other_owner or pressure
         calls.append((id(space), id(ref_pts)))
         out = eval_basis(space, elems, ref_pts, need_grad)
-        held.append((weakref.ref(out[0]), np.shape(ref_pts)))
+        held.append((weakref.ref(out[0]), space, ref_pts))
         return out
 
     monkeypatch.setattr(FeSpace, "eval_basis", counted)
+    monkeypatch.setattr(forms, "_facet_basis", traced_facets)
     prob = convergence_problem(2)
     ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
                          prob.coeffs, prob.f)
