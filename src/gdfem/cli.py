@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .forms import (METHOD_FORMS, METHODS, assemble_method, error_norms,
-                    method_forms, method_spaces, paper_coefficients)
+                    paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -406,16 +406,21 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
 
     Returns a dict with c_bh, the derived inf-sup constant c_hat (None if
     c_bh <= 1) and the dimension of the discrete kernel of b_h on the free
-    dofs.  Dense computation, capped at 2000 dofs.
+    dofs.  Dense computation, capped at 2000 dofs.  A method with a
+    pseudo-pressure family (M2) has no single-field pair to compare and is
+    rejected with ValueError.
     """
+    if method not in METHODS or METHOD_FORMS[method][1] is not None:
+        single = (m for m in METHODS if METHOD_FORMS[m][1] is None)
+        raise ValueError(f"diagnostics requires --method {'|'.join(single)}")
     coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
                                 b_scale=b_scale)
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
-    vel, _ = method_spaces(method, mesh, p)
-    A, B = method_forms(method, vel, coeffs)
-    Af = restrict_free(A, vel.constrained_dofs)
-    Bf = restrict_free(B, vel.constrained_dofs)
+    ms = assemble_method(method, mesh, p, coeffs, None)
+    constrained = ms.velocity_space.constrained_dofs
+    Af = restrict_free(ms.a, constrained)
+    Bf = restrict_free(ms.b, constrained)
     c_bh, c_hat, kdim = estimate_control_constant(Af, Bf)
     result = {"method": method, "level": level, "p": p, "geom_order": g,
               "ndof_free": Af.shape[0], "kernel_dim": kdim,
@@ -615,12 +620,8 @@ def main(argv=None):
                 print(f"{k}={res[k]}")
             return 0
         # diagnostics
-        method = opts.get("method")
-        if method not in METHODS or METHOD_FORMS[method][1] is not None:
-            single = (m for m in METHODS if METHOD_FORMS[m][1] is None)
-            parser.error(f"diagnostics requires --method {'|'.join(single)}")
         try:
-            res = run_diagnostics(method, opts.get("level", 1),
+            res = run_diagnostics(opts.get("method"), opts.get("level", 1),
                                   _single(opts.get("p", (1,)), "--p", parser),
                                   out_path=f"{out}/diagnostics.txt" if out else None,
                                   b_scale=opts.get("b_scale", 1.0), **kw)

@@ -177,7 +177,10 @@ class FeSpace:
         P = J / det J, divergence div_ref u / det J and gradient
         (dP u + P g) J^-1, where dP = dP / d ref.  dP is zero on affine
         elements, so its term is formed on the curved elements only.
+        Scalar Lagrange values need no geometry at all.
         """
+        if self.family == "scalar_lagrange" and not need_grad:
+            return np.broadcast_to(u, (len(elems),) + u.shape[-2:]), None, None
         gm = self.mesh.geometry(elems)
         jac = gm.jacobian(ref)
         if self.family == "scalar_lagrange":

@@ -14,8 +14,9 @@ The discrete operator of every method is -a_h + b_h:
 Every form is evaluated on all elements (or all facets of one kind) at
 once: geometry and basis tables carry a leading element or facet axis,
 each local matrix is one einsum, and the global matrix one COO -> CSR sum.
-The forms of one assembly share their tables, one point set at a time
-(_assemble).
+_assemble is the one code path that composes a method's pair of forms, for
+the operator, the dense diagnostics and the triple-norm error alike; the
+forms of one assembly share their tables, one point set at a time.
 """
 
 from dataclasses import dataclass, field
@@ -178,19 +179,14 @@ def _facet_basis(space, fg, need_grad=True):
     return dofs, vals, grads, divs, sgn
 
 
-def assemble_a_dg(space, coeffs, order=None, volume=None, traces=None):
-    """a_h^DG: volume terms plus interior-facet interior-penalty terms.
+def assemble_a_dg(space, coeffs, order, volume, traces):
+    """a_h^DG: the volume terms `volume` plus interior-facet interior-penalty
+    terms, from `traces`, the interior facets' _facet_basis.
 
     Boundary facets contribute nothing since b.n = 0 there by assumption.
-    A caller that shares tables between forms passes `volume`, the volume
-    terms it assembled, and `traces`, the interior facets' _facet_basis.
     """
-    order = _order(space, order)
-    A = (assemble_a_volume(space, coeffs, order=order) if volume is None
-         else volume)
     rule, fg = space.mesh.facet_quadrature(order, boundary=False)
-    dofs, vals, grads, _, sgn = (_facet_basis(space, fg) if traces is None
-                                 else traces)
+    dofs, vals, grads, _, sgn = traces
     rho = coeffs.rho_at(fg.points)
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
@@ -203,7 +199,7 @@ def assemble_a_dg(space, coeffs, order=None, volume=None, traces=None):
                                          wq, bjump, bjump, optimize=True)
     cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return A + assemble_csr(dofs, dofs, loc, A.shape)
+    return volume + assemble_csr(dofs, dofs, loc, volume.shape)
 
 
 def _b_jumps(space, coeffs, rule, fg, traces):
@@ -222,22 +218,20 @@ def _b_jumps(space, coeffs, rule, fg, traces):
     return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
 
 
-def assemble_b_dg(space, coeffs, order=None, volume=None, traces=None):
-    """b_h^DG: volume terms plus normal-jump penalty/consistency terms.
+def assemble_b_dg(space, coeffs, order, volume, traces):
+    """b_h^DG: the volume terms `volume` plus normal-jump penalty and
+    consistency terms.
 
     Boundary facets get the Nitsche terms enforcing u.n = 0 with the
     one-sided trace convention.  Interior facets get the interior-penalty
     terms on the discontinuous family only: the normal jump of a continuous
     space vanishes, and assembling its terms would store round-off entries.
-    A caller that shares tables between forms passes `volume`, the volume
-    terms it assembled, and `traces`, a dict from `boundary` to the
-    _facet_basis of that facet set.  A set's traces are taken out of the
-    dict, so they are dropped before the next set is evaluated.
+    `traces` is a dict from `boundary` to the _facet_basis of that facet
+    set, for the sets already evaluated; the others are evaluated here.  A
+    set's traces are taken out of the dict, so they are dropped before the
+    next set is evaluated.
     """
-    order = _order(space, order)
-    B = (assemble_b_volume(space, coeffs, order=order) if volume is None
-         else volume)
-    traces = {} if traces is None else traces
+    B = volume
     for boundary in ((False, True) if space.family == "vector_dg"
                      else (True,)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
@@ -267,7 +261,7 @@ def _pressure_blocks(vel_space, pp_space, coeffs, order, tables=None):
                                           optimize=True))
 
 
-def assemble_m2_system(vel_space, pp_space, coeffs, order=None, volume=None):
+def assemble_m2_system(vel_space, pp_space, coeffs, order, volume):
     """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
@@ -275,19 +269,12 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None, volume=None):
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
     the pseudo-pressure mass matrix, all weighted by rho c_s^2.  -A_h + B_h
     is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    rho c_s^2 weighted L2 projection of the divergence.  A caller that
-    shares tables between forms passes `volume`, the blocks (a_h, D, M_p)
-    it assembled.
+    rho c_s^2 weighted L2 projection of the divergence.  `volume` is the
+    volume blocks (a_h, D, M_p); the boundary blocks N and G are assembled
+    here.
     """
-    if vel_space.degree < 2:
-        raise DegreeError("pseudo-pressure formulation requires p >= 2")
-    if pp_space.degree != vel_space.degree - 1:
-        raise DegreeError("pseudo-pressure degree must be p - 1")
-    order = _order(vel_space, order)
     nu, npp = vel_space.ndof, pp_space.ndof
-    A, D, Mp = ((assemble_a_volume(vel_space, coeffs, order=order),)
-                + _pressure_blocks(vel_space, pp_space, coeffs, order)
-                if volume is None else volume)
+    A, D, Mp = volume
 
     # boundary terms
     rule, fg = vel_space.mesh.facet_quadrature(order, boundary=True)
@@ -316,9 +303,10 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order=None, volume=None):
 # boundary normal moments).  A method with a pseudo-pressure family (M2)
 # has its operator pair on (u_h, p_h) from assemble_m2_system; its forms
 # are those of its triple norm, with div replaced by the weighted
-# projection onto the pseudo-pressure space.  Forms are named rather than
-# held, so a wrapper installed on this module's attribute (a profiler or
-# tracer) sees every call.
+# projection onto the pseudo-pressure space.  _assemble composes every
+# pair from this table.  Forms are named rather than held, and called
+# through this module's attributes, so a wrapper installed on one (a
+# profiler or tracer) sees every call.
 METHOD_FORMS = {
     "M1": ("vector_lagrange", None, "assemble_a_volume", "assemble_b_dg"),
     "M2": ("vector_lagrange", "scalar_lagrange", "assemble_a_volume",
@@ -394,27 +382,17 @@ def method_spaces(method, mesh, p):
     return vel, build_space(pp_family, mesh, p - 1)
 
 
-def method_forms(method, space, coeffs, order=None, pp_space=None):
-    """(A_h, B_h) of a method on its velocity space (and pp_space)."""
-    _, pp_family, a_form, b_form = METHOD_FORMS[method]
-    if pp_family is not None:
-        if pp_space is None:
-            raise ValueError(f"{method} has no single-field forms: its pair "
-                             "needs the pseudo-pressure space")
-        return assemble_m2_system(space, pp_space, coeffs, order=order)
-    forms = globals()
-    return (forms[a_form](space, coeffs, order=order),
-            forms[b_form](space, coeffs, order=order))
-
-
 def _assemble(method, space, coeffs, order, pp_space, f):
     """(A_h, B_h, load of f or None) of a method, one point set at a time.
 
-    The velocity space's element table, with gradients, is evaluated once
-    and read by every volume term and the load; it is dropped before the
-    facet traces are evaluated.  The method's forms are then called by
-    name with their volume terms, and M4's two forms share the traces of
-    the interior facets.
+    This is the one place that composes a method's forms: the operator
+    (assemble_method), the dense diagnostics (assemble_method with f None)
+    and the triple-norm error (error_norms, on its _ErrorSpace with no
+    pp_space) all take their pair from here.  The velocity space's element
+    table, with gradients, is evaluated once and read by every volume term
+    and the load; it is dropped before the facet traces are evaluated.  The
+    method's facet forms are then called with their volume terms, and M4's
+    two forms share the traces of the interior facets.
     """
     _, _, a_form, b_form = METHOD_FORMS[method]
     order = _order(space, order)
@@ -425,17 +403,16 @@ def _assemble(method, space, coeffs, order, pp_space, f):
         D, Mp = _pressure_blocks(space, pp_space, coeffs, order, vol)
         del vol
         return assemble_m2_system(space, pp_space, coeffs, order,
-                                  volume=(A, D, Mp)) + (load,)
+                                  (A, D, Mp)) + (load,)
     B = assemble_b_volume(space, coeffs, order, tables=vol)
     del vol
     traces = {}
     if a_form == "assemble_a_dg":
         _, fg = space.mesh.facet_quadrature(order, boundary=False)
         traces[False] = _facet_basis(space, fg)
-        A = assemble_a_dg(space, coeffs, order, volume=A,
-                          traces=traces[False])
+        A = assemble_a_dg(space, coeffs, order, A, traces[False])
     if b_form == "assemble_b_dg":
-        B = assemble_b_dg(space, coeffs, order, volume=B, traces=traces)
+        B = assemble_b_dg(space, coeffs, order, B, traces)
     return A, B, load
 
 
@@ -457,7 +434,8 @@ class _ErrorSpace:
 
     It has what the forms read of a space, with one dof on every element,
     and eval_basis returns the traces of e with a basis axis of length one,
-    so assemble_X(err, coeffs, order=order)[0, 0] is form X at the error.
+    so the pair _assemble composes on it holds the forms at the error as
+    1 x 1 matrices.
     `div`, when set to a scalar DiscreteField, replaces div e.  eval_basis
     takes only the point sets of the mesh's quadrature at `order`.  It
     evaluates u_h once per point set, and the exact solution once per set
@@ -514,11 +492,11 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
     """L2 error, method triple-norm error, and L2 norm of a discrete solution.
 
     The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
-    the method's METHOD_FORMS forms; for a method with a pseudo-pressure
-    family, div e is replaced by its rho c_s^2 weighted projection onto
-    that space (pp_space, built when not given).  `exact` provides
-    callables u, grad_u, div_u (or is None, in which case only the solution
-    norm is reported).
+    the method's pair, composed by _assemble; for a method with a
+    pseudo-pressure family, div e is replaced by its rho c_s^2 weighted
+    projection onto that space (pp_space, built when not given).  `exact`
+    provides callables u, grad_u, div_u (or is None, in which case only the
+    solution norm is reported).
     """
     space = u_h.space
     order = quadrature_order(space) + 2 if order is None else order
@@ -530,9 +508,7 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
 
     err = _ErrorSpace(u_h, exact, order)
     vals, (ev, _, _) = err.traces(elems, rule.points)
-    _, pp_family, a_form, b_form = METHOD_FORMS[method]
-    forms = globals()
-    xh2 = forms[a_form](err, coeffs, order=order)[0, 0]
+    pp_family = METHOD_FORMS[method][1]
     if pp_family is not None:
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
@@ -540,7 +516,7 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
         D, Mp = _pressure_blocks(err, pp_space, coeffs, order)
         err.div = DiscreteField(pp_space,
                                 spla.spsolve(Mp.tocsc(), D.toarray()[:, 0]))
-    xh2 += forms[b_form](err, coeffs, order=order)[0, 0]
+    A, B, _ = _assemble(method, err, coeffs, order, None, None)
     return {"l2_error": _l2(wq, ev),
-            "xh_error": float(np.sqrt(max(xh2, 0.0))),
+            "xh_error": float(np.sqrt(max(A[0, 0] + B[0, 0], 0.0))),
             "l2_norm": _l2(wq, vals)}

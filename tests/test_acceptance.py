@@ -29,9 +29,7 @@ from conftest import (check_symmetry, manufactured_defect, read_study_csv,
                       series)
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, emit_study_csv, fit_slope,
                        run_diagnostics)
-from gdfem.fespace import build_space
-from gdfem.forms import (assemble_b_dg, assemble_b_volume, assemble_rhs,
-                         paper_coefficients)
+from gdfem.forms import assemble_method, assemble_rhs, paper_coefficients
 from gdfem.linalg import dense_nullspace, restrict_free
 from gdfem.mesh import GeometryMap, make_unit_square_mesh
 from gdfem.problems import (convergence_problem, gradient_potential_grad,
@@ -129,15 +127,9 @@ def test_kernel_fields_orthogonal_to_gradients(n, method):
     """
     mesh = make_unit_square_mesh(n)
     p = 1
-    coeffs = paper_coefficients(p)
-    if method == "M3":
-        space = build_space("hdiv_bdm", mesh, p)
-        B = assemble_b_volume(space, coeffs)
-        constrained = space.constrained_dofs
-    else:
-        space = build_space("vector_dg", mesh, p)
-        B = assemble_b_dg(space, coeffs)
-        constrained = np.array([], dtype=int)
+    ms = assemble_method(method, mesh, p, paper_coefficients(p), None)
+    space, B = ms.velocity_space, ms.b
+    constrained = space.constrained_dofs
     free = np.setdiff1d(np.arange(space.ndof), constrained)
     V = dense_nullspace(restrict_free(B, constrained))
     assert V.shape[1] > 0
@@ -196,8 +188,8 @@ def test_property_suite_recheck(tmp_path):
     assert abs(float(rule.weights @ (x ** 4 * y ** 5)) - exact) <= 1e-13
     # symmetry and positivity of an assembled grad-div form
     mesh = make_unit_square_mesh(2)
-    space = build_space("vector_dg", mesh, 1)
-    B = assemble_b_dg(space, paper_coefficients(1))
+    ms = assemble_method("M4", mesh, 1, paper_coefficients(1), None)
+    space, B = ms.velocity_space, ms.b
     assert check_symmetry(B, tol=1e-12) >= 0.0
     rng = np.random.default_rng(3)
     for _ in range(20):

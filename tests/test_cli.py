@@ -295,8 +295,12 @@ def test_diagnostics_strong_flow_still_runs():
     assert np.isfinite(res["c_bh"])
 
 
-def test_diagnostics_rejects_m2():
-    with pytest.raises(ValueError):
+def test_diagnostics_rejects_m2(monkeypatch):
+    """M2 has no single-field pair: rejected before a mesh is built, with
+    the message the diagnostics subcommand prints."""
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
+    with pytest.raises(ValueError,
+                       match=r"^diagnostics requires --method M1\|M3\|M4$"):
         run_diagnostics("M2", 0, 2)
 
 

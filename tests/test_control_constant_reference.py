@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from gdfem.cli import default_geom_order
-from gdfem.forms import method_forms, method_spaces, paper_coefficients
+from gdfem.forms import assemble_method, paper_coefficients
 from gdfem.linalg import estimate_control_constant, restrict_free
 from gdfem.mesh import make_unit_disc_mesh
 
@@ -74,10 +74,10 @@ def test_demo_cells_match_reference(method, p, level):
     """The cells of demos/stability_diagnostics.py, as run_diagnostics
     builds them."""
     mesh = make_unit_disc_mesh(level, geom_order=default_geom_order(p))
-    vel, _ = method_spaces(method, mesh, p)
-    A, B = method_forms(method, vel, paper_coefficients(p))
-    assert_matches_reference(restrict_free(A, vel.constrained_dofs),
-                             restrict_free(B, vel.constrained_dofs))
+    ms = assemble_method(method, mesh, p, paper_coefficients(p), None)
+    constrained = ms.velocity_space.constrained_dofs
+    assert_matches_reference(restrict_free(ms.a, constrained),
+                             restrict_free(ms.b, constrained))
 
 
 @settings(max_examples=40, deadline=None)

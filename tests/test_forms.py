@@ -10,11 +10,10 @@ from conftest import check_symmetry
 from gdfem.fespace import DegreeError, DiscreteField, FeSpace, \
     bdm_interpolate, build_space, l2_project
 from gdfem import forms
-from gdfem.forms import (METHODS, CoefficientSet, assemble_a_dg,
-                         assemble_a_volume, assemble_b_dg, assemble_b_volume,
-                         assemble_m2_system, assemble_method, assemble_rhs,
-                         error_norms, method_forms, method_spaces,
-                         paper_coefficients, rotational_flow)
+from gdfem.forms import (METHODS, CoefficientSet, assemble_a_volume,
+                         assemble_b_volume, assemble_method, assemble_rhs,
+                         error_norms, method_spaces, paper_coefficients,
+                         rotational_flow)
 from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
@@ -108,9 +107,9 @@ def test_b_dg_oracle_square(square1):
     (u.n = 1 on the right and top edges of length 1, 0 on the others),
     so b_dg(u,u) = 196.
     """
-    space = build_space("vector_dg", square1, 1)
-    u = l2_project(space, lambda q: q, order=6)
-    B = assemble_b_dg(space, unit_coeffs(lambda_n=100.0))
+    ms = assemble_method("M4", square1, 1, unit_coeffs(lambda_n=100.0), None)
+    u = l2_project(ms.velocity_space, lambda q: q, order=6)
+    B = ms.b
     assert abs(u.coefficients @ (B @ u.coefficients) - 196.0) <= 1e-9
 
 
@@ -121,9 +120,9 @@ def test_b_dg_continuous_space_skips_interior_facets(mesh):
     the sparse sum prunes explicit zeros the volume matrix keeps.)"""
     msh = (make_unit_square_mesh(2) if mesh == "square2"
            else make_unit_disc_mesh(3, geom_order=2))
-    space = build_space("vector_lagrange", msh, 2)
     co = paper_coefficients(2)
-    assert assemble_b_dg(space, co).nnz <= assemble_b_volume(space, co).nnz
+    ms = assemble_method("M1", msh, 2, co, None)
+    assert ms.b.nnz <= assemble_b_volume(ms.velocity_space, co).nnz
 
 
 def test_a_dg_matches_a_volume_for_continuous_fields(square2):
@@ -135,11 +134,10 @@ def test_a_dg_matches_a_volume_for_continuous_fields(square2):
     ul = l2_project(lag, v, order=12)
     aval = ul.coefficients @ (assemble_a_volume(lag, co, order=12)
                               @ ul.coefficients)
-    dg = build_space("vector_dg", square2, 3)
+    ms = assemble_method("M4", square2, 3, co, None, order=12)
     # re-expand the (piecewise-polynomial) Lagrange field in the DG space
-    udg = _reexpand(ul, dg)
-    adg = udg.coefficients @ (assemble_a_dg(dg, co, order=12)
-                              @ udg.coefficients)
+    udg = _reexpand(ul, ms.velocity_space)
+    adg = udg.coefficients @ (ms.a @ udg.coefficients)
     assert abs(aval - adg) <= 1e-10 * max(abs(aval), 1.0)
 
 
@@ -171,31 +169,28 @@ def test_rhs_partition_of_unity(square2):
 # -- symmetry and positivity --------------------------------------------------
 
 def test_all_matrices_symmetric(disc1_curved):
+    """The volume forms, the pair of every single-field method, and M2's
+    saddle operator."""
     co = unit_coeffs(lambda_b=40.0, lambda_n=40.0)
-    for family, mats in [
-            ("vector_lagrange", (assemble_a_volume, assemble_b_volume,
-                                 assemble_b_dg)),
-            ("hdiv_bdm", (assemble_a_dg, assemble_b_volume)),
-            ("vector_dg", (assemble_a_dg, assemble_b_dg))]:
+    for family in ("vector_lagrange", "hdiv_bdm"):
         space = build_space(family, disc1_curved, 2)
-        for asm in mats:
+        for asm in (assemble_a_volume, assemble_b_volume):
             assert check_symmetry(asm(space, co), tol=1e-12) >= 0.0
-    vel = build_space("vector_lagrange", disc1_curved, 2)
-    pp = build_space("scalar_lagrange", disc1_curved, 1)
-    A2, B2 = assemble_m2_system(vel, pp, co)
-    assert check_symmetry(-A2 + B2, tol=1e-12) >= 0.0
+    for method in ("M1", "M3", "M4"):
+        ms = assemble_method(method, disc1_curved, 2, co, None)
+        for M in (ms.a, ms.b):
+            assert check_symmetry(M, tol=1e-12) >= 0.0
+    ms = assemble_method("M2", disc1_curved, 2, co, None)
+    assert check_symmetry(-ms.a + ms.b, tol=1e-12) >= 0.0
 
 
 @pytest.mark.parametrize("method", ["M3", "M4"])
 def test_gram_matrices_psd(disc1_curved, method):
     """a_h and b_h are PSD up to -1e-10 for 20 random coefficient vectors."""
     co = unit_coeffs(lambda_b=40.0, lambda_n=40.0)
-    family = "hdiv_bdm" if method == "M3" else "vector_dg"
-    space = build_space(family, disc1_curved, 2)
-    A = assemble_a_dg(space, co)
-    B = assemble_b_volume(space, co) if method == "M3" \
-        else assemble_b_dg(space, co)
-    for M in (A, B):
+    ms = assemble_method(method, disc1_curved, 2, co, None)
+    space = ms.velocity_space
+    for M in (ms.a, ms.b):
         scale = abs(M).max()
         for _ in range(20):
             x = RNG.standard_normal(space.ndof)
@@ -219,16 +214,19 @@ def test_cs2_split_matches_assembly(method):
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
 
-@pytest.mark.parametrize("method,point_sets", [("M1", 2), ("M2", 4),
-                                               ("M3", 3), ("M4", 4)])
+@pytest.mark.parametrize("method,point_sets,load", [
+    pytest.param(m, n, load, id=f"{m}-{n}" + ("" if load else "-no_load"))
+    for load in (True, False)
+    for m, n in (("M1", 2), ("M2", 4), ("M3", 3), ("M4", 4))])
 def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
-                                                point_sets):
-    """One assembly (A_h, B_h and the load) evaluates the basis once per
-    space and point set: the elements, and each owner side of the facet
-    sets the method has terms on.  No earlier set's table is held when a
-    set is evaluated, apart from the other owner of the same facet batch
-    and, for M2, the velocity table on the points where the pseudo-pressure
-    table is evaluated (D and G couple the two).  A facet set's traces are
+                                                point_sets, load):
+    """One assembly (A_h, B_h and the load, or the pair alone as the dense
+    diagnostics assemble it) evaluates the basis once per space and point
+    set: the elements, and each owner side of the facet sets the method has
+    terms on.  No earlier set's table is held when a set is evaluated,
+    apart from the other owner of the same facet batch and, for M2, the
+    velocity table on the points where the pseudo-pressure table is
+    evaluated (D and G couple the two).  A facet set's traces are
     its owners' tables concatenated, so those are tracked too."""
     calls, held, facet_sets = [], [], []
     eval_basis, facet_basis = FeSpace.eval_basis, forms._facet_basis
@@ -258,9 +256,10 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     monkeypatch.setattr(FeSpace, "eval_basis", counted)
     monkeypatch.setattr(forms, "_facet_basis", traced_facets)
     prob = convergence_problem(2)
+    f = prob.f if load else None
     ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
-                         prob.coeffs, prob.f)
-    ms.system_at(10.0, prob.f)          # the load of f was kept
+                         prob.coeffs, f)
+    ms.system_at(10.0, f)       # the load of f was kept; f None has none
     assert len(calls) == len(set(calls)) == point_sets
 
 
@@ -280,10 +279,9 @@ def test_m2_schur_oracle(square1):
     """
     p = 2
     co = unit_coeffs(lambda_n=100.0 * p * p)
-    vel = build_space("vector_lagrange", square1, p)
-    pp = build_space("scalar_lagrange", square1, p - 1)
-    A2, B2 = assemble_m2_system(vel, pp, co)
-    K = (-A2 + B2).toarray()
+    ms = assemble_method("M2", square1, p, co, None)
+    vel, pp = ms.velocity_space, ms.pressure_space
+    K = (-ms.a + ms.b).toarray()
     nu = vel.ndof
     K11 = K[:nu, :nu]
     K21 = K[nu:, :nu]
@@ -374,9 +372,10 @@ def test_divfree_kernel_embeds_into_dg(square2):
     bdm = build_space("hdiv_bdm", square2, 1)
     vh = bdm_interpolate(bdm, lambda q: np.column_stack(
         [0.5 - q[:, 1], q[:, 0] - 0.5]))
-    dg = build_space("vector_dg", square2, 1)
+    ms = assemble_method("M4", square2, 1, co, None)
+    dg = ms.velocity_space
     udg = _reexpand(vh, dg)
-    B = assemble_b_dg(dg, co)
+    B = ms.b
     quad = udg.coefficients @ (B @ udg.coefficients)
     # volume, interior-jump and consistency terms all vanish (div u = 0 and
     # u.n continuous), so only the boundary penalty survives; compute it
@@ -462,8 +461,8 @@ def test_triple_norm_is_operator_energy(disc1_curved, method):
                        grad_u=lambda q: np.zeros((len(q), 2, 2)),
                        div_u=lambda q: np.zeros(len(q)))
     for k in (8, 10):
-        A, B = method_forms(method, space, co, order=k)
-        energy = x @ ((A + B) @ x)
+        ms = assemble_method(method, disc1_curved, 2, co, None, order=k)
+        energy = x @ ((ms.a + ms.b) @ x)
         xh = error_norms(DiscreteField(space, x), zero, co, method=method,
                          order=k)["xh_error"]
         assert abs(xh ** 2 - energy) <= 1e-12 * abs(energy)
