@@ -27,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from .fespace import DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, error_norms,
                     paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
@@ -68,7 +69,9 @@ class Study:
 
     `axis` is the report field in the CSV's second column ("p" or "cs2");
     a run takes a single value of the other one.  `svg`, `label` and
-    `title` are formatted with the fields of a StudyRow.
+    `title` are formatted with the fields of a StudyRow.  The exact
+    solution of `problem`, if it has one, does not depend on cs2: the
+    runner measures every c_s^2 of a sweep against the first one's.
     """
     problem: object      # problem(p=, cs2=, lambda_b=, lambda_n=)
     p_list: tuple
@@ -319,18 +322,27 @@ def _assemble_unit(method, mesh, p, prob):
 
 
 def _solve_cell(method, mesh, p, prob, ms):
-    """Solve the (method, mesh, p) cell of prob and measure it.
+    """Solve the (method, mesh, p) cell of prob.
 
     `ms` is the cell's operator pair from _assemble_unit; the cell solves
-    -A_h + c_s^2 B_h against the load of prob.f.  Returns the error_norms
-    dict of the velocity and the solved LinearSystem; raises
-    SingularMatrixError if the solve fails.
+    -A_h + c_s^2 B_h against the load of prob.f.  Returns the velocity
+    coefficients and the solved LinearSystem; raises SingularMatrixError
+    if the solve fails.
     """
     system = ms.system_at(prob.coeffs.c_s ** 2, prob.f)
-    u = ms.velocity(solve(system))
-    res = error_norms(u, prob if prob.has_exact else None, prob.coeffs,
-                      method=method, pp_space=ms.pressure_space)
-    return res, system
+    return ms.velocity(solve(system)).coefficients, system
+
+
+def _cell_norms(method, ms, probs, columns):
+    """The error_norms dicts of the velocity coefficients `columns` that
+    _solve_cell returned for `probs`, cells of one (mesh, method) pair, in
+    one error_norms call.  The problems of a c_s^2 sweep share their exact
+    solution (if any), so the first one's serves them all."""
+    prob = probs[0]
+    u = DiscreteField(ms.velocity_space, np.column_stack(columns))
+    return error_norms(u, prob if prob.has_exact else None, prob.coeffs,
+                       method=method, pp_space=ms.pressure_space,
+                       cs2=[pr.coeffs.c_s ** 2 for pr in probs])
 
 
 def run_study(study, p_list=None, cs2_list=None, levels=None,
@@ -339,8 +351,10 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     """Run one study of STUDIES; returns (report, warnings).
 
     Arguments left None take the study's defaults.  The runner loops
-    level -> method -> c_s^2 and assembles each (mesh, method) operator
-    pair once.  With out_path it writes the study's CSV and SVGs there.
+    level -> method -> c_s^2.  It assembles each (mesh, method) operator
+    pair once, solves it at every c_s^2 and evaluates the error norms of
+    all the solutions in one error_norms call, whose b_h it scales by each
+    c_s^2.  With out_path it writes the study's CSV and SVGs there.
     """
     spec = STUDIES[study]
     p_list = spec.p_list if p_list is None else tuple(p_list)
@@ -362,15 +376,22 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
                 if m == "M2" and p < 2:
                     continue
                 ms = _assemble_unit(m, mesh, p, probs[0])
+                solved = []
                 for cs2, prob in zip(cs2_list, probs):
                     if progress:
                         progress(f"{study} p={p} cs2={cs2:g} level={level} {m}")
                     try:
-                        res, _ = _solve_cell(m, mesh, p, prob, ms)
+                        x, _ = _solve_cell(m, mesh, p, prob, ms)
                     except SingularMatrixError as exc:
                         warnings.append(f"warning: {m} p={p} solve failed: "
                                         f"{exc}")
                         continue
+                    solved.append((cs2, prob, x))
+                if not solved:
+                    continue
+                sweep, solved_probs, columns = zip(*solved)
+                for cs2, res in zip(sweep, _cell_norms(m, ms, solved_probs,
+                                                       columns)):
                     for key, names in spec.metrics:
                         report.add(h, p, cs2, m, names[m], res[key])
     report.sort()
@@ -447,8 +468,9 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
     prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
-    res, system = _solve_cell(method, mesh, p, prob,
-                              _assemble_unit(method, mesh, p, prob))
+    ms = _assemble_unit(method, mesh, p, prob)
+    u, system = _solve_cell(method, mesh, p, prob, ms)
+    res = _cell_norms(method, ms, [prob], [u])[0]
     res.update({"method": method, "level": level, "p": p, "cs2": cs2,
                 "geom_order": g, "h": mesh_size(mesh),
                 "ndof": system.matrix.shape[0]})

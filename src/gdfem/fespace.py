@@ -124,11 +124,14 @@ class FeSpace:
         return self._evaluate(elems, ref_pts, need_grad)
 
     def _evaluate(self, elems, ref_pts, need_grad, coefficients=None):
-        """eval_basis, or with a coefficient vector the field it spans.
+        """eval_basis, or with coefficients the fields they span.
 
-        The coefficients are applied on the reference element, before the
-        (linear) map to the physical elements, so a field evaluation never
-        forms arrays with a basis axis.
+        `coefficients` is (ndof,) for one field or (ndof, k) for k fields,
+        one per column.  The k fields take the place of the basis axis of
+        eval_basis; one field drops it.  The coefficients are applied on
+        the reference element, before the (linear) map to the physical
+        elements, so a field evaluation never forms arrays with a basis
+        axis.
         """
         single = np.ndim(elems) == 0
         elems = np.atleast_1d(elems)
@@ -137,7 +140,7 @@ class FeSpace:
             ref = ref[None]
         u, g = self._reference_shapes(elems, ref, coefficients)
         out = self._map(elems, ref, u, g, need_grad)
-        if coefficients is not None:
+        if coefficients is not None and coefficients.ndim == 1:
             out = tuple(None if a is None else a[:, :, 0] for a in out)
         return tuple(a[0] if single and a is not None else a for a in out)
 
@@ -147,7 +150,8 @@ class FeSpace:
         Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
         the local BDM bases C[e] over x/y copies of the monomials.  Values
         are (..., q, n) or (..., q, n, 2), gradients have one more trailing
-        axis; with coefficients n = 1, the field they span.
+        axis; with coefficients n is their number of columns, the fields
+        they span.
         """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
@@ -159,7 +163,7 @@ class FeSpace:
         if self.ncomp == 2:
             u, g = _xy_copies(u), _xy_copies(g, axis=-2)
         W = None if coefficients is None \
-            else coefficients[self.dof_map[elems]][:, :, None]
+            else coefficients.reshape(self.ndof, -1)[self.dof_map[elems]]
         if self.family == "hdiv_bdm":
             C = self._bdm_coeffs[elems]
             W = C if W is None else C @ W
@@ -315,18 +319,23 @@ def _xy_copies(table, axis=-1):
 
 
 class DiscreteField:
-    """A coefficient vector in an FeSpace, evaluable element-wise."""
+    """A coefficient vector in an FeSpace, evaluable element-wise.
+
+    The coefficients are (ndof,) for one field, or (ndof, k) for k fields
+    of the space with a trailing solution axis, one field per column.
+    """
 
     def __init__(self, space, coefficients):
         coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (space.ndof,):
+        if coefficients.ndim not in (1, 2) or len(coefficients) != space.ndof:
             raise ValueError("coefficient length does not match ndof")
         self.space = space
         self.coefficients = coefficients
 
     def evaluate(self, elems, ref_pts, need_grad=True):
         """(values, gradients, divergences) of the field on one element or a
-        batch; shapes as in FeSpace.eval_basis without the basis axis."""
+        batch; shapes as in FeSpace.eval_basis without the basis axis for
+        one field, and with k fields in its place for k columns."""
         return self.space._evaluate(elems, ref_pts, need_grad,
                                     self.coefficients)
 

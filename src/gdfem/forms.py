@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 
 from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
-from .linalg import LinearSystem, assemble_csr, assemble_vector
+from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
+                     LinearSystem, assemble_csr, assemble_vector)
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -322,7 +323,9 @@ class MethodSystem:
 
     The discrete operator is -A_h + B_h.  Every term of B_h is linear in
     rho c_s^2, so with constant rho and c_s a pair assembled at c_s = 1
-    gives the operator at any c_s^2 through `system_at`.
+    gives the operator at any c_s^2 through `system_at`.  The systems of a
+    method with a pseudo-pressure space (M2's saddle-point pair) carry
+    SADDLE_PIVOT_THRESHOLD, those of the others SYMMETRIC_PIVOT_THRESHOLD.
     """
     method: str
     velocity_space: object
@@ -344,7 +347,10 @@ class MethodSystem:
             self._keep_load(f, assemble_rhs(self.velocity_space, f,
                                             order=self.order))
         return LinearSystem(cs2 * self.b - self.a, self._load[1],
-                            self.velocity_space.constrained_dofs)
+                            self.velocity_space.constrained_dofs,
+                            SYMMETRIC_PIVOT_THRESHOLD
+                            if self.pressure_space is None
+                            else SADDLE_PIVOT_THRESHOLD)
 
     def _keep_load(self, f, rhs):
         rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
@@ -430,26 +436,30 @@ def assemble_method(method, mesh, p, coeffs, f, order=None):
 # -- error norms ---------------------------------------------------------------
 
 class _ErrorSpace:
-    """The error e = u_h - u as a space spanned by one function.
+    """The errors e_j = u_h[:, j] - u of k fields as a space of k functions.
 
-    It has what the forms read of a space, with one dof on every element,
-    and eval_basis returns the traces of e with a basis axis of length one,
-    so the pair _assemble composes on it holds the forms at the error as
-    1 x 1 matrices.
-    `div`, when set to a scalar DiscreteField, replaces div e.  eval_basis
-    takes only the point sets of the mesh's quadrature at `order`.  It
-    evaluates u_h once per point set, and the exact solution once per set
-    of physical points: both owners of an interior facet use owner 0's
-    points, where the exact solution is continuous.
+    `u_h` is a DiscreteField with coefficients (ndof, k).  The space has
+    what the forms read of a space, with the same k dofs 0..k-1 on every
+    element, and eval_basis returns the traces of e_1..e_k as its k basis
+    functions, so the pair _assemble composes on it holds the forms at the
+    errors as k x k matrices: a_h(e_j, e_j) and b_h(e_j, e_j) are their
+    diagonals.
+    `div`, when set to a scalar DiscreteField of k fields, replaces div e_j.
+    eval_basis takes only the point sets of the mesh's quadrature at
+    `order`.  It evaluates u_h once per point set for all k fields, and the
+    exact solution once per set of physical points: both owners of an
+    interior facet use owner 0's points, where the exact solution is
+    continuous.
     """
-    ndof = 1
     div = None
 
     def __init__(self, u_h, exact, order):
         space = u_h.space
         self.mesh, self.family = space.mesh, space.family
         self.degree, self.ncomp = space.degree, space.ncomp
-        self.dof_map = np.zeros((self.mesh.num_triangles, 1), dtype=int)
+        self.ndof = u_h.coefficients.shape[1]
+        self.dof_map = np.broadcast_to(np.arange(self.ndof),
+                                       (self.mesh.num_triangles, self.ndof))
         self.u_h, self.exact = u_h, exact
         rule, _, phys = self.mesh.element_quadrature(order)
         self._points = {id(rule.points): phys}
@@ -460,7 +470,8 @@ class _ErrorSpace:
         self._exact = {}    # id(physical points) -> u, grad u, div u
 
     def traces(self, elems, ref_pts, need_grad=True):
-        """(u_h values, (values, gradients, divergences) of e)."""
+        """(u_h values, (values, gradients, divergences) of e), each with
+        the axis of the k fields where eval_basis has its basis axis."""
         hit = self._traces.get(id(ref_pts))
         if hit is None or (need_grad and hit[1][1] is None):
             pts = self._points[id(ref_pts)]
@@ -470,53 +481,80 @@ class _ErrorSpace:
             u, grad_u, div_u = self._exact[id(pts)]
             vals, grads, div = self.u_h.evaluate(elems, ref_pts, need_grad)
             hit = self._traces[id(ref_pts)] = (vals, (
-                vals - u, None if grads is None else grads - grad_u,
-                div - div_u))
+                vals - u[..., None, :],
+                None if grads is None else grads - grad_u[..., None, :, :],
+                div - div_u[..., None]))
         return hit
 
     def eval_basis(self, elems, ref_pts, need_grad=True):
         vals, grads, div = self.traces(elems, ref_pts, need_grad)[1]
         if self.div is not None:
             div = self.div.evaluate(elems, ref_pts, need_grad=False)[0]
-        return (vals[..., None, :],
-                None if grads is None else grads[..., None, :, :],
-                div[..., None])
+        return vals, grads, div
 
 
 def _l2(wq, vals):
-    return float(np.sqrt(np.sum(wq * np.einsum("...c,...c->...", vals,
-                                               vals))))
+    """L2 norm of each of the k fields of vals (E, q, k, c)."""
+    return [float(np.sqrt(np.sum(wq * np.einsum("...c,...c->...", v, v))))
+            for v in np.moveaxis(vals, 2, 0)]
 
 
-def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None):
-    """L2 error, method triple-norm error, and L2 norm of a discrete solution.
+def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
+                cs2=None):
+    """L2 error, method triple-norm error, and L2 norm of discrete solutions.
+
+    `u_h` is one DiscreteField: with coefficients (ndof,) the result is one
+    dict, with coefficients (ndof, k), k solutions of one space, it is a
+    list of k dicts in column order.  `cs2`, when given, is the c_s^2 of
+    each solution: solution j's triple norm takes b_h scaled by cs2[j] over
+    the c_s^2 of `coeffs`.  Every term of b_h is linear in rho c_s^2 (the
+    weight of M2's projection cancels), so this is exact for constant rho
+    and c_s; with several solutions or with `cs2`, a callable rho or c_s
+    raises ValueError.
 
     The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
-    the method's pair, composed by _assemble; for a method with a
-    pseudo-pressure family, div e is replaced by its rho c_s^2 weighted
-    projection onto that space (pp_space, built when not given).  `exact`
-    provides callables u, grad_u, div_u (or is None, in which case only the
-    solution norm is reported).
+    the method's pair, composed by _assemble on the _ErrorSpace of the k
+    errors, whose k x k pair holds them on its diagonal; geometry, exact
+    values and u_h traces are evaluated once per point set for all k.  For
+    a method with a pseudo-pressure family, div e is replaced by its rho
+    c_s^2 weighted projection onto that space (pp_space, built when not
+    given), one solve with k right-hand sides.  `exact` provides callables
+    u, grad_u, div_u (or is None, in which case only the solution norm is
+    reported).
     """
     space = u_h.space
+    batch = u_h.coefficients.ndim == 2
+    k = u_h.coefficients.shape[1] if batch else 1
+    if (batch or cs2 is not None) and (callable(coeffs.c_s)
+                                       or callable(coeffs.rho)):
+        raise ValueError("error norms of several solutions or of a given "
+                         "c_s^2 need constant rho and c_s")
+    if cs2 is not None and len(cs2) != k:
+        raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
+    scale = 1.0 if cs2 is None else np.asarray(cs2, float) / coeffs.c_s ** 2
+    fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))
     order = quadrature_order(space) + 2 if order is None else order
     rule, wq, _ = space.mesh.element_quadrature(order)
     elems = _all_elems(space)
     if exact is None:
-        vals, _, _ = u_h.evaluate(elems, rule.points, need_grad=False)
-        return {"l2_error": None, "xh_error": None, "l2_norm": _l2(wq, vals)}
+        vals, _, _ = fields.evaluate(elems, rule.points, need_grad=False)
+        res = [{"l2_error": None, "xh_error": None, "l2_norm": n}
+               for n in _l2(wq, vals)]
+        return res if batch else res[0]
 
-    err = _ErrorSpace(u_h, exact, order)
+    err = _ErrorSpace(fields, exact, order)
     vals, (ev, _, _) = err.traces(elems, rule.points)
     pp_family = METHOD_FORMS[method][1]
     if pp_family is not None:
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
-        # rho c_s^2 weighted projection of div e (D is its load vector)
+        # rho c_s^2 weighted projection of each div e_j (D holds their loads)
         D, Mp = _pressure_blocks(err, pp_space, coeffs, order)
-        err.div = DiscreteField(pp_space,
-                                spla.spsolve(Mp.tocsc(), D.toarray()[:, 0]))
+        err.div = DiscreteField(pp_space, spla.spsolve(
+            Mp.tocsc(), D.toarray()).reshape(pp_space.ndof, k))
     A, B, _ = _assemble(method, err, coeffs, order, None, None)
-    return {"l2_error": _l2(wq, ev),
-            "xh_error": float(np.sqrt(max(A[0, 0] + B[0, 0], 0.0))),
-            "l2_norm": _l2(wq, vals)}
+    xh2 = A.diagonal() + scale * B.diagonal()
+    res = [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
+            "l2_norm": n}
+           for e, x, n in zip(_l2(wq, ev), xh2, _l2(wq, vals))]
+    return res if batch else res[0]

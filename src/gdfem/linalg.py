@@ -28,17 +28,41 @@ class SizeLimitError(ValueError):
     pass
 
 
+# Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
+# keeps the diagonal pivot of a column unless it is below this fraction of
+# the column's largest entry.  Fill of the level-4, p=2 disc operators
+# (L + U entries), COLAMD with partial pivoting -> symmetric mode at 1e-3:
+# M1 1.50M -> 0.77M, M2 3.39M -> 1.85M, M3 7.87M -> 3.58M, M4 13.08M ->
+# 3.94M, relative residuals <= 1.3e-15.  At 1e-2 M3/M4 fill 4.5M/6.2M, at
+# 1e-1 8.2M/11.7M.
+SYMMETRIC_PIVOT_THRESHOLD = 1e-3
+
+# The threshold of a saddle-point system (M2's velocity and pseudo-pressure
+# blocks).  Its pseudo-pressure diagonal, -M_p, is small against the
+# column's coupling entries (D - G), so at 1e-3 SuperLU takes off-diagonal
+# pivots, which break the symmetric ordering, and more of them as c_s^2
+# grows.  Gradrob M2, p=3, level 3, c_s^2 = 1000: 1,588 off-diagonal
+# pivots, fill 12.4M and a 4.5 s factor at 1e-3; none, 0.50M and 0.055 s
+# at 1e-6, on a 2-core host (Duff & Pralet, SIMAX 2005; Benzi, Golub &
+# Liesen, Acta Numerica 2005).  A blanket 1e-6 moved hconv M3 p=4 level 3
+# by 4.9e-7, so the single-field methods keep SYMMETRIC_PIVOT_THRESHOLD.
+SADDLE_PIVOT_THRESHOLD = 1e-6
+
+
 @dataclass
 class LinearSystem:
     """Sparse symmetric matrix, right-hand side, and strong constraints.
 
     The matrix and rhs stay full size.  solve factors the block of the
     unconstrained (free) dofs only, so solutions are exactly zero at the
-    constrained dofs.
+    constrained dofs, with `pivot_threshold` as its diagonal pivot
+    threshold.  rhs is None for a system assembled without a forcing,
+    which solve rejects.
     """
     matrix: sp.spmatrix
     rhs: np.ndarray
     constrained: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+    pivot_threshold: float = SYMMETRIC_PIVOT_THRESHOLD
 
 
 def assemble_csr(rows, cols, local, shape):
@@ -77,28 +101,22 @@ def apply_constraints(system):
     return A.tocsc(), np.asarray(system.rhs, dtype=float)[free], free
 
 
-# Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
-# keeps the diagonal pivot of a column unless it is below this fraction of
-# the column's largest entry.  Fill of the level-4, p=2 disc operators
-# (L + U entries), COLAMD with partial pivoting -> symmetric mode at 1e-3:
-# M1 1.50M -> 0.77M, M2 3.39M -> 1.85M, M3 7.87M -> 3.58M, M4 13.08M ->
-# 3.94M, relative residuals <= 1.3e-15.  At 1e-2 M3/M4 fill 4.5M/6.2M, at
-# 1e-1 8.2M/11.7M.
-SYMMETRIC_PIVOT_THRESHOLD = 1e-3
-
-
 def solve(system: LinearSystem) -> np.ndarray:
     """Direct sparse solve of a symmetric (possibly indefinite) system.
 
     The free-dof block (apply_constraints) is factored by SuperLU in
     symmetric mode: a minimum-degree ordering of A^T + A with diagonal
-    pivots down to SYMMETRIC_PIVOT_THRESHOLD of the column maximum (Demmel
-    et al., SIMAX 1999; Li, ACM TOMS 2005).  Every solve must meet the
-    residual contract ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||) on that
-    block.  If the symmetric-mode factor fails or misses it, the block is
+    pivots down to the system's pivot_threshold of the column maximum
+    (Demmel et al., SIMAX 1999; Li, ACM TOMS 2005).  Every solve must meet
+    the residual contract ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||) on
+    that block.  If the symmetric-mode factor fails or misses it, the block is
     factored again with COLAMD and partial pivoting; SingularMatrixError is
     raised when that fails too.  The solution is zero at constrained dofs.
+    A system without a right-hand side raises ValueError.
     """
+    if system.rhs is None:
+        raise ValueError("the system has no right-hand side: it was "
+                         "assembled without a forcing f")
     n = system.matrix.shape[0]
     if n != len(system.rhs):
         raise ValueError("matrix/rhs dimension mismatch")
@@ -106,7 +124,7 @@ def solve(system: LinearSystem) -> np.ndarray:
     x = np.zeros(n)
     try:
         x[free] = _factor_solve(A, r, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=SYMMETRIC_PIVOT_THRESHOLD,
+                                diag_pivot_thresh=system.pivot_threshold,
                                 options={"SymmetricMode": True})
     except SingularMatrixError:
         x[free] = _factor_solve(A, r)

@@ -244,6 +244,49 @@ def test_sweep_assembles_load_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_failed_solve_leaves_its_cell_empty(monkeypatch, tmp_path, capsys):
+    """A solve that fails at one c_s^2 prints its warning and leaves that
+    cell empty; the cells of the other c_s^2 values, whose error norms are
+    evaluated in one call with it missing, keep their labels and values."""
+    argv = ["locking", "--levels", "0", "--methods", "M3,M4",
+            "--cs2", "1,10,100"]
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "failed").mkdir()
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    ok = capsys.readouterr().out.splitlines()
+    solve, calls = cli.solve, []
+
+    def failing(system):
+        calls.append(system)
+        if len(calls) == 2:     # M3 at c_s^2 = 10: methods, then c_s^2
+            raise cli.SingularMatrixError("planted failure")
+        return solve(system)
+
+    monkeypatch.setattr(cli, "solve", failing)
+    assert main(argv + ["--out", str(tmp_path / "failed")]) == 1
+    captured = capsys.readouterr()
+    assert len(calls) == 6
+    assert "warning: M3 p=2 solve failed: planted failure" in captured.err
+    assert captured.out.splitlines() == [
+        line for line in ok if not line.startswith("p=2 cs2=10 ")
+        or " M3 " not in line]
+    ok_csv = (tmp_path / "ok" / "locking.csv").read_text().splitlines()
+    failed_csv = (tmp_path / "failed" / "locking.csv").read_text().splitlines()
+    header = ok_csv[0].split(",")
+    assert failed_csv[0] == ok_csv[0] and len(failed_csv) == len(ok_csv)
+    for want, got in zip(ok_csv[1:], failed_csv[1:]):
+        want, got = want.split(","), got.split(",")
+        assert got[:2] == want[:2]
+        for column, a, b in zip(header[2:], want[2:], got[2:]):
+            if want[1] == "10" and column == ERROR_COLUMNS["M3"]:
+                assert a != "" and b == ""
+            elif a == "":
+                assert b == "", (column, want[1])
+            else:
+                assert abs(float(b) - float(a)) <= 1e-12 * abs(float(a)), \
+                    (column, want[1])
+
+
 def test_sweep_rejects_variable_coefficients(monkeypatch):
     """A c_s^2 sweep scales one operator pair assembled at c_s = 1, which
     needs constant rho and c_s."""

@@ -1,6 +1,7 @@
 """Bilinear form assembly: hand oracles, symmetry, positivity, consistency."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from gdfem.forms import (METHODS, CoefficientSet, assemble_a_volume,
 from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
-from gdfem.problems import convergence_problem
+from gdfem.problems import convergence_problem, gradrob_problem, \
+    locking_problem
 from gdfem.quadrature import segment_rule, triangle_rule
 
 RNG = np.random.default_rng(11)
@@ -480,3 +482,58 @@ def test_error_norms_quadrature_stability():
         <= 1e-3 * fine["l2_error"]
     assert abs(base["xh_error"] - fine["xh_error"]) \
         <= 1e-2 * fine["xh_error"]
+
+
+_SWEEP = (1.0, 10.0, 100.0, 1000.0)
+
+
+@pytest.mark.parametrize("problem,p", [(locking_problem, 2),
+                                       (gradrob_problem, 3)],
+                         ids=["locking-p2", "gradrob-p3"])
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_error_norms_match_single(method, problem, p):
+    """One error_norms call on the k solutions of a c_s^2 sweep, with b_h
+    scaled by each c_s^2, gives what k calls on one solution each give
+    (the locking problem has an exact solution, gradrob only a norm)."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    probs = [problem(cs2, p=p) for cs2 in _SWEEP]
+    ms = assemble_method(method, mesh, p, replace(probs[0].coeffs, c_s=1.0),
+                         probs[0].f)
+    exact = probs[0] if probs[0].has_exact else None
+    xs = [ms.velocity(solve(ms.system_at(cs2, pr.f))).coefficients
+          for cs2, pr in zip(_SWEEP, probs)]
+    batch = error_norms(DiscreteField(ms.velocity_space, np.column_stack(xs)),
+                        exact, probs[1].coeffs, method=method,
+                        pp_space=ms.pressure_space,
+                        cs2=[pr.coeffs.c_s ** 2 for pr in probs])
+    assert len(batch) == len(_SWEEP)
+    for x, pr, got in zip(xs, probs, batch):
+        want = error_norms(DiscreteField(ms.velocity_space, x), exact,
+                           pr.coeffs, method=method,
+                           pp_space=ms.pressure_space)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if value is None:
+                assert got[key] is None, key
+            else:
+                assert abs(got[key] - value) <= 1e-12 * abs(value), key
+
+
+def test_batched_error_norms_need_constant_coefficients():
+    """b_h scales by c_s^2 only for constant rho and c_s: error norms of
+    several solutions with a callable c_s raise ValueError, as does a
+    given c_s^2 with a callable rho."""
+    mesh = make_unit_disc_mesh(0, geom_order=2)
+    prob = locking_problem(1.0)
+    space, _ = method_spaces("M3", mesh, 2)
+    x = RNG.standard_normal((space.ndof, 2))
+    varying = replace(prob.coeffs, c_s=lambda pts: np.ones(len(pts)))
+    with pytest.raises(ValueError, match="constant rho and c_s"):
+        error_norms(DiscreteField(space, x), prob, varying, method="M3")
+    varying = replace(prob.coeffs, rho=lambda pts: np.ones(len(pts)))
+    with pytest.raises(ValueError, match="constant rho and c_s"):
+        error_norms(DiscreteField(space, x[:, 0]), prob, varying,
+                    method="M3", cs2=[1.0])
+    # with constant coefficients the same calls run
+    assert len(error_norms(DiscreteField(space, x), prob, prob.coeffs,
+                           method="M3")) == 2

@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import check_symmetry
 from gdfem import forms
-from gdfem.forms import METHODS, assemble_method
-from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SYMMETRIC_PIVOT_THRESHOLD,
-                          LinearSystem, SingularMatrixError, SizeLimitError,
-                          assemble_csr, dense_nullspace, dump_matrix,
+from gdfem.forms import METHODS, assemble_method, paper_coefficients
+from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SADDLE_PIVOT_THRESHOLD,
+                          SYMMETRIC_PIVOT_THRESHOLD, LinearSystem,
+                          SingularMatrixError, SizeLimitError, assemble_csr,
+                          dense_nullspace, dump_matrix,
                           estimate_control_constant, restrict_free, solve)
 from gdfem.mesh import make_unit_disc_mesh
-from gdfem.problems import convergence_problem
+from gdfem.problems import convergence_problem, gradrob_problem
 
 
 def test_solve_hand_case():
@@ -77,7 +78,9 @@ def fill(lu):
 @pytest.mark.parametrize("method", METHODS)
 def test_symmetric_mode_matches_colamd(method, monkeypatch):
     """The symmetric-mode factor solves the disc operators as the general
-    COLAMD factor with partial pivoting does, with less fill, first time."""
+    COLAMD factor with partial pivoting does, with less fill, first time,
+    at the pivot threshold of the method's system: the saddle-point one
+    for M2, the symmetric one for the others."""
     system, A, r, free = disc_system(method, 2, 2)
     lu = spla.splu(A)
     x_ref = lu.solve(r)
@@ -85,8 +88,10 @@ def test_symmetric_mode_matches_colamd(method, monkeypatch):
     x = solve(system)
     monkeypatch.undo()
     assert np.linalg.norm(x[free] - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+    threshold = (SADDLE_PIVOT_THRESHOLD if method == "M2"
+                 else SYMMETRIC_PIVOT_THRESHOLD)
     assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
-                      "diag_pivot_thresh": SYMMETRIC_PIVOT_THRESHOLD,
+                      "diag_pivot_thresh": threshold,
                       "options": {"SymmetricMode": True}}]
     assert fill(spla.splu(A, **calls[0])) < fill(lu)
 
@@ -117,6 +122,39 @@ def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     x = solve(system)
     assert [bool(kw) for kw in calls] == [True, False]
     assert np.array_equal(x[free], x_ref)
+
+
+def test_saddle_factor_keeps_symmetric_order(monkeypatch):
+    """M2's saddle-point system takes only diagonal pivots at large c_s^2,
+    so the factor keeps the symmetric minimum-degree order and its fill.
+    Gradrob M2, p=3, level 2, c_s^2 = 1000: at the symmetric threshold,
+    397 row and column positions differ and the fill is 794,444 entries;
+    89,174 is the fill at c_s^2 = 1."""
+    prob = gradrob_problem(1000.0)
+    system = assemble_method("M2", make_unit_disc_mesh(2, geom_order=2), 3,
+                             prob.coeffs, prob.f).system
+    assert system.pivot_threshold == SADDLE_PIVOT_THRESHOLD
+    splu, factors = spla.splu, []
+
+    def factor(A, **kw):
+        factors.append(splu(A, **kw))
+        return factors[-1]
+
+    record_splu(monkeypatch, factor)
+    solve(system)
+    (lu,) = factors
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert fill(lu) <= 89_174
+
+
+def test_solve_without_forcing_raises():
+    """A pair assembled without a forcing (as the dense diagnostics
+    assemble it) has a system, but no right-hand side to solve for."""
+    ms = assemble_method("M4", make_unit_disc_mesh(0, geom_order=2), 1,
+                         paper_coefficients(1), None)
+    assert ms.system.rhs is None and ms.system.matrix.nnz > 0
+    with pytest.raises(ValueError, match="without a forcing"):
+        solve(ms.system)
 
 
 @settings(max_examples=40, deadline=None)
