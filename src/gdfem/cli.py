@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .fespace import DiscreteField
+from .fespace import DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, error_norms,
                     paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
@@ -373,9 +373,10 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
             mesh = make_unit_disc_mesh(level, geom_order=g)
             h = mesh_size(mesh)
             for m in methods:
-                if m == "M2" and p < 2:
+                try:
+                    ms = _assemble_unit(m, mesh, p, probs[0])
+                except DegreeError:     # M2 below p = 2: the cell stays empty
                     continue
-                ms = _assemble_unit(m, mesh, p, probs[0])
                 solved = []
                 for cs2, prob in zip(cs2_list, probs):
                     if progress:
@@ -487,6 +488,12 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
 
 # -- argument handling --------------------------------------------------------
 
+def _nonempty(values, text):
+    if not values:
+        raise ValueError(f"{text!r} names no value")
+    return tuple(values)
+
+
 def _parse_int_list(text):
     out = []
     for part in text.split(","):
@@ -496,15 +503,15 @@ def _parse_int_list(text):
             out.extend(range(int(a), int(b) + 1))
         elif part:
             out.append(int(part))
-    return tuple(out)
+    return _nonempty(out, text)
 
 
 def _parse_float_list(text):
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    return _nonempty([float(x) for x in text.split(",") if x.strip()], text)
 
 
 def _parse_methods(text):
-    ms = tuple(m.strip() for m in text.split(",") if m.strip())
+    ms = _nonempty([m.strip() for m in text.split(",") if m.strip()], text)
     for m in ms:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}")

@@ -11,12 +11,13 @@ The discrete operator of every method is -a_h + b_h:
   pseudo-pressure variant (M2) replaces div by its weighted L2 projection,
   realized as a symmetric saddle-point block system.
 
-Every form is evaluated on all elements (or all facets of one kind) at
+Every form is evaluated on all elements (or all facets of one set) at
 once: geometry and basis tables carry a leading element or facet axis,
 each local matrix is one einsum, and the global matrix one COO -> CSR sum.
-_assemble is the one code path that composes a method's pair of forms, for
-the operator, the dense diagnostics and the triple-norm error alike; the
-forms of one assembly share their tables, one point set at a time.
+The forms only read the tables they are handed.  _assemble is the one code
+path that composes a method's pair of forms, for the operator, the dense
+diagnostics and the triple-norm error alike, and the one that evaluates
+their tables: each point set once, dropped before the next is evaluated.
 """
 
 from dataclasses import dataclass, field
@@ -54,11 +55,11 @@ class CoefficientSet:
     lambda_n: float = 0.0
 
     def __post_init__(self):
-        if not self.b_inf > 0.0:
-            raise ValueError("b_inf must be positive (the zeroth-order term "
-                             "degenerates otherwise)")
-        if self.lambda_b < 0 or self.lambda_n < 0:
-            raise ValueError("penalty parameters must be nonnegative")
+        if not 0.0 < self.b_inf < np.inf:
+            raise ValueError("b_inf must be positive and finite (the "
+                             "zeroth-order term degenerates otherwise)")
+        if not (0 <= self.lambda_b < np.inf and 0 <= self.lambda_n < np.inf):
+            raise ValueError("penalty parameters must be finite and >= 0")
         self._rho = _field(self.rho)
         self._cs = _field(self.c_s)
         self._b = _field(self.b_flow, vector=True)
@@ -67,15 +68,16 @@ class CoefficientSet:
 
     def rho_at(self, pts):
         r = eval_pointwise(self._rho, pts)
-        if not np.all(r > 0):
-            raise ValueError("rho must be positive")
+        if not np.all((r > 0) & (r < np.inf)):
+            raise ValueError("rho must be positive and finite")
         return r
 
     def cs2_at(self, pts):
         c = eval_pointwise(self._cs, pts)
-        if not np.all(c > 0):
-            raise ValueError("c_s must be positive")
-        return c * c
+        cs2 = c * c
+        if not np.all((c > 0) & (cs2 < np.inf)):
+            raise ValueError("c_s must be positive and finite")
+        return cs2
 
     def b_at(self, pts):
         return eval_pointwise(self._b, pts)
@@ -92,10 +94,13 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
 
     rho = 1, c_s = sqrt(cs2), b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
     b_scale on the unit disc; default penalties lambda_b = 10 p^2 and
-    lambda_n = 100 p^2.  Raises ValueError unless cs2 > 0 (NaN included).
+    lambda_n = 100 p^2.  Raises DegreeError unless p >= 1 and ValueError
+    unless 0 < cs2 < inf (NaN included).
     """
-    if not cs2 > 0:
-        raise ValueError(f"cs2 must be positive, got {cs2!r}")
+    if p < 1:
+        raise DegreeError("degree must be >= 1")
+    if not 0 < cs2 < np.inf:
+        raise ValueError(f"cs2 must be positive and finite, got {cs2!r}")
     return CoefficientSet(
         rho=1.0, c_s=np.sqrt(cs2), b_flow=rotational_flow(0.1 * b_scale),
         b_inf=0.1 * b_scale,
@@ -107,15 +112,11 @@ def _order(space, order):
     return quadrature_order(space) if order is None else order
 
 
-def _all_elems(space):
-    return np.arange(space.mesh.num_triangles)
-
-
-def _volume(space, order, need_grad=True):
+def _volume(space, order=None, need_grad=True):
     """Weights * det, points and basis tables (eval_basis) of all elements."""
     rule, wdet, phys = space.mesh.element_quadrature(_order(space, order))
-    return (wdet, phys) + space.eval_basis(_all_elems(space), rule.points,
-                                           need_grad=need_grad)
+    return (wdet, phys) + space.eval_basis(
+        np.arange(space.mesh.num_triangles), rule.points, need_grad=need_grad)
 
 
 def _matrix(space, loc):
@@ -126,13 +127,12 @@ def _matrix(space, loc):
 
 # -- volume forms -----------------------------------------------------------
 
-# The volume forms take `tables`, the space's _volume at the order, from a
-# caller that shares them between forms; a_h reads their gradients.
+# The volume forms read `tables`, the space's _volume; a_h reads its
+# gradients.
 
-def assemble_a_volume(space, coeffs, order=None, tables=None):
+def assemble_a_volume(space, coeffs, tables):
     """Volume part of a_h: <rho (b.grad)u, (b.grad)u'> + |b|_inf^2 <rho u, u'>."""
-    wdet, phys, vals, grads, _ = (_volume(space, order) if tables is None
-                                  else tables)
+    wdet, phys, vals, grads, _ = tables
     wq = wdet * coeffs.rho_at(phys)
     conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
                      optimize=True)
@@ -142,19 +142,17 @@ def assemble_a_volume(space, coeffs, order=None, tables=None):
     return _matrix(space, loc)
 
 
-def assemble_b_volume(space, coeffs, order=None, tables=None):
+def assemble_b_volume(space, coeffs, tables):
     """Volume part of b_h: <rho c_s^2 div u, div u'>."""
-    wdet, phys, _, _, div = (_volume(space, order, need_grad=False)
-                             if tables is None else tables)
+    wdet, phys, _, _, div = tables
     wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
     return _matrix(space, np.einsum("eq,eqi,eqj->eij", wq, div, div,
                                     optimize=True))
 
 
-def assemble_rhs(space, f, order=None, tables=None):
+def assemble_rhs(space, f, tables):
     """Load vector <f, basis>."""
-    wdet, phys, vals, _, _ = (_volume(space, order, need_grad=False)
-                              if tables is None else tables)
+    wdet, phys, vals, _, _ = tables
     fv = eval_pointwise(_field(f, vector=(space.ncomp == 2)), phys)
     spec = "eq,eqc,eqjc->ej" if space.ncomp == 2 else "eq,eq,eqj->ej"
     loc = np.einsum(spec, wdet, fv, vals, optimize=True)
@@ -162,6 +160,9 @@ def assemble_rhs(space, f, order=None, tables=None):
 
 
 # -- facet terms --------------------------------------------------------------
+
+# The facet forms take one facet set's segment rule, FacetGeometry fg and
+# traces (its _facet_basis) and return that set's terms.
 
 def _facet_basis(space, fg, need_grad=True):
     """Basis traces of every owner of a facet batch, owners side by side.
@@ -180,13 +181,12 @@ def _facet_basis(space, fg, need_grad=True):
     return dofs, vals, grads, divs, sgn
 
 
-def assemble_a_dg(space, coeffs, order, volume, traces):
-    """a_h^DG: the volume terms `volume` plus interior-facet interior-penalty
-    terms, from `traces`, the interior facets' _facet_basis.
+def assemble_a_dg(space, coeffs, rule, fg, traces):
+    """Interior-penalty terms of a_h^DG in the b-weighted jump.
 
-    Boundary facets contribute nothing since b.n = 0 there by assumption.
+    Only interior facets have them: boundary facets contribute nothing
+    since b.n = 0 there by assumption.
     """
-    rule, fg = space.mesh.facet_quadrature(order, boundary=False)
     dofs, vals, grads, _, sgn = traces
     rho = coeffs.rho_at(fg.points)
     b = coeffs.b_at(fg.points)
@@ -200,12 +200,18 @@ def assemble_a_dg(space, coeffs, order, volume, traces):
                                          wq, bjump, bjump, optimize=True)
     cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return volume + assemble_csr(dofs, dofs, loc, volume.shape)
+    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
 
 
-def _b_jumps(space, coeffs, rule, fg, traces):
-    """Normal-jump penalty and consistency terms of b_h^DG on the facet
-    batch fg, from its _facet_basis traces."""
+def assemble_b_dg(space, coeffs, rule, fg, traces):
+    """Normal-jump penalty and consistency terms of b_h^DG.
+
+    On the boundary facets they are the Nitsche terms enforcing u.n = 0
+    with the one-sided trace convention; on the interior facets the
+    interior-penalty terms, which only a discontinuous family has: the
+    normal jump of a continuous space vanishes, and assembling its terms
+    would store round-off entries.
+    """
     dofs, vals, _, divs, sgn = traces
     wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
           * coeffs.cs2_at(fg.points))
@@ -219,41 +225,17 @@ def _b_jumps(space, coeffs, rule, fg, traces):
     return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
 
 
-def assemble_b_dg(space, coeffs, order, volume, traces):
-    """b_h^DG: the volume terms `volume` plus normal-jump penalty and
-    consistency terms.
-
-    Boundary facets get the Nitsche terms enforcing u.n = 0 with the
-    one-sided trace convention.  Interior facets get the interior-penalty
-    terms on the discontinuous family only: the normal jump of a continuous
-    space vanishes, and assembling its terms would store round-off entries.
-    `traces` is a dict from `boundary` to the _facet_basis of that facet
-    set, for the sets already evaluated; the others are evaluated here.  A
-    set's traces are taken out of the dict, so they are dropped before the
-    next set is evaluated.
-    """
-    B = volume
-    for boundary in ((False, True) if space.family == "vector_dg"
-                     else (True,)):
-        rule, fg = space.mesh.facet_quadrature(order, boundary)
-        B = B + _b_jumps(space, coeffs, rule, fg, (
-            traces.pop(boundary) if boundary in traces
-            else _facet_basis(space, fg, need_grad=False)))
-    return B
-
-
 # -- the pseudo-pressure block system ----------------------------------------
 
-def _pressure_blocks(vel_space, pp_space, coeffs, order, tables=None):
+def _pressure_blocks(vel_space, pp_space, coeffs, tables, qv):
     """Volume blocks (D, M_p) of the pseudo-pressure system.
 
     D (npp, nu) couples div u to the pseudo-pressure basis and M_p is its
     mass matrix, both weighted by rho c_s^2.  `tables` is the velocity
-    space's _volume, as for the volume forms.
+    space's _volume and `qv` the pseudo-pressure basis values at its
+    points.
     """
-    wdet, phys, _, _, div = (_volume(vel_space, order, need_grad=False)
-                             if tables is None else tables)
-    qv = _volume(pp_space, order, need_grad=False)[2]
+    wdet, phys, _, _, div = tables
     wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
     D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
                      np.einsum("eq,eqi,eqj->eij", wq, qv, div, optimize=True),
@@ -262,7 +244,8 @@ def _pressure_blocks(vel_space, pp_space, coeffs, order, tables=None):
                                           optimize=True))
 
 
-def assemble_m2_system(vel_space, pp_space, coeffs, order, volume):
+def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
+                       traces):
     """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
@@ -272,16 +255,13 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order, volume):
     is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
     rho c_s^2 weighted L2 projection of the divergence.  `volume` is the
     volume blocks (a_h, D, M_p); the boundary blocks N and G are assembled
-    here.
+    here on the boundary facet set (rule, fg) from `traces`, the velocity
+    and pseudo-pressure basis values on its owners.
     """
     nu, npp = vel_space.ndof, pp_space.ndof
     A, D, Mp = volume
-
-    # boundary terms
-    rule, fg = vel_space.mesh.facet_quadrature(order, boundary=True)
-    e, rp = fg.sides[0][0], fg.ref_points[0]
-    uv, _, _ = vel_space.eval_basis(e, rp, need_grad=False)
-    qv, _, _ = pp_space.eval_basis(e, rp, need_grad=False)
+    uv, qv = traces
+    e = fg.sides[0][0]
     wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
           * coeffs.cs2_at(fg.points))
     un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
@@ -299,21 +279,25 @@ def assemble_m2_system(vel_space, pp_space, coeffs, order, volume):
 
 # -- method dispatch ----------------------------------------------------------
 
-# method -> (velocity family, pseudo-pressure family, a-form, b-form).
-# Strong boundary constraints come with the space: only BDM pins dofs (its
-# boundary normal moments).  A method with a pseudo-pressure family (M2)
-# has its operator pair on (u_h, p_h) from assemble_m2_system; its forms
-# are those of its triple norm, with div replaced by the weighted
-# projection onto the pseudo-pressure space.  _assemble composes every
-# pair from this table.  Forms are named rather than held, and called
-# through this module's attributes, so a wrapper installed on one (a
-# profiler or tracer) sees every call.
+# Facet sets, by the `boundary` flag of Mesh.facet_quadrature.
+INTERIOR, BOUNDARY = False, True
+
+# method -> (velocity family, pseudo-pressure family, facet sets of a_h,
+# facet sets of b_h).  Every a_h is assemble_a_volume plus assemble_a_dg
+# on its facet sets; every b_h likewise with assemble_b_volume and
+# assemble_b_dg.  Strong boundary constraints come
+# with the space: only BDM pins dofs (its boundary normal moments).  A
+# method with a pseudo-pressure family (M2) has its operator pair on
+# (u_h, p_h) from assemble_m2_system; its forms are those of its triple
+# norm, with div replaced by the weighted projection onto the
+# pseudo-pressure space.  _assemble composes every pair from this table,
+# calling the forms through this module's attributes, so a wrapper
+# installed on one (a profiler or tracer) sees every call.
 METHOD_FORMS = {
-    "M1": ("vector_lagrange", None, "assemble_a_volume", "assemble_b_dg"),
-    "M2": ("vector_lagrange", "scalar_lagrange", "assemble_a_volume",
-           "assemble_b_dg"),
-    "M3": ("hdiv_bdm", None, "assemble_a_dg", "assemble_b_volume"),
-    "M4": ("vector_dg", None, "assemble_a_dg", "assemble_b_dg"),
+    "M1": ("vector_lagrange", None, (), (BOUNDARY,)),
+    "M2": ("vector_lagrange", "scalar_lagrange", (), (BOUNDARY,)),
+    "M3": ("hdiv_bdm", None, (INTERIOR,), ()),
+    "M4": ("vector_dg", None, (INTERIOR,), (INTERIOR, BOUNDARY)),
 }
 
 
@@ -344,8 +328,8 @@ class MethodSystem:
         assembles it once; assemble_method keeps the load of its f.
         """
         if self._load[0] is not f:
-            self._keep_load(f, assemble_rhs(self.velocity_space, f,
-                                            order=self.order))
+            self._keep_load(f, assemble_rhs(self.velocity_space, f, _volume(
+                self.velocity_space, self.order, need_grad=False)))
         return LinearSystem(cs2 * self.b - self.a, self._load[1],
                             self.velocity_space.constrained_dofs,
                             SYMMETRIC_PIVOT_THRESHOLD
@@ -380,45 +364,52 @@ def method_spaces(method, mesh, p):
     if method not in METHOD_FORMS:
         raise ValueError(f"unknown method {method!r}")
     vel_family, pp_family, _, _ = METHOD_FORMS[method]
-    vel = build_space(vel_family, mesh, p)
-    if pp_family is None:
-        return vel, None
-    if p < 2:
+    if pp_family is not None and p < 2:
         raise DegreeError(f"{method} requires p >= 2")
-    return vel, build_space(pp_family, mesh, p - 1)
+    return (build_space(vel_family, mesh, p), None if pp_family is None
+            else build_space(pp_family, mesh, p - 1))
 
 
-def _assemble(method, space, coeffs, order, pp_space, f):
+def _assemble(method, space, coeffs, order, pp_space, f, vol=None):
     """(A_h, B_h, load of f or None) of a method, one point set at a time.
 
-    This is the one place that composes a method's forms: the operator
-    (assemble_method), the dense diagnostics (assemble_method with f None)
-    and the triple-norm error (error_norms, on its _ErrorSpace with no
-    pp_space) all take their pair from here.  The velocity space's element
-    table, with gradients, is evaluated once and read by every volume term
-    and the load; it is dropped before the facet traces are evaluated.  The
-    method's facet forms are then called with their volume terms, and M4's
-    two forms share the traces of the interior facets.
+    This is the one place that composes a method's forms and evaluates
+    their tables: the operator (assemble_method), the dense diagnostics
+    (assemble_method with f None) and the triple-norm error (error_norms,
+    on its _ErrorSpace with no pp_space) all take their pair from here.
+    The velocity space's element table, with gradients, is evaluated once
+    (or is `vol`, the one error_norms evaluated) and read by every volume
+    term and the load; it is dropped before any facet trace is evaluated.
+    Then each facet set the method has terms on, interior first, has its
+    traces evaluated once, with gradients only where a_h has terms, and
+    read by both forms; they are dropped before the next set is evaluated.
     """
-    _, _, a_form, b_form = METHOD_FORMS[method]
+    _, _, a_sets, b_sets = METHOD_FORMS[method]
     order = _order(space, order)
-    vol = _volume(space, order)
-    A = assemble_a_volume(space, coeffs, order, tables=vol)
-    load = None if f is None else assemble_rhs(space, f, order, tables=vol)
+    if vol is None:
+        vol = _volume(space, order)
+    A = assemble_a_volume(space, coeffs, vol)
+    load = None if f is None else assemble_rhs(space, f, vol)
     if pp_space is not None:
-        D, Mp = _pressure_blocks(space, pp_space, coeffs, order, vol)
+        D, Mp = _pressure_blocks(space, pp_space, coeffs, vol, _volume(
+            pp_space, order, need_grad=False)[2])
         del vol
-        return assemble_m2_system(space, pp_space, coeffs, order,
-                                  (A, D, Mp)) + (load,)
-    B = assemble_b_volume(space, coeffs, order, tables=vol)
+        rule, fg = space.mesh.facet_quadrature(order, BOUNDARY)
+        e, rp = fg.sides[0][0], fg.ref_points[0]
+        traces = [s.eval_basis(e, rp, need_grad=False)[0]
+                  for s in (space, pp_space)]
+        return assemble_m2_system(space, pp_space, coeffs, rule, fg,
+                                  (A, D, Mp), traces) + (load,)
+    B = assemble_b_volume(space, coeffs, vol)
     del vol
-    traces = {}
-    if a_form == "assemble_a_dg":
-        _, fg = space.mesh.facet_quadrature(order, boundary=False)
-        traces[False] = _facet_basis(space, fg)
-        A = assemble_a_dg(space, coeffs, order, A, traces[False])
-    if b_form == "assemble_b_dg":
-        B = assemble_b_dg(space, coeffs, order, B, traces)
+    for boundary in sorted(set(a_sets + b_sets)):
+        rule, fg = space.mesh.facet_quadrature(order, boundary)
+        traces = _facet_basis(space, fg, need_grad=boundary in a_sets)
+        if boundary in a_sets:
+            A = A + assemble_a_dg(space, coeffs, rule, fg, traces)
+        if boundary in b_sets:
+            B = B + assemble_b_dg(space, coeffs, rule, fg, traces)
+        del traces
     return A, B, load
 
 
@@ -446,8 +437,8 @@ class _ErrorSpace:
     diagonals.
     `div`, when set to a scalar DiscreteField of k fields, replaces div e_j.
     eval_basis takes only the point sets of the mesh's quadrature at
-    `order`.  It evaluates u_h once per point set for all k fields, and the
-    exact solution once per set of physical points: both owners of an
+    `order`.  Each call evaluates u_h for all k fields; the exact solution
+    is evaluated once per set of physical points: both owners of an
     interior facet use owner 0's points, where the exact solution is
     continuous.
     """
@@ -463,28 +454,24 @@ class _ErrorSpace:
         self.u_h, self.exact = u_h, exact
         rule, _, phys = self.mesh.element_quadrature(order)
         self._points = {id(rule.points): phys}
-        for boundary in (False, True):
+        for boundary in (INTERIOR, BOUNDARY):
             _, fg = self.mesh.facet_quadrature(order, boundary)
             self._points.update((id(rp), fg.points) for rp in fg.ref_points)
-        self._traces = {}   # id(reference points) -> (u_h values, e traces)
         self._exact = {}    # id(physical points) -> u, grad u, div u
 
     def traces(self, elems, ref_pts, need_grad=True):
         """(u_h values, (values, gradients, divergences) of e), each with
         the axis of the k fields where eval_basis has its basis axis."""
-        hit = self._traces.get(id(ref_pts))
-        if hit is None or (need_grad and hit[1][1] is None):
-            pts = self._points[id(ref_pts)]
-            if id(pts) not in self._exact:
-                self._exact[id(pts)] = [eval_pointwise(f, pts) for f in (
-                    self.exact.u, self.exact.grad_u, self.exact.div_u)]
-            u, grad_u, div_u = self._exact[id(pts)]
-            vals, grads, div = self.u_h.evaluate(elems, ref_pts, need_grad)
-            hit = self._traces[id(ref_pts)] = (vals, (
-                vals - u[..., None, :],
-                None if grads is None else grads - grad_u[..., None, :, :],
-                div - div_u[..., None]))
-        return hit
+        pts = self._points[id(ref_pts)]
+        if id(pts) not in self._exact:
+            self._exact[id(pts)] = [eval_pointwise(f, pts) for f in (
+                self.exact.u, self.exact.grad_u, self.exact.div_u)]
+        u, grad_u, div_u = self._exact[id(pts)]
+        vals, grads, div = self.u_h.evaluate(elems, ref_pts, need_grad)
+        return vals, (vals - u[..., None, :],
+                      None if grads is None
+                      else grads - grad_u[..., None, :, :],
+                      div - div_u[..., None])
 
     def eval_basis(self, elems, ref_pts, need_grad=True):
         vals, grads, div = self.traces(elems, ref_pts, need_grad)[1]
@@ -534,8 +521,8 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
     scale = 1.0 if cs2 is None else np.asarray(cs2, float) / coeffs.c_s ** 2
     fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))
     order = quadrature_order(space) + 2 if order is None else order
-    rule, wq, _ = space.mesh.element_quadrature(order)
-    elems = _all_elems(space)
+    rule, wq, phys = space.mesh.element_quadrature(order)
+    elems = np.arange(space.mesh.num_triangles)
     if exact is None:
         vals, _, _ = fields.evaluate(elems, rule.points, need_grad=False)
         res = [{"l2_error": None, "xh_error": None, "l2_norm": n}
@@ -543,16 +530,20 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
         return res if batch else res[0]
 
     err = _ErrorSpace(fields, exact, order)
-    vals, (ev, _, _) = err.traces(elems, rule.points)
+    vals, (ev, eg, ed) = err.traces(elems, rule.points)
+    vol = (wq, phys, ev, eg, ed)
     pp_family = METHOD_FORMS[method][1]
     if pp_family is not None:
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
         # rho c_s^2 weighted projection of each div e_j (D holds their loads)
-        D, Mp = _pressure_blocks(err, pp_space, coeffs, order)
+        D, Mp = _pressure_blocks(err, pp_space, coeffs, vol, _volume(
+            pp_space, order, need_grad=False)[2])
         err.div = DiscreteField(pp_space, spla.spsolve(
             Mp.tocsc(), D.toarray()).reshape(pp_space.ndof, k))
-    A, B, _ = _assemble(method, err, coeffs, order, None, None)
+        vol = vol[:4] + (err.div.evaluate(elems, rule.points,
+                                          need_grad=False)[0],)
+    A, B, _ = _assemble(method, err, coeffs, order, None, None, vol)
     xh2 = A.diagonal() + scale * B.diagonal()
     res = [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
             "l2_norm": n}

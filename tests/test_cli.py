@@ -189,8 +189,22 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
                   "--cs2=-4"],
                  ["solve", "--method", "M3", "--p", "1", "--level", "0",
                   "--cs2=nan"],
+                 ["solve", "--method", "M3", "--p", "1", "--level", "0",
+                  "--cs2", "inf"],
+                 ["locking", "--levels", "0", "--methods", "M4",
+                  "--lambda-b", "nan"],
                  ["locking", "--levels", "0", "--out",
                   str(tmp_path / "missing")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    # a list option must name at least one value
+    for argv in (["locking", "--cs2=", "--levels", "0"],
+                 ["locking", "--cs2", ",", "--levels", "0"],
+                 ["convergence", "--p=", "--levels", "0"],
+                 ["convergence", "--p", "1", "--levels="],
+                 ["convergence", "--p", "1", "--levels", "3-1"],
+                 ["convergence", "--p", "1", "--levels", "0", "--methods="]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -204,7 +218,8 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
                        (["locking"] + tiny, "b_scale=2\n"),
                        (["gradrob"] + tiny, "method=M3\n"),
                        (["convergence"] + tiny, "level=1\n"),
-                       (["convergence"] + tiny, "frobnicate=1\n")):
+                       (["convergence"] + tiny, "frobnicate=1\n"),
+                       (["locking", "--levels", "0"], "cs2=\n")):
         cfg.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--config", str(cfg)])
@@ -212,14 +227,28 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
 
 
 def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):
-    """A study with a nonpositive c_s^2 or a missing output directory exits
-    before it solves anything."""
+    """A study with a nonpositive or infinite c_s^2, a penalty that is not
+    finite, a list option naming no value, a degree below 1 or a missing
+    output directory exits before it solves anything."""
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(cli, "_solve_cell", no_cell)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cs2=\n")
     for argv in (["locking", "--cs2=1,-4", "--levels", "0"],
                  ["gradrob", "--cs2=nan", "--levels", "0"],
+                 ["locking", "--cs2=1,inf", "--levels", "0"],
+                 ["locking", "--lambda-b", "inf", "--levels", "0"],
+                 ["locking", "--lambda-n", "inf", "--levels", "0"],
+                 ["locking", "--cs2=", "--levels", "0"],
+                 ["locking", "--cs2", ",", "--levels", "0"],
+                 ["locking", "--levels", "0", "--config", str(cfg)],
+                 ["convergence", "--p=", "--levels", "0"],
+                 ["convergence", "--p", "0", "--levels", "0"],
+                 ["convergence", "--p", "1", "--levels="],
+                 ["convergence", "--p", "1", "--levels", "3-1"],
+                 ["convergence", "--p", "1", "--levels", "0", "--methods="],
                  ["convergence", "--p", "1", "--levels", "0", "--out",
                   str(tmp_path / "missing")]):
         with pytest.raises(SystemExit) as exc:

@@ -37,16 +37,20 @@ def test_coefficient_validation():
         CoefficientSet(b_inf=0.0)
     with pytest.raises(ValueError):
         CoefficientSet(lambda_b=-1.0)
+    for bad in ({"b_inf": np.inf}, {"lambda_b": np.nan}, {"lambda_b": np.inf},
+                {"lambda_n": np.nan}, {"lambda_n": np.inf}):
+        with pytest.raises(ValueError):
+            CoefficientSet(**bad)
     co = CoefficientSet(rho=-1.0, b_inf=0.1)
     with pytest.raises(ValueError):
         co.rho_at(np.zeros((1, 2)))
-    for bad in (0.0, np.nan):
+    for bad in (0.0, np.nan, np.inf):
         co = CoefficientSet(rho=bad, c_s=bad, b_inf=0.1)
         with pytest.raises(ValueError):
             co.rho_at(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             co.cs2_at(np.zeros((1, 2)))
-    for cs2 in (0.0, -4.0, np.nan):
+    for cs2 in (0.0, -4.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             paper_coefficients(2, cs2=cs2)
 
@@ -84,7 +88,7 @@ def test_b_volume_oracle_square(square1):
     """u = (x, y): b(u,u) = int rho c^2 (div u)^2 = 4 on the unit square."""
     space = build_space("vector_lagrange", square1, 1)
     u = l2_project(space, lambda q: q)
-    B = assemble_b_volume(space, unit_coeffs())
+    B = assemble_b_volume(space, unit_coeffs(), forms._volume(space))
     assert abs(u.coefficients @ (B @ u.coefficients) - 4.0) <= 1e-12
 
 
@@ -95,7 +99,7 @@ def test_a_volume_oracle_square(square1):
     """
     space = build_space("vector_lagrange", square1, 1)
     u = l2_project(space, lambda q: q)
-    A = assemble_a_volume(space, unit_coeffs())
+    A = assemble_a_volume(space, unit_coeffs(), forms._volume(space))
     assert abs(u.coefficients @ (A @ u.coefficients) - 0.04 / 3) <= 1e-12
 
 
@@ -124,7 +128,8 @@ def test_b_dg_continuous_space_skips_interior_facets(mesh):
            else make_unit_disc_mesh(3, geom_order=2))
     co = paper_coefficients(2)
     ms = assemble_method("M1", msh, 2, co, None)
-    assert ms.b.nnz <= assemble_b_volume(ms.velocity_space, co).nnz
+    vel = ms.velocity_space
+    assert ms.b.nnz <= assemble_b_volume(vel, co, forms._volume(vel)).nnz
 
 
 def test_a_dg_matches_a_volume_for_continuous_fields(square2):
@@ -134,8 +139,8 @@ def test_a_dg_matches_a_volume_for_continuous_fields(square2):
                                    q[:, 0] * q[:, 1]])
     lag = build_space("vector_lagrange", square2, 3)
     ul = l2_project(lag, v, order=12)
-    aval = ul.coefficients @ (assemble_a_volume(lag, co, order=12)
-                              @ ul.coefficients)
+    A = assemble_a_volume(lag, co, forms._volume(lag, 12))
+    aval = ul.coefficients @ (A @ ul.coefficients)
     ms = assemble_method("M4", square2, 3, co, None, order=12)
     # re-expand the (piecewise-polynomial) Lagrange field in the DG space
     udg = _reexpand(ul, ms.velocity_space)
@@ -163,7 +168,7 @@ def test_rhs_partition_of_unity(square2):
     """f = (1, 0): component sums of the load vector give int f dx."""
     space = build_space("vector_lagrange", square2, 2)
     rhs = assemble_rhs(space, lambda q: np.column_stack(
-        [np.ones(len(q)), np.zeros(len(q))]))
+        [np.ones(len(q)), np.zeros(len(q))]), forms._volume(space))
     assert abs(rhs[0::2].sum() - 1.0) <= 1e-12
     assert abs(rhs[1::2].sum()) <= 1e-13
 
@@ -176,8 +181,9 @@ def test_all_matrices_symmetric(disc1_curved):
     co = unit_coeffs(lambda_b=40.0, lambda_n=40.0)
     for family in ("vector_lagrange", "hdiv_bdm"):
         space = build_space(family, disc1_curved, 2)
+        vol = forms._volume(space)
         for asm in (assemble_a_volume, assemble_b_volume):
-            assert check_symmetry(asm(space, co), tol=1e-12) >= 0.0
+            assert check_symmetry(asm(space, co, vol), tol=1e-12) >= 0.0
     for method in ("M1", "M3", "M4"):
         ms = assemble_method(method, disc1_curved, 2, co, None)
         for M in (ms.a, ms.b):
@@ -393,7 +399,7 @@ def test_divfree_kernel_embeds_into_dg(square2):
         penalty += co.lambda_n / square2.facet_length(f) \
             * float((srule.weights * fg.dline) @ (un * un))
     assert abs(quad - penalty) <= 1e-10 * max(penalty, 1.0)
-    Bint = assemble_b_volume(dg, co)
+    Bint = assemble_b_volume(dg, co, forms._volume(dg))
     assert abs(udg.coefficients @ (Bint @ udg.coefficients)) <= 1e-12
 
 
@@ -537,3 +543,34 @@ def test_batched_error_norms_need_constant_coefficients():
     # with constant coefficients the same calls run
     assert len(error_norms(DiscreteField(space, x), prob, prob.coeffs,
                            method="M3")) == 2
+
+
+@pytest.mark.parametrize("method,point_sets,physical_sets", [
+    ("M1", 2, 2), ("M2", 2, 2), ("M3", 3, 2), ("M4", 4, 3)])
+def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
+                                                  point_sets, physical_sets):
+    """One error_norms call on 3 solutions evaluates u_h once per point set:
+    the elements and each owner side of the facet sets the method has terms
+    on.  The exact u is evaluated once per set of physical points, which
+    the two owners of an interior facet share."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    prob = convergence_problem(2)
+    vel, pp = method_spaces(method, mesh, 2)
+    calls, exact_calls = [], []
+    evaluate = DiscreteField.evaluate
+
+    def counted(field, elems, ref_pts, need_grad=True):
+        if field.space is vel:
+            calls.append(id(ref_pts))
+        return evaluate(field, elems, ref_pts, need_grad)
+
+    def exact_u(pts):
+        exact_calls.append(len(pts))
+        return prob.u(pts)
+
+    monkeypatch.setattr(DiscreteField, "evaluate", counted)
+    error_norms(DiscreteField(vel, RNG.standard_normal((vel.ndof, 3))),
+                replace(prob, u=exact_u), prob.coeffs, method=method,
+                pp_space=pp, cs2=(1.0, 10.0, 1000.0))
+    assert len(calls) == len(set(calls)) == point_sets
+    assert len(exact_calls) == physical_sets
