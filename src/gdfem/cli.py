@@ -22,7 +22,7 @@ files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -69,9 +69,10 @@ class Study:
 
     `axis` is the report field in the CSV's second column ("p" or "cs2");
     a run takes a single value of the other one.  `svg`, `label` and
-    `title` are formatted with the fields of a StudyRow.  The exact
-    solution of `problem`, if it has one, does not depend on cs2: the
-    runner measures every c_s^2 of a sweep against the first one's.
+    `title` are formatted with the fields of a StudyRow.  The problems of
+    a sweep differ only in c_s^2 and forcing: the runner assembles every
+    c_s^2 of a sweep with the first one's coefficients and measures it
+    against the first one's exact solution, if it has one.
     """
     problem: object      # problem(p=, cs2=, lambda_b=, lambda_n=)
     p_list: tuple
@@ -309,27 +310,15 @@ def write_svg(path, series, ref_slope, title, ylabel):
 
 # -- study runners ------------------------------------------------------------
 
-def _assemble_unit(method, mesh, p, prob):
-    """The operator pair of prob's coefficients at c_s = 1.
-
-    Every b_h term is linear in rho c_s^2, so -A_h + c_s^2 B_h of this pair
-    is the operator at any constant c_s^2; a c_s^2 sweep assembles it once.
-    """
-    if callable(prob.coeffs.c_s) or callable(prob.coeffs.rho):
-        raise ValueError("a c_s^2 sweep needs constant rho and c_s")
-    return assemble_method(method, mesh, p, replace(prob.coeffs, c_s=1.0),
-                           prob.f)
-
-
 def _solve_cell(method, mesh, p, prob, ms):
     """Solve the (method, mesh, p) cell of prob.
 
-    `ms` is the cell's operator pair from _assemble_unit; the cell solves
-    -A_h + c_s^2 B_h against the load of prob.f.  Returns the velocity
-    coefficients and the solved LinearSystem; raises SingularMatrixError
-    if the solve fails.
+    `ms` is the cell's operator pair, which any problem of the sweep
+    assembled; the cell solves it at prob's c_s^2 against the load of
+    prob.f.  Returns the velocity coefficients and the solved LinearSystem;
+    raises SingularMatrixError if the solve fails.
     """
-    system = ms.system_at(prob.coeffs.c_s ** 2, prob.f)
+    system = ms.system_at(prob.coeffs.cs2, prob.f)
     return ms.velocity(solve(system)).coefficients, system
 
 
@@ -342,7 +331,7 @@ def _cell_norms(method, ms, probs, columns):
     u = DiscreteField(ms.velocity_space, np.column_stack(columns))
     return error_norms(u, prob if prob.has_exact else None, prob.coeffs,
                        method=method, pp_space=ms.pressure_space,
-                       cs2=[pr.coeffs.c_s ** 2 for pr in probs])
+                       cs2=[pr.coeffs.cs2 for pr in probs])
 
 
 def run_study(study, p_list=None, cs2_list=None, levels=None,
@@ -353,8 +342,8 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     Arguments left None take the study's defaults.  The runner loops
     level -> method -> c_s^2.  It assembles each (mesh, method) operator
     pair once, solves it at every c_s^2 and evaluates the error norms of
-    all the solutions in one error_norms call, whose b_h it scales by each
-    c_s^2.  With out_path it writes the study's CSV and SVGs there.
+    all the solutions in one error_norms call, given each one's c_s^2.
+    With out_path it writes the study's CSV and SVGs there.
     """
     spec = STUDIES[study]
     p_list = spec.p_list if p_list is None else tuple(p_list)
@@ -374,7 +363,8 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
             h = mesh_size(mesh)
             for m in methods:
                 try:
-                    ms = _assemble_unit(m, mesh, p, probs[0])
+                    ms = assemble_method(m, mesh, p, probs[0].coeffs,
+                                         probs[0].f)
                 except DegreeError:     # M2 below p = 2: the cell stays empty
                     continue
                 solved = []
@@ -469,7 +459,7 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
     prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
-    ms = _assemble_unit(method, mesh, p, prob)
+    ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
     u, system = _solve_cell(method, mesh, p, prob, ms)
     res = _cell_norms(method, ms, [prob], [u])[0]
     res.update({"method": method, "level": level, "p": p, "cs2": cs2,
@@ -506,8 +496,18 @@ def _parse_int_list(text):
     return _nonempty(out, text)
 
 
+def _parse_float(text, positive=False):
+    """A finite float >= 0, or > 0 if positive."""
+    v = float(text)
+    if not 0 <= v < np.inf or positive and v == 0:
+        raise ValueError(f"{text.strip()!r} is not finite and "
+                         f"{'> 0' if positive else '>= 0'}")
+    return v
+
+
 def _parse_float_list(text):
-    return _nonempty([float(x) for x in text.split(",") if x.strip()], text)
+    return _nonempty([_parse_float(x, positive=True) for x in text.split(",")
+                      if x.strip()], text)
 
 
 def _parse_methods(text):
@@ -536,8 +536,9 @@ def read_config(path):
 _CONFIG_PARSERS = {
     "p": _parse_int_list, "levels": _parse_int_list,
     "cs2": _parse_float_list, "methods": _parse_methods,
-    "lambda_b": float, "lambda_n": float, "geom_order": int,
-    "out": str, "method": str, "level": int, "b_scale": float,
+    "lambda_b": _parse_float, "lambda_n": _parse_float, "geom_order": int,
+    "out": str, "method": str, "level": int,
+    "b_scale": partial(_parse_float, positive=True),
 }
 
 
@@ -592,8 +593,9 @@ def build_parser():
 def _resolve(args, parser):
     """Option values: config file values under explicit flags.
 
-    Both are parsed by _CONFIG_PARSERS.  A config key must be an option of
-    the subcommand; any other key is an error (exit 2).
+    Both are parsed by _CONFIG_PARSERS, and a value error names the flag
+    or the config key it came from.  A config key must be an option of the
+    subcommand; any other key is an error (exit 2).
     """
     flags = {k: v for k, v in vars(args).items()
              if k in _CONFIG_PARSERS and v is not None}
@@ -604,7 +606,15 @@ def _resolve(args, parser):
                 raise ValueError(f"config key {key!r} is not an option of "
                                  f"{args.command}")
         raw.update(flags)
-        return {k: _CONFIG_PARSERS[k](v) for k, v in raw.items()}
+        opts = {}
+        for k, v in raw.items():
+            try:
+                opts[k] = _CONFIG_PARSERS[k](v)
+            except ValueError as exc:
+                where = ("--" + k.replace("_", "-") if k in flags
+                         else f"config key {k!r}")
+                raise ValueError(f"{where}: {exc}") from None
+        return opts
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 

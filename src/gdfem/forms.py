@@ -11,6 +11,9 @@ The discrete operator of every method is -a_h + b_h:
   pseudo-pressure variant (M2) replaces div by its weighted L2 projection,
   realized as a symmetric saddle-point block system.
 
+rho and c_s^2 are constants, so every b_h form assembles B_h per unit
+c_s^2, and only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.
+
 Every form is evaluated on all elements (or all facets of one set) at
 once: geometry and basis tables carry a leading element or facet axis,
 each local matrix is one einsum, and the global matrix one COO -> CSR sum.
@@ -46,40 +49,36 @@ def _field(val, vector=False):
 
 @dataclass
 class CoefficientSet:
-    """Density, sound speed, background flow and penalty parameters."""
-    rho: object = 1.0
-    c_s: object = 1.0
+    """Density, squared sound speed, background flow and penalty parameters.
+
+    rho, cs2 and b_inf must be positive, finite numbers and the penalties
+    finite and >= 0; anything else, a callable included, raises ValueError.
+    """
+    rho: float = 1.0
+    cs2: float = 1.0
     b_flow: object = (0.0, 0.0)
     b_inf: float = 0.1
     lambda_b: float = 0.0
     lambda_n: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.b_inf < np.inf:
-            raise ValueError("b_inf must be positive and finite (the "
-                             "zeroth-order term degenerates otherwise)")
+        for name in ("rho", "cs2", "b_inf"):
+            value = getattr(self, name)
+            if callable(value) or not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be a positive, finite number, "
+                                 f"got {value!r}")
+            setattr(self, name, float(value))
         if not (0 <= self.lambda_b < np.inf and 0 <= self.lambda_n < np.inf):
             raise ValueError("penalty parameters must be finite and >= 0")
-        self._rho = _field(self.rho)
-        self._cs = _field(self.c_s)
         self._b = _field(self.b_flow, vector=True)
 
-    # The *_at methods take points of shape (..., 2) and keep the leading axes.
-
-    def rho_at(self, pts):
-        r = eval_pointwise(self._rho, pts)
-        if not np.all((r > 0) & (r < np.inf)):
-            raise ValueError("rho must be positive and finite")
-        return r
-
-    def cs2_at(self, pts):
-        c = eval_pointwise(self._cs, pts)
-        cs2 = c * c
-        if not np.all((c > 0) & (cs2 < np.inf)):
-            raise ValueError("c_s must be positive and finite")
-        return cs2
+    @property
+    def c_s(self):
+        """The sound speed, sqrt(cs2)."""
+        return float(np.sqrt(self.cs2))
 
     def b_at(self, pts):
+        """b at points of shape (..., 2), leading axes kept."""
         return eval_pointwise(self._b, pts)
 
 
@@ -92,17 +91,15 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
                        b_scale=1.0):
     """The paper's coefficients at degree p and squared sound speed cs2.
 
-    rho = 1, c_s = sqrt(cs2), b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
+    rho = 1, c_s^2 = cs2, b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
     b_scale on the unit disc; default penalties lambda_b = 10 p^2 and
     lambda_n = 100 p^2.  Raises DegreeError unless p >= 1 and ValueError
     unless 0 < cs2 < inf (NaN included).
     """
     if p < 1:
         raise DegreeError("degree must be >= 1")
-    if not 0 < cs2 < np.inf:
-        raise ValueError(f"cs2 must be positive and finite, got {cs2!r}")
     return CoefficientSet(
-        rho=1.0, c_s=np.sqrt(cs2), b_flow=rotational_flow(0.1 * b_scale),
+        rho=1.0, cs2=cs2, b_flow=rotational_flow(0.1 * b_scale),
         b_inf=0.1 * b_scale,
         lambda_b=10.0 * p * p if lambda_b is None else lambda_b,
         lambda_n=100.0 * p * p if lambda_n is None else lambda_n)
@@ -133,7 +130,7 @@ def _matrix(space, loc):
 def assemble_a_volume(space, coeffs, tables):
     """Volume part of a_h: <rho (b.grad)u, (b.grad)u'> + |b|_inf^2 <rho u, u'>."""
     wdet, phys, vals, grads, _ = tables
-    wq = wdet * coeffs.rho_at(phys)
+    wq = wdet * coeffs.rho
     conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
                      optimize=True)
     loc = np.einsum("eq,eqic,eqjc->eij", wq, conv, conv, optimize=True)
@@ -143,11 +140,10 @@ def assemble_a_volume(space, coeffs, tables):
 
 
 def assemble_b_volume(space, coeffs, tables):
-    """Volume part of b_h: <rho c_s^2 div u, div u'>."""
-    wdet, phys, _, _, div = tables
-    wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
-    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wq, div, div,
-                                    optimize=True))
+    """Volume part of b_h per unit c_s^2: <rho div u, div u'>."""
+    wdet, _, _, _, div = tables
+    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wdet * coeffs.rho, div,
+                                    div, optimize=True))
 
 
 def assemble_rhs(space, f, tables):
@@ -188,10 +184,9 @@ def assemble_a_dg(space, coeffs, rule, fg, traces):
     since b.n = 0 there by assumption.
     """
     dofs, vals, grads, _, sgn = traces
-    rho = coeffs.rho_at(fg.points)
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
-    wq = rule.weights * fg.dline * rho
+    wq = rule.weights * fg.dline * coeffs.rho
     # b-weighted jump of each combined basis fn: sign * (b.n+) * trace
     bjump = vals * (sgn * bn[..., None])[..., None]
     avg = 0.5 * np.einsum("fqjcd,fqd->fqjc", grads, b, optimize=True)
@@ -204,7 +199,7 @@ def assemble_a_dg(space, coeffs, rule, fg, traces):
 
 
 def assemble_b_dg(space, coeffs, rule, fg, traces):
-    """Normal-jump penalty and consistency terms of b_h^DG.
+    """Normal-jump penalty and consistency terms of b_h^DG per unit c_s^2.
 
     On the boundary facets they are the Nitsche terms enforcing u.n = 0
     with the one-sided trace convention; on the interior facets the
@@ -213,8 +208,7 @@ def assemble_b_dg(space, coeffs, rule, fg, traces):
     would store round-off entries.
     """
     dofs, vals, _, divs, sgn = traces
-    wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
-          * coeffs.cs2_at(fg.points))
+    wq = rule.weights * fg.dline * coeffs.rho
     njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals, optimize=True) * sgn
     davg = divs / len(fg.sides)
     pen = coeffs.lambda_n / fg.length
@@ -231,12 +225,12 @@ def _pressure_blocks(vel_space, pp_space, coeffs, tables, qv):
     """Volume blocks (D, M_p) of the pseudo-pressure system.
 
     D (npp, nu) couples div u to the pseudo-pressure basis and M_p is its
-    mass matrix, both weighted by rho c_s^2.  `tables` is the velocity
-    space's _volume and `qv` the pseudo-pressure basis values at its
-    points.
+    mass matrix, both weighted by rho (per unit c_s^2).  `tables` is the
+    velocity space's _volume and `qv` the pseudo-pressure basis values at
+    its points.
     """
-    wdet, phys, _, _, div = tables
-    wq = wdet * coeffs.rho_at(phys) * coeffs.cs2_at(phys)
+    wdet, _, _, _, div = tables
+    wq = wdet * coeffs.rho
     D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
                      np.einsum("eq,eqi,eqj->eij", wq, qv, div, optimize=True),
                      (pp_space.ndof, vel_space.ndof))
@@ -251,19 +245,19 @@ def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
     B_h = [[N, (D - G)^T], [D - G, -M_p]] with N the boundary normal
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
-    the pseudo-pressure mass matrix, all weighted by rho c_s^2.  -A_h + B_h
-    is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    rho c_s^2 weighted L2 projection of the divergence.  `volume` is the
-    volume blocks (a_h, D, M_p); the boundary blocks N and G are assembled
-    here on the boundary facet set (rule, fg) from `traces`, the velocity
-    and pseudo-pressure basis values on its owners.
+    the pseudo-pressure mass matrix, all weighted by rho (per unit c_s^2).
+    -A_h + c_s^2 B_h is symmetric indefinite; eliminating p_h reproduces
+    -a + b^pp with the rho weighted L2 projection of the divergence.
+    `volume` is the volume blocks (a_h, D, M_p); the boundary blocks N and
+    G are assembled here on the boundary facet set (rule, fg) from
+    `traces`, the velocity and pseudo-pressure basis values on its
+    owners.
     """
     nu, npp = vel_space.ndof, pp_space.ndof
     A, D, Mp = volume
     uv, qv = traces
     e = fg.sides[0][0]
-    wq = (rule.weights * fg.dline * coeffs.rho_at(fg.points)
-          * coeffs.cs2_at(fg.points))
+    wq = rule.weights * fg.dline * coeffs.rho
     un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
     pen = coeffs.lambda_n / fg.length
     udofs = vel_space.dof_map[e]
@@ -305,23 +299,24 @@ METHOD_FORMS = {
 class MethodSystem:
     """Operator pair (A_h, B_h) of one method on one mesh, and its forcing.
 
-    The discrete operator is -A_h + B_h.  Every term of B_h is linear in
-    rho c_s^2, so with constant rho and c_s a pair assembled at c_s = 1
-    gives the operator at any c_s^2 through `system_at`.  The systems of a
-    method with a pseudo-pressure space (M2's saddle-point pair) carry
+    B_h is assembled per unit c_s^2, so the discrete operator at any c_s^2
+    is -A_h + c_s^2 B_h (`system_at`); `system` is the one at the c_s^2 of
+    the coefficients assembled with.  The systems of a method with a
+    pseudo-pressure space (M2's saddle-point pair) carry
     SADDLE_PIVOT_THRESHOLD, those of the others SYMMETRIC_PIVOT_THRESHOLD.
     """
     method: str
     velocity_space: object
     pressure_space: object      # M2's pseudo-pressure space, else None
     a: object                   # A_h, CSR
-    b: object                   # B_h, CSR
+    b: object                   # B_h per unit c_s^2, CSR
     f: object                   # the forcing of `system`
+    cs2: float                  # the c_s^2 of `system`
     order: int = None
     _load: tuple = field(default=(None, None), init=False, repr=False)
 
     def system_at(self, cs2, f):
-        """(-A_h + cs2 B_h) x = load of f, zero on pseudo-pressure rows.
+        """(cs2 B_h - A_h) x = load of f, zero on pseudo-pressure rows.
 
         The load of the last f is kept, read-only, and shared by the
         systems built from it, so a c_s^2 sweep with one forcing function
@@ -344,7 +339,7 @@ class MethodSystem:
     @cached_property
     def system(self):
         """The system at the coefficients and forcing assembled with."""
-        return self.system_at(1.0, self.f)
+        return self.system_at(self.cs2, self.f)
 
     def velocity(self, x):
         """The velocity DiscreteField of a raw solution vector."""
@@ -415,10 +410,10 @@ def _assemble(method, space, coeffs, order, pp_space, f, vol=None):
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
     """Assemble the operator pair of one method and the load of f;
-    -A_h + B_h is its operator."""
+    -A_h + c_s^2 B_h is its operator."""
     vel, pp = method_spaces(method, mesh, p)
     A, B, load = _assemble(method, vel, coeffs, order, pp, f)
-    ms = MethodSystem(method, vel, pp, A, B, f, order)
+    ms = MethodSystem(method, vel, pp, A, B, f, coeffs.cs2, order)
     if load is not None:
         ms._keep_load(f, load)
     return ms
@@ -437,14 +432,14 @@ class _ErrorSpace:
     diagonals.
     `div`, when set to a scalar DiscreteField of k fields, replaces div e_j.
     eval_basis takes only the point sets of the mesh's quadrature at
-    `order`.  Each call evaluates u_h for all k fields; the exact solution
-    is evaluated once per set of physical points: both owners of an
-    interior facet use owner 0's points, where the exact solution is
-    continuous.
+    `order`: the elements and the facet sets `facet_sets`.  Each call
+    evaluates u_h for all k fields; the exact solution is evaluated once
+    per set of physical points: both owners of an interior facet use owner
+    0's points, where the exact solution is continuous.
     """
     div = None
 
-    def __init__(self, u_h, exact, order):
+    def __init__(self, u_h, exact, order, facet_sets):
         space = u_h.space
         self.mesh, self.family = space.mesh, space.family
         self.degree, self.ncomp = space.degree, space.ncomp
@@ -454,7 +449,7 @@ class _ErrorSpace:
         self.u_h, self.exact = u_h, exact
         rule, _, phys = self.mesh.element_quadrature(order)
         self._points = {id(rule.points): phys}
-        for boundary in (INTERIOR, BOUNDARY):
+        for boundary in facet_sets:
             _, fg = self.mesh.facet_quadrature(order, boundary)
             self._points.update((id(rp), fg.points) for rp in fg.ref_points)
         self._exact = {}    # id(physical points) -> u, grad u, div u
@@ -492,33 +487,26 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
 
     `u_h` is one DiscreteField: with coefficients (ndof,) the result is one
     dict, with coefficients (ndof, k), k solutions of one space, it is a
-    list of k dicts in column order.  `cs2`, when given, is the c_s^2 of
-    each solution: solution j's triple norm takes b_h scaled by cs2[j] over
-    the c_s^2 of `coeffs`.  Every term of b_h is linear in rho c_s^2 (the
-    weight of M2's projection cancels), so this is exact for constant rho
-    and c_s; with several solutions or with `cs2`, a callable rho or c_s
-    raises ValueError.
+    list of k dicts in column order.  `cs2` is the c_s^2 of each solution,
+    by default that of `coeffs` for all: solution j's triple norm takes
+    B_h, which is per unit c_s^2, scaled by cs2[j].
 
     The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
     the method's pair, composed by _assemble on the _ErrorSpace of the k
     errors, whose k x k pair holds them on its diagonal; geometry, exact
-    values and u_h traces are evaluated once per point set for all k.  For
-    a method with a pseudo-pressure family, div e is replaced by its rho
-    c_s^2 weighted projection onto that space (pp_space, built when not
-    given), one solve with k right-hand sides.  `exact` provides callables
-    u, grad_u, div_u (or is None, in which case only the solution norm is
-    reported).
+    values and u_h traces are evaluated once per point set for all k, on
+    the facet sets the method has terms on.  For a method with a
+    pseudo-pressure family, div e is replaced by its rho weighted
+    projection onto that space (pp_space, built when not given), one solve
+    with k right-hand sides.  `exact` provides callables u, grad_u, div_u
+    (or is None, in which case only the solution norm is reported).
     """
     space = u_h.space
     batch = u_h.coefficients.ndim == 2
     k = u_h.coefficients.shape[1] if batch else 1
-    if (batch or cs2 is not None) and (callable(coeffs.c_s)
-                                       or callable(coeffs.rho)):
-        raise ValueError("error norms of several solutions or of a given "
-                         "c_s^2 need constant rho and c_s")
-    if cs2 is not None and len(cs2) != k:
+    cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.asarray(cs2, float)
+    if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
-    scale = 1.0 if cs2 is None else np.asarray(cs2, float) / coeffs.c_s ** 2
     fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))
     order = quadrature_order(space) + 2 if order is None else order
     rule, wq, phys = space.mesh.element_quadrature(order)
@@ -529,14 +517,14 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
                for n in _l2(wq, vals)]
         return res if batch else res[0]
 
-    err = _ErrorSpace(fields, exact, order)
+    _, pp_family, a_sets, b_sets = METHOD_FORMS[method]
+    err = _ErrorSpace(fields, exact, order, sorted(set(a_sets + b_sets)))
     vals, (ev, eg, ed) = err.traces(elems, rule.points)
     vol = (wq, phys, ev, eg, ed)
-    pp_family = METHOD_FORMS[method][1]
     if pp_family is not None:
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
-        # rho c_s^2 weighted projection of each div e_j (D holds their loads)
+        # rho weighted projection of each div e_j (D holds their loads)
         D, Mp = _pressure_blocks(err, pp_space, coeffs, vol, _volume(
             pp_space, order, need_grad=False)[2])
         err.div = DiscreteField(pp_space, spla.spsolve(
@@ -544,7 +532,7 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
         vol = vol[:4] + (err.div.evaluate(elems, rule.points,
                                           need_grad=False)[0],)
     A, B, _ = _assemble(method, err, coeffs, order, None, None, vol)
-    xh2 = A.diagonal() + scale * B.diagonal()
+    xh2 = A.diagonal() + cs2 * B.diagonal()
     res = [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
             "l2_norm": n}
            for e, x, n in zip(_l2(wq, ev), xh2, _l2(wq, vals))]

@@ -161,7 +161,7 @@ def _fd_operator(u, coeffs, pts, div_u):
         return b[:, :1] * gx + b[:, 1:] * gy
 
     def div(q):
-        return coeffs.cs2_at(q) * div_u(q)
+        return coeffs.cs2 * div_u(q)
 
     graddiv = np.column_stack([(div(pts + h * ex) - div(pts - h * ex)) / (2 * h),
                                (div(pts + h * ey) - div(pts - h * ey)) / (2 * h)])

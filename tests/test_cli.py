@@ -1,19 +1,17 @@
 """CLI and study harness: CSV schema, determinism, SVG structure, exit codes."""
 
 import filecmp
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import read_study_csv
 from gdfem import cli, forms
-from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
+from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
                        run_convergence, run_diagnostics,
                        run_gradrob, run_locking, run_solve, write_svg)
-from gdfem.problems import convergence_problem
 
 
 # -- defaults -----------------------------------------------------------------
@@ -224,6 +222,19 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--config", str(cfg)])
         assert exc.value.code == 2, (argv, text)
+    # a value error names the flag or the config key it came from
+    cfg.write_text("cs2=\n")
+    capsys.readouterr()
+    for argv, name in (
+            (["locking", "--cs2=", "--levels", "0"], "--cs2"),
+            (["locking", "--levels", "0", "--lambda-b", "nan"], "--lambda-b"),
+            (["diagnostics", "--method", "M3", "--level", "0", "--p", "1",
+              "--b-scale", "0"], "--b-scale"),
+            (["locking", "--levels", "0", "--config", str(cfg)], "'cs2'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert name in capsys.readouterr().err, argv
 
 
 def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):
@@ -316,17 +327,26 @@ def test_failed_solve_leaves_its_cell_empty(monkeypatch, tmp_path, capsys):
                     (column, want[1])
 
 
-def test_sweep_rejects_variable_coefficients(monkeypatch):
-    """A c_s^2 sweep scales one operator pair assembled at c_s = 1, which
-    needs constant rho and c_s."""
-    def problem(**kw):
-        prob = convergence_problem(**kw)
-        prob.coeffs = replace(prob.coeffs, c_s=lambda pts: np.ones(len(pts)))
-        return prob
-    monkeypatch.setitem(STUDIES, "convergence",
-                        replace(STUDIES["convergence"], problem=problem))
-    with pytest.raises(ValueError):
-        run_convergence(p_list=(1,), levels=(0,), methods=("M3",))
+def test_sweep_solves_at_the_given_cs2(monkeypatch):
+    """A cell at c_s^2 = 10 solves 10.0 B_h - A_h exactly: the c_s^2 is
+    used as given, not through its square root."""
+    pairs, systems = [], []
+    assemble, solve = cli.assemble_method, cli.solve
+
+    def kept_pair(*args, **kw):
+        pairs.append(assemble(*args, **kw))
+        return pairs[-1]
+
+    def kept_system(system):
+        systems.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(cli, "assemble_method", kept_pair)
+    monkeypatch.setattr(cli, "solve", kept_system)
+    run_locking(levels=(0,), methods=("M3",), cs2_list=(10.0,))
+    (ms,), (system,) = pairs, systems
+    assert np.array_equal(system.matrix.toarray(),
+                          (10.0 * ms.b - ms.a).toarray())
 
 
 def test_degenerate_flow_rejected():

@@ -26,7 +26,7 @@ RNG = np.random.default_rng(11)
 
 
 def unit_coeffs(lambda_b=0.0, lambda_n=0.0):
-    return CoefficientSet(rho=1.0, c_s=1.0, b_flow=rotational_flow(0.1),
+    return CoefficientSet(rho=1.0, cs2=1.0, b_flow=rotational_flow(0.1),
                           b_inf=0.1, lambda_b=lambda_b, lambda_n=lambda_n)
 
 
@@ -41,15 +41,11 @@ def test_coefficient_validation():
                 {"lambda_n": np.nan}, {"lambda_n": np.inf}):
         with pytest.raises(ValueError):
             CoefficientSet(**bad)
-    co = CoefficientSet(rho=-1.0, b_inf=0.1)
-    with pytest.raises(ValueError):
-        co.rho_at(np.zeros((1, 2)))
-    for bad in (0.0, np.nan, np.inf):
-        co = CoefficientSet(rho=bad, c_s=bad, b_inf=0.1)
-        with pytest.raises(ValueError):
-            co.rho_at(np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            co.cs2_at(np.zeros((1, 2)))
+    # rho and c_s^2 are constants, checked at construction
+    for bad in (-1.0, 0.0, np.nan, np.inf, lambda pts: np.ones(len(pts))):
+        for name in ("rho", "cs2"):
+            with pytest.raises(ValueError):
+                CoefficientSet(**{name: bad, "b_inf": 0.1})
     for cs2 in (0.0, -4.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             paper_coefficients(2, cs2=cs2)
@@ -210,14 +206,16 @@ def test_gram_matrices_psd(disc1_curved, method):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_cs2_split_matches_assembly(method):
-    """The pair assembled at c_s = 1 gives -A_h + c^2 B_h equal to the
-    operator assembled at c_s^2 = c^2, for every method."""
+    """B_h is per unit c_s^2: the pair assembled at c_s^2 = 1 gives
+    -A_h + c^2 B_h equal to the operator assembled at c_s^2 = c^2, whose
+    B_h is the same, for every method."""
     mesh = make_unit_disc_mesh(1, geom_order=2)
     f = convergence_problem(2).f
     unit = assemble_method(method, mesh, 2, paper_coefficients(2), f)
     for c2 in (1.0, 10.0, 1000.0):
-        K = assemble_method(method, mesh, 2, paper_coefficients(2, cs2=c2),
-                            f).system.matrix
+        ms = assemble_method(method, mesh, 2, paper_coefficients(2, cs2=c2), f)
+        assert (ms.b != unit.b).nnz == 0, c2
+        K = ms.system.matrix
         Ks = unit.system_at(c2, f).matrix
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
@@ -310,8 +308,7 @@ def test_m2_schur_oracle(square1):
         det = GeometryMap.dets(gm.jacobian(rule.points))
         phys = gm.points(rule.points)
         wq = rule.weights * det
-        rho = co.rho_at(phys)
-        cs2 = co.cs2_at(phys)
+        rho, cs2 = co.rho, co.cs2
         b = co.b_at(phys)
         qv, _, _ = pp.eval_basis(e, rule.points, need_grad=False)
         uv, ug, ud = u.evaluate(e, rule.points)
@@ -331,8 +328,7 @@ def test_m2_schur_oracle(square1):
         e0, k0, fl0 = fg.sides[0]
         uv, _, _ = u.evaluate(e0, fg.ref_points[0], need_grad=False)
         un = np.einsum("qc,qc->q", uv, fg.normals)
-        rho = co.rho_at(fg.points)
-        cs2 = co.cs2_at(fg.points)
+        rho, cs2 = co.rho, co.cs2
         qv, _, _ = pp.eval_basis(e0, fg.ref_points[0], need_grad=False)
         h = mesh.facet_length(f)
         w = srule.weights * fg.dline
@@ -503,15 +499,14 @@ def test_batched_error_norms_match_single(method, problem, p):
     (the locking problem has an exact solution, gradrob only a norm)."""
     mesh = make_unit_disc_mesh(1, geom_order=2)
     probs = [problem(cs2, p=p) for cs2 in _SWEEP]
-    ms = assemble_method(method, mesh, p, replace(probs[0].coeffs, c_s=1.0),
-                         probs[0].f)
+    ms = assemble_method(method, mesh, p, probs[0].coeffs, probs[0].f)
     exact = probs[0] if probs[0].has_exact else None
     xs = [ms.velocity(solve(ms.system_at(cs2, pr.f))).coefficients
           for cs2, pr in zip(_SWEEP, probs)]
     batch = error_norms(DiscreteField(ms.velocity_space, np.column_stack(xs)),
                         exact, probs[1].coeffs, method=method,
                         pp_space=ms.pressure_space,
-                        cs2=[pr.coeffs.c_s ** 2 for pr in probs])
+                        cs2=[pr.coeffs.cs2 for pr in probs])
     assert len(batch) == len(_SWEEP)
     for x, pr, got in zip(xs, probs, batch):
         want = error_norms(DiscreteField(ms.velocity_space, x), exact,
@@ -523,26 +518,6 @@ def test_batched_error_norms_match_single(method, problem, p):
                 assert got[key] is None, key
             else:
                 assert abs(got[key] - value) <= 1e-12 * abs(value), key
-
-
-def test_batched_error_norms_need_constant_coefficients():
-    """b_h scales by c_s^2 only for constant rho and c_s: error norms of
-    several solutions with a callable c_s raise ValueError, as does a
-    given c_s^2 with a callable rho."""
-    mesh = make_unit_disc_mesh(0, geom_order=2)
-    prob = locking_problem(1.0)
-    space, _ = method_spaces("M3", mesh, 2)
-    x = RNG.standard_normal((space.ndof, 2))
-    varying = replace(prob.coeffs, c_s=lambda pts: np.ones(len(pts)))
-    with pytest.raises(ValueError, match="constant rho and c_s"):
-        error_norms(DiscreteField(space, x), prob, varying, method="M3")
-    varying = replace(prob.coeffs, rho=lambda pts: np.ones(len(pts)))
-    with pytest.raises(ValueError, match="constant rho and c_s"):
-        error_norms(DiscreteField(space, x[:, 0]), prob, varying,
-                    method="M3", cs2=[1.0])
-    # with constant coefficients the same calls run
-    assert len(error_norms(DiscreteField(space, x), prob, prob.coeffs,
-                           method="M3")) == 2
 
 
 @pytest.mark.parametrize("method,point_sets,physical_sets", [
@@ -574,3 +549,25 @@ def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
                 pp_space=pp, cs2=(1.0, 10.0, 1000.0))
     assert len(calls) == len(set(calls)) == point_sets
     assert len(exact_calls) == physical_sets
+
+
+@pytest.mark.parametrize("method,sets", [
+    ("M1", {"boundary"}), ("M2", {"boundary"}), ("M3", {"interior"}),
+    ("M4", {"interior", "boundary"})])
+def test_error_norms_build_only_their_facet_sets(monkeypatch, method, sets):
+    """The error norms map the geometry of the facet sets the method has
+    terms on, and of no other set."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    prob = convergence_problem(2)
+    vel, pp = method_spaces(method, mesh, 2)
+    requested = set()
+    facet_quadrature = type(mesh).facet_quadrature
+
+    def recorded(self, order, boundary):
+        requested.add("boundary" if boundary else "interior")
+        return facet_quadrature(self, order, boundary)
+
+    monkeypatch.setattr(type(mesh), "facet_quadrature", recorded)
+    error_norms(DiscreteField(vel, RNG.standard_normal(vel.ndof)), prob,
+                prob.coeffs, method=method, pp_space=pp)
+    assert requested == sets

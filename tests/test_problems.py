@@ -104,7 +104,7 @@ def test_coefficients_shared_shape():
         assert co.b_inf == 0.1
         pts = np.array([[0.0, 1.0]])
         assert np.allclose(co.b_at(pts), [[-0.1, 0.0]])
-        assert np.all(co.rho_at(pts) == 1.0)
+        assert co.rho == 1.0
 
 
 def test_validate_detects_broken_forcing():
