@@ -16,7 +16,8 @@ mesh = make_unit_disc_mesh(level=2, geom_order=2)
 print(f"mesh: {mesh.num_triangles} triangles, h = {mesh_size(mesh):.4f}")
 
 # Manufactured solution u = sin(pi x) cos(pi y) (-y, x) with matching f;
-# coefficients rho = c_s = 1, b = 0.1 (-y, x), penalties 10 p^2 / 100 p^2.
+# coefficients rho = c_s = 1, b = 0.1 (-y, x) (amplitude b_inf = 0.1),
+# penalties 10 p^2 / 100 p^2.
 prob = convergence_problem(p=2)
 
 system = assemble_method("M3", mesh, 2, prob.coeffs, prob.f)

@@ -1,6 +1,7 @@
 """Finite element discretizations of the grad-div / streamline-derivative
-model problem  -grad(rho c_s^2 div u) + d_b(rho d_b u) - |b|_inf^2 rho u = f
-with u.n = 0 on curved 2D domains.
+model problem  -grad(c_s^2 div u) + d_b d_b u - |b|_inf^2 u = f  with
+u.n = 0 on the curved unit disc, for the rotational background flow
+b = b_inf (-y, x) and rho = 1 (a constant rho only rescales f to f/rho).
 
 Four discretizations of the same weak problem are provided:
 
@@ -19,9 +20,9 @@ Submodules: `quadrature`, `reference`, `mesh`, `fespace`, `forms`, `linalg`,
 __version__ = "0.1.0"
 
 from .mesh import make_unit_disc_mesh, make_unit_square_mesh, mesh_size, refine
-from .fespace import build_space, DiscreteField, bdm_interpolate, l2_project
+from .fespace import build_space, DiscreteField
 from .forms import (METHODS, CoefficientSet, assemble_method, error_norms,
-                    method_spaces, paper_coefficients, rotational_flow)
+                    method_spaces, paper_coefficients)
 from .linalg import LinearSystem, solve, estimate_control_constant
 from .problems import (ManufacturedProblem, convergence_problem,
                        gradrob_problem, locking_problem)
@@ -29,9 +30,9 @@ from .problems import (ManufacturedProblem, convergence_problem,
 __all__ = [
     "__version__",
     "make_unit_disc_mesh", "make_unit_square_mesh", "mesh_size", "refine",
-    "build_space", "DiscreteField", "bdm_interpolate", "l2_project",
+    "build_space", "DiscreteField",
     "METHODS", "CoefficientSet", "assemble_method", "error_norms",
-    "method_spaces", "paper_coefficients", "rotational_flow",
+    "method_spaces", "paper_coefficients",
     "LinearSystem", "solve", "estimate_control_constant",
     "ManufacturedProblem", "convergence_problem", "gradrob_problem",
     "locking_problem",

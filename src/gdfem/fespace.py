@@ -1,4 +1,4 @@
-"""Finite element spaces: reference bases, global dof maps, interpolation.
+"""Finite element spaces: reference bases, global dof maps, field evaluation.
 
 Four families are provided:
 
@@ -28,10 +28,8 @@ curved elements of a batch only.
 """
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .linalg import assemble_csr, assemble_vector
-from .mesh import FacetGeometry, GeometryMap, facet_ref_points
+from .mesh import GeometryMap, facet_ref_points
 from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomial_grads, eval_monomials, lagrange_basis,
@@ -344,65 +342,3 @@ def eval_pointwise(fun, pts):
     """Pointwise callable fun((n, 2) points) applied to (..., 2) points."""
     out = np.asarray(fun(pts.reshape(-1, 2)), dtype=float)
     return out.reshape(pts.shape[:-1] + out.shape[1:])
-
-
-def bdm_interpolate(space, v, order=None):
-    """Element-wise BDM interpolation of a smooth vector field.
-
-    Matches facet moments of v.n against P^p on each facet and interior
-    moments against the reduced rotational set (empty for p = 1).  `order`
-    raises the quadrature order used for the moments of a non-polynomial v.
-    """
-    if space.family != "hdiv_bdm":
-        raise ValueError("bdm_interpolate requires an hdiv_bdm space")
-    p = space.degree
-    mesh = space.mesh
-    coeffs = np.zeros(space.ndof)
-
-    srule = segment_rule(quadrature_order(space) if order is None else order)
-    ts = srule.points[:, 0]
-    leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
-    facets = np.arange(mesh.num_facets)
-    fg = FacetGeometry(mesh, facets, ts)
-    vn = np.einsum("fqc,fqc->fq", eval_pointwise(v, fg.points), fg.normals)
-    moms = np.einsum("q,jq,fq->fj", srule.weights, leg, vn * fg.dline)
-    coeffs[:mesh.num_facets * (p + 1)] = \
-        (moms / mesh.facet_length(facets)[:, None]).ravel()
-
-    if p >= 2:
-        vrule = triangle_rule(quadrature_order(space) + 4 if order is None
-                              else order)
-        elems = np.arange(mesh.num_triangles)
-        gm = mesh.geometry(elems)
-        det = GeometryMap.dets(gm.jacobian(vrule.points))
-        phys = gm.points(vrule.points)
-        wm = space._interior_moment_fields(elems, phys)
-        wq = vrule.weights * det / (det @ vrule.weights)[:, None]
-        moms = np.einsum("eq,eqd,eqmd->em", wq, eval_pointwise(v, phys), wm,
-                         optimize=True)
-        coeffs[mesh.num_facets * (p + 1):] = moms.ravel()
-    return DiscreteField(space, coeffs)
-
-
-def l2_project(space, f, weight=None, order=None):
-    """Weighted L2 projection of f onto the space.
-
-    Solves <w u_h, q_h> = <w f, q_h> for all q_h; w defaults to 1.
-    """
-    mesh = space.mesh
-    order = quadrature_order(space) if order is None else order
-    rule, wdet, phys = mesh.element_quadrature(order)
-    wq = wdet if weight is None else wdet * eval_pointwise(weight, phys)
-    elems = np.arange(mesh.num_triangles)
-    bv, _, _ = space.eval_basis(elems, rule.points, need_grad=False)
-    fv = eval_pointwise(f, phys)
-    if space.ncomp == 1:
-        loc = np.einsum("eq,eqi,eqj->eij", wq, bv, bv, optimize=True)
-        lrhs = np.einsum("eq,eq,eqj->ej", wq, fv, bv, optimize=True)
-    else:
-        loc = np.einsum("eq,eqic,eqjc->eij", wq, bv, bv, optimize=True)
-        lrhs = np.einsum("eq,eqc,eqjc->ej", wq, fv, bv, optimize=True)
-    dofs = space.dof_map
-    A = assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
-    rhs = assemble_vector(dofs, lrhs, space.ndof)
-    return DiscreteField(space, spla.spsolve(A.tocsc(), rhs))

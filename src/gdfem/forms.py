@@ -1,18 +1,21 @@
 """Assembly of the volume, interior-penalty and Nitsche bilinear forms.
 
-The discrete operator of every method is -a_h + b_h:
+The background flow is the rotational flow b = b_inf (-y, x), tangential
+to the unit circle (b.n = 0 on the disc's boundary for every amplitude),
+and rho = 1: a constant rho only rescales the forcing, f/rho.  The
+discrete operator of every method is -a_h + b_h:
 
-* a_h: streamline term rho (b.grad u).(b.grad u') plus the zeroth-order
-  term |b|_inf^2 rho u.u'; the DG variant adds symmetric interior-penalty
-  terms in the b-weighted jump (interior facets only -- b.n = 0 on the
-  boundary kills the boundary contribution exactly).
-* b_h: grad-div term rho c_s^2 div u div u'; the DG variant adds interior
+* a_h: streamline term (b.grad u).(b.grad u') plus the zeroth-order term
+  |b|_inf^2 u.u'; the DG variant adds symmetric interior-penalty terms in
+  the b-weighted jump (interior facets only -- b.n = 0 on the boundary
+  kills the boundary contribution exactly).
+* b_h: grad-div term c_s^2 div u div u'; the DG variant adds interior
   penalty and boundary Nitsche terms in the normal jump.  The
-  pseudo-pressure variant (M2) replaces div by its weighted L2 projection,
+  pseudo-pressure variant (M2) replaces div by its L2 projection,
   realized as a symmetric saddle-point block system.
 
-rho and c_s^2 are constants, so every b_h form assembles B_h per unit
-c_s^2, and only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.
+c_s^2 is a constant, so every b_h form assembles B_h per unit c_s^2, and
+only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.
 
 Every form is evaluated on all elements (or all facets of one set) at
 once: geometry and basis tables carry a leading element or facet axis,
@@ -25,6 +28,7 @@ their tables: each point set once, dropped before the next is evaluated.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,40 +41,33 @@ from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
 
 METHODS = ("M1", "M2", "M3", "M4")
 
-def _field(val, vector=False):
-    """Normalize a constant or callable coefficient to callable(pts)->array."""
-    if callable(val):
-        return val
-    if vector:
-        v = np.asarray(val, dtype=float)
-        return lambda pts: np.broadcast_to(v, (len(pts), 2))
-    return lambda pts: np.full(len(pts), float(val))
-
 
 @dataclass
 class CoefficientSet:
-    """Density, squared sound speed, background flow and penalty parameters.
+    """Squared sound speed, flow amplitude and penalty parameters.
 
-    rho, cs2 and b_inf must be positive, finite numbers and the penalties
-    finite and >= 0; anything else, a callable included, raises ValueError.
+    The flow is b = b_inf (-y, x), so |b|_inf = b_inf on the unit disc,
+    and rho = 1: a constant rho is the problem with forcing f/rho.  cs2
+    and b_inf must be positive, finite numbers and the penalties
+    lambda_b and lambda_n finite and >= 0; anything else, a string or a
+    callable included, raises ValueError naming the field.
     """
-    rho: float = 1.0
     cs2: float = 1.0
-    b_flow: object = (0.0, 0.0)
     b_inf: float = 0.1
     lambda_b: float = 0.0
     lambda_n: float = 0.0
 
     def __post_init__(self):
-        for name in ("rho", "cs2", "b_inf"):
+        for name, kind in (("cs2", "positive"), ("b_inf", "positive"),
+                           ("lambda_b", "nonnegative"),
+                           ("lambda_n", "nonnegative")):
             value = getattr(self, name)
-            if callable(value) or not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be a positive, finite number, "
+            number = float(value) if isinstance(value, Real) else np.nan
+            if not 0.0 <= number < np.inf or (kind == "positive"
+                                              and number == 0.0):
+                raise ValueError(f"{name} must be a {kind}, finite number, "
                                  f"got {value!r}")
-            setattr(self, name, float(value))
-        if not (0 <= self.lambda_b < np.inf and 0 <= self.lambda_n < np.inf):
-            raise ValueError("penalty parameters must be finite and >= 0")
-        self._b = _field(self.b_flow, vector=True)
+            setattr(self, name, number)
 
     @property
     def c_s(self):
@@ -78,13 +75,8 @@ class CoefficientSet:
         return float(np.sqrt(self.cs2))
 
     def b_at(self, pts):
-        """b at points of shape (..., 2), leading axes kept."""
-        return eval_pointwise(self._b, pts)
-
-
-def rotational_flow(amplitude=0.1):
-    """b = amplitude * (-y, x); |b|_inf = amplitude on the unit disc."""
-    return lambda pts: amplitude * np.column_stack([-pts[:, 1], pts[:, 0]])
+        """b = b_inf (-y, x) at points of shape (..., 2), leading axes kept."""
+        return self.b_inf * np.stack([-pts[..., 1], pts[..., 0]], axis=-1)
 
 
 def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
@@ -99,8 +91,7 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
     if p < 1:
         raise DegreeError("degree must be >= 1")
     return CoefficientSet(
-        rho=1.0, cs2=cs2, b_flow=rotational_flow(0.1 * b_scale),
-        b_inf=0.1 * b_scale,
+        cs2=cs2, b_inf=0.1 * b_scale,
         lambda_b=10.0 * p * p if lambda_b is None else lambda_b,
         lambda_n=100.0 * p * p if lambda_n is None else lambda_n)
 
@@ -128,30 +119,28 @@ def _matrix(space, loc):
 # gradients.
 
 def assemble_a_volume(space, coeffs, tables):
-    """Volume part of a_h: <rho (b.grad)u, (b.grad)u'> + |b|_inf^2 <rho u, u'>."""
+    """Volume part of a_h: <(b.grad)u, (b.grad)u'> + |b|_inf^2 <u, u'>."""
     wdet, phys, vals, grads, _ = tables
-    wq = wdet * coeffs.rho
     conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
                      optimize=True)
-    loc = np.einsum("eq,eqic,eqjc->eij", wq, conv, conv, optimize=True)
-    loc += coeffs.b_inf ** 2 * np.einsum("eq,eqic,eqjc->eij", wq, vals, vals,
-                                         optimize=True)
+    loc = np.einsum("eq,eqic,eqjc->eij", wdet, conv, conv, optimize=True)
+    loc += coeffs.b_inf ** 2 * np.einsum("eq,eqic,eqjc->eij", wdet, vals,
+                                         vals, optimize=True)
     return _matrix(space, loc)
 
 
 def assemble_b_volume(space, coeffs, tables):
-    """Volume part of b_h per unit c_s^2: <rho div u, div u'>."""
+    """Volume part of b_h per unit c_s^2: <div u, div u'>."""
     wdet, _, _, _, div = tables
-    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wdet * coeffs.rho, div,
-                                    div, optimize=True))
+    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wdet, div, div,
+                                    optimize=True))
 
 
 def assemble_rhs(space, f, tables):
-    """Load vector <f, basis>."""
+    """Load vector <f, basis> of a callable f on a vector space."""
     wdet, phys, vals, _, _ = tables
-    fv = eval_pointwise(_field(f, vector=(space.ncomp == 2)), phys)
-    spec = "eq,eqc,eqjc->ej" if space.ncomp == 2 else "eq,eq,eqj->ej"
-    loc = np.einsum(spec, wdet, fv, vals, optimize=True)
+    loc = np.einsum("eq,eqc,eqjc->ej", wdet, eval_pointwise(f, phys), vals,
+                    optimize=True)
     return assemble_vector(space.dof_map, loc, space.ndof)
 
 
@@ -186,7 +175,7 @@ def assemble_a_dg(space, coeffs, rule, fg, traces):
     dofs, vals, grads, _, sgn = traces
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
-    wq = rule.weights * fg.dline * coeffs.rho
+    wq = rule.weights * fg.dline
     # b-weighted jump of each combined basis fn: sign * (b.n+) * trace
     bjump = vals * (sgn * bn[..., None])[..., None]
     avg = 0.5 * np.einsum("fqjcd,fqd->fqjc", grads, b, optimize=True)
@@ -208,7 +197,7 @@ def assemble_b_dg(space, coeffs, rule, fg, traces):
     would store round-off entries.
     """
     dofs, vals, _, divs, sgn = traces
-    wq = rule.weights * fg.dline * coeffs.rho
+    wq = rule.weights * fg.dline
     njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals, optimize=True) * sgn
     davg = divs / len(fg.sides)
     pen = coeffs.lambda_n / fg.length
@@ -221,20 +210,19 @@ def assemble_b_dg(space, coeffs, rule, fg, traces):
 
 # -- the pseudo-pressure block system ----------------------------------------
 
-def _pressure_blocks(vel_space, pp_space, coeffs, tables, qv):
+def _pressure_blocks(vel_space, pp_space, tables, qv):
     """Volume blocks (D, M_p) of the pseudo-pressure system.
 
     D (npp, nu) couples div u to the pseudo-pressure basis and M_p is its
-    mass matrix, both weighted by rho (per unit c_s^2).  `tables` is the
-    velocity space's _volume and `qv` the pseudo-pressure basis values at
-    its points.
+    mass matrix (per unit c_s^2).  `tables` is the velocity space's _volume
+    and `qv` the pseudo-pressure basis values at its points.
     """
     wdet, _, _, _, div = tables
-    wq = wdet * coeffs.rho
     D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
-                     np.einsum("eq,eqi,eqj->eij", wq, qv, div, optimize=True),
+                     np.einsum("eq,eqi,eqj->eij", wdet, qv, div,
+                               optimize=True),
                      (pp_space.ndof, vel_space.ndof))
-    return D, _matrix(pp_space, np.einsum("eq,eqi,eqj->eij", wq, qv, qv,
+    return D, _matrix(pp_space, np.einsum("eq,eqi,eqj->eij", wdet, qv, qv,
                                           optimize=True))
 
 
@@ -245,9 +233,9 @@ def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
     B_h = [[N, (D - G)^T], [D - G, -M_p]] with N the boundary normal
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
-    the pseudo-pressure mass matrix, all weighted by rho (per unit c_s^2).
-    -A_h + c_s^2 B_h is symmetric indefinite; eliminating p_h reproduces
-    -a + b^pp with the rho weighted L2 projection of the divergence.
+    the pseudo-pressure mass matrix, all per unit c_s^2.  -A_h + c_s^2 B_h
+    is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
+    L2 projection of the divergence.
     `volume` is the volume blocks (a_h, D, M_p); the boundary blocks N and
     G are assembled here on the boundary facet set (rule, fg) from
     `traces`, the velocity and pseudo-pressure basis values on its
@@ -257,7 +245,7 @@ def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
     A, D, Mp = volume
     uv, qv = traces
     e = fg.sides[0][0]
-    wq = rule.weights * fg.dline * coeffs.rho
+    wq = rule.weights * fg.dline
     un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
     pen = coeffs.lambda_n / fg.length
     udofs = vel_space.dof_map[e]
@@ -355,10 +343,15 @@ class MethodSystem:
                                 x[self.velocity_space.ndof:])
 
 
-def method_spaces(method, mesh, p):
+def _method_forms(method):
+    """The METHOD_FORMS entry of a method; ValueError for an unknown one."""
     if method not in METHOD_FORMS:
         raise ValueError(f"unknown method {method!r}")
-    vel_family, pp_family, _, _ = METHOD_FORMS[method]
+    return METHOD_FORMS[method]
+
+
+def method_spaces(method, mesh, p):
+    vel_family, pp_family, _, _ = _method_forms(method)
     if pp_family is not None and p < 2:
         raise DegreeError(f"{method} requires p >= 2")
     return (build_space(vel_family, mesh, p), None if pp_family is None
@@ -386,7 +379,7 @@ def _assemble(method, space, coeffs, order, pp_space, f, vol=None):
     A = assemble_a_volume(space, coeffs, vol)
     load = None if f is None else assemble_rhs(space, f, vol)
     if pp_space is not None:
-        D, Mp = _pressure_blocks(space, pp_space, coeffs, vol, _volume(
+        D, Mp = _pressure_blocks(space, pp_space, vol, _volume(
             pp_space, order, need_grad=False)[2])
         del vol
         rule, fg = space.mesh.facet_quadrature(order, BOUNDARY)
@@ -496,11 +489,13 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
     errors, whose k x k pair holds them on its diagonal; geometry, exact
     values and u_h traces are evaluated once per point set for all k, on
     the facet sets the method has terms on.  For a method with a
-    pseudo-pressure family, div e is replaced by its rho weighted
-    projection onto that space (pp_space, built when not given), one solve
-    with k right-hand sides.  `exact` provides callables u, grad_u, div_u
-    (or is None, in which case only the solution norm is reported).
+    pseudo-pressure family, div e is replaced by its L2 projection onto
+    that space (pp_space, built when not given), one solve with k
+    right-hand sides.  `exact` provides callables u, grad_u, div_u (or is
+    None, in which case only the solution norm is reported).  An unknown
+    method raises ValueError, with or without `exact`.
     """
+    _, pp_family, a_sets, b_sets = _method_forms(method)
     space = u_h.space
     batch = u_h.coefficients.ndim == 2
     k = u_h.coefficients.shape[1] if batch else 1
@@ -517,15 +512,14 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
                for n in _l2(wq, vals)]
         return res if batch else res[0]
 
-    _, pp_family, a_sets, b_sets = METHOD_FORMS[method]
     err = _ErrorSpace(fields, exact, order, sorted(set(a_sets + b_sets)))
     vals, (ev, eg, ed) = err.traces(elems, rule.points)
     vol = (wq, phys, ev, eg, ed)
     if pp_family is not None:
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
-        # rho weighted projection of each div e_j (D holds their loads)
-        D, Mp = _pressure_blocks(err, pp_space, coeffs, vol, _volume(
+        # L2 projection of each div e_j (D holds their loads)
+        D, Mp = _pressure_blocks(err, pp_space, vol, _volume(
             pp_space, order, need_grad=False)[2])
         err.div = DiscreteField(pp_space, spla.spsolve(
             Mp.tocsc(), D.toarray()).reshape(pp_space.ndof, k))

@@ -1,8 +1,9 @@
 """Manufactured problems on the unit disc for the rotational background flow.
 
 All problems use rho = 1, b = 0.1 (-y, x) (so |b|_inf = 0.1 on the disc and
-b.n = 0 on the boundary) and a constant sound speed c_s.  The strong operator
-the forcings are derived from is
+b.n = 0 on the boundary) and a constant sound speed c_s: paper_coefficients
+at b_scale = 1, the only flow the forcings below hold for.  The strong
+operator the forcings are derived from is
 
     (b.grad)^2 u - |b|_inf^2 u - grad(c_s^2 div u) = f,
 
@@ -134,10 +135,6 @@ def gradrob_problem(cs2, p=3, lambda_b=None, lambda_n=None):
     return ManufacturedProblem("gradrob", co, gradient_potential_grad)
 
 
-def gradient_potential(pts):
-    """The potential of the gradient-forcing problem, phi = x^6 + y^6."""
-    return pts[:, 0] ** 6 + pts[:, 1] ** 6
-
-
 def gradient_potential_grad(pts):
+    """The gradrob forcing, grad phi for the potential phi = x^6 + y^6."""
     return np.column_stack([6.0 * pts[:, 0] ** 5, 6.0 * pts[:, 1] ** 5])

@@ -1,15 +1,23 @@
 """Shared fixtures and helpers.
 
 Expensive study runs (used by the acceptance tests) are session-scoped so
-they execute once even when several tests assert on them.
+they execute once even when several tests assert on them.  The field
+constructors the tests compare against (BDM interpolation, L2 projection,
+the gradrob potential) live here too: the library itself never needs them.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from gdfem.cli import (STUDIES, StudyReport, _csv_header,
                        run_convergence, run_gradrob, run_locking)
-from gdfem.mesh import make_unit_disc_mesh, make_unit_square_mesh
+from gdfem.fespace import DiscreteField, eval_pointwise, quadrature_order
+from gdfem.linalg import assemble_csr, assemble_vector
+from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
+                        make_unit_square_mesh)
+from gdfem.quadrature import segment_rule, triangle_rule
+from gdfem.reference import shifted_legendre
 
 
 @pytest.fixture(scope="session")
@@ -167,3 +175,67 @@ def _fd_operator(u, coeffs, pts, div_u):
                                (div(pts + h * ey) - div(pts - h * ey)) / (2 * h)])
     return (conv(lambda q: conv(u, q), pts)
             - coeffs.b_inf ** 2 * u(pts) - graddiv)
+
+
+# -- fields to test against ---------------------------------------------------
+
+def gradient_potential(pts):
+    """The potential of the gradient-forcing problem, phi = x^6 + y^6."""
+    return pts[:, 0] ** 6 + pts[:, 1] ** 6
+
+
+def bdm_interpolate(space, v, order=None):
+    """Element-wise BDM interpolation of a smooth vector field.
+
+    Matches facet moments of v.n against P^p on each facet and interior
+    moments against the reduced rotational set (empty for p = 1).  `order`
+    raises the quadrature order used for the moments of a non-polynomial v.
+    """
+    if space.family != "hdiv_bdm":
+        raise ValueError("bdm_interpolate requires an hdiv_bdm space")
+    p = space.degree
+    mesh = space.mesh
+    coeffs = np.zeros(space.ndof)
+
+    srule = segment_rule(quadrature_order(space) if order is None else order)
+    ts = srule.points[:, 0]
+    leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
+    facets = np.arange(mesh.num_facets)
+    fg = FacetGeometry(mesh, facets, ts)
+    vn = np.einsum("fqc,fqc->fq", eval_pointwise(v, fg.points), fg.normals)
+    moms = np.einsum("q,jq,fq->fj", srule.weights, leg, vn * fg.dline)
+    coeffs[:mesh.num_facets * (p + 1)] = \
+        (moms / mesh.facet_length(facets)[:, None]).ravel()
+
+    if p >= 2:
+        vrule = triangle_rule(quadrature_order(space) + 4 if order is None
+                              else order)
+        elems = np.arange(mesh.num_triangles)
+        gm = mesh.geometry(elems)
+        det = GeometryMap.dets(gm.jacobian(vrule.points))
+        phys = gm.points(vrule.points)
+        wm = space._interior_moment_fields(elems, phys)
+        wq = vrule.weights * det / (det @ vrule.weights)[:, None]
+        moms = np.einsum("eq,eqd,eqmd->em", wq, eval_pointwise(v, phys), wm,
+                         optimize=True)
+        coeffs[mesh.num_facets * (p + 1):] = moms.ravel()
+    return DiscreteField(space, coeffs)
+
+
+def l2_project(space, f, order=None):
+    """L2 projection of f onto the space: <u_h, q_h> = <f, q_h> for all q_h."""
+    order = quadrature_order(space) if order is None else order
+    rule, wq, phys = space.mesh.element_quadrature(order)
+    elems = np.arange(space.mesh.num_triangles)
+    bv, _, _ = space.eval_basis(elems, rule.points, need_grad=False)
+    fv = eval_pointwise(f, phys)
+    if space.ncomp == 1:
+        loc = np.einsum("eq,eqi,eqj->eij", wq, bv, bv, optimize=True)
+        lrhs = np.einsum("eq,eq,eqj->ej", wq, fv, bv, optimize=True)
+    else:
+        loc = np.einsum("eq,eqic,eqjc->eij", wq, bv, bv, optimize=True)
+        lrhs = np.einsum("eq,eqc,eqjc->ej", wq, fv, bv, optimize=True)
+    dofs = space.dof_map
+    A = assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+    rhs = assemble_vector(dofs, lrhs, space.ndof)
+    return DiscreteField(space, spla.spsolve(A.tocsc(), rhs))

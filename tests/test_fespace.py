@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gdfem.fespace import (DegreeError, DiscreteField, bdm_interpolate,
-                           build_space, l2_project)
+from conftest import bdm_interpolate, l2_project
+from gdfem.fespace import DegreeError, DiscreteField, build_space
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh)
 from gdfem.quadrature import triangle_rule

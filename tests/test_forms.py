@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import check_symmetry
-from gdfem.fespace import DegreeError, DiscreteField, FeSpace, \
-    bdm_interpolate, build_space, l2_project
+from conftest import bdm_interpolate, check_symmetry, l2_project
+from gdfem.fespace import DegreeError, DiscreteField, FeSpace, build_space
 from gdfem import forms
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_volume,
                          assemble_b_volume, assemble_method, assemble_rhs,
-                         error_norms, method_spaces, paper_coefficients,
-                         rotational_flow)
+                         error_norms, method_spaces, paper_coefficients)
 from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
@@ -26,8 +24,8 @@ RNG = np.random.default_rng(11)
 
 
 def unit_coeffs(lambda_b=0.0, lambda_n=0.0):
-    return CoefficientSet(rho=1.0, cs2=1.0, b_flow=rotational_flow(0.1),
-                          b_inf=0.1, lambda_b=lambda_b, lambda_n=lambda_n)
+    return CoefficientSet(cs2=1.0, b_inf=0.1, lambda_b=lambda_b,
+                          lambda_n=lambda_n)
 
 
 # -- coefficient handling -----------------------------------------------------
@@ -41,11 +39,16 @@ def test_coefficient_validation():
                 {"lambda_n": np.nan}, {"lambda_n": np.inf}):
         with pytest.raises(ValueError):
             CoefficientSet(**bad)
-    # rho and c_s^2 are constants, checked at construction
+    # c_s^2 is a constant, checked at construction
     for bad in (-1.0, 0.0, np.nan, np.inf, lambda pts: np.ones(len(pts))):
-        for name in ("rho", "cs2"):
-            with pytest.raises(ValueError):
-                CoefficientSet(**{name: bad, "b_inf": 0.1})
+        with pytest.raises(ValueError):
+            CoefficientSet(cs2=bad, b_inf=0.1)
+    # every field is a number: a callable, a string or None is a ValueError
+    # naming the field, not a TypeError from the range check
+    for name, bad in (("lambda_b", lambda x: x), ("lambda_n", "3"),
+                      ("cs2", "1"), ("b_inf", None)):
+        with pytest.raises(ValueError, match=name):
+            CoefficientSet(**{name: bad})
     for cs2 in (0.0, -4.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             paper_coefficients(2, cs2=cs2)
@@ -58,6 +61,21 @@ def test_paper_coefficient_defaults():
     pts = np.array([[0.5, 0.25]])
     assert np.allclose(co.b_at(pts), [[-0.025, 0.05]])
     assert co.b_inf == 0.1
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("method", ["M1", "M3", "M4"])
+def test_flow_enters_only_through_its_amplitude(method, p):
+    """b = 0.1 s (-y, x) scales every a_h term by s^2 (streamline, zeroth
+    order and b-weighted jump terms alike) and leaves b_h alone."""
+    mesh = make_unit_disc_mesh(1, geom_order=2)
+    unit = assemble_method(method, mesh, p, paper_coefficients(p), None)
+    for s in (0.3, 2.0, 7.0):
+        ms = assemble_method(method, mesh, p,
+                             paper_coefficients(p, b_scale=s), None)
+        assert (ms.b != unit.b).nnz == 0, s
+        want = s * s * unit.a
+        assert abs(ms.a - want).max() <= 1e-14 * abs(want).max(), s
 
 
 def boundary_flow_defect(coeffs, mesh):
@@ -81,7 +99,7 @@ def test_rotational_flow_tangential_on_disc():
 # -- hand-computable oracles on the unit square -------------------------------
 
 def test_b_volume_oracle_square(square1):
-    """u = (x, y): b(u,u) = int rho c^2 (div u)^2 = 4 on the unit square."""
+    """u = (x, y): b(u,u) = int c^2 (div u)^2 = 4 on the unit square."""
     space = build_space("vector_lagrange", square1, 1)
     u = l2_project(space, lambda q: q)
     B = assemble_b_volume(space, unit_coeffs(), forms._volume(space))
@@ -278,7 +296,7 @@ def test_m2_schur_oracle(square1):
     """Eliminating the auxiliary scalar reproduces -a(u,u) + b^pp(u,u).
 
     b^pp(u,u) is computed independently: the weighted projection pi of the
-    functional q -> <rho c^2 div u, q> - <rho c^2 u.n, q>_bnd through a
+    functional q -> <c^2 div u, q> - <c^2 u.n, q>_bnd through a
     hand-assembled dense mass matrix, plus the boundary penalty, using
     direct quadrature loops over the discrete field (no shared assembly
     code path).
@@ -308,18 +326,16 @@ def test_m2_schur_oracle(square1):
         det = GeometryMap.dets(gm.jacobian(rule.points))
         phys = gm.points(rule.points)
         wq = rule.weights * det
-        rho, cs2 = co.rho, co.cs2
+        cs2 = co.cs2
         b = co.b_at(phys)
         qv, _, _ = pp.eval_basis(e, rule.points, need_grad=False)
         uv, ug, ud = u.evaluate(e, rule.points)
         dofs = pp.dof_map[e]
-        Mo[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq * rho * cs2,
-                                            qv, qv)
-        F[dofs] += np.einsum("q,q,qj->j", wq * rho * cs2, ud, qv)
+        Mo[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq * cs2, qv, qv)
+        F[dofs] += np.einsum("q,q,qj->j", wq * cs2, ud, qv)
         conv = np.einsum("qcd,qd->qc", ug, b)
-        a_val += float((wq * rho) @ (np.einsum("qc,qc->q", conv, conv)
-                                     + co.b_inf ** 2
-                                     * np.einsum("qc,qc->q", uv, uv)))
+        a_val += float(wq @ (np.einsum("qc,qc->q", conv, conv)
+                             + co.b_inf ** 2 * np.einsum("qc,qc->q", uv, uv)))
     srule = segment_rule(10)
     ts = srule.points[:, 0]
     n_val = 0.0
@@ -328,12 +344,12 @@ def test_m2_schur_oracle(square1):
         e0, k0, fl0 = fg.sides[0]
         uv, _, _ = u.evaluate(e0, fg.ref_points[0], need_grad=False)
         un = np.einsum("qc,qc->q", uv, fg.normals)
-        rho, cs2 = co.rho, co.cs2
+        cs2 = co.cs2
         qv, _, _ = pp.eval_basis(e0, fg.ref_points[0], need_grad=False)
         h = mesh.facet_length(f)
         w = srule.weights * fg.dline
-        F[pp.dof_map[e0]] -= np.einsum("q,q,qj->j", w * rho * cs2, un, qv)
-        n_val += float((w * rho * cs2 / h) @ (un * un)) * co.lambda_n
+        F[pp.dof_map[e0]] -= np.einsum("q,q,qj->j", w * cs2, un, qv)
+        n_val += float((w * cs2 / h) @ (un * un)) * co.lambda_n
     pi = np.linalg.solve(Mo, F)
     bpp = pi @ Mo @ pi
     oracle = -a_val + n_val + bpp
@@ -345,6 +361,19 @@ def test_m2_schur_oracle(square1):
 def test_unknown_method_rejected(square1):
     with pytest.raises(ValueError):
         method_spaces("M9", square1, 1)
+
+
+@pytest.mark.parametrize("with_exact", [True, False],
+                         ids=["exact", "norm_only"])
+def test_error_norms_reject_unknown_method(square1, with_exact):
+    """An unknown method is a ValueError before any evaluation, whether or
+    not an exact solution is given."""
+    prob = convergence_problem(1)
+    space = build_space("vector_lagrange", square1, 1)
+    u = DiscreteField(space, np.zeros(space.ndof))
+    with pytest.raises(ValueError, match="unknown method 'M9'"):
+        error_norms(u, prob if with_exact else None, prob.coeffs,
+                    method="M9")
 
 
 def test_method_spaces_families(disc1_curved):

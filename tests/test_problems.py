@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import manufactured_defect
-from gdfem.problems import (convergence_problem, gradient_potential,
-                            gradient_potential_grad, gradrob_problem,
-                            locking_problem)
+from conftest import gradient_potential, manufactured_defect
+from gdfem.problems import (convergence_problem, gradient_potential_grad,
+                            gradrob_problem, locking_problem)
 
 RNG = np.random.default_rng(23)
 
@@ -104,7 +103,6 @@ def test_coefficients_shared_shape():
         assert co.b_inf == 0.1
         pts = np.array([[0.0, 1.0]])
         assert np.allclose(co.b_at(pts), [[-0.1, 0.0]])
-        assert co.rho == 1.0
 
 
 def test_validate_detects_broken_forcing():
