@@ -70,8 +70,8 @@ class Study:
     `axis` is the report field in the CSV's second column ("p" or "cs2");
     a run takes a single value of the other one.  `svg`, `label` and
     `title` are formatted with the fields of a StudyRow.  The problems of
-    a sweep differ only in c_s^2 and forcing: the runner assembles every
-    c_s^2 of a sweep with the first one's coefficients and measures it
+    a sweep differ only in c_s^2: the runner assembles every c_s^2 of a
+    sweep with the first one's coefficients and forcing and measures it
     against the first one's exact solution, if it has one.
     """
     problem: object      # problem(p=, cs2=, lambda_b=, lambda_n=)
@@ -313,13 +313,11 @@ def write_svg(path, series, ref_slope, title, ylabel):
 def _solve_cell(method, mesh, p, prob, ms):
     """Solve the (method, mesh, p) cell of prob.
 
-    `ms` is the cell's operator pair, which any problem of the sweep
-    assembled; the cell solves it at prob's c_s^2 against the load of
-    prob.f.  Returns the velocity coefficients and the solved LinearSystem;
-    raises SingularMatrixError if the solve fails.
+    `ms` is the cell's operator pair and load, which the first problem of
+    the sweep assembled; the cell solves it at prob's c_s^2.  Returns the
+    velocity coefficients; raises SingularMatrixError if the solve fails.
     """
-    system = ms.system_at(prob.coeffs.cs2, prob.f)
-    return ms.velocity(solve(system)).coefficients, system
+    return ms.velocity(solve(ms.system_at(prob.coeffs.cs2))).coefficients
 
 
 def _cell_norms(method, ms, probs, columns):
@@ -372,7 +370,7 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
                     if progress:
                         progress(f"{study} p={p} cs2={cs2:g} level={level} {m}")
                     try:
-                        x, _ = _solve_cell(m, mesh, p, prob, ms)
+                        x = _solve_cell(m, mesh, p, prob, ms)
                     except SingularMatrixError as exc:
                         warnings.append(f"warning: {m} p={p} solve failed: "
                                         f"{exc}")
@@ -460,11 +458,11 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
-    u, system = _solve_cell(method, mesh, p, prob, ms)
+    u = _solve_cell(method, mesh, p, prob, ms)
     res = _cell_norms(method, ms, [prob], [u])[0]
     res.update({"method": method, "level": level, "p": p, "cs2": cs2,
                 "geom_order": g, "h": mesh_size(mesh),
-                "ndof": system.matrix.shape[0]})
+                "ndof": ms.a.shape[0]})
     if out_path is not None:
         with open(f"{out_path}/solve.txt", "w", newline="\n") as fh:
             for k in _SOLVE_KEYS:
@@ -472,7 +470,7 @@ def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
         if dump_mesh:
             mesh.dump(f"{out_path}/mesh.txt")
         if dump_system:
-            dump_matrix(system.matrix, f"{out_path}/matrix.txt")
+            dump_matrix(ms.system.matrix, f"{out_path}/matrix.txt")
     return res
 
 

@@ -32,8 +32,8 @@ import numpy as np
 from .mesh import GeometryMap, facet_ref_points
 from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
-                        eval_monomial_grads, eval_monomials, lagrange_basis,
-                        monomial_exponents, shifted_legendre)
+                        eval_monomials, lagrange_basis, monomial_exponents,
+                        shifted_legendre)
 
 FAMILIES = ("scalar_lagrange", "vector_lagrange", "vector_dg", "hdiv_bdm")
 
@@ -154,7 +154,7 @@ class FeSpace:
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
             u = _ref_table(lambda x: eval_monomials(exps, x), ref)
-            g = _ref_table(lambda x: eval_monomial_grads(exps, x), ref)
+            g = _ref_table(lambda x: eval_monomials(exps, x, 1), ref)
         else:
             basis = lagrange_basis(self.degree)
             u, g = _ref_table(basis.eval, ref), _ref_table(basis.grad, ref)

@@ -15,7 +15,10 @@ discrete operator of every method is -a_h + b_h:
   realized as a symmetric saddle-point block system.
 
 c_s^2 is a constant, so every b_h form assembles B_h per unit c_s^2, and
-only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.
+only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.  One pair and the one
+load assembled with it serve every c_s^2 of a sweep.  Each c_s^2, whether
+it enters through CoefficientSet, MethodSystem.system_at or error_norms,
+passes the one check _number.
 
 Every form is evaluated on all elements (or all facets of one set) at
 once: geometry and basis tables carry a leading element or facet axis,
@@ -26,7 +29,7 @@ diagnostics and the triple-norm error alike, and the one that evaluates
 their tables: each point set once, dropped before the next is evaluated.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
 
@@ -40,6 +43,17 @@ from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
                      LinearSystem, assemble_csr, assemble_vector)
 
 METHODS = ("M1", "M2", "M3", "M4")
+
+
+def _number(name, value, kind):
+    """float(value) for a real number that is finite and `kind`, "positive"
+    or "nonnegative"; anything else, a string or None included, raises
+    ValueError naming `name`."""
+    number = float(value) if isinstance(value, Real) else np.nan
+    if not 0.0 <= number < np.inf or kind == "positive" and number == 0.0:
+        raise ValueError(f"{name} must be a {kind}, finite number, "
+                         f"got {value!r}")
+    return number
 
 
 @dataclass
@@ -61,13 +75,7 @@ class CoefficientSet:
         for name, kind in (("cs2", "positive"), ("b_inf", "positive"),
                            ("lambda_b", "nonnegative"),
                            ("lambda_n", "nonnegative")):
-            value = getattr(self, name)
-            number = float(value) if isinstance(value, Real) else np.nan
-            if not 0.0 <= number < np.inf or (kind == "positive"
-                                              and number == 0.0):
-                raise ValueError(f"{name} must be a {kind}, finite number, "
-                                 f"got {value!r}")
-            setattr(self, name, number)
+            setattr(self, name, _number(name, getattr(self, name), kind))
 
     @property
     def c_s(self):
@@ -285,49 +293,37 @@ METHOD_FORMS = {
 
 @dataclass
 class MethodSystem:
-    """Operator pair (A_h, B_h) of one method on one mesh, and its forcing.
+    """Operator pair (A_h, B_h) of one method on one mesh, and its load.
 
     B_h is assembled per unit c_s^2, so the discrete operator at any c_s^2
-    is -A_h + c_s^2 B_h (`system_at`); `system` is the one at the c_s^2 of
-    the coefficients assembled with.  The systems of a method with a
-    pseudo-pressure space (M2's saddle-point pair) carry
-    SADDLE_PIVOT_THRESHOLD, those of the others SYMMETRIC_PIVOT_THRESHOLD.
+    is -A_h + c_s^2 B_h (`system_at`), and one pair and load serve a whole
+    c_s^2 sweep; `system` is the one at the c_s^2 of the coefficients
+    assembled with.  `load` is read-only and zero on pseudo-pressure rows.
+    The systems of a method with a pseudo-pressure space (M2's
+    saddle-point pair) carry SADDLE_PIVOT_THRESHOLD, those of the others
+    SYMMETRIC_PIVOT_THRESHOLD.
     """
     method: str
     velocity_space: object
     pressure_space: object      # M2's pseudo-pressure space, else None
     a: object                   # A_h, CSR
     b: object                   # B_h per unit c_s^2, CSR
-    f: object                   # the forcing of `system`
+    load: object                # the load of the forcing, None without one
     cs2: float                  # the c_s^2 of `system`
-    order: int = None
-    _load: tuple = field(default=(None, None), init=False, repr=False)
 
-    def system_at(self, cs2, f):
-        """(cs2 B_h - A_h) x = load of f, zero on pseudo-pressure rows.
-
-        The load of the last f is kept, read-only, and shared by the
-        systems built from it, so a c_s^2 sweep with one forcing function
-        assembles it once; assemble_method keeps the load of its f.
-        """
-        if self._load[0] is not f:
-            self._keep_load(f, assemble_rhs(self.velocity_space, f, _volume(
-                self.velocity_space, self.order, need_grad=False)))
-        return LinearSystem(cs2 * self.b - self.a, self._load[1],
-                            self.velocity_space.constrained_dofs,
+    def system_at(self, cs2):
+        """(cs2 B_h - A_h) x = load; ValueError unless cs2 is a positive,
+        finite number."""
+        return LinearSystem(_number("cs2", cs2, "positive") * self.b - self.a,
+                            self.load, self.velocity_space.constrained_dofs,
                             SYMMETRIC_PIVOT_THRESHOLD
                             if self.pressure_space is None
                             else SADDLE_PIVOT_THRESHOLD)
 
-    def _keep_load(self, f, rhs):
-        rhs = np.concatenate([rhs, np.zeros(self.a.shape[0] - len(rhs))])
-        rhs.setflags(write=False)
-        self._load = (f, rhs)
-
     @cached_property
     def system(self):
-        """The system at the coefficients and forcing assembled with."""
-        return self.system_at(self.cs2, self.f)
+        """The system at the coefficients assembled with."""
+        return self.system_at(self.cs2)
 
     def velocity(self, x):
         """The velocity DiscreteField of a raw solution vector."""
@@ -406,10 +402,10 @@ def assemble_method(method, mesh, p, coeffs, f, order=None):
     -A_h + c_s^2 B_h is its operator."""
     vel, pp = method_spaces(method, mesh, p)
     A, B, load = _assemble(method, vel, coeffs, order, pp, f)
-    ms = MethodSystem(method, vel, pp, A, B, f, coeffs.cs2, order)
     if load is not None:
-        ms._keep_load(f, load)
-    return ms
+        load = np.concatenate([load, np.zeros(A.shape[0] - len(load))])
+        load.setflags(write=False)
+    return MethodSystem(method, vel, pp, A, B, load, coeffs.cs2)
 
 
 # -- error norms ---------------------------------------------------------------
@@ -433,9 +429,7 @@ class _ErrorSpace:
     div = None
 
     def __init__(self, u_h, exact, order, facet_sets):
-        space = u_h.space
-        self.mesh, self.family = space.mesh, space.family
-        self.degree, self.ncomp = space.degree, space.ncomp
+        self.mesh = u_h.space.mesh
         self.ndof = u_h.coefficients.shape[1]
         self.dof_map = np.broadcast_to(np.arange(self.ndof),
                                        (self.mesh.num_triangles, self.ndof))
@@ -474,7 +468,7 @@ def _l2(wq, vals):
             for v in np.moveaxis(vals, 2, 0)]
 
 
-def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
+def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
                 cs2=None):
     """L2 error, method triple-norm error, and L2 norm of discrete solutions.
 
@@ -482,7 +476,8 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
     dict, with coefficients (ndof, k), k solutions of one space, it is a
     list of k dicts in column order.  `cs2` is the c_s^2 of each solution,
     by default that of `coeffs` for all: solution j's triple norm takes
-    B_h, which is per unit c_s^2, scaled by cs2[j].
+    B_h, which is per unit c_s^2, scaled by cs2[j], which must be a
+    positive, finite number (ValueError naming cs2 otherwise).
 
     The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
     the method's pair, composed by _assemble on the _ErrorSpace of the k
@@ -499,7 +494,8 @@ def error_norms(u_h, exact, coeffs, method="M3", pp_space=None, order=None,
     space = u_h.space
     batch = u_h.coefficients.ndim == 2
     k = u_h.coefficients.shape[1] if batch else 1
-    cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.asarray(cs2, float)
+    cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.array(
+        [_number("cs2", c, "positive") for c in cs2])
     if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
     fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))

@@ -8,6 +8,8 @@ geometry order g >= 2 the boundary-adjacent elements carry a polynomial
 elements stay affine.
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from .quadrature import segment_rule, triangle_rule
@@ -40,10 +42,11 @@ class Mesh:
     def __init__(self, vertices, triangles, geom_order=1, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
+        if not isinstance(geom_order, Integral) or geom_order < 1:
+            raise ValueError(f"geom_order must be an integer >= 1, "
+                             f"got {geom_order!r}")
         self.geom_order = int(geom_order)
         self.domain = domain
-        if self.geom_order < 1:
-            raise ValueError("geom_order must be >= 1")
         self._check_orientation()
         self._build_facets()
         self._check_disc_boundary()

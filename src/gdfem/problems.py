@@ -22,7 +22,6 @@ from .forms import CoefficientSet, paper_coefficients
 @dataclass
 class ManufacturedProblem:
     """Exact solution plus matching forcing and coefficients."""
-    name: str
     coeffs: CoefficientSet
     f: object                       # callable(pts) -> (n, 2)
     u: object = None                # exact solution, None if unknown
@@ -82,7 +81,7 @@ def convergence_problem(p, cs2=1.0, lambda_b=None, lambda_n=None):
             - (x * psi) / 100.0 - cs2 * ddy
         return np.column_stack([fx, fy])
 
-    return ManufacturedProblem("convergence", co, f, u, grad_u, div_u)
+    return ManufacturedProblem(co, f, u, grad_u, div_u)
 
 
 def _locking_u(pts):
@@ -121,8 +120,7 @@ def locking_problem(cs2, p=2, lambda_b=None, lambda_n=None):
     def div_u(pts):
         return np.zeros(len(pts))
 
-    return ManufacturedProblem("locking", co, _locking_f, _locking_u, grad_u,
-                               div_u)
+    return ManufacturedProblem(co, _locking_f, _locking_u, grad_u, div_u)
 
 
 def gradrob_problem(cs2, p=3, lambda_b=None, lambda_n=None):
@@ -132,7 +130,7 @@ def gradrob_problem(cs2, p=3, lambda_b=None, lambda_n=None):
     uniformly in the mesh.  Every c_s^2 shares the one forcing function.
     """
     co = paper_coefficients(p, cs2, lambda_b, lambda_n)
-    return ManufacturedProblem("gradrob", co, gradient_potential_grad)
+    return ManufacturedProblem(co, gradient_potential_grad)
 
 
 def gradient_potential_grad(pts):

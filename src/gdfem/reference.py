@@ -5,6 +5,9 @@ Local edges are numbered by their vertex pairs: edge 0 = (0,1),
 edge 1 = (1,2), edge 2 = (2,0).
 """
 
+import functools
+import math
+
 import numpy as np
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -21,39 +24,22 @@ def monomial_exponents(p):
             for b in [deg - a]]
 
 
-def eval_monomials(exps, pts):
-    """Values of monomials at pts, shape (npts, nmono)."""
-    x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([x ** a * y ** b for a, b in exps])
+def eval_monomials(exps, pts, order=0):
+    """Values (order 0), gradients (1) or Hessians (2) of monomials at pts.
 
-
-def eval_monomial_grads(exps, pts):
-    """Gradients of monomials at pts, shape (npts, nmono, 2)."""
+    Shape (npts, nmono) + (2,) * order.  Each entry is the derivative
+    d_x^i d_y^j (x^a y^b) = a!/(a-i)! b!/(b-j)! x^(a-i) y^(b-j), taken as
+    zero where i > a or j > b.
+    """
     x, y = pts[:, 0], pts[:, 1]
-    n = len(pts)
-    out = np.zeros((n, len(exps), 2))
+    out = np.zeros((len(pts), len(exps)) + (2,) * order)
     for m, (a, b) in enumerate(exps):
-        if a > 0:
-            out[:, m, 0] = a * x ** (a - 1) * y ** b
-        if b > 0:
-            out[:, m, 1] = b * x ** a * y ** (b - 1)
-    return out
-
-
-def eval_monomial_hessians(exps, pts):
-    """Second derivatives of monomials, shape (npts, nmono, 2, 2)."""
-    x, y = pts[:, 0], pts[:, 1]
-    n = len(pts)
-    out = np.zeros((n, len(exps), 2, 2))
-    for m, (a, b) in enumerate(exps):
-        if a > 1:
-            out[:, m, 0, 0] = a * (a - 1) * x ** (a - 2) * y ** b
-        if a > 0 and b > 0:
-            mixed = a * b * x ** (a - 1) * y ** (b - 1)
-            out[:, m, 0, 1] = mixed
-            out[:, m, 1, 0] = mixed
-        if b > 1:
-            out[:, m, 1, 1] = b * (b - 1) * x ** a * y ** (b - 2)
+        for axes in np.ndindex(out.shape[2:]):
+            j = sum(axes)
+            i = order - j
+            c = math.perm(a, i) * math.perm(b, j)
+            if c:
+                out[(slice(None), m) + axes] = c * x ** (a - i) * y ** (b - j)
     return out
 
 
@@ -101,22 +87,18 @@ class LagrangeBasis:
 
     def grad(self, pts):
         """Reference gradients, shape (npts, ndof, 2)."""
-        G = eval_monomial_grads(self.exps, pts)
+        G = eval_monomials(self.exps, pts, 1)
         return np.einsum("nmd,mj->njd", G, self.coeffs)
 
     def hess(self, pts):
         """Reference second derivatives, shape (npts, ndof, 2, 2)."""
-        H = eval_monomial_hessians(self.exps, pts)
+        H = eval_monomials(self.exps, pts, 2)
         return np.einsum("nmde,mj->njde", H, self.coeffs)
 
 
-_lagrange_cache = {}
-
-
+@functools.cache
 def lagrange_basis(p):
-    if p not in _lagrange_cache:
-        _lagrange_cache[p] = LagrangeBasis(p)
-    return _lagrange_cache[p]
+    return LagrangeBasis(p)
 
 
 def shifted_legendre(j, t):

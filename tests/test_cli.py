@@ -7,11 +7,11 @@ import pytest
 
 from conftest import read_study_csv
 from gdfem import cli, forms
-from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, StudyReport,
+from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
-                       run_convergence, run_diagnostics,
-                       run_gradrob, run_locking, run_solve, write_svg)
+                       run_convergence, run_diagnostics, run_gradrob,
+                       run_locking, run_solve, run_study, write_svg)
 
 
 # -- defaults -----------------------------------------------------------------
@@ -267,9 +267,14 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):
         assert exc.value.code == 2, argv
 
 
-def test_sweep_assembles_load_once(monkeypatch):
-    """The locking forcing does not depend on c_s^2: one load vector per
-    (mesh, method), not one per cell."""
+@pytest.mark.parametrize("study", ["locking", "gradrob"])
+def test_sweep_assembles_load_once(monkeypatch, study):
+    """The forcing of a c_s^2 sweep does not depend on c_s^2: its problems
+    share one forcing function, and the runner assembles one load vector
+    per (mesh, method) with the pair, not one per cell."""
+    spec = STUDIES[study]
+    p = spec.p_list[0]
+    assert len({id(spec.problem(p=p, cs2=c).f) for c in spec.cs2_list}) == 1
     calls = []
     assemble_rhs = forms.assemble_rhs
 
@@ -278,7 +283,7 @@ def test_sweep_assembles_load_once(monkeypatch):
         return assemble_rhs(*args, **kw)
 
     monkeypatch.setattr(forms, "assemble_rhs", counted)
-    report, warnings = run_locking(levels=(0,))
+    report, warnings = run_study(study, levels=(0,))
     assert not warnings
     assert len(report.csv_rows()) == 16
     assert len(calls) == 4

@@ -234,7 +234,7 @@ def test_cs2_split_matches_assembly(method):
         ms = assemble_method(method, mesh, 2, paper_coefficients(2, cs2=c2), f)
         assert (ms.b != unit.b).nnz == 0, c2
         K = ms.system.matrix
-        Ks = unit.system_at(c2, f).matrix
+        Ks = unit.system_at(c2).matrix
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
 
@@ -283,8 +283,25 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     f = prob.f if load else None
     ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
                          prob.coeffs, f)
-    ms.system_at(10.0, f)       # the load of f was kept; f None has none
+    ms.system_at(10.0)      # evaluates nothing: the load came with the pair
     assert len(calls) == len(set(calls)) == point_sets
+
+
+@pytest.mark.parametrize("bad", [0, -5.0, np.nan, np.inf, "3", None],
+                         ids=["zero", "negative", "nan", "inf", "str", "none"])
+def test_every_cs2_passes_the_number_rule(bad):
+    """system_at and each entry of error_norms(cs2=...) check c_s^2 as
+    CoefficientSet does: anything but a positive, finite number raises
+    ValueError naming cs2, rather than solving a negative-definite system
+    or reporting a zero triple-norm error."""
+    prob = convergence_problem(1)
+    ms = assemble_method("M4", make_unit_disc_mesh(1, geom_order=2), 1,
+                         prob.coeffs, prob.f)
+    with pytest.raises(ValueError, match="cs2"):
+        ms.system_at(bad)
+    u = ms.velocity(solve(ms.system))
+    with pytest.raises(ValueError, match="cs2"):
+        error_norms(u, prob, prob.coeffs, method="M4", cs2=[bad])
 
 
 def test_m2_requires_degree_two(square1):
@@ -530,8 +547,8 @@ def test_batched_error_norms_match_single(method, problem, p):
     probs = [problem(cs2, p=p) for cs2 in _SWEEP]
     ms = assemble_method(method, mesh, p, probs[0].coeffs, probs[0].f)
     exact = probs[0] if probs[0].has_exact else None
-    xs = [ms.velocity(solve(ms.system_at(cs2, pr.f))).coefficients
-          for cs2, pr in zip(_SWEEP, probs)]
+    xs = [ms.velocity(solve(ms.system_at(cs2))).coefficients
+          for cs2 in _SWEEP]
     batch = error_norms(DiscreteField(ms.velocity_space, np.column_stack(xs)),
                         exact, probs[1].coeffs, method=method,
                         pp_space=ms.pressure_space,

@@ -159,6 +159,14 @@ def test_disc_rejects_boundary_off_the_circle(scale):
              geom_order=2, domain="disc")
 
 
+@pytest.mark.parametrize("geom_order", [0, 2.7, "2"])
+def test_geom_order_must_be_an_integer(geom_order):
+    """A geometry degree that is not an integer >= 1 is refused, not
+    truncated: 2.7 would otherwise build a g = 2 mesh."""
+    with pytest.raises(ValueError, match="geom_order"):
+        make_unit_disc_mesh(1, geom_order=geom_order)
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_disc_meshes_pass_the_circle_check(level):
     for g in (1, 2, 3, 4):
