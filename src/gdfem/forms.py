@@ -20,15 +20,19 @@ load assembled with it serve every c_s^2 of a sweep.  Each c_s^2, whether
 it enters through CoefficientSet, MethodSystem.system_at or error_norms,
 passes the one check _number.
 
-Every form is evaluated on all elements (or all facets of one set) at
-once: geometry and basis tables carry a leading element or facet axis,
-each local matrix is one einsum, and the global matrix one COO -> CSR sum.
-The forms only read the tables they are handed.  _assemble is the one code
-path that composes a method's pair of forms, for the operator, the dense
-diagnostics and the triple-norm error alike, and the one that evaluates
-their tables: each point set once, dropped before the next is evaluated.
+The elements, and the facets of each set, are walked in chunks of at most
+CHUNK items: geometry and basis tables carry a leading element or facet
+axis over one chunk, and each chunk's local matrices are one einsum.  The
+forms only read the tables they are handed and return local matrices;
+each form's local matrices of all chunks of a point set are summed by one
+COO -> CSR conversion, so a matrix does not depend on the chunk size, bit
+for bit.  _assemble is the one code path that composes a method's pair of
+forms, for the operator, the dense diagnostics and the triple-norm error
+alike, and the one that evaluates their tables: each point set once per
+chunk, dropped before the next chunk is evaluated.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -47,9 +51,10 @@ METHODS = ("M1", "M2", "M3", "M4")
 
 def _number(name, value, kind):
     """float(value) for a real number that is finite and `kind`, "positive"
-    or "nonnegative"; anything else, a string or None included, raises
-    ValueError naming `name`."""
-    number = float(value) if isinstance(value, Real) else np.nan
+    or "nonnegative"; anything else, a string, None or a bool included,
+    raises ValueError naming `name`."""
+    number = (float(value) if isinstance(value, Real)
+              and not isinstance(value, bool) else np.nan)
     if not 0.0 <= number < np.inf or kind == "positive" and number == 0.0:
         raise ValueError(f"{name} must be a {kind}, finite number, "
                          f"got {value!r}")
@@ -104,15 +109,41 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
         lambda_n=100.0 * p * p if lambda_n is None else lambda_n)
 
 
-def _order(space, order):
-    return quadrature_order(space) if order is None else order
+# Elements and facets are assembled in chunks of at most CHUNK.  Every disc
+# mesh up to level 3 (384 elements, 552 interior facets) is one chunk; at
+# level 4, p=2 the chunked tables cut the assembly peak of M3 and M4 to
+# about a third of the unchunked one.
+CHUNK = 600
 
 
-def _volume(space, order=None, need_grad=True):
-    """Weights * det, points and basis tables (eval_basis) of all elements."""
-    rule, wdet, phys = space.mesh.element_quadrature(_order(space, order))
-    return (wdet, phys) + space.eval_basis(
-        np.arange(space.mesh.num_triangles), rule.points, need_grad=need_grad)
+def _chunks(n, size):
+    """Slices of at most `size` consecutive items covering range(n): one
+    slice(None) when that is one chunk, or when size is None."""
+    if size is None or n <= size:
+        return [slice(None)]
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
+def _facet_chunk(fg, facets):
+    """The FacetGeometry fg on the slice `facets` of its facets; fg itself
+    for slice(None), so a whole set keeps the identity of its arrays."""
+    if facets == slice(None):
+        return fg
+    part = copy.copy(fg)
+    part.sides = [tuple(a[facets] for a in side) for side in fg.sides]
+    part.ref_points = [rp[facets] for rp in fg.ref_points]
+    for name in ("points", "dline", "normals", "length"):
+        setattr(part, name, getattr(fg, name)[facets])
+    return part
+
+
+def _volume(space, order, need_grad=True, elems=slice(None)):
+    """Weights * det, points and basis tables (eval_basis) of the elements
+    of the slice `elems`, all by default."""
+    rule, wdet, phys = space.mesh.element_quadrature(order)
+    return (wdet[elems], phys[elems]) + space.eval_basis(
+        np.arange(space.mesh.num_triangles)[elems], rule.points,
+        need_grad=need_grad)
 
 
 def _matrix(space, loc):
@@ -123,10 +154,11 @@ def _matrix(space, loc):
 
 # -- volume forms -----------------------------------------------------------
 
-# The volume forms read `tables`, the space's _volume; a_h reads its
-# gradients.
+# The volume forms read `tables`, a chunk of elements of the space's
+# _volume (a_h reads its gradients), and return that chunk's local blocks
+# (E, nloc, nloc), or the load's local vectors (E, nloc).
 
-def assemble_a_volume(space, coeffs, tables):
+def assemble_a_volume(coeffs, tables):
     """Volume part of a_h: <(b.grad)u, (b.grad)u'> + |b|_inf^2 <u, u'>."""
     wdet, phys, vals, grads, _ = tables
     conv = np.einsum("eqjcd,eqd->eqjc", grads, coeffs.b_at(phys),
@@ -134,53 +166,58 @@ def assemble_a_volume(space, coeffs, tables):
     loc = np.einsum("eq,eqic,eqjc->eij", wdet, conv, conv, optimize=True)
     loc += coeffs.b_inf ** 2 * np.einsum("eq,eqic,eqjc->eij", wdet, vals,
                                          vals, optimize=True)
-    return _matrix(space, loc)
+    return loc
 
 
-def assemble_b_volume(space, coeffs, tables):
+def assemble_b_volume(tables):
     """Volume part of b_h per unit c_s^2: <div u, div u'>."""
     wdet, _, _, _, div = tables
-    return _matrix(space, np.einsum("eq,eqi,eqj->eij", wdet, div, div,
-                                    optimize=True))
+    return np.einsum("eq,eqi,eqj->eij", wdet, div, div, optimize=True)
 
 
-def assemble_rhs(space, f, tables):
-    """Load vector <f, basis> of a callable f on a vector space."""
+def assemble_rhs(f, tables):
+    """Load <f, basis> of a callable f on a vector space."""
     wdet, phys, vals, _, _ = tables
-    loc = np.einsum("eq,eqc,eqjc->ej", wdet, eval_pointwise(f, phys), vals,
-                    optimize=True)
-    return assemble_vector(space.dof_map, loc, space.ndof)
+    return np.einsum("eq,eqc,eqjc->ej", wdet, eval_pointwise(f, phys), vals,
+                     optimize=True)
 
 
 # -- facet terms --------------------------------------------------------------
 
-# The facet forms take one facet set's segment rule, FacetGeometry fg and
-# traces (its _facet_basis) and return that set's terms.
+# The facet forms take one facet set's segment rule, a chunk fg of its
+# FacetGeometry and that chunk's traces (its _facet_basis) and return the
+# chunk's local blocks (F, ns nloc, ns nloc) on the owners' dofs
+# (_facet_dofs).
+
+def _facet_dofs(space, fg):
+    """Dofs (F, ns nloc) of every owner of a facet batch, owners side by
+    side, as the traces of _facet_basis order them."""
+    return np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
+
 
 def _facet_basis(space, fg, need_grad=True):
     """Basis traces of every owner of a facet batch, owners side by side.
 
-    Returns (dofs (F, ns nloc), values, gradients, divergences, signs)
-    with the owners concatenated along the basis axis; the sign of a basis
-    function is +1 on owner 0 and -1 on owner 1.
+    Returns (values, gradients, divergences, signs) with the owners
+    concatenated along the basis axis; the sign of a basis function is +1
+    on owner 0 and -1 on owner 1.
     """
     traces = [space.eval_basis(e, rp, need_grad=need_grad)
               for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
-    dofs = np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
     vals, grads, divs = (None if part[0] is None
                          else np.concatenate(part, axis=2)
                          for part in zip(*traces))
     sgn = np.repeat([1.0, -1.0][:len(traces)], space.dof_map.shape[1])
-    return dofs, vals, grads, divs, sgn
+    return vals, grads, divs, sgn
 
 
-def assemble_a_dg(space, coeffs, rule, fg, traces):
+def assemble_a_dg(coeffs, rule, fg, traces):
     """Interior-penalty terms of a_h^DG in the b-weighted jump.
 
     Only interior facets have them: boundary facets contribute nothing
     since b.n = 0 there by assumption.
     """
-    dofs, vals, grads, _, sgn = traces
+    vals, grads, _, sgn = traces
     b = coeffs.b_at(fg.points)
     bn = np.einsum("fqc,fqc->fq", b, fg.normals)         # b . n+
     wq = rule.weights * fg.dline
@@ -192,10 +229,10 @@ def assemble_a_dg(space, coeffs, rule, fg, traces):
                                          wq, bjump, bjump, optimize=True)
     cross = np.einsum("fq,fqic,fqjc->fij", wq, avg, bjump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+    return loc
 
 
-def assemble_b_dg(space, coeffs, rule, fg, traces):
+def assemble_b_dg(coeffs, rule, fg, traces):
     """Normal-jump penalty and consistency terms of b_h^DG per unit c_s^2.
 
     On the boundary facets they are the Nitsche terms enforcing u.n = 0
@@ -204,7 +241,7 @@ def assemble_b_dg(space, coeffs, rule, fg, traces):
     normal jump of a continuous space vanishes, and assembling its terms
     would store round-off entries.
     """
-    dofs, vals, _, divs, sgn = traces
+    vals, _, divs, sgn = traces
     wq = rule.weights * fg.dline
     njump = np.einsum("fqjc,fqc->fqj", vals, fg.normals, optimize=True) * sgn
     davg = divs / len(fg.sides)
@@ -213,29 +250,39 @@ def assemble_b_dg(space, coeffs, rule, fg, traces):
                                          wq, njump, njump, optimize=True)
     cross = np.einsum("fq,fqi,fqj->fij", wq, davg, njump, optimize=True)
     loc -= cross + cross.transpose(0, 2, 1)
-    return assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
+    return loc
 
 
 # -- the pseudo-pressure block system ----------------------------------------
 
-def _pressure_blocks(vel_space, pp_space, tables, qv):
-    """Volume blocks (D, M_p) of the pseudo-pressure system.
+def _pressure_blocks(tables, qv):
+    """Local volume blocks (D, M_p) of the pseudo-pressure system.
 
-    D (npp, nu) couples div u to the pseudo-pressure basis and M_p is its
-    mass matrix (per unit c_s^2).  `tables` is the velocity space's _volume
-    and `qv` the pseudo-pressure basis values at its points.
+    D (E, npp_loc, nu_loc) couples div u to the pseudo-pressure basis and
+    M_p (E, npp_loc, npp_loc) is its mass matrix (per unit c_s^2).
+    `tables` is a chunk of the velocity space's _volume and `qv` the
+    pseudo-pressure basis values at its points.
     """
     wdet, _, _, _, div = tables
-    D = assemble_csr(pp_space.dof_map, vel_space.dof_map,
-                     np.einsum("eq,eqi,eqj->eij", wdet, qv, div,
-                               optimize=True),
-                     (pp_space.ndof, vel_space.ndof))
-    return D, _matrix(pp_space, np.einsum("eq,eqi,eqj->eij", wdet, qv, qv,
-                                          optimize=True))
+    return (np.einsum("eq,eqi,eqj->eij", wdet, qv, div, optimize=True),
+            np.einsum("eq,eqi,eqj->eij", wdet, qv, qv, optimize=True))
 
 
-def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
-                       traces):
+def _pressure_facet_blocks(coeffs, rule, fg, uv, qv):
+    """Local boundary blocks (N, G) of the pseudo-pressure system on a
+    chunk fg of the boundary facets: the normal penalty N (F, nu_loc,
+    nu_loc) and the coupling G (F, npp_loc, nu_loc) of u.n to the
+    pseudo-pressure, from the velocity and pseudo-pressure values uv, qv
+    on the facets' owners."""
+    wq = rule.weights * fg.dline
+    un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
+    pen = coeffs.lambda_n / fg.length
+    return (pen[:, None, None] * np.einsum("fq,fqi,fqj->fij", wq, un, un,
+                                           optimize=True),
+            np.einsum("fq,fqi,fqj->fij", wq, qv, un, optimize=True))
+
+
+def assemble_m2_system(A, D, Mp, N, G):
     """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
 
     Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
@@ -243,27 +290,10 @@ def assemble_m2_system(vel_space, pp_space, coeffs, rule, fg, volume,
     penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
     the pseudo-pressure mass matrix, all per unit c_s^2.  -A_h + c_s^2 B_h
     is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    L2 projection of the divergence.
-    `volume` is the volume blocks (a_h, D, M_p); the boundary blocks N and
-    G are assembled here on the boundary facet set (rule, fg) from
-    `traces`, the velocity and pseudo-pressure basis values on its
-    owners.
+    L2 projection of the divergence.  `A` is a_h; all five are CSR.
     """
-    nu, npp = vel_space.ndof, pp_space.ndof
-    A, D, Mp = volume
-    uv, qv = traces
-    e = fg.sides[0][0]
-    wq = rule.weights * fg.dline
-    un = np.einsum("fqjc,fqc->fqj", uv, fg.normals, optimize=True)
-    pen = coeffs.lambda_n / fg.length
-    udofs = vel_space.dof_map[e]
-    N = assemble_csr(udofs, udofs, pen[:, None, None] * np.einsum(
-        "fq,fqi,fqj->fij", wq, un, un, optimize=True), (nu, nu))
-    G = assemble_csr(pp_space.dof_map[e], udofs, np.einsum(
-        "fq,fqi,fqj->fij", wq, qv, un, optimize=True), (npp, nu))
-
     DG = D - G
-    return (sp.block_diag([A, sp.csr_matrix((npp, npp))], format="csr"),
+    return (sp.block_diag([A, sp.csr_matrix(Mp.shape)], format="csr"),
             sp.bmat([[N, DG.T], [DG, -Mp]], format="csr"))
 
 
@@ -354,53 +384,117 @@ def method_spaces(method, mesh, p):
             else build_space(pp_family, mesh, p - 1))
 
 
+class _Blocks:
+    """The local blocks of one form on one point set, gathered chunk by
+    chunk in one array (items, n, m) and scattered at once (csr), so that
+    the matrix equals the one scattered from all items in one chunk.
+    `rows` (items, n) and `cols` (items, m) are the set's dofs."""
+
+    def __init__(self, rows, cols, shape):
+        self.rows, self.cols, self.shape, self.loc = rows, cols, shape, None
+
+    def put(self, items, loc):
+        """Store the blocks loc of the chunk `items`, a slice."""
+        if items == slice(None):
+            self.loc = loc
+            return
+        if self.loc is None:
+            self.loc = np.empty((len(self.rows),) + loc.shape[1:])
+        self.loc[items] = loc
+
+    def csr(self):
+        """The CSR matrix of the blocks, which it drops."""
+        loc, self.loc = self.loc, None
+        return assemble_csr(self.rows, self.cols, loc, self.shape)
+
+
 def _assemble(method, space, coeffs, order, pp_space, f, vol=None):
-    """(A_h, B_h, load of f or None) of a method, one point set at a time.
+    """(A_h, B_h, load of f or None) of a method, chunk by chunk.
 
     This is the one place that composes a method's forms and evaluates
     their tables: the operator (assemble_method), the dense diagnostics
     (assemble_method with f None) and the triple-norm error (error_norms,
     on its _ErrorSpace with no pp_space) all take their pair from here.
-    The velocity space's element table, with gradients, is evaluated once
-    (or is `vol`, the one error_norms evaluated) and read by every volume
-    term and the load; it is dropped before any facet trace is evaluated.
-    Then each facet set the method has terms on, interior first, has its
-    traces evaluated once, with gradients only where a_h has terms, and
-    read by both forms; they are dropped before the next set is evaluated.
+    The elements, then each facet set the method has terms on, interior
+    first, are walked in chunks of at most CHUNK items (_chunks).  A
+    chunk's tables are evaluated once, read by every form with terms there
+    and dropped before the next chunk's are evaluated: on the elements the
+    velocity space's table, with gradients, feeds the volume terms and the
+    load, and on a facet set the traces of both owners, with gradients
+    only where a_h has terms, feed both forms.  The forms return the
+    chunk's local blocks; each form's blocks of all chunks of a point set
+    are scattered in one assemble_csr (_Blocks), so every matrix equals
+    the one assembled from all items at once, bit for bit.  `vol` is
+    element tables the caller evaluated itself (error_norms); with it
+    every point set is one chunk, since _ErrorSpace finds the physical
+    points of a set by the identity of its reference points.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
-    order = _order(space, order)
-    if vol is None:
-        vol = _volume(space, order)
-    A = assemble_a_volume(space, coeffs, vol)
-    load = None if f is None else assemble_rhs(space, f, vol)
+    size = CHUNK if vol is None else None
+    nu, dofs = (space.ndof, space.ndof), space.dof_map
+    a, b = _Blocks(dofs, dofs, nu), _Blocks(dofs, dofs, nu)
+    rhs = _Blocks(dofs, None, None)         # the load's local vectors
     if pp_space is not None:
-        D, Mp = _pressure_blocks(space, pp_space, vol, _volume(
-            pp_space, order, need_grad=False)[2])
-        del vol
+        npp, pdofs = pp_space.ndof, pp_space.dof_map
+        d = _Blocks(pdofs, dofs, (npp, space.ndof))
+        mp = _Blocks(pdofs, pdofs, (npp, npp))
+    for elems in _chunks(space.mesh.num_triangles, size):
+        t = _volume(space, order, elems=elems) if vol is None else vol
+        a.put(elems, assemble_a_volume(coeffs, t))
+        if f is not None:
+            rhs.put(elems, assemble_rhs(f, t))
+        if pp_space is None:
+            b.put(elems, assemble_b_volume(t))
+        else:
+            blocks = _pressure_blocks(t, _volume(
+                pp_space, order, need_grad=False, elems=elems)[2])
+            d.put(elems, blocks[0])
+            mp.put(elems, blocks[1])
+        del t
+    A = a.csr()
+    load = None if f is None else assemble_vector(dofs, rhs.loc, space.ndof)
+    if pp_space is not None:
         rule, fg = space.mesh.facet_quadrature(order, BOUNDARY)
-        e, rp = fg.sides[0][0], fg.ref_points[0]
-        traces = [s.eval_basis(e, rp, need_grad=False)[0]
-                  for s in (space, pp_space)]
-        return assemble_m2_system(space, pp_space, coeffs, rule, fg,
-                                  (A, D, Mp), traces) + (load,)
-    B = assemble_b_volume(space, coeffs, vol)
-    del vol
+        udofs, pdofs = _facet_dofs(space, fg), _facet_dofs(pp_space, fg)
+        n = _Blocks(udofs, udofs, nu)
+        g = _Blocks(pdofs, udofs, (npp, space.ndof))
+        for facets in _chunks(len(fg.length), size):
+            part = _facet_chunk(fg, facets)
+            e, rp = part.sides[0][0], part.ref_points[0]
+            uv = space.eval_basis(e, rp, need_grad=False)[0]
+            qv = pp_space.eval_basis(e, rp, need_grad=False)[0]
+            blocks = _pressure_facet_blocks(coeffs, rule, part, uv, qv)
+            n.put(facets, blocks[0])
+            g.put(facets, blocks[1])
+            del uv, qv
+        return assemble_m2_system(A, d.csr(), mp.csr(), n.csr(),
+                                  g.csr()) + (load,)
+    B = b.csr()
     for boundary in sorted(set(a_sets + b_sets)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
-        traces = _facet_basis(space, fg, need_grad=boundary in a_sets)
+        fdofs = _facet_dofs(space, fg)
+        a, b = _Blocks(fdofs, fdofs, nu), _Blocks(fdofs, fdofs, nu)
+        for facets in _chunks(len(fg.length), size):
+            part = _facet_chunk(fg, facets)
+            traces = _facet_basis(space, part, need_grad=boundary in a_sets)
+            if boundary in a_sets:
+                a.put(facets, assemble_a_dg(coeffs, rule, part, traces))
+            if boundary in b_sets:
+                b.put(facets, assemble_b_dg(coeffs, rule, part, traces))
+            del traces
         if boundary in a_sets:
-            A = A + assemble_a_dg(space, coeffs, rule, fg, traces)
+            A = A + a.csr()
         if boundary in b_sets:
-            B = B + assemble_b_dg(space, coeffs, rule, fg, traces)
-        del traces
+            B = B + b.csr()
     return A, B, load
 
 
 def assemble_method(method, mesh, p, coeffs, f, order=None):
     """Assemble the operator pair of one method and the load of f;
-    -A_h + c_s^2 B_h is its operator."""
+    -A_h + c_s^2 B_h is its operator.  `order` is the quadrature order,
+    quadrature_order of the velocity space by default."""
     vel, pp = method_spaces(method, mesh, p)
+    order = quadrature_order(vel) if order is None else order
     A, B, load = _assemble(method, vel, coeffs, order, pp, f)
     if load is not None:
         load = np.concatenate([load, np.zeros(A.shape[0] - len(load))])
@@ -421,10 +515,12 @@ class _ErrorSpace:
     diagonals.
     `div`, when set to a scalar DiscreteField of k fields, replaces div e_j.
     eval_basis takes only the point sets of the mesh's quadrature at
-    `order`: the elements and the facet sets `facet_sets`.  Each call
-    evaluates u_h for all k fields; the exact solution is evaluated once
-    per set of physical points: both owners of an interior facet use owner
-    0's points, where the exact solution is continuous.
+    `order`, whole (it knows them by the identity of their reference
+    points, so _assemble does not chunk them): the elements and the facet
+    sets `facet_sets`.  Each call evaluates u_h for all k fields; the
+    exact solution is evaluated once per set of physical points: both
+    owners of an interior facet use owner 0's points, where the exact
+    solution is continuous.
     """
     div = None
 
@@ -515,10 +611,13 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
         if pp_space is None:
             pp_space = build_space(pp_family, space.mesh, space.degree - 1)
         # L2 projection of each div e_j (D holds their loads)
-        D, Mp = _pressure_blocks(err, pp_space, vol, _volume(
-            pp_space, order, need_grad=False)[2])
+        D, Mp = _pressure_blocks(vol, _volume(pp_space, order,
+                                              need_grad=False)[2])
+        D = assemble_csr(pp_space.dof_map, err.dof_map, D,
+                         (pp_space.ndof, k))
         err.div = DiscreteField(pp_space, spla.spsolve(
-            Mp.tocsc(), D.toarray()).reshape(pp_space.ndof, k))
+            _matrix(pp_space, Mp).tocsc(), D.toarray()).reshape(
+                pp_space.ndof, k))
         vol = vol[:4] + (err.div.evaluate(elems, rule.points,
                                           need_grad=False)[0],)
     A, B, _ = _assemble(method, err, coeffs, order, None, None, vol)

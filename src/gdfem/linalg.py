@@ -140,7 +140,8 @@ def _factor_solve(A, r, **splu_options):
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("non-finite solution")
     res = np.linalg.norm(A @ x - r)
-    bound = 1e-9 * (abs(A).max() * np.linalg.norm(x) + np.linalg.norm(r))
+    bound = 1e-9 * (np.abs(A.data).max(initial=0.0) * np.linalg.norm(x)
+                    + np.linalg.norm(r))
     if res > max(bound, 1e-300):
         raise SingularMatrixError(
             f"residual {res:g} exceeds contract bound {bound:g}")

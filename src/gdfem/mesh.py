@@ -42,7 +42,8 @@ class Mesh:
     def __init__(self, vertices, triangles, geom_order=1, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        if not isinstance(geom_order, Integral) or geom_order < 1:
+        if (not isinstance(geom_order, Integral)
+                or isinstance(geom_order, bool) or geom_order < 1):
             raise ValueError(f"geom_order must be an integer >= 1, "
                              f"got {geom_order!r}")
         self.geom_order = int(geom_order)

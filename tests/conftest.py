@@ -12,6 +12,7 @@ import scipy.sparse.linalg as spla
 
 from gdfem.cli import (STUDIES, StudyReport, _csv_header,
                        run_convergence, run_gradrob, run_locking)
+from gdfem import forms
 from gdfem.fespace import DiscreteField, eval_pointwise, quadrature_order
 from gdfem.linalg import assemble_csr, assemble_vector
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
@@ -239,3 +240,18 @@ def l2_project(space, f, order=None):
     A = assemble_csr(dofs, dofs, loc, (space.ndof, space.ndof))
     rhs = assemble_vector(dofs, lrhs, space.ndof)
     return DiscreteField(space, spla.spsolve(A.tocsc(), rhs))
+
+
+def volume_matrix(space, form, *args, order=None):
+    """The global matrix of a volume form of `forms` on all elements of
+    the space, at quadrature_order(space) by default."""
+    order = quadrature_order(space) if order is None else order
+    return forms._matrix(space, form(*args, forms._volume(space, order)))
+
+
+def load_vector(space, f, order=None):
+    """The load <f, basis> of the space, at quadrature_order(space) by
+    default."""
+    order = quadrature_order(space) if order is None else order
+    return assemble_vector(space.dof_map, forms.assemble_rhs(
+        f, forms._volume(space, order)), space.ndof)

@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (check_symmetry, manufactured_defect, read_study_csv,
-                      series)
+from conftest import (check_symmetry, load_vector, manufactured_defect,
+                      read_study_csv, series)
 from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, emit_study_csv, fit_slope,
                        run_diagnostics)
-from gdfem import forms
-from gdfem.forms import assemble_method, assemble_rhs, paper_coefficients
+from gdfem.forms import assemble_method, paper_coefficients
 from gdfem.linalg import dense_nullspace, restrict_free
 from gdfem.mesh import GeometryMap, make_unit_square_mesh
 from gdfem.problems import (convergence_problem, gradient_potential_grad,
@@ -135,8 +134,7 @@ def test_kernel_fields_orthogonal_to_gradients(n, method):
     V = dense_nullspace(restrict_free(B, constrained))
     assert V.shape[1] > 0
     # load vector of grad phi, quadrature exact for degree 5 + p
-    rhs = assemble_rhs(space, gradient_potential_grad,
-                       forms._volume(space, 10))
+    rhs = load_vector(space, gradient_potential_grad, order=10)
     # norms: ||grad phi|| on the square and the L2 norm of each kernel field
     grad_norm = math.sqrt(72.0 / 11.0)
     rule = triangle_rule(2 * p + 2)

@@ -1,5 +1,6 @@
 """Bilinear form assembly: hand oracles, symmetry, positivity, consistency."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import bdm_interpolate, check_symmetry, l2_project
-from gdfem.fespace import DegreeError, DiscreteField, FeSpace, build_space
+from conftest import (bdm_interpolate, check_symmetry, l2_project,
+                      load_vector, volume_matrix)
+from gdfem.fespace import (DegreeError, DiscreteField, FeSpace, build_space,
+                           quadrature_order)
 from gdfem import forms
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_volume,
-                         assemble_b_volume, assemble_method, assemble_rhs,
-                         error_norms, method_spaces, paper_coefficients)
+                         assemble_b_volume, assemble_method, error_norms,
+                         method_spaces, paper_coefficients)
 from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
@@ -43,10 +46,13 @@ def test_coefficient_validation():
     for bad in (-1.0, 0.0, np.nan, np.inf, lambda pts: np.ones(len(pts))):
         with pytest.raises(ValueError):
             CoefficientSet(cs2=bad, b_inf=0.1)
-    # every field is a number: a callable, a string or None is a ValueError
-    # naming the field, not a TypeError from the range check
+    # every field is a number: a callable, a string, None or a bool is a
+    # ValueError naming the field, not a TypeError from the range check or
+    # the number 1 or 0
     for name, bad in (("lambda_b", lambda x: x), ("lambda_n", "3"),
-                      ("cs2", "1"), ("b_inf", None)):
+                      ("cs2", "1"), ("b_inf", None), ("cs2", True),
+                      ("b_inf", True), ("lambda_b", False),
+                      ("lambda_n", True)):
         with pytest.raises(ValueError, match=name):
             CoefficientSet(**{name: bad})
     for cs2 in (0.0, -4.0, np.nan, np.inf):
@@ -102,7 +108,7 @@ def test_b_volume_oracle_square(square1):
     """u = (x, y): b(u,u) = int c^2 (div u)^2 = 4 on the unit square."""
     space = build_space("vector_lagrange", square1, 1)
     u = l2_project(space, lambda q: q)
-    B = assemble_b_volume(space, unit_coeffs(), forms._volume(space))
+    B = volume_matrix(space, assemble_b_volume)
     assert abs(u.coefficients @ (B @ u.coefficients) - 4.0) <= 1e-12
 
 
@@ -113,7 +119,7 @@ def test_a_volume_oracle_square(square1):
     """
     space = build_space("vector_lagrange", square1, 1)
     u = l2_project(space, lambda q: q)
-    A = assemble_a_volume(space, unit_coeffs(), forms._volume(space))
+    A = volume_matrix(space, assemble_a_volume, unit_coeffs())
     assert abs(u.coefficients @ (A @ u.coefficients) - 0.04 / 3) <= 1e-12
 
 
@@ -143,7 +149,7 @@ def test_b_dg_continuous_space_skips_interior_facets(mesh):
     co = paper_coefficients(2)
     ms = assemble_method("M1", msh, 2, co, None)
     vel = ms.velocity_space
-    assert ms.b.nnz <= assemble_b_volume(vel, co, forms._volume(vel)).nnz
+    assert ms.b.nnz <= volume_matrix(vel, assemble_b_volume).nnz
 
 
 def test_a_dg_matches_a_volume_for_continuous_fields(square2):
@@ -153,7 +159,7 @@ def test_a_dg_matches_a_volume_for_continuous_fields(square2):
                                    q[:, 0] * q[:, 1]])
     lag = build_space("vector_lagrange", square2, 3)
     ul = l2_project(lag, v, order=12)
-    A = assemble_a_volume(lag, co, forms._volume(lag, 12))
+    A = volume_matrix(lag, assemble_a_volume, co, order=12)
     aval = ul.coefficients @ (A @ ul.coefficients)
     ms = assemble_method("M4", square2, 3, co, None, order=12)
     # re-expand the (piecewise-polynomial) Lagrange field in the DG space
@@ -181,8 +187,8 @@ def _reexpand(field, dg_space):
 def test_rhs_partition_of_unity(square2):
     """f = (1, 0): component sums of the load vector give int f dx."""
     space = build_space("vector_lagrange", square2, 2)
-    rhs = assemble_rhs(space, lambda q: np.column_stack(
-        [np.ones(len(q)), np.zeros(len(q))]), forms._volume(space))
+    rhs = load_vector(space, lambda q: np.column_stack(
+        [np.ones(len(q)), np.zeros(len(q))]))
     assert abs(rhs[0::2].sum() - 1.0) <= 1e-12
     assert abs(rhs[1::2].sum()) <= 1e-13
 
@@ -195,9 +201,9 @@ def test_all_matrices_symmetric(disc1_curved):
     co = unit_coeffs(lambda_b=40.0, lambda_n=40.0)
     for family in ("vector_lagrange", "hdiv_bdm"):
         space = build_space(family, disc1_curved, 2)
-        vol = forms._volume(space)
-        for asm in (assemble_a_volume, assemble_b_volume):
-            assert check_symmetry(asm(space, co, vol), tol=1e-12) >= 0.0
+        for A in (volume_matrix(space, assemble_a_volume, co),
+                  volume_matrix(space, assemble_b_volume)):
+            assert check_symmetry(A, tol=1e-12) >= 0.0
     for method in ("M1", "M3", "M4"):
         ms = assemble_method(method, disc1_curved, 2, co, None)
         for M in (ms.a, ms.b):
@@ -238,26 +244,34 @@ def test_cs2_split_matches_assembly(method):
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
 
-@pytest.mark.parametrize("method,point_sets,load", [
-    pytest.param(m, n, load, id=f"{m}-{n}" + ("" if load else "-no_load"))
+@pytest.mark.parametrize("method,point_sets,load,chunk", [
+    pytest.param(m, n, load, chunk,
+                 id=f"{m}-{n}" + ("" if load else "-no_load")
+                 + ("" if chunk is None else f"-chunk{chunk}"))
     for load in (True, False)
-    for m, n in (("M1", 2), ("M2", 4), ("M3", 3), ("M4", 4))])
+    for chunk, counts in ((None, (2, 4, 3, 4)), (7, (6, 12, 14, 16)))
+    for m, n in zip(METHODS, counts)])
 def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
-                                                point_sets, load):
+                                                point_sets, load, chunk):
     """One assembly (A_h, B_h and the load, or the pair alone as the dense
-    diagnostics assemble it) evaluates the basis once per space and point
-    set: the elements, and each owner side of the facet sets the method has
-    terms on.  No earlier set's table is held when a set is evaluated,
-    apart from the other owner of the same facet batch and, for M2, the
-    velocity table on the points where the pseudo-pressure table is
-    evaluated (D and G couple the two).  A facet set's traces are
-    its owners' tables concatenated, so those are tracked too."""
+    diagnostics assemble it) evaluates the basis once per space, point set
+    and chunk: the elements, and each owner side of the facet sets the
+    method has terms on, in chunks of at most forms.CHUNK items.  The
+    level-1 disc (24 elements, 30 interior and 12 boundary facets) is one
+    chunk per set at the default CHUNK, and 4, 5 and 2 chunks at
+    CHUNK = 7.  No earlier table is held when one is evaluated, apart from
+    the other owner of the same facet chunk and, for M2, the velocity
+    table on the points where the pseudo-pressure table is evaluated (D
+    and G couple the two).  A facet chunk's traces are its owners' tables
+    concatenated, so those are tracked too."""
+    if chunk is not None:
+        monkeypatch.setattr(forms, "CHUNK", chunk)
     calls, held, facet_sets = [], [], []
     eval_basis, facet_basis = FeSpace.eval_basis, forms._facet_basis
 
     def traced_facets(space, fg, need_grad=True):
         out = facet_basis(space, fg, need_grad)
-        facet_sets.append(weakref.ref(out[1]))
+        facet_sets.append(weakref.ref(out[0]))
         return out
 
     def counted(space, elems, ref_pts, need_grad=True):
@@ -272,7 +286,8 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
             pressure = (method == "M2" and last_space is not space
                         and ref_pts is last_pts)
             assert other_owner or pressure
-        calls.append((id(space), id(ref_pts)))
+        assert len(elems) <= forms.CHUNK
+        calls.append((id(space), ref_pts.ctypes.data, elems.tobytes()))
         out = eval_basis(space, elems, ref_pts, need_grad)
         held.append((weakref.ref(out[0]), space, ref_pts))
         return out
@@ -287,8 +302,64 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     assert len(calls) == len(set(calls)) == point_sets
 
 
-@pytest.mark.parametrize("bad", [0, -5.0, np.nan, np.inf, "3", None],
-                         ids=["zero", "negative", "nan", "inf", "str", "none"])
+def _csr_parts(M):
+    return M.data, M.indices, M.indptr
+
+
+@pytest.mark.parametrize("chunk", [7, 40])
+def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
+    """Assembled in chunks of 7 or 40 elements and facets, every A_h, B_h
+    (M2's blocks included) and load on the level-2 disc (96 elements, 132
+    interior and 24 boundary facets) equals, bit for bit, the pair and
+    load assembled in one chunk."""
+    mesh = make_unit_disc_mesh(2, geom_order=2)
+    cells = [(m, p) for p in (1, 2) for m in METHODS
+             if not (m == "M2" and p < 2)]
+    whole = {}
+    for method, p in cells:
+        prob = convergence_problem(p)
+        whole[method, p] = assemble_method(method, mesh, p, prob.coeffs,
+                                           prob.f)
+    monkeypatch.setattr(forms, "CHUNK", chunk)
+    for method, p in cells:
+        prob = convergence_problem(p)
+        ms, ref = assemble_method(method, mesh, p, prob.coeffs, prob.f), \
+            whole[method, p]
+        for M, R in ((ms.a, ref.a), (ms.b, ref.b)):
+            assert all(np.array_equal(x, y) for x, y in
+                       zip(_csr_parts(M), _csr_parts(R))), (method, p)
+        assert np.array_equal(ms.load, ref.load), (method, p)
+
+
+@pytest.mark.parametrize("method,bound", [("M3", 6.5), ("M4", 4.0)])
+def test_assembly_peak_is_bounded_by_its_output(method, bound):
+    """The memory _assemble allocates at its peak on the level-4 disc at
+    p=2 (1,536 elements, three chunks; 2,256 interior facets, four) stays
+    below `bound` times the bytes of the CSR pair it returns; evaluating
+    every table on all elements or facets at once took 9.1x (M3) and
+    4.7x (M4).  Quadrature geometry is cached on the mesh first."""
+    mesh = make_unit_disc_mesh(4, geom_order=2)
+    vel, pp = method_spaces(method, mesh, 2)
+    order = quadrature_order(vel)
+    mesh.element_quadrature(order)
+    for boundary in (False, True):
+        mesh.facet_quadrature(order, boundary)
+    prob = convergence_problem(2)
+    tracemalloc.start()
+    try:
+        A, B, _ = forms._assemble(method, vel, prob.coeffs, order, pp,
+                                  prob.f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = sum(a.nbytes for M in (A, B) for a in _csr_parts(M))
+    assert peak <= bound * csr, peak / csr
+
+
+@pytest.mark.parametrize("bad", [0, -5.0, np.nan, np.inf, "3", None, True,
+                                 False],
+                         ids=["zero", "negative", "nan", "inf", "str", "none",
+                              "true", "false"])
 def test_every_cs2_passes_the_number_rule(bad):
     """system_at and each entry of error_norms(cs2=...) check c_s^2 as
     CoefficientSet does: anything but a positive, finite number raises
@@ -441,7 +512,7 @@ def test_divfree_kernel_embeds_into_dg(square2):
         penalty += co.lambda_n / square2.facet_length(f) \
             * float((srule.weights * fg.dline) @ (un * un))
     assert abs(quad - penalty) <= 1e-10 * max(penalty, 1.0)
-    Bint = assemble_b_volume(dg, co, forms._volume(dg))
+    Bint = volume_matrix(dg, assemble_b_volume)
     assert abs(udg.coefficients @ (Bint @ udg.coefficients)) <= 1e-12
 
 

@@ -159,10 +159,11 @@ def test_disc_rejects_boundary_off_the_circle(scale):
              geom_order=2, domain="disc")
 
 
-@pytest.mark.parametrize("geom_order", [0, 2.7, "2"])
+@pytest.mark.parametrize("geom_order", [0, 2.7, "2", True, False])
 def test_geom_order_must_be_an_integer(geom_order):
     """A geometry degree that is not an integer >= 1 is refused, not
-    truncated: 2.7 would otherwise build a g = 2 mesh."""
+    truncated: 2.7 would otherwise build a g = 2 mesh, and True a g = 1
+    mesh."""
     with pytest.raises(ValueError, match="geom_order"):
         make_unit_disc_mesh(1, geom_order=geom_order)
 
