@@ -29,7 +29,7 @@ curved elements of a batch only.
 
 import numpy as np
 
-from .mesh import GeometryMap, facet_ref_points
+from .mesh import GeometryMap, check_integer, facet_ref_points
 from .quadrature import segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomials, lagrange_basis, monomial_exponents,
@@ -50,11 +50,11 @@ def quadrature_order(space):
 
 
 def build_space(family, mesh, p):
+    """The space of a family at degree p on a mesh; ValueError for an
+    unknown family, DegreeError unless p is an integer >= 1."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if p < 1:
-        raise DegreeError("degree must be >= 1")
-    return FeSpace(family, mesh, p)
+    return FeSpace(family, mesh, check_integer("degree", p, 1, DegreeError))
 
 
 class FeSpace:

@@ -20,19 +20,18 @@ load assembled with it serve every c_s^2 of a sweep.  Each c_s^2, whether
 it enters through CoefficientSet, MethodSystem.system_at or error_norms,
 passes the one check _number.
 
-The elements, and the facets of each set, are walked in chunks of at most
-CHUNK items: geometry and basis tables carry a leading element or facet
-axis over one chunk, and each chunk's local matrices are one einsum.  The
-forms only read the tables they are handed and return local matrices;
-each form's local matrices of all chunks of a point set are summed by one
-COO -> CSR conversion, so a matrix does not depend on the chunk size, bit
-for bit.  _assemble is the one code path that composes a method's pair of
-forms, for the operator, the dense diagnostics and the triple-norm error
-alike, and the one that evaluates their tables: each point set once per
-chunk, dropped before the next chunk is evaluated.
+_assemble is the one code path that composes a method's pair of forms,
+for the operator, the dense diagnostics and the triple-norm error alike.
+It walks the elements, and the facets of each set, in chunks of at most
+CHUNK items, and takes each chunk's tables from a space's builders
+(_volume, _facet_basis) or the error space's: geometry and basis tables
+carry a leading element or facet axis over one chunk, and each chunk's
+local matrices are one einsum.  The forms only read the tables they are
+handed and return local matrices; each form's local matrices of all
+chunks of a point set are summed by one COO -> CSR conversion, so a
+matrix does not depend on the chunk size, bit for bit.
 """
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
@@ -45,6 +44,7 @@ from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
 from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
                      LinearSystem, assemble_csr, assemble_vector)
+from .mesh import check_integer
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -98,11 +98,10 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
 
     rho = 1, c_s^2 = cs2, b = 0.1 b_scale (-y, x) with |b|_inf = 0.1
     b_scale on the unit disc; default penalties lambda_b = 10 p^2 and
-    lambda_n = 100 p^2.  Raises DegreeError unless p >= 1 and ValueError
-    unless 0 < cs2 < inf (NaN included).
+    lambda_n = 100 p^2.  Raises DegreeError unless p is an integer >= 1
+    and ValueError unless 0 < cs2 < inf (NaN included).
     """
-    if p < 1:
-        raise DegreeError("degree must be >= 1")
+    p = check_integer("degree", p, 1, DegreeError)
     return CoefficientSet(
         cs2=cs2, b_inf=0.1 * b_scale,
         lambda_b=10.0 * p * p if lambda_b is None else lambda_b,
@@ -116,25 +115,9 @@ def paper_coefficients(p, cs2=1.0, lambda_b=None, lambda_n=None,
 CHUNK = 600
 
 
-def _chunks(n, size):
-    """Slices of at most `size` consecutive items covering range(n): one
-    slice(None) when that is one chunk, or when size is None."""
-    if size is None or n <= size:
-        return [slice(None)]
-    return [slice(i, i + size) for i in range(0, n, size)]
-
-
-def _facet_chunk(fg, facets):
-    """The FacetGeometry fg on the slice `facets` of its facets; fg itself
-    for slice(None), so a whole set keeps the identity of its arrays."""
-    if facets == slice(None):
-        return fg
-    part = copy.copy(fg)
-    part.sides = [tuple(a[facets] for a in side) for side in fg.sides]
-    part.ref_points = [rp[facets] for rp in fg.ref_points]
-    for name in ("points", "dline", "normals", "length"):
-        setattr(part, name, getattr(fg, name)[facets])
-    return part
+def _chunks(n):
+    """Slices of at most CHUNK consecutive items covering range(n)."""
+    return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
 def _volume(space, order, need_grad=True, elems=slice(None)):
@@ -202,13 +185,18 @@ def _facet_basis(space, fg, need_grad=True):
     concatenated along the basis axis; the sign of a basis function is +1
     on owner 0 and -1 on owner 1.
     """
-    traces = [space.eval_basis(e, rp, need_grad=need_grad)
-              for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
+    return _side_by_side([space.eval_basis(e, rp, need_grad=need_grad)
+                          for (e, _, _), rp in zip(fg.sides, fg.ref_points)],
+                         space.dof_map.shape[1])
+
+
+def _side_by_side(traces, nloc):
+    """The (values, gradients, divergences) of each owner, `nloc` basis
+    functions each, as _facet_basis returns them, signs included."""
     vals, grads, divs = (None if part[0] is None
                          else np.concatenate(part, axis=2)
                          for part in zip(*traces))
-    sgn = np.repeat([1.0, -1.0][:len(traces)], space.dof_map.shape[1])
-    return vals, grads, divs, sgn
+    return vals, grads, divs, np.repeat([1.0, -1.0][:len(traces)], nloc)
 
 
 def assemble_a_dg(coeffs, rule, fg, traces):
@@ -384,108 +372,88 @@ def method_spaces(method, mesh, p):
             else build_space(pp_family, mesh, p - 1))
 
 
-class _Blocks:
-    """The local blocks of one form on one point set, gathered chunk by
-    chunk in one array (items, n, m) and scattered at once (csr), so that
-    the matrix equals the one scattered from all items in one chunk.
-    `rows` (items, n) and `cols` (items, m) are the set's dofs."""
-
-    def __init__(self, rows, cols, shape):
-        self.rows, self.cols, self.shape, self.loc = rows, cols, shape, None
-
-    def put(self, items, loc):
-        """Store the blocks loc of the chunk `items`, a slice."""
-        if items == slice(None):
-            self.loc = loc
-            return
-        if self.loc is None:
-            self.loc = np.empty((len(self.rows),) + loc.shape[1:])
-        self.loc[items] = loc
-
-    def csr(self):
-        """The CSR matrix of the blocks, which it drops."""
-        loc, self.loc = self.loc, None
-        return assemble_csr(self.rows, self.cols, loc, self.shape)
+def _scatter(blocks, rows, cols, shape):
+    """CSR matrix of one form on a point set from `blocks`, the list of
+    its chunks' local blocks, joined and scattered at once, as if from one
+    chunk; the list is emptied first.  rows, cols: the set's dofs."""
+    loc = np.concatenate(blocks)
+    blocks.clear()
+    return assemble_csr(rows, cols, loc, shape)
 
 
-def _assemble(method, space, coeffs, order, pp_space, f, vol=None):
+def _assemble(method, space, coeffs, order, pp_space, f):
     """(A_h, B_h, load of f or None) of a method, chunk by chunk.
 
-    This is the one place that composes a method's forms and evaluates
-    their tables: the operator (assemble_method), the dense diagnostics
-    (assemble_method with f None) and the triple-norm error (error_norms,
-    on its _ErrorSpace with no pp_space) all take their pair from here.
-    The elements, then each facet set the method has terms on, interior
-    first, are walked in chunks of at most CHUNK items (_chunks).  A
-    chunk's tables are evaluated once, read by every form with terms there
-    and dropped before the next chunk's are evaluated: on the elements the
-    velocity space's table, with gradients, feeds the volume terms and the
-    load, and on a facet set the traces of both owners, with gradients
-    only where a_h has terms, feed both forms.  The forms return the
-    chunk's local blocks; each form's blocks of all chunks of a point set
-    are scattered in one assemble_csr (_Blocks), so every matrix equals
-    the one assembled from all items at once, bit for bit.  `vol` is
-    element tables the caller evaluated itself (error_norms); with it
-    every point set is one chunk, since _ErrorSpace finds the physical
-    points of a set by the identity of its reference points.
+    The operator (assemble_method), the dense diagnostics (f None) and
+    the triple-norm error (error_norms, on its _ErrorSpace) all take their
+    pair from here.  The elements, then each facet set the method has
+    terms on, interior first, are walked in chunks of at most CHUNK items.
+    A chunk's tables come from two builders looked up at each call,
+    _volume and _facet_basis, or the _ErrorSpace's own; every form with
+    terms there reads them, and they are dropped before the next chunk's
+    are built.  The element table, with gradients, feeds the volume terms
+    and the load; a facet set's traces of both owners, with gradients only
+    where a_h has terms, feed both forms, and on M2's boundary its N and G
+    with the pseudo-pressure values.  Each form's blocks of all chunks of
+    a point set are scattered at once (_scatter), so every matrix equals
+    the one assembled from all items at once, bit for bit.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
-    size = CHUNK if vol is None else None
+    volume, facet_basis = ((_ErrorSpace.volume, _ErrorSpace.facet_basis)
+                           if isinstance(space, _ErrorSpace)
+                           else (_volume, _facet_basis))
     nu, dofs = (space.ndof, space.ndof), space.dof_map
-    a, b = _Blocks(dofs, dofs, nu), _Blocks(dofs, dofs, nu)
-    rhs = _Blocks(dofs, None, None)         # the load's local vectors
-    if pp_space is not None:
-        npp, pdofs = pp_space.ndof, pp_space.dof_map
-        d = _Blocks(pdofs, dofs, (npp, space.ndof))
-        mp = _Blocks(pdofs, pdofs, (npp, npp))
-    for elems in _chunks(space.mesh.num_triangles, size):
-        t = _volume(space, order, elems=elems) if vol is None else vol
-        a.put(elems, assemble_a_volume(coeffs, t))
+    a, b, rhs, d, mp, g = [], [], [], [], [], []   # each form's blocks
+    for elems in _chunks(space.mesh.num_triangles):
+        t = volume(space, order, elems=elems)
+        a.append(assemble_a_volume(coeffs, t))
         if f is not None:
-            rhs.put(elems, assemble_rhs(f, t))
+            rhs.append(assemble_rhs(f, t))
         if pp_space is None:
-            b.put(elems, assemble_b_volume(t))
+            b.append(assemble_b_volume(t))
         else:
             blocks = _pressure_blocks(t, _volume(
                 pp_space, order, need_grad=False, elems=elems)[2])
-            d.put(elems, blocks[0])
-            mp.put(elems, blocks[1])
+            d.append(blocks[0])
+            mp.append(blocks[1])
         del t
-    A = a.csr()
-    load = None if f is None else assemble_vector(dofs, rhs.loc, space.ndof)
-    if pp_space is not None:
-        rule, fg = space.mesh.facet_quadrature(order, BOUNDARY)
-        udofs, pdofs = _facet_dofs(space, fg), _facet_dofs(pp_space, fg)
-        n = _Blocks(udofs, udofs, nu)
-        g = _Blocks(pdofs, udofs, (npp, space.ndof))
-        for facets in _chunks(len(fg.length), size):
-            part = _facet_chunk(fg, facets)
-            e, rp = part.sides[0][0], part.ref_points[0]
-            uv = space.eval_basis(e, rp, need_grad=False)[0]
-            qv = pp_space.eval_basis(e, rp, need_grad=False)[0]
-            blocks = _pressure_facet_blocks(coeffs, rule, part, uv, qv)
-            n.put(facets, blocks[0])
-            g.put(facets, blocks[1])
-            del uv, qv
-        return assemble_m2_system(A, d.csr(), mp.csr(), n.csr(),
-                                  g.csr()) + (load,)
-    B = b.csr()
+    A = _scatter(a, dofs, dofs, nu)
+    load = None if f is None else assemble_vector(dofs, np.concatenate(rhs),
+                                                  space.ndof)
+    if pp_space is None:
+        B = _scatter(b, dofs, dofs, nu)
+    else:
+        npp, pdofs = pp_space.ndof, pp_space.dof_map
+        D = _scatter(d, pdofs, dofs, (npp, space.ndof))
+        Mp = _scatter(mp, pdofs, pdofs, (npp, npp))
     for boundary in sorted(set(a_sets + b_sets)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
-        fdofs = _facet_dofs(space, fg)
-        a, b = _Blocks(fdofs, fdofs, nu), _Blocks(fdofs, fdofs, nu)
-        for facets in _chunks(len(fg.length), size):
-            part = _facet_chunk(fg, facets)
-            traces = _facet_basis(space, part, need_grad=boundary in a_sets)
+        for facets in _chunks(len(fg.length)):
+            part = fg.part(facets)
+            qv = None if pp_space is None else pp_space.eval_basis(
+                part.sides[0][0], part.ref_points[0], need_grad=False)[0]
+            traces = facet_basis(space, part, need_grad=boundary in a_sets)
             if boundary in a_sets:
-                a.put(facets, assemble_a_dg(coeffs, rule, part, traces))
-            if boundary in b_sets:
-                b.put(facets, assemble_b_dg(coeffs, rule, part, traces))
-            del traces
+                a.append(assemble_a_dg(coeffs, rule, part, traces))
+            if pp_space is not None:
+                blocks = _pressure_facet_blocks(coeffs, rule, part,
+                                                traces[0], qv)
+                b.append(blocks[0])
+                g.append(blocks[1])
+            elif boundary in b_sets:
+                b.append(assemble_b_dg(coeffs, rule, part, traces))
+            del traces, qv
+        fdofs = _facet_dofs(space, fg)
         if boundary in a_sets:
-            A = A + a.csr()
-        if boundary in b_sets:
-            B = B + b.csr()
+            A = A + _scatter(a, fdofs, fdofs, nu)
+        if pp_space is not None:    # M2's boundary normal penalty, coupling
+            N = _scatter(b, fdofs, fdofs, nu)
+            G = _scatter(g, _facet_dofs(pp_space, fg), fdofs,
+                         (npp, space.ndof))
+        elif boundary in b_sets:
+            B = B + _scatter(b, fdofs, fdofs, nu)
+    if pp_space is not None:
+        A, B = assemble_m2_system(A, D, Mp, N, G)
     return A, B, load
 
 
@@ -508,54 +476,70 @@ class _ErrorSpace:
     """The errors e_j = u_h[:, j] - u of k fields as a space of k functions.
 
     `u_h` is a DiscreteField with coefficients (ndof, k).  The space has
-    what the forms read of a space, with the same k dofs 0..k-1 on every
-    element, and eval_basis returns the traces of e_1..e_k as its k basis
-    functions, so the pair _assemble composes on it holds the forms at the
-    errors as k x k matrices: a_h(e_j, e_j) and b_h(e_j, e_j) are their
-    diagonals.
-    `div`, when set to a scalar DiscreteField of k fields, replaces div e_j.
-    eval_basis takes only the point sets of the mesh's quadrature at
-    `order`, whole (it knows them by the identity of their reference
-    points, so _assemble does not chunk them): the elements and the facet
-    sets `facet_sets`.  Each call evaluates u_h for all k fields; the
-    exact solution is evaluated once per set of physical points: both
-    owners of an interior facet use owner 0's points, where the exact
-    solution is continuous.
+    what the forms read of a space, the same k dofs 0..k-1 on every
+    element, and builders in place of _volume and _facet_basis whose
+    tables hold e_1..e_k as its basis, so the pair _assemble composes on
+    it holds a_h(e_j, e_j) and b_h(e_j, e_j) on its k x k diagonals.  The
+    element tables at `order` (`tables`, and u_h's values `vals`) are
+    evaluated once, whole, so the L2 norms sum over all elements in one
+    pass; `volume` slices them per chunk.  `facet_basis` evaluates u_h on
+    each owner of a facet chunk and the exact solution once, at owner 0's
+    points, where it is continuous.  With a `pp_space` (M2), div e_j is
+    its L2 projection onto that space, one solve for all k.
     """
-    div = None
 
-    def __init__(self, u_h, exact, order, facet_sets):
+    def __init__(self, u_h, exact, order, pp_space):
         self.mesh = u_h.space.mesh
         self.ndof = u_h.coefficients.shape[1]
         self.dof_map = np.broadcast_to(np.arange(self.ndof),
                                        (self.mesh.num_triangles, self.ndof))
-        self.u_h, self.exact = u_h, exact
-        rule, _, phys = self.mesh.element_quadrature(order)
-        self._points = {id(rule.points): phys}
-        for boundary in facet_sets:
-            _, fg = self.mesh.facet_quadrature(order, boundary)
-            self._points.update((id(rp), fg.points) for rp in fg.ref_points)
-        self._exact = {}    # id(physical points) -> u, grad u, div u
+        self.u_h, self.exact, self.div = u_h, exact, None
+        rule, wq, phys = self.mesh.element_quadrature(order)
+        elems = np.arange(self.mesh.num_triangles)
+        self.vals, errors = self._errors(elems, rule.points, self._at(phys))
+        self.tables = (wq, phys) + errors
+        if pp_space is not None:
+            # L2 projection of each div e_j (D holds their loads)
+            D, Mp = _pressure_blocks(self.tables, _volume(
+                pp_space, order, need_grad=False)[2])
+            D = assemble_csr(pp_space.dof_map, self.dof_map, D,
+                             (pp_space.ndof, self.ndof))
+            self.div = DiscreteField(pp_space, spla.spsolve(
+                _matrix(pp_space, Mp).tocsc(), D.toarray()).reshape(
+                    pp_space.ndof, self.ndof))
+            self.tables = self.tables[:4] + (self.div.evaluate(
+                elems, rule.points, need_grad=False)[0],)
 
-    def traces(self, elems, ref_pts, need_grad=True):
-        """(u_h values, (values, gradients, divergences) of e), each with
-        the axis of the k fields where eval_basis has its basis axis."""
-        pts = self._points[id(ref_pts)]
-        if id(pts) not in self._exact:
-            self._exact[id(pts)] = [eval_pointwise(f, pts) for f in (
-                self.exact.u, self.exact.grad_u, self.exact.div_u)]
-        u, grad_u, div_u = self._exact[id(pts)]
+    def _at(self, pts):
+        """The exact u, grad u and div u at physical points pts."""
+        return [eval_pointwise(f, pts) for f in (
+            self.exact.u, self.exact.grad_u, self.exact.div_u)]
+
+    def _errors(self, elems, ref_pts, exact, need_grad=True):
+        """(u_h values, (values, gradients, divergences) of e) at ref_pts of
+        elems, from `exact` _at their physical points; the k fields stand
+        where eval_basis has its basis axis."""
+        u, grad_u, div_u = exact
         vals, grads, div = self.u_h.evaluate(elems, ref_pts, need_grad)
         return vals, (vals - u[..., None, :],
                       None if grads is None
                       else grads - grad_u[..., None, :, :],
-                      div - div_u[..., None])
+                      div - div_u[..., None] if self.div is None
+                      else self.div.evaluate(elems, ref_pts,
+                                             need_grad=False)[0])
 
-    def eval_basis(self, elems, ref_pts, need_grad=True):
-        vals, grads, div = self.traces(elems, ref_pts, need_grad)[1]
-        if self.div is not None:
-            div = self.div.evaluate(elems, ref_pts, need_grad=False)[0]
-        return vals, grads, div
+    def volume(self, order, elems):
+        """_volume of the errors: the chunk `elems` of `tables` (at the
+        order they were evaluated at, error_norms' order)."""
+        return tuple(t[elems] for t in self.tables)
+
+    def facet_basis(self, fg, need_grad=True):
+        """_facet_basis of the errors on a facet chunk fg."""
+        exact = self._at(fg.points)
+        return _side_by_side([self._errors(e, rp, exact, need_grad)[1]
+                              for (e, _, _), rp in zip(fg.sides,
+                                                       fg.ref_points)],
+                             self.ndof)
 
 
 def _l2(wq, vals):
@@ -577,16 +561,16 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
 
     The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
     the method's pair, composed by _assemble on the _ErrorSpace of the k
-    errors, whose k x k pair holds them on its diagonal; geometry, exact
-    values and u_h traces are evaluated once per point set for all k, on
-    the facet sets the method has terms on.  For a method with a
-    pseudo-pressure family, div e is replaced by its L2 projection onto
-    that space (pp_space, built when not given), one solve with k
-    right-hand sides.  `exact` provides callables u, grad_u, div_u (or is
-    None, in which case only the solution norm is reported).  An unknown
-    method raises ValueError, with or without `exact`.
+    errors, whose k x k pair holds them on its diagonal; exact values and
+    u_h traces are evaluated for all k at once, on the elements whole and
+    on the facet sets the method has terms on chunk by chunk.  For a
+    method with a pseudo-pressure family, div e is replaced by its L2
+    projection onto that space (pp_space, built when not given), one
+    solve with k right-hand sides.  `exact` provides callables u, grad_u,
+    div_u (or is None, in which case only the solution norm is reported).
+    An unknown method raises ValueError, with or without `exact`.
     """
-    _, pp_family, a_sets, b_sets = _method_forms(method)
+    _, pp_family, _, _ = _method_forms(method)
     space = u_h.space
     batch = u_h.coefficients.ndim == 2
     k = u_h.coefficients.shape[1] if batch else 1
@@ -596,33 +580,22 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
     fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))
     order = quadrature_order(space) + 2 if order is None else order
-    rule, wq, phys = space.mesh.element_quadrature(order)
-    elems = np.arange(space.mesh.num_triangles)
     if exact is None:
-        vals, _, _ = fields.evaluate(elems, rule.points, need_grad=False)
+        rule, wq, _ = space.mesh.element_quadrature(order)
+        vals, _, _ = fields.evaluate(np.arange(space.mesh.num_triangles),
+                                     rule.points, need_grad=False)
         res = [{"l2_error": None, "xh_error": None, "l2_norm": n}
                for n in _l2(wq, vals)]
         return res if batch else res[0]
 
-    err = _ErrorSpace(fields, exact, order, sorted(set(a_sets + b_sets)))
-    vals, (ev, eg, ed) = err.traces(elems, rule.points)
-    vol = (wq, phys, ev, eg, ed)
-    if pp_family is not None:
-        if pp_space is None:
-            pp_space = build_space(pp_family, space.mesh, space.degree - 1)
-        # L2 projection of each div e_j (D holds their loads)
-        D, Mp = _pressure_blocks(vol, _volume(pp_space, order,
-                                              need_grad=False)[2])
-        D = assemble_csr(pp_space.dof_map, err.dof_map, D,
-                         (pp_space.ndof, k))
-        err.div = DiscreteField(pp_space, spla.spsolve(
-            _matrix(pp_space, Mp).tocsc(), D.toarray()).reshape(
-                pp_space.ndof, k))
-        vol = vol[:4] + (err.div.evaluate(elems, rule.points,
-                                          need_grad=False)[0],)
-    A, B, _ = _assemble(method, err, coeffs, order, None, None, vol)
+    if pp_family is not None and pp_space is None:
+        pp_space = build_space(pp_family, space.mesh, space.degree - 1)
+    err = _ErrorSpace(fields, exact, order,
+                      None if pp_family is None else pp_space)
+    A, B, _ = _assemble(method, err, coeffs, order, None, None)
     xh2 = A.diagonal() + cs2 * B.diagonal()
+    wq = err.tables[0]
     res = [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
             "l2_norm": n}
-           for e, x, n in zip(_l2(wq, ev), xh2, _l2(wq, vals))]
+           for e, x, n in zip(_l2(wq, err.tables[2]), xh2, _l2(wq, err.vals))]
     return res if batch else res[0]

@@ -8,6 +8,7 @@ geometry order g >= 2 the boundary-adjacent elements carry a polynomial
 elements stay affine.
 """
 
+import copy
 from numbers import Integral
 
 import numpy as np
@@ -42,11 +43,7 @@ class Mesh:
     def __init__(self, vertices, triangles, geom_order=1, domain=None):
         self.vertices = np.asarray(vertices, dtype=float)
         self.triangles = np.asarray(triangles, dtype=int)
-        if (not isinstance(geom_order, Integral)
-                or isinstance(geom_order, bool) or geom_order < 1):
-            raise ValueError(f"geom_order must be an integer >= 1, "
-                             f"got {geom_order!r}")
-        self.geom_order = int(geom_order)
+        self.geom_order = check_integer("geom_order", geom_order, 1)
         self.domain = domain
         self._check_orientation()
         self._build_facets()
@@ -182,9 +179,8 @@ class Mesh:
             rule = segment_rule(order)
             facets = np.nonzero(self.facet_boundary == boundary)[0]
             fg = FacetGeometry(self, facets, rule.points[:, 0])
-            _read_only(rule.points, rule.weights, fg.ts, fg.points,
-                       fg.dline, fg.normals, fg.length, *fg.ref_points,
-                       *(a for side in fg.sides for a in side))
+            _read_only(rule.points, rule.weights)
+            _apply(_read_only, list(vars(fg).values()))
             self._quadrature[key] = rule, fg
         return self._quadrature[key]
 
@@ -203,6 +199,15 @@ class Mesh:
                 e0, e1 = self.facet_elems[f]
                 fh.write("f %d %d %d %d %d\n"
                          % (a, b, e0, e1, int(self.facet_boundary[f])))
+
+
+def check_integer(name, value, minimum, error=ValueError):
+    """int(value) for an Integral, not a bool, >= minimum; anything else,
+    a float or a string included, raises `error` naming `name`."""
+    if (not isinstance(value, Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _read_only(*arrays):
@@ -304,9 +309,9 @@ class GeometryMap:
 
 
 def make_unit_square_mesh(n: int) -> Mesh:
-    """n x n grid of unit-square cells, each split along the (+1,+1) diagonal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """n x n grid of unit-square cells, each split along the (+1,+1) diagonal;
+    ValueError unless n is an integer >= 1."""
+    n = check_integer("n", n, 1)
     xs = np.linspace(0.0, 1.0, n + 1)
     verts = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
     v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
@@ -316,9 +321,9 @@ def make_unit_square_mesh(n: int) -> Mesh:
 
 
 def make_unit_disc_mesh(level: int, geom_order: int = 1) -> Mesh:
-    """Hexagon-fan mesh of the unit disc, red-refined `level` times."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    """Hexagon-fan mesh of the unit disc, red-refined `level` times;
+    ValueError unless level is an integer >= 0."""
+    level = check_integer("level", level, 0)
     ang = np.pi / 3.0 * np.arange(6)
     verts = np.vstack([[0.0, 0.0], np.column_stack([np.cos(ang), np.sin(ang)])])
     tris = np.array([[0, 1 + k, 1 + (k + 1) % 6] for k in range(6)])
@@ -407,3 +412,21 @@ class FacetGeometry:
         self.dline = np.linalg.norm(tang, axis=-1)  # ds/dt
         self.normals = _unit_normals(jac, k0)
         self.length = mesh.facet_length(facets)
+
+    def part(self, facets):
+        """This batch's geometry on the slice `facets` of its facets, as
+        FacetGeometry builds it for those facets: every field but the
+        shared params ts has a leading facet axis (per owner in `sides` and
+        `ref_points`) and is sliced along it."""
+        part = copy.copy(self)
+        for name, value in vars(self).items():
+            if name != "ts":
+                setattr(part, name, _apply(lambda a: a[facets], value))
+        return part
+
+
+def _apply(fn, value):
+    """fn(value) of an array; of a list or tuple, _apply of each entry."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(_apply(fn, v) for v in value)
+    return fn(value)

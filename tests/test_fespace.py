@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import bdm_interpolate, l2_project
-from gdfem.fespace import DegreeError, DiscreteField, build_space
+from gdfem.fespace import FAMILIES, DegreeError, DiscreteField, build_space
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh)
 from gdfem.quadrature import triangle_rule
@@ -43,6 +43,12 @@ def test_invalid_spaces_rejected(square1):
         build_space("nope", square1, 1)
     with pytest.raises(DegreeError):
         build_space("vector_lagrange", square1, 0)
+    # the degree is an integer: True is not degree 1, and 2.0 is a
+    # DegreeError, not a TypeError from arange
+    for family in FAMILIES:
+        for bad in (True, False, 2.0, 1.5, "2"):
+            with pytest.raises(DegreeError, match="degree"):
+                build_space(family, square1, bad)
     with pytest.raises(ValueError):
         DiscreteField(build_space("vector_dg", square1, 1), np.zeros(3))
 

@@ -58,6 +58,10 @@ def test_coefficient_validation():
     for cs2 in (0.0, -4.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             paper_coefficients(2, cs2=cs2)
+    # the degree is an integer >= 1: 2.5 would give lambda_b = 62.5
+    for p in (0, True, False, 2.5, 2.0, "2"):
+        with pytest.raises(DegreeError, match="degree"):
+            paper_coefficients(p)
 
 
 def test_paper_coefficient_defaults():
@@ -244,15 +248,17 @@ def test_cs2_split_matches_assembly(method):
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
 
-@pytest.mark.parametrize("method,point_sets,load,chunk", [
-    pytest.param(m, n, load, chunk,
+@pytest.mark.parametrize("method,point_sets,facet_chunks,load,chunk", [
+    pytest.param(m, n, nf, load, chunk,
                  id=f"{m}-{n}" + ("" if load else "-no_load")
                  + ("" if chunk is None else f"-chunk{chunk}"))
     for load in (True, False)
-    for chunk, counts in ((None, (2, 4, 3, 4)), (7, (6, 12, 14, 16)))
-    for m, n in zip(METHODS, counts)])
+    for chunk, counts, facets in ((None, (2, 4, 3, 4), (1, 1, 1, 2)),
+                                  (7, (6, 12, 14, 16), (2, 2, 5, 7)))
+    for m, n, nf in zip(METHODS, counts, facets)])
 def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
-                                                point_sets, load, chunk):
+                                                point_sets, facet_chunks,
+                                                load, chunk):
     """One assembly (A_h, B_h and the load, or the pair alone as the dense
     diagnostics assemble it) evaluates the basis once per space, point set
     and chunk: the elements, and each owner side of the facet sets the
@@ -260,10 +266,13 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     level-1 disc (24 elements, 30 interior and 12 boundary facets) is one
     chunk per set at the default CHUNK, and 4, 5 and 2 chunks at
     CHUNK = 7.  No earlier table is held when one is evaluated, apart from
-    the other owner of the same facet chunk and, for M2, the velocity
-    table on the points where the pseudo-pressure table is evaluated (D
-    and G couple the two).  A facet chunk's traces are its owners' tables
-    concatenated, so those are tracked too."""
+    the other owner of the same facet chunk and, for the pseudo-pressure
+    table of M2, the velocity table on the same points (D couples the
+    two) or, on a boundary chunk, the pseudo-pressure table on the points
+    where the velocity trace is evaluated (G couples them).  A facet
+    chunk's traces (forms._facet_basis, which every method's facet sets
+    go through once per set and chunk, M2's boundary included) are its
+    owners' tables concatenated, so those are tracked too."""
     if chunk is not None:
         monkeypatch.setattr(forms, "CHUNK", chunk)
     calls, held, facet_sets = [], [], []
@@ -300,6 +309,7 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
                          prob.coeffs, f)
     ms.system_at(10.0)      # evaluates nothing: the load came with the pair
     assert len(calls) == len(set(calls)) == point_sets
+    assert len(facet_sets) == facet_chunks
 
 
 def _csr_parts(M):
@@ -311,24 +321,33 @@ def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
     """Assembled in chunks of 7 or 40 elements and facets, every A_h, B_h
     (M2's blocks included) and load on the level-2 disc (96 elements, 132
     interior and 24 boundary facets) equals, bit for bit, the pair and
-    load assembled in one chunk."""
+    load assembled in one chunk, and so do the error norms of a solution
+    (k = 1) and of two (k = 2, c_s^2 = 1 and 10)."""
     mesh = make_unit_disc_mesh(2, geom_order=2)
     cells = [(m, p) for p in (1, 2) for m in METHODS
              if not (m == "M2" and p < 2)]
-    whole = {}
-    for method, p in cells:
+
+    def assembled(method, p):
         prob = convergence_problem(p)
-        whole[method, p] = assemble_method(method, mesh, p, prob.coeffs,
-                                           prob.f)
+        ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
+        us = np.column_stack([ms.velocity(solve(ms.system_at(cs2)))
+                              .coefficients for cs2 in (1.0, 10.0)])
+        norms = [error_norms(DiscreteField(ms.velocity_space, u), prob,
+                             prob.coeffs, method, ms.pressure_space,
+                             cs2=cs2)
+                 for u, cs2 in ((us[:, 0], None), (us, [1, 10]))]
+        return ms, norms
+
+    whole = {cell: assembled(*cell) for cell in cells}
     monkeypatch.setattr(forms, "CHUNK", chunk)
     for method, p in cells:
-        prob = convergence_problem(p)
-        ms, ref = assemble_method(method, mesh, p, prob.coeffs, prob.f), \
+        (ms, norms), (ref, ref_norms) = assembled(method, p), \
             whole[method, p]
         for M, R in ((ms.a, ref.a), (ms.b, ref.b)):
             assert all(np.array_equal(x, y) for x, y in
                        zip(_csr_parts(M), _csr_parts(R))), (method, p)
         assert np.array_equal(ms.load, ref.load), (method, p)
+        assert norms == ref_norms, (method, p)
 
 
 @pytest.mark.parametrize("method,bound", [("M3", 6.5), ("M4", 4.0)])
@@ -637,14 +656,24 @@ def test_batched_error_norms_match_single(method, problem, p):
                 assert abs(got[key] - value) <= 1e-12 * abs(value), key
 
 
-@pytest.mark.parametrize("method,point_sets,physical_sets", [
-    ("M1", 2, 2), ("M2", 2, 2), ("M3", 3, 2), ("M4", 4, 3)])
+@pytest.mark.parametrize("method,point_sets,physical_sets,chunk", [
+    pytest.param(m, n, nx, chunk,
+                 id=f"{m}-{n}-{nx}"
+                 + ("" if chunk is None else f"-chunk{chunk}"))
+    for chunk, counts in ((None, ((2, 2), (2, 2), (3, 2), (4, 3))),
+                          (7, ((3, 3), (3, 3), (11, 6), (13, 8))))
+    for m, (n, nx) in zip(METHODS, counts)])
 def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
-                                                  point_sets, physical_sets):
-    """One error_norms call on 3 solutions evaluates u_h once per point set:
-    the elements and each owner side of the facet sets the method has terms
-    on.  The exact u is evaluated once per set of physical points, which
+                                                  point_sets, physical_sets,
+                                                  chunk):
+    """One error_norms call on 3 solutions evaluates u_h once per point set
+    and chunk: the elements, whole, and each owner side of the facet sets
+    the method has terms on, in chunks of at most forms.CHUNK facets (on
+    the level-1 disc 5 interior and 2 boundary chunks at CHUNK = 7).  The
+    exact u is evaluated once per set of physical points and chunk, which
     the two owners of an interior facet share."""
+    if chunk is not None:
+        monkeypatch.setattr(forms, "CHUNK", chunk)
     mesh = make_unit_disc_mesh(1, geom_order=2)
     prob = convergence_problem(2)
     vel, pp = method_spaces(method, mesh, 2)
@@ -653,7 +682,7 @@ def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
 
     def counted(field, elems, ref_pts, need_grad=True):
         if field.space is vel:
-            calls.append(id(ref_pts))
+            calls.append((ref_pts.ctypes.data, np.asarray(elems).tobytes()))
         return evaluate(field, elems, ref_pts, need_grad)
 
     def exact_u(pts):

@@ -168,6 +168,47 @@ def test_geom_order_must_be_an_integer(geom_order):
         make_unit_disc_mesh(1, geom_order=geom_order)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, 2.5, "1", True, False],
+                         ids=["negative", "float", "fraction", "str", "true",
+                              "false"])
+def test_level_and_grid_size_must_be_integers(bad):
+    """A disc level and a square grid size take the integer rule of
+    geom_order: True is not the level-1 mesh nor the 1 x 1 grid, and a
+    float is a ValueError naming the argument, not a TypeError from
+    range or arange."""
+    with pytest.raises(ValueError, match="level"):
+        make_unit_disc_mesh(bad)
+    with pytest.raises(ValueError, match="n must"):
+        make_unit_square_mesh(bad)
+
+
+def _arrays(value):
+    """The arrays of a FacetGeometry field, each owner's in turn."""
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays(v)]
+    return [value]
+
+
+@pytest.mark.parametrize("boundary", [False, True],
+                         ids=["interior", "boundary"])
+def test_facet_geometry_part_equals_a_fresh_one(boundary):
+    """A part of a facet set's geometry has every array, those of each
+    owner included, bitwise equal to the FacetGeometry built on the
+    part's facets alone."""
+    mesh = make_unit_disc_mesh(2, geom_order=2)
+    _, fg = mesh.facet_quadrature(6, boundary)
+    facets = np.nonzero(mesh.facet_boundary == boundary)[0]
+    for s in (slice(0, 7), slice(7, 20), slice(20, None)):
+        part, fresh = fg.part(s), FacetGeometry(mesh, facets[s], fg.ts)
+        assert vars(part).keys() == vars(fresh).keys()
+        assert len(part.sides) == (1 if boundary else 2)
+        for name, value in vars(fresh).items():
+            got, want = _arrays(getattr(part, name)), _arrays(value)
+            assert len(got) == len(want), name
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_disc_meshes_pass_the_circle_check(level):
     for g in (1, 2, 3, 4):
