@@ -315,9 +315,10 @@ def _solve_cell(method, mesh, p, prob, ms):
 
     `ms` is the cell's operator pair and load, which the first problem of
     the sweep assembled; the cell solves it at prob's c_s^2.  Returns the
-    velocity coefficients; raises SingularMatrixError if the solve fails.
+    velocity coefficients (ndof, 1); raises SingularMatrixError if the
+    solve fails.
     """
-    return ms.velocity(solve(ms.system_at(prob.coeffs.cs2))).coefficients
+    return ms.split(solve(ms.system_at(prob.coeffs.cs2)))[0].coefficients
 
 
 def _cell_norms(method, ms, probs, columns):

@@ -29,8 +29,8 @@ curved elements of a batch only.
 
 import numpy as np
 
-from .mesh import GeometryMap, check_integer, facet_ref_points
-from .quadrature import segment_rule, triangle_rule
+from .mesh import GeometryMap, facet_ref_points
+from .quadrature import check_integer, segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomials, lagrange_basis, monomial_exponents,
                         shifted_legendre)
@@ -110,37 +110,26 @@ class FeSpace:
     # -- basis evaluation ---------------------------------------------------
 
     def eval_basis(self, elems, ref_pts, need_grad=True):
-        """Physical basis values on one element (int) or a batch (int array).
+        """Physical basis values on the elements of the int array `elems`.
 
         `ref_pts` is (q, 2), shared by every element, or (E, q, 2), one set
         per element.  Returns (values, gradients, divergences):
-        scalar family: (q, nloc), (q, nloc, 2), None;
-        vector families: (q, nloc, 2), (q, nloc, 2, 2) with
-        grad[c, d] = d u_c / d x_d, and (q, nloc).
-        For an element array every shape gains a leading E axis.
+        scalar family: (E, q, nloc), (E, q, nloc, 2), None;
+        vector families: (E, q, nloc, 2), (E, q, nloc, 2, 2) with
+        grad[c, d] = d u_c / d x_d, and (E, q, nloc).
         """
         return self._evaluate(elems, ref_pts, need_grad)
 
     def _evaluate(self, elems, ref_pts, need_grad, coefficients=None):
-        """eval_basis, or with coefficients the fields they span.
-
-        `coefficients` is (ndof,) for one field or (ndof, k) for k fields,
-        one per column.  The k fields take the place of the basis axis of
-        eval_basis; one field drops it.  The coefficients are applied on
-        the reference element, before the (linear) map to the physical
-        elements, so a field evaluation never forms arrays with a basis
-        axis.
+        """eval_basis, or with (ndof, k) coefficients the k fields they
+        span, one per column, in place of its basis axis.  The
+        coefficients are applied on the reference element, before the
+        (linear) map to the physical elements, so a field evaluation never
+        forms arrays with a basis axis.
         """
-        single = np.ndim(elems) == 0
-        elems = np.atleast_1d(elems)
         ref = np.asarray(ref_pts, dtype=float)
-        if ref.ndim == 1:
-            ref = ref[None]
         u, g = self._reference_shapes(elems, ref, coefficients)
-        out = self._map(elems, ref, u, g, need_grad)
-        if coefficients is not None and coefficients.ndim == 1:
-            out = tuple(None if a is None else a[:, :, 0] for a in out)
-        return tuple(a[0] if single and a is not None else a for a in out)
+        return self._map(elems, ref, u, g, need_grad)
 
     def _reference_shapes(self, elems, ref, coefficients):
         """Local shapes on the reference element and their reference gradients.
@@ -160,8 +149,7 @@ class FeSpace:
             u, g = _ref_table(basis.eval, ref), _ref_table(basis.grad, ref)
         if self.ncomp == 2:
             u, g = _xy_copies(u), _xy_copies(g, axis=-2)
-        W = None if coefficients is None \
-            else coefficients.reshape(self.ndof, -1)[self.dof_map[elems]]
+        W = None if coefficients is None else coefficients[self.dof_map[elems]]
         if self.family == "hdiv_bdm":
             C = self._bdm_coeffs[elems]
             W = C if W is None else C @ W
@@ -317,10 +305,10 @@ def _xy_copies(table, axis=-1):
 
 
 class DiscreteField:
-    """A coefficient vector in an FeSpace, evaluable element-wise.
+    """k fields of an FeSpace, evaluable element-wise.
 
-    The coefficients are (ndof,) for one field, or (ndof, k) for k fields
-    of the space with a trailing solution axis, one field per column.
+    `coefficients` are (ndof, k), one field per column; a vector (ndof,)
+    is stored as the one column (ndof, 1).
     """
 
     def __init__(self, space, coefficients):
@@ -328,12 +316,12 @@ class DiscreteField:
         if coefficients.ndim not in (1, 2) or len(coefficients) != space.ndof:
             raise ValueError("coefficient length does not match ndof")
         self.space = space
-        self.coefficients = coefficients
+        self.coefficients = coefficients.reshape(space.ndof, -1)
 
     def evaluate(self, elems, ref_pts, need_grad=True):
-        """(values, gradients, divergences) of the field on one element or a
-        batch; shapes as in FeSpace.eval_basis without the basis axis for
-        one field, and with k fields in its place for k columns."""
+        """(values, gradients, divergences) of the k fields on the elements
+        of the int array `elems`; shapes as in FeSpace.eval_basis, with
+        the k fields in place of its basis axis."""
         return self.space._evaluate(elems, ref_pts, need_grad,
                                     self.coefficients)
 

@@ -44,7 +44,7 @@ from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
 from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
                      LinearSystem, assemble_csr, assemble_vector)
-from .mesh import check_integer
+from .quadrature import check_integer
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -319,7 +319,7 @@ class MethodSystem:
     assembled with.  `load` is read-only and zero on pseudo-pressure rows.
     The systems of a method with a pseudo-pressure space (M2's
     saddle-point pair) carry SADDLE_PIVOT_THRESHOLD, those of the others
-    SYMMETRIC_PIVOT_THRESHOLD.
+    SYMMETRIC_PIVOT_THRESHOLD.  `split` turns solutions into fields.
     """
     method: str
     velocity_space: object
@@ -343,18 +343,13 @@ class MethodSystem:
         """The system at the coefficients assembled with."""
         return self.system_at(self.cs2)
 
-    def velocity(self, x):
-        """The velocity DiscreteField of a raw solution vector."""
-        return DiscreteField(self.velocity_space,
-                             x[:self.velocity_space.ndof])
-
     def split(self, x):
-        """DiscreteField(s) from a raw solution vector."""
-        u = self.velocity(x)
-        if self.pressure_space is None:
-            return u
-        return u, DiscreteField(self.pressure_space,
-                                x[self.velocity_space.ndof:])
+        """(velocity, pseudo-pressure or None) DiscreteFields of raw
+        solutions x, (n,) or (n, k)."""
+        nu = self.velocity_space.ndof
+        return (DiscreteField(self.velocity_space, x[:nu]),
+                None if self.pressure_space is None
+                else DiscreteField(self.pressure_space, x[nu:]))
 
 
 def _method_forms(method):
@@ -365,9 +360,11 @@ def _method_forms(method):
 
 
 def method_spaces(method, mesh, p):
+    """The (velocity, pseudo-pressure or None) spaces of a method at degree
+    p; DegreeError unless p is an integer >= 1 (>= 2 for M2)."""
     vel_family, pp_family, _, _ = _method_forms(method)
-    if pp_family is not None and p < 2:
-        raise DegreeError(f"{method} requires p >= 2")
+    p = check_integer(f"{method} degree", p, 1 if pp_family is None else 2,
+                      DegreeError)
     return (build_space(vel_family, mesh, p), None if pp_family is None
             else build_space(pp_family, mesh, p - 1))
 
@@ -552,9 +549,8 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
                 cs2=None):
     """L2 error, method triple-norm error, and L2 norm of discrete solutions.
 
-    `u_h` is one DiscreteField: with coefficients (ndof,) the result is one
-    dict, with coefficients (ndof, k), k solutions of one space, it is a
-    list of k dicts in column order.  `cs2` is the c_s^2 of each solution,
+    `u_h` is one DiscreteField of k solutions of one space, and the result
+    a list of k dicts in column order.  `cs2` is the c_s^2 of each solution,
     by default that of `coeffs` for all: solution j's triple norm takes
     B_h, which is per unit c_s^2, scaled by cs2[j], which must be a
     positive, finite number (ValueError naming cs2 otherwise).
@@ -571,31 +567,26 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
     An unknown method raises ValueError, with or without `exact`.
     """
     _, pp_family, _, _ = _method_forms(method)
-    space = u_h.space
-    batch = u_h.coefficients.ndim == 2
-    k = u_h.coefficients.shape[1] if batch else 1
+    space, k = u_h.space, u_h.coefficients.shape[1]
     cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.array(
         [_number("cs2", c, "positive") for c in cs2])
     if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
-    fields = DiscreteField(space, u_h.coefficients.reshape(space.ndof, k))
     order = quadrature_order(space) + 2 if order is None else order
     if exact is None:
         rule, wq, _ = space.mesh.element_quadrature(order)
-        vals, _, _ = fields.evaluate(np.arange(space.mesh.num_triangles),
-                                     rule.points, need_grad=False)
-        res = [{"l2_error": None, "xh_error": None, "l2_norm": n}
-               for n in _l2(wq, vals)]
-        return res if batch else res[0]
+        vals, _, _ = u_h.evaluate(np.arange(space.mesh.num_triangles),
+                                  rule.points, need_grad=False)
+        return [{"l2_error": None, "xh_error": None, "l2_norm": n}
+                for n in _l2(wq, vals)]
 
     if pp_family is not None and pp_space is None:
         pp_space = build_space(pp_family, space.mesh, space.degree - 1)
-    err = _ErrorSpace(fields, exact, order,
+    err = _ErrorSpace(u_h, exact, order,
                       None if pp_family is None else pp_space)
     A, B, _ = _assemble(method, err, coeffs, order, None, None)
     xh2 = A.diagonal() + cs2 * B.diagonal()
     wq = err.tables[0]
-    res = [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
-            "l2_norm": n}
-           for e, x, n in zip(_l2(wq, err.tables[2]), xh2, _l2(wq, err.vals))]
-    return res if batch else res[0]
+    return [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
+             "l2_norm": n}
+            for e, x, n in zip(_l2(wq, err.tables[2]), xh2, _l2(wq, err.vals))]

@@ -9,11 +9,10 @@ elements stay affine.
 """
 
 import copy
-from numbers import Integral
 
 import numpy as np
 
-from .quadrature import segment_rule, triangle_rule
+from .quadrature import check_integer, check_order, segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         lagrange_basis, lattice_multiindices)
 
@@ -149,7 +148,7 @@ class Mesh:
         return len(self.facet_vertices)
 
     def geometry(self, elems):
-        """GeometryMap of one element (int) or of a batch (int array)."""
+        """GeometryMap of the elements of the int array `elems`."""
         return GeometryMap(self, elems)
 
     def facet_length(self, facets):
@@ -161,7 +160,7 @@ class Mesh:
     def element_quadrature(self, order):
         """Triangle rule, weights * det (E, q) and points (E, q, 2) of all
         elements; computed once per order, its arrays read-only."""
-        key = ("elements", order)
+        key = ("elements", check_order(order))
         if key not in self._quadrature:
             rule = triangle_rule(order)
             gm = self.geometry(np.arange(self.num_triangles))
@@ -174,7 +173,7 @@ class Mesh:
     def facet_quadrature(self, order, boundary):
         """Segment rule and FacetGeometry at its points of the boundary (or
         the interior) facets; computed once per order, arrays read-only."""
-        key = ("boundary" if boundary else "interior", order)
+        key = ("boundary" if boundary else "interior", check_order(order))
         if key not in self._quadrature:
             rule = segment_rule(order)
             facets = np.nonzero(self.facet_boundary == boundary)[0]
@@ -201,15 +200,6 @@ class Mesh:
                          % (a, b, e0, e1, int(self.facet_boundary[f])))
 
 
-def check_integer(name, value, minimum, error=ValueError):
-    """int(value) for an Integral, not a bool, >= minimum; anything else,
-    a float or a string included, raises `error` naming `name`."""
-    if (not isinstance(value, Integral) or isinstance(value, bool)
-            or value < minimum):
-        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.setflags(write=False)
@@ -227,19 +217,16 @@ def _arc_point(w0, w1, t):
 
 
 class GeometryMap:
-    """Polynomial map from the reference triangle to one element or a batch.
+    """Polynomial map from the reference triangle to a batch of elements.
 
-    `elems` is an int or an int array of E elements.  Reference points are
-    (q, 2), shared by every element, or (E, q, 2), one set per element.  For
-    an int the results have shapes (q, ...); for an array they gain a
-    leading E axis.  Affine elements use their vertex Jacobian; curved ones
-    contract the geometry basis with their stacked control points.
-    `curved` holds the batch positions of the curved elements.
+    `elems` is an int array of E elements.  Reference points are (q, 2),
+    shared by every element, or (E, q, 2), one set per element; results
+    have shapes (E, q, ...).  Affine elements use their vertex Jacobian;
+    curved ones contract the geometry basis with their stacked control
+    points.  `curved` holds the batch positions of the curved elements.
     """
 
     def __init__(self, mesh, elems):
-        self._single = np.ndim(elems) == 0
-        elems = np.atleast_1d(elems)
         v = mesh.vertices[mesh.triangles[elems]]             # (E, 3, 2)
         self._origin = v[:, 0]
         self._jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)
@@ -248,9 +235,6 @@ class GeometryMap:
         self._controls = mesh._curved_controls[slot[self.curved]]
         self._basis = lagrange_basis(mesh.geom_order)
         self.affine = len(self.curved) == 0
-
-    def _out(self, arr):
-        return arr[0] if self._single else arr
 
     def _curved_table(self, table, ref):
         """Geometry basis table at ref on the C curved elements, (C, q, ..)."""
@@ -261,28 +245,21 @@ class GeometryMap:
         t = table(r.reshape(-1, 2))
         return t.reshape(r.shape[:2] + t.shape[1:])
 
-    @staticmethod
-    def _ref(ref):
-        ref = np.asarray(ref, dtype=float)
-        return ref[None] if ref.ndim == 1 else ref
-
     def points(self, ref):
-        ref = self._ref(ref)
         out = self._origin[:, None, :] + ref @ self._jac.transpose(0, 2, 1)
         if not self.affine:
             T = self._curved_table(self._basis.eval, ref)
             out[self.curved] = np.einsum("eqj,ejc->eqc", T, self._controls)
-        return self._out(out)
+        return out
 
     def jacobian(self, ref):
-        ref = self._ref(ref)
         nq = ref.shape[-2]
         out = np.broadcast_to(self._jac[:, None],
                               (len(self._jac), nq, 2, 2)).copy()
         if not self.affine:
             G = self._curved_table(self._basis.grad, ref)
             out[self.curved] = np.einsum("eqjd,ejc->eqcd", G, self._controls)
-        return self._out(out)
+        return out
 
     def curved_jacobian_derivative(self, ref):
         """d J / d ref on the curved elements of the batch, (C, q, 2, 2, 2)
@@ -290,7 +267,7 @@ class GeometryMap:
 
         [c, d, e] = d^2 Phi_c / (d_d d_e).
         """
-        H = self._curved_table(self._basis.hess, self._ref(ref))
+        H = self._curved_table(self._basis.hess, ref)
         return np.einsum("nqjde,njc->nqcde", H, self._controls)
 
     @staticmethod
@@ -361,11 +338,11 @@ def mesh_size(mesh: Mesh) -> float:
 def facet_ref_points(k, ts, flipped):
     """Reference points of local edge k at global facet params ts.
 
-    `k` and `flipped` are scalars, giving (q, 2), or arrays of F facets,
-    giving (F, q, 2).
+    `k` is one local edge or an array of F, and `flipped` an array of F
+    flags; the points are (F, q, 2).
     """
     va, vb = np.asarray(EDGE_VERTICES)[k].T
-    s = np.where(np.asarray(flipped)[..., None], 1.0 - ts, ts)
+    s = np.where(flipped[:, None], 1.0 - ts, ts)
     a = REF_VERTICES[va]
     d = REF_VERTICES[vb] - a
     return a[..., None, :] + s[..., None] * d[..., None, :]
@@ -381,23 +358,23 @@ def _unit_normals(jac, k):
 
 
 class FacetGeometry:
-    """Physical geometry of one facet or a batch at global params ts in [0, 1].
+    """Physical geometry of a batch of facets at global params ts in [0, 1].
 
-    `facets` is an int or an int array of F facets.  Provides physical
-    points, arc-length weights per unit t (`dline`) and the unit normal
-    pointing out of owner 0 (for boundary facets: out of the domain), with
-    shapes (q, ...) for an int and (F, q, ...) for an array, and the chord
-    `length` of each facet.  `sides[s]` is (elem, local edge, flipped) of
-    owner s and `ref_points[s]` its reference points; owner 1 is included
-    only when no facet of the batch is a boundary facet.
+    `facets` is an int array of F facets and `ts` the (q,) params.
+    Provides physical points, arc-length weights per unit t (`dline`) and
+    the unit normal pointing out of owner 0 (for boundary facets: out of
+    the domain), with shapes (F, q, ...), and the chord `length` of each
+    facet.  `sides[s]` is (elem, local edge, flipped) of owner s, each
+    (F,), and `ref_points[s]` its reference points (F, q, 2); owner 1 is
+    included only when no facet of the batch is a boundary facet.
     """
 
     def __init__(self, mesh, facets, ts):
         self.ts = np.asarray(ts, dtype=float)
         nsides = 1 if np.any(mesh.facet_boundary[facets]) else 2
         elems, local = mesh.facet_elems[facets], mesh.facet_local[facets]
-        self.sides = [(elems[..., s], local[..., s],
-                       mesh.elem_flipped[elems[..., s], local[..., s]])
+        self.sides = [(elems[:, s], local[:, s],
+                       mesh.elem_flipped[elems[:, s], local[:, s]])
                       for s in range(nsides)]
         self.ref_points = [facet_ref_points(k, self.ts, fl)
                            for (_, k, fl) in self.sides]
@@ -407,8 +384,8 @@ class FacetGeometry:
         self.points = gm.points(self.ref_points[0])
         va, vb = np.asarray(EDGE_VERTICES)[k0].T
         dref = REF_VERTICES[vb] - REF_VERTICES[va]
-        dref = np.where(np.asarray(flip0)[..., None], -dref, dref)
-        tang = np.einsum("...qcd,...d->...qc", jac, dref)
+        dref = np.where(flip0[:, None], -dref, dref)
+        tang = np.einsum("fqcd,fd->fqc", jac, dref)
         self.dline = np.linalg.norm(tang, axis=-1)  # ds/dt
         self.normals = _unit_normals(jac, k0)
         self.length = mesh.facet_length(facets)

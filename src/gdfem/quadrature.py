@@ -7,6 +7,7 @@ instead of hard-coded point tables.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -25,17 +26,29 @@ class QuadratureRule:
     exactness_order: int
 
 
-def _check_order(order):
-    if order < 0:
-        raise UnsupportedOrderError(f"negative quadrature order {order}")
+def check_integer(name, value, minimum, error=ValueError):
+    """int(value) for an Integral, not a bool, >= minimum; anything else,
+    a float or a string included, raises `error` naming `name`."""
+    if (not isinstance(value, Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_order(order):
+    """int(order) for a quadrature order: an integer from 0 to MAX_ORDER;
+    anything else, a bool, a float or a string included, raises
+    UnsupportedOrderError."""
+    order = check_integer("quadrature order", order, 0, UnsupportedOrderError)
     if order > MAX_ORDER:
         raise UnsupportedOrderError(
             f"quadrature order {order} exceeds supported maximum {MAX_ORDER}")
+    return order
 
 
 def segment_rule(order: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for polynomials of degree <= order."""
-    _check_order(order)
+    order = check_order(order)
     n = order // 2 + 1
     xs, ws = roots_legendre(n)
     pts = (xs[:, None] + 1.0) / 2.0
@@ -47,7 +60,7 @@ def triangle_rule(order: int) -> QuadratureRule:
 
     Exact for all bivariate polynomials of total degree <= order.
     """
-    _check_order(order)
+    order = check_order(order)
     n = order // 2 + 1
     xa, wa = roots_legendre(n)          # direction along the collapsed edge
     xb, wb = roots_jacobi(n, 1.0, 0.0)  # weight (1-x) absorbs the Duffy Jacobian

@@ -56,10 +56,10 @@ def test_invalid_spaces_rejected(square1):
 # -- conformity ---------------------------------------------------------------
 
 def _trace_pair(mesh, space, coeffs_vec, f, ts):
-    """Both-side traces of a field on interior facet f at params ts."""
+    """Both-side traces (q, 2) of a field on interior facet f at params ts."""
     field = DiscreteField(space, coeffs_vec)
-    fg = FacetGeometry(mesh, f, ts)
-    return [field.evaluate(e, rp, need_grad=False)[0]
+    fg = FacetGeometry(mesh, [f], ts)
+    return [field.evaluate(e, rp, need_grad=False)[0][0, :, 0]
             for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
 
 
@@ -82,11 +82,11 @@ def test_bdm_normal_continuity(p):
     ts = np.array([0.2, 0.5, 0.8])
     saw_tangential_jump = False
     for f in np.nonzero(~mesh.facet_boundary)[0]:
-        fg = FacetGeometry(mesh, f, ts)
+        normals = FacetGeometry(mesh, [f], ts).normals[0]
         a, b = _trace_pair(mesh, space, c, f, ts)
-        jn = np.einsum("qc,qc->q", a - b, fg.normals)
+        jn = np.einsum("qc,qc->q", a - b, normals)
         assert np.abs(jn).max() <= 1e-11
-        tang = np.column_stack([-fg.normals[:, 1], fg.normals[:, 0]])
+        tang = np.column_stack([-normals[:, 1], normals[:, 0]])
         if np.abs(np.einsum("qc,qc->q", a - b, tang)).max() > 1e-6:
             saw_tangential_jump = True
     assert saw_tangential_jump
@@ -96,11 +96,11 @@ def test_partition_of_unity(square2):
     pts = RNG.uniform(0.05, 0.4, (5, 2))
     for p in (1, 2, 3):
         space = build_space("scalar_lagrange", square2, p)
-        vals, _, _ = space.eval_basis(0, pts)
-        assert np.abs(vals.sum(axis=1) - 1.0).max() <= 1e-12
+        vals, _, _ = space.eval_basis([0], pts)
+        assert np.abs(vals[0].sum(axis=1) - 1.0).max() <= 1e-12
         vspace = build_space("vector_lagrange", square2, p)
-        vvals, _, _ = vspace.eval_basis(0, pts)
-        assert np.abs(vvals.sum(axis=1) - 1.0).max() <= 1e-12
+        vvals, _, _ = vspace.eval_basis([0], pts)
+        assert np.abs(vvals[0].sum(axis=1) - 1.0).max() <= 1e-12
 
 
 # -- interpolation ------------------------------------------------------------
@@ -116,8 +116,8 @@ def test_bdm_interpolation_reproduces_polynomials(square2):
         space = build_space("hdiv_bdm", square2, p)
         vh = bdm_interpolate(space, v)
         for e in (0, 3, 5):
-            phys = square2.geometry(e).points(pts)
-            got, _, _ = vh.evaluate(e, pts, need_grad=False)
+            phys = square2.geometry([e]).points(pts)[0]
+            got = vh.evaluate([e], pts, need_grad=False)[0][0, :, 0]
             assert np.abs(got - v(phys)).max() <= 1e-10
 
 
@@ -132,13 +132,13 @@ def test_bdm_commuting_diagram(square2):
     vh = bdm_interpolate(space, v, order=8)
     rule = triangle_rule(8)
     for e in range(square2.num_triangles):
-        gm = square2.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
+        gm = square2.geometry([e])
+        det = GeometryMap.dets(gm.jacobian(rule.points))[0]
+        phys = gm.points(rule.points)[0]
         mean_div = float((rule.weights * det) @
                          (2 * phys[:, 0] + 2 * phys[:, 1]))
         mean_div /= float(rule.weights @ det)
-        _, _, div = vh.evaluate(e, rule.points)
+        div = vh.evaluate([e], rule.points)[2][0, :, 0]
         assert np.abs(div - mean_div).max() <= 1e-10
 
 
@@ -151,7 +151,7 @@ def test_bdm_divfree_preserved_on_curved_mesh(p):
                          order=10)
     pts = RNG.uniform(0.05, 0.4, (6, 2))
     for e in range(mesh.num_triangles):
-        _, _, div = vh.evaluate(e, pts)
+        _, _, div = vh.evaluate([e], pts)
         assert np.abs(div).max() <= 1e-10
 
 
@@ -172,11 +172,11 @@ def test_vector_dg_piola_preserves_reference_divfree():
     c[1::2] = lat[:, 0]
     pts = RNG.uniform(0.05, 0.4, (6, 2))
     for e in range(mesh.num_triangles):
-        vals, grads, div = space.eval_basis(e, pts)
-        d = div @ c
+        _, grads, div = space.eval_basis([e], pts)
+        d = div[0] @ c
         assert np.abs(d).max() <= 1e-12
         # divergence is consistent with the trace of the gradient
-        g = np.einsum("qjcd,j->qcd", grads, c)
+        g = np.einsum("qjcd,j->qcd", grads[0], c)
         assert np.abs(g[:, 0, 0] + g[:, 1, 1] - d).max() <= 1e-12
 
 
@@ -185,24 +185,24 @@ def test_vector_dg_piola_preserves_reference_divfree():
 def test_gradients_match_finite_differences(family, p):
     """Basis gradients on a curved element agree with finite differences."""
     mesh = make_unit_disc_mesh(0, geom_order=2)
-    e = 0
+    e = [0]
     assert not mesh.geometry(e).affine
     space = build_space(family, mesh, p)
     c = RNG.standard_normal(space.ndof)
     field = DiscreteField(space, c)
     gm = mesh.geometry(e)
     rp = np.array([[0.31, 0.24], [0.2, 0.45]])
-    vals, grads, div = field.evaluate(e, rp)
+    _, grads, div = (a[0, :, 0] for a in field.evaluate(e, rp))
     h = 1e-6
     for q, r in enumerate(rp):
-        jac = gm.jacobian(np.array([r]))[0]
+        jac = gm.jacobian(np.array([r]))[0, 0]
         fd = np.empty((2, 2))
         for d in range(2):
             step = np.zeros(2)
             step[d] = h
             vp, _, _ = field.evaluate(e, np.array([r + step]), need_grad=False)
             vm, _, _ = field.evaluate(e, np.array([r - step]), need_grad=False)
-            fd[:, d] = (vp[0] - vm[0]) / (2 * h)
+            fd[:, d] = (vp[0, 0, 0] - vm[0, 0, 0]) / (2 * h)
         fd_phys = fd @ np.linalg.inv(jac)
         assert np.abs(fd_phys - grads[q]).max() <= 1e-5
         assert abs(div[q] - (grads[q, 0, 0] + grads[q, 1, 1])) <= 1e-12
@@ -255,24 +255,17 @@ def test_piola_map_matches_full_derivative_formula(disc1_curved, family,
     assert len(curved) and len(affine)
     elems = {"affine": affine, "curved": curved,
              "mixed": np.arange(mesh.num_triangles),
-             "one_affine": int(affine[0]), "one_curved": int(curved[0])}[batch]
-    batch_elems = np.atleast_1d(elems)
+             "one_affine": affine[:1], "one_curved": curved[:1]}[batch]
     if points == "shared":
         ref = triangle_rule(6).points
     else:
-        ref = RNG.uniform(0.05, 0.45, (len(batch_elems), 5, 2))
-        if np.ndim(elems) == 0:
-            ref = ref[0]
-    coeffs = RNG.standard_normal(space.ndof)
+        ref = RNG.uniform(0.05, 0.45, (len(elems), 5, 2))
+    coeffs = RNG.standard_normal((space.ndof, 1))
     for c, got in ((None, space.eval_basis(elems, ref)),
                    (coeffs, DiscreteField(space, coeffs).evaluate(elems,
                                                                   ref))):
-        u, g = space._reference_shapes(batch_elems, ref, c)
-        want = _piola_reference(space, batch_elems, ref, u, g)
-        if c is not None:
-            want = tuple(a[:, :, 0] for a in want)
-        if np.ndim(elems) == 0:
-            want = tuple(a[0] for a in want)
+        u, g = space._reference_shapes(elems, ref, c)
+        want = _piola_reference(space, elems, ref, u, g)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             _close(a, b)
@@ -288,7 +281,8 @@ def test_values_and_divergences_without_gradients(disc1_curved, family):
     field = DiscreteField(space, RNG.standard_normal(space.ndof))
     elems = np.arange(mesh.num_triangles)
     _, fg = mesh.facet_quadrature(6, boundary=False)
-    for e, ref in ((elems, triangle_rule(6).points), (0, np.array([0.2, 0.3])),
+    for e, ref in ((elems, triangle_rule(6).points),
+                   ([0], np.array([[0.2, 0.3]])),
                    (fg.sides[1][0], fg.ref_points[1])):
         for evaluate in (space.eval_basis, field.evaluate):
             vals, grads, div = evaluate(e, ref)
@@ -313,16 +307,16 @@ def test_l2_project_matches_dense_oracle(square1):
     A = np.zeros((space.ndof, space.ndof))
     rhs = np.zeros(space.ndof)
     for e in range(square1.num_triangles):
-        gm = square1.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
+        gm = square1.geometry([e])
+        det = GeometryMap.dets(gm.jacobian(rule.points))[0]
+        phys = gm.points(rule.points)[0]
         wq = rule.weights * det
-        bv, _, _ = space.eval_basis(e, rule.points, need_grad=False)
+        bv = space.eval_basis([e], rule.points, need_grad=False)[0][0]
         dofs = space.dof_map[e]
         A[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq, bv, bv)
         rhs[dofs] += np.einsum("q,q,qj->j", wq, f(phys), bv)
     oracle = np.linalg.solve(A, rhs)
-    assert np.abs(proj.coefficients - oracle).max() <= 1e-12
+    assert np.abs(proj.coefficients[:, 0] - oracle).max() <= 1e-12
 
 
 def test_l2_project_reproduces_space_members(square2, disc1_curved):
@@ -332,15 +326,15 @@ def test_l2_project_reproduces_space_members(square2, disc1_curved):
     space = build_space("vector_lagrange", square2, 2)
     proj = l2_project(space, v)
     for e in (0, square2.num_triangles - 1):
-        phys = square2.geometry(e).points(pts)
-        got, _, _ = proj.evaluate(e, pts, need_grad=False)
+        phys = square2.geometry([e]).points(pts)[0]
+        got = proj.evaluate([e], pts, need_grad=False)[0][0, :, 0]
         assert np.abs(got - v(phys)).max() <= 1e-11
     # curved mesh: the map is non-affine, so only near-best approximation
     cspace = build_space("vector_lagrange", disc1_curved, 2)
     cproj = l2_project(cspace, v)
     for e in range(disc1_curved.num_triangles):
-        phys = disc1_curved.geometry(e).points(pts)
-        got, _, _ = cproj.evaluate(e, pts, need_grad=False)
+        phys = disc1_curved.geometry([e]).points(pts)[0]
+        got = cproj.evaluate([e], pts, need_grad=False)[0][0, :, 0]
         assert np.abs(got - v(phys)).max() <= 5e-3
 
 

@@ -21,7 +21,8 @@ from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
 from gdfem.problems import convergence_problem, gradrob_problem, \
     locking_problem
-from gdfem.quadrature import segment_rule, triangle_rule
+from gdfem.quadrature import (UnsupportedOrderError, segment_rule,
+                              triangle_rule)
 
 RNG = np.random.default_rng(11)
 
@@ -111,9 +112,9 @@ def test_rotational_flow_tangential_on_disc():
 def test_b_volume_oracle_square(square1):
     """u = (x, y): b(u,u) = int c^2 (div u)^2 = 4 on the unit square."""
     space = build_space("vector_lagrange", square1, 1)
-    u = l2_project(space, lambda q: q)
+    u = l2_project(space, lambda q: q).coefficients[:, 0]
     B = volume_matrix(space, assemble_b_volume)
-    assert abs(u.coefficients @ (B @ u.coefficients) - 4.0) <= 1e-12
+    assert abs(u @ (B @ u) - 4.0) <= 1e-12
 
 
 def test_a_volume_oracle_square(square1):
@@ -122,9 +123,9 @@ def test_a_volume_oracle_square(square1):
     a(u,u) = int |b|^2 + 0.01 int |u|^2 = 0.01*(2/3) + 0.01*(2/3) = 0.04/3.
     """
     space = build_space("vector_lagrange", square1, 1)
-    u = l2_project(space, lambda q: q)
+    u = l2_project(space, lambda q: q).coefficients[:, 0]
     A = volume_matrix(space, assemble_a_volume, unit_coeffs())
-    assert abs(u.coefficients @ (A @ u.coefficients) - 0.04 / 3) <= 1e-12
+    assert abs(u @ (A @ u) - 0.04 / 3) <= 1e-12
 
 
 def test_b_dg_oracle_square(square1):
@@ -138,9 +139,9 @@ def test_b_dg_oracle_square(square1):
     so b_dg(u,u) = 196.
     """
     ms = assemble_method("M4", square1, 1, unit_coeffs(lambda_n=100.0), None)
-    u = l2_project(ms.velocity_space, lambda q: q, order=6)
+    u = l2_project(ms.velocity_space, lambda q: q, order=6).coefficients[:, 0]
     B = ms.b
-    assert abs(u.coefficients @ (B @ u.coefficients) - 196.0) <= 1e-9
+    assert abs(u @ (B @ u) - 196.0) <= 1e-9
 
 
 @pytest.mark.parametrize("mesh", ["square2", "disc3_curved"])
@@ -164,11 +165,12 @@ def test_a_dg_matches_a_volume_for_continuous_fields(square2):
     lag = build_space("vector_lagrange", square2, 3)
     ul = l2_project(lag, v, order=12)
     A = volume_matrix(lag, assemble_a_volume, co, order=12)
-    aval = ul.coefficients @ (A @ ul.coefficients)
+    x = ul.coefficients[:, 0]
+    aval = x @ (A @ x)
     ms = assemble_method("M4", square2, 3, co, None, order=12)
     # re-expand the (piecewise-polynomial) Lagrange field in the DG space
-    udg = _reexpand(ul, ms.velocity_space)
-    adg = udg.coefficients @ (ms.a @ udg.coefficients)
+    x = _reexpand(ul, ms.velocity_space).coefficients[:, 0]
+    adg = x @ (ms.a @ x)
     assert abs(aval - adg) <= 1e-10 * max(abs(aval), 1.0)
 
 
@@ -178,10 +180,10 @@ def _reexpand(field, dg_space):
     coeffs = np.zeros(dg_space.ndof)
     mesh = dg_space.mesh
     for e in range(mesh.num_triangles):
-        det = GeometryMap.dets(mesh.geometry(e).jacobian(rule.points))
+        det = GeometryMap.dets(mesh.geometry([e]).jacobian(rule.points))[0]
         wq = rule.weights * det
-        bv, _, _ = dg_space.eval_basis(e, rule.points, need_grad=False)
-        fv, _, _ = field.evaluate(e, rule.points, need_grad=False)
+        bv = dg_space.eval_basis([e], rule.points, need_grad=False)[0][0]
+        fv = field.evaluate([e], rule.points, need_grad=False)[0][0, :, 0]
         M = np.einsum("q,qic,qjc->ij", wq, bv, bv)
         r = np.einsum("q,qc,qjc->j", wq, fv, bv)
         coeffs[dg_space.dof_map[e]] = np.linalg.solve(M, r)
@@ -330,12 +332,12 @@ def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
     def assembled(method, p):
         prob = convergence_problem(p)
         ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
-        us = np.column_stack([ms.velocity(solve(ms.system_at(cs2)))
+        us = np.column_stack([ms.split(solve(ms.system_at(cs2)))[0]
                               .coefficients for cs2 in (1.0, 10.0)])
         norms = [error_norms(DiscreteField(ms.velocity_space, u), prob,
                              prob.coeffs, method, ms.pressure_space,
                              cs2=cs2)
-                 for u, cs2 in ((us[:, 0], None), (us, [1, 10]))]
+                 for u, cs2 in ((us[:, :1], None), (us, [1, 10]))]
         return ms, norms
 
     whole = {cell: assembled(*cell) for cell in cells}
@@ -389,14 +391,17 @@ def test_every_cs2_passes_the_number_rule(bad):
                          prob.coeffs, prob.f)
     with pytest.raises(ValueError, match="cs2"):
         ms.system_at(bad)
-    u = ms.velocity(solve(ms.system))
+    u, _ = ms.split(solve(ms.system))
     with pytest.raises(ValueError, match="cs2"):
         error_norms(u, prob, prob.coeffs, method="M4", cs2=[bad])
 
 
 def test_m2_requires_degree_two(square1):
-    with pytest.raises(DegreeError):
-        method_spaces("M2", square1, 1)
+    """M2 needs an integer degree >= 2; a string, a float or a bool is a
+    DegreeError naming the degree, checked before the degree is compared."""
+    for bad in (1, "2", 2.0, True):
+        with pytest.raises(DegreeError, match="degree"):
+            method_spaces("M2", square1, bad)
 
 
 def test_m2_schur_oracle(square1):
@@ -429,14 +434,14 @@ def test_m2_schur_oracle(square1):
     F = np.zeros(pp.ndof)
     a_val = 0.0
     for e in range(mesh.num_triangles):
-        gm = mesh.geometry(e)
-        det = GeometryMap.dets(gm.jacobian(rule.points))
-        phys = gm.points(rule.points)
+        gm = mesh.geometry([e])
+        det = GeometryMap.dets(gm.jacobian(rule.points))[0]
+        phys = gm.points(rule.points)[0]
         wq = rule.weights * det
         cs2 = co.cs2
         b = co.b_at(phys)
-        qv, _, _ = pp.eval_basis(e, rule.points, need_grad=False)
-        uv, ug, ud = u.evaluate(e, rule.points)
+        qv = pp.eval_basis([e], rule.points, need_grad=False)[0][0]
+        uv, ug, ud = (a[0, :, 0] for a in u.evaluate([e], rule.points))
         dofs = pp.dof_map[e]
         Mo[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq * cs2, qv, qv)
         F[dofs] += np.einsum("q,q,qj->j", wq * cs2, ud, qv)
@@ -447,15 +452,15 @@ def test_m2_schur_oracle(square1):
     ts = srule.points[:, 0]
     n_val = 0.0
     for f in np.nonzero(mesh.facet_boundary)[0]:
-        fg = FacetGeometry(mesh, f, ts)
-        e0, k0, fl0 = fg.sides[0]
-        uv, _, _ = u.evaluate(e0, fg.ref_points[0], need_grad=False)
-        un = np.einsum("qc,qc->q", uv, fg.normals)
+        fg = FacetGeometry(mesh, [f], ts)
+        e0 = fg.sides[0][0]
+        uv = u.evaluate(e0, fg.ref_points[0], need_grad=False)[0][0, :, 0]
+        un = np.einsum("qc,qc->q", uv, fg.normals[0])
         cs2 = co.cs2
-        qv, _, _ = pp.eval_basis(e0, fg.ref_points[0], need_grad=False)
+        qv = pp.eval_basis(e0, fg.ref_points[0], need_grad=False)[0][0]
         h = mesh.facet_length(f)
-        w = srule.weights * fg.dline
-        F[pp.dof_map[e0]] -= np.einsum("q,q,qj->j", w * cs2, un, qv)
+        w = srule.weights * fg.dline[0]
+        F[pp.dof_map[e0[0]]] -= np.einsum("q,q,qj->j", w * cs2, un, qv)
         n_val += float((w * cs2 / h) @ (un * un)) * co.lambda_n
     pi = np.linalg.solve(Mo, F)
     bpp = pi @ Mo @ pi
@@ -499,8 +504,8 @@ def test_m3_m4_errors_comparable():
     errs = {}
     for m in ("M3", "M4"):
         ms = assemble_method(m, mesh, 2, prob.coeffs, prob.f)
-        u = ms.split(solve(ms.system))
-        errs[m] = error_norms(u, prob, prob.coeffs, method=m)["l2_error"]
+        u, _ = ms.split(solve(ms.system))
+        errs[m] = error_norms(u, prob, prob.coeffs, method=m)[0]["l2_error"]
     assert errs["M3"] <= 3 * errs["M4"]
     assert errs["M4"] <= 3 * errs["M3"]
 
@@ -515,8 +520,9 @@ def test_divfree_kernel_embeds_into_dg(square2):
     ms = assemble_method("M4", square2, 1, co, None)
     dg = ms.velocity_space
     udg = _reexpand(vh, dg)
+    x = udg.coefficients[:, 0]
     B = ms.b
-    quad = udg.coefficients @ (B @ udg.coefficients)
+    quad = x @ (B @ x)
     # volume, interior-jump and consistency terms all vanish (div u = 0 and
     # u.n continuous), so only the boundary penalty survives; compute it
     # directly from the traces and match it exactly
@@ -524,15 +530,15 @@ def test_divfree_kernel_embeds_into_dg(square2):
     ts = srule.points[:, 0]
     penalty = 0.0
     for f in np.nonzero(square2.facet_boundary)[0]:
-        fg = FacetGeometry(square2, f, ts)
+        fg = FacetGeometry(square2, [f], ts)
         e0 = fg.sides[0][0]
-        uv, _, _ = udg.evaluate(e0, fg.ref_points[0], need_grad=False)
-        un = np.einsum("qc,qc->q", uv, fg.normals)
+        uv = udg.evaluate(e0, fg.ref_points[0], need_grad=False)[0][0, :, 0]
+        un = np.einsum("qc,qc->q", uv, fg.normals[0])
         penalty += co.lambda_n / square2.facet_length(f) \
-            * float((srule.weights * fg.dline) @ (un * un))
+            * float((srule.weights * fg.dline[0]) @ (un * un))
     assert abs(quad - penalty) <= 1e-10 * max(penalty, 1.0)
     Bint = volume_matrix(dg, assemble_b_volume)
-    assert abs(udg.coefficients @ (Bint @ udg.coefficients)) <= 1e-12
+    assert abs(x @ (Bint @ x)) <= 1e-12
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -542,11 +548,11 @@ def test_zero_forcing_gives_zero_solution():
     zero = lambda q: np.zeros((len(q), 2))
     for m in ("M1", "M3", "M4"):
         ms = assemble_method(m, mesh, 1, prob.coeffs, zero)
-        u = ms.split(solve(ms.system))
+        u, _ = ms.split(solve(ms.system))
         assert np.abs(u.coefficients).max() <= 1e-12
-        res = error_norms(u, prob, prob.coeffs, method=m)
+        res, = error_norms(u, prob, prob.coeffs, method=m)
         assert res["l2_norm"] <= 1e-12
-        ref = error_norms(u, prob, prob.coeffs, method=m)["l2_error"]
+        ref = error_norms(u, prob, prob.coeffs, method=m)[0]["l2_error"]
         assert abs(res["l2_error"] - ref) <= 1e-14
 
 
@@ -571,7 +577,7 @@ def test_error_norms_trivial_cases(square1):
         u=lambda q: np.column_stack([np.ones(len(q)), np.zeros(len(q))]),
         grad_u=lambda q: np.zeros((len(q), 2, 2)),
         div_u=lambda q: np.zeros(len(q)))
-    res = error_norms(zero, exact, co, method="M1")
+    res, = error_norms(zero, exact, co, method="M1")
     assert abs(res["l2_error"] - 1.0) <= 1e-13
     assert res["l2_norm"] == 0.0
     # xh norm of the constant error: a-part 0.01*|u|^2 + boundary penalty
@@ -585,7 +591,7 @@ def test_error_norms_trivial_cases(square1):
         grad_u=lambda q: np.broadcast_to(np.array([[1.0, 0.0], [0.0, -1.0]]),
                                          (len(q), 2, 2)),
         div_u=lambda q: np.zeros(len(q)))
-    res = error_norms(u_h, same, co, method="M1")
+    res, = error_norms(u_h, same, co, method="M1")
     assert res["l2_error"] <= 1e-12
     assert res["xh_error"] <= 1e-11
 
@@ -604,7 +610,7 @@ def test_triple_norm_is_operator_energy(disc1_curved, method):
         ms = assemble_method(method, disc1_curved, 2, co, None, order=k)
         energy = x @ ((ms.a + ms.b) @ x)
         xh = error_norms(DiscreteField(space, x), zero, co, method=method,
-                         order=k)["xh_error"]
+                         order=k)[0]["xh_error"]
         assert abs(xh ** 2 - energy) <= 1e-12 * abs(energy)
 
 
@@ -613,9 +619,9 @@ def test_error_norms_quadrature_stability():
     mesh = make_unit_disc_mesh(1, geom_order=2)
     prob = convergence_problem(1)
     ms = assemble_method("M3", mesh, 1, prob.coeffs, prob.f)
-    u = ms.split(solve(ms.system))
-    base = error_norms(u, prob, prob.coeffs, method="M3", order=8)
-    fine = error_norms(u, prob, prob.coeffs, method="M3", order=16)
+    u, _ = ms.split(solve(ms.system))
+    base, = error_norms(u, prob, prob.coeffs, method="M3", order=8)
+    fine, = error_norms(u, prob, prob.coeffs, method="M3", order=16)
     assert abs(base["l2_error"] - fine["l2_error"]) \
         <= 1e-3 * fine["l2_error"]
     assert abs(base["xh_error"] - fine["xh_error"]) \
@@ -630,14 +636,15 @@ _SWEEP = (1.0, 10.0, 100.0, 1000.0)
                          ids=["locking-p2", "gradrob-p3"])
 @pytest.mark.parametrize("method", METHODS)
 def test_batched_error_norms_match_single(method, problem, p):
-    """One error_norms call on the k solutions of a c_s^2 sweep, with b_h
-    scaled by each c_s^2, gives what k calls on one solution each give
-    (the locking problem has an exact solution, gradrob only a norm)."""
+    """One error_norms call on the k columns of a c_s^2 sweep's solutions,
+    with b_h scaled by each c_s^2, gives what k calls on one column each
+    give (the locking problem has an exact solution, gradrob only a
+    norm)."""
     mesh = make_unit_disc_mesh(1, geom_order=2)
     probs = [problem(cs2, p=p) for cs2 in _SWEEP]
     ms = assemble_method(method, mesh, p, probs[0].coeffs, probs[0].f)
     exact = probs[0] if probs[0].has_exact else None
-    xs = [ms.velocity(solve(ms.system_at(cs2))).coefficients
+    xs = [ms.split(solve(ms.system_at(cs2)))[0].coefficients
           for cs2 in _SWEEP]
     batch = error_norms(DiscreteField(ms.velocity_space, np.column_stack(xs)),
                         exact, probs[1].coeffs, method=method,
@@ -645,9 +652,9 @@ def test_batched_error_norms_match_single(method, problem, p):
                         cs2=[pr.coeffs.cs2 for pr in probs])
     assert len(batch) == len(_SWEEP)
     for x, pr, got in zip(xs, probs, batch):
-        want = error_norms(DiscreteField(ms.velocity_space, x), exact,
-                           pr.coeffs, method=method,
-                           pp_space=ms.pressure_space)
+        want, = error_norms(DiscreteField(ms.velocity_space, x), exact,
+                            pr.coeffs, method=method,
+                            pp_space=ms.pressure_space)
         assert got.keys() == want.keys()
         for key, value in want.items():
             if value is None:
@@ -717,3 +724,48 @@ def test_error_norms_build_only_their_facet_sets(monkeypatch, method, sets):
     error_norms(DiscreteField(vel, RNG.standard_normal(vel.ndof)), prob,
                 prob.coeffs, method=method, pp_space=pp)
     assert requested == sets
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_vector_coefficients_are_one_column(disc1_curved, method):
+    """A coefficient vector (ndof,) is the one column (ndof, 1): its field
+    evaluates, and its error norms come out, bit for bit as the explicit
+    column's, the field axis and the one-dict list included."""
+    prob = convergence_problem(2)
+    vel, pp = method_spaces(method, disc1_curved, 2)
+    x = RNG.standard_normal(vel.ndof)
+    vector, column = DiscreteField(vel, x), DiscreteField(vel, x[:, None])
+    assert vector.coefficients.shape == (vel.ndof, 1)
+    assert np.array_equal(vector.coefficients, column.coefficients)
+    _, fg = disc1_curved.facet_quadrature(6, boundary=False)
+    for elems, ref in ((np.arange(disc1_curved.num_triangles),
+                        triangle_rule(6).points),
+                       (fg.sides[1][0], fg.ref_points[1])):
+        for got, want in zip(vector.evaluate(elems, ref),
+                             column.evaluate(elems, ref)):
+            assert got.shape[2] == 1
+            assert np.array_equal(got, want)
+    for exact in (prob, None):
+        norms = error_norms(vector, exact, prob.coeffs, method=method,
+                            pp_space=pp)
+        assert len(norms) == 1
+        assert norms == error_norms(column, exact, prob.coeffs,
+                                    method=method, pp_space=pp)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "4"], ids=["true", "float", "str"])
+def test_assembly_and_norm_orders_are_integers(square1, bad):
+    """A quadrature order that is not an integer fails in assembly and in
+    the error norms, also when the mesh already holds the geometry of the
+    integer it equals (True == 1 hashes like 1)."""
+    square1.element_quadrature(1)
+    square1.facet_quadrature(1, boundary=True)
+    prob = convergence_problem(1)
+    with pytest.raises(UnsupportedOrderError, match="order"):
+        square1.element_quadrature(bad)
+    with pytest.raises(UnsupportedOrderError, match="order"):
+        assemble_method("M1", square1, 1, prob.coeffs, prob.f, order=bad)
+    space = build_space("vector_lagrange", square1, 1)
+    with pytest.raises(UnsupportedOrderError, match="order"):
+        error_norms(DiscreteField(space, np.zeros(space.ndof)), prob,
+                    prob.coeffs, method="M1", order=bad)

@@ -78,7 +78,7 @@ def test_interior_normal_antisymmetry():
     ts = np.array([0.123, 0.5, 0.871])
     for mesh in (make_unit_square_mesh(2), make_unit_disc_mesh(1, geom_order=2)):
         for f in np.nonzero(~mesh.facet_boundary)[0]:
-            fg = FacetGeometry(mesh, f, ts)
+            fg = FacetGeometry(mesh, [f], ts)
             n1 = normal_from_side(fg, mesh, 1)
             assert np.abs(fg.normals + n1).max() <= 1e-12
 
@@ -87,8 +87,8 @@ def test_boundary_normals_point_outward():
     mesh = make_unit_disc_mesh(1, geom_order=2)
     ts = np.array([0.2, 0.8])
     for f in np.nonzero(mesh.facet_boundary)[0]:
-        fg = FacetGeometry(mesh, f, ts)
-        assert np.all(np.einsum("qc,qc->q", fg.normals, fg.points) > 0)
+        fg = FacetGeometry(mesh, [f], ts)
+        assert np.all(np.einsum("fqc,fqc->fq", fg.normals, fg.points) > 0)
 
 
 def test_curved_edges_lie_on_circle():
@@ -96,14 +96,14 @@ def test_curved_edges_lie_on_circle():
     mesh = make_unit_disc_mesh(1, geom_order=3)
     ts = np.linspace(0.1, 0.9, 5)
     for f in np.nonzero(mesh.facet_boundary)[0]:
-        fg = FacetGeometry(mesh, f, ts)
-        r = np.linalg.norm(fg.points, axis=1)
+        fg = FacetGeometry(mesh, [f], ts)
+        r = np.linalg.norm(fg.points[0], axis=1)
         assert np.abs(r - 1.0).max() <= 2e-3  # interpolation of the arc
     # straight mesh for comparison stays on the chord
     flat = make_unit_disc_mesh(1, geom_order=1)
     f = np.nonzero(flat.facet_boundary)[0][0]
-    fg = FacetGeometry(flat, f, np.array([0.5]))
-    assert np.linalg.norm(fg.points[0]) < 1.0 - 1e-3
+    fg = FacetGeometry(flat, [f], np.array([0.5]))
+    assert np.linalg.norm(fg.points[0, 0]) < 1.0 - 1e-3
 
 
 def test_only_boundary_elements_curved():
@@ -111,16 +111,16 @@ def test_only_boundary_elements_curved():
     curved = {mesh.facet_elems[f, 0]
               for f in np.nonzero(mesh.facet_boundary)[0]}
     for e in range(mesh.num_triangles):
-        assert (not mesh.geometry(e).affine) == (e in curved)
+        assert (not mesh.geometry([e]).affine) == (e in curved)
 
 
 def test_facet_sides_orientation():
     mesh = make_unit_square_mesh(2)
     for f in range(mesh.num_facets):
-        sides = FacetGeometry(mesh, f, np.array([0.5])).sides
+        sides = FacetGeometry(mesh, [f], np.array([0.5])).sides
         assert len(sides) == (1 if mesh.facet_boundary[f] else 2)
         for e, k, _ in sides:
-            assert mesh.elem_facets[e, k] == f
+            assert mesh.elem_facets[e[0], k[0]] == f
 
 
 def test_quadrature_geometry_cached_read_only():

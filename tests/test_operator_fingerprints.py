@@ -57,8 +57,8 @@ def fingerprint(mesh_name, method, p, mesh=None):
     rnorm = float(np.linalg.norm(rhs))
     u = DiscreteField(ms.velocity_space,
                       rng.standard_normal(ms.velocity_space.ndof))
-    errs = error_norms(u, prob, prob.coeffs, method=method,
-                       pp_space=ms.pressure_space)
+    errs, = error_norms(u, prob, prob.coeffs, method=method,
+                        pp_space=ms.pressure_space)
     out = {
         "K_fro": (knorm, knorm),
         "K_trace": (float(diag.sum()), float(np.abs(diag).sum())),

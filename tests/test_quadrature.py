@@ -50,6 +50,12 @@ def test_exactness_order_recorded():
 
 
 def test_unsupported_orders_rejected():
+    """Orders are integers from 0 to MAX_ORDER: True is not order 1, and
+    2.5 does not truncate to a two-point rule."""
+    for bad in (True, 2.5, "4"):
+        for rule in (triangle_rule, segment_rule):
+            with pytest.raises(UnsupportedOrderError, match="order"):
+                rule(bad)
     with pytest.raises(UnsupportedOrderError):
         triangle_rule(MAX_ORDER + 1)
     with pytest.raises(UnsupportedOrderError):
