@@ -14,6 +14,10 @@ diagnostics   dense estimate of the control constant c_bh of b_h over the
               complement of its kernel, and the inf-sup constant derived
               from it.
 
+Each option is one OPTIONS entry (parser, subcommands, help), which builds
+the flags and decides the config keys a subcommand accepts; numbers pass
+forms.check_number.  A method's columns are named by its NORMS entry.
+
 All file output is deterministic: fixed float formats, no timestamps in
 files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 (failed cells are left empty in the CSV), 2 for invalid flags.
@@ -22,26 +26,26 @@ files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
 import argparse
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .fespace import DegreeError, DiscreteField
-from .forms import (METHOD_FORMS, METHODS, assemble_method, error_norms,
-                    paper_coefficients)
+from .forms import (METHOD_FORMS, METHODS, assemble_method, check_number,
+                    error_norms, paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
 from .problems import convergence_problem, gradrob_problem, locking_problem
 
-# CSV column carrying each method's value (error or norm studies).
-ERROR_COLUMNS = {"M1": "errorH1", "M2": "errorH1pp",
-                 "M3": "errorHdiv", "M4": "errorDG"}
-NORM_COLUMNS = {"M1": "normH1", "M2": "normH1pp",
-                "M3": "normHdiv", "M4": "normDG"}
-# Triple-norm errors are recorded in the report but not in the CSV.
-XH_COLUMNS = {"M1": "xhH1", "M2": "xhH1pp", "M3": "xhHdiv", "M4": "xhDG"}
+# The norm of each method.  A report column is a prefix and the norm: the
+# CSV carries "error" or "norm" columns, and the triple-norm errors ("xh")
+# are recorded in the report but not in the CSV.
+NORMS = {"M1": "H1", "M2": "H1pp", "M3": "Hdiv", "M4": "DG"}
+# The methods without a pseudo-pressure, whose pair diagnostics compares.
+SINGLE_FIELD_METHODS = tuple(m for m in METHODS if METHOD_FORMS[m][1] is None)
 
 PALETTE = ["#1b6ca8", "#d1495b", "#66a182", "#edae49", "#8d96a3", "#2e4057"]
 
@@ -79,7 +83,7 @@ class Study:
     levels: object       # p -> default refinement levels
     cs2_list: tuple
     axis: str
-    metrics: tuple       # (error_norms key, method -> metric), CSV one first
+    metrics: tuple       # (error_norms key, column prefix), CSV one first
     csv: str
     svg: str
     svg_groups: tuple    # report fields: one SVG per value, one series per value
@@ -91,10 +95,10 @@ class Study:
     @property
     def columns(self):
         """method -> CSV column."""
-        return self.metrics[0][1]
+        return {m: self.metrics[0][1] + NORMS[m] for m in METHODS}
 
 
-_ERRORS = (("l2_error", ERROR_COLUMNS), ("xh_error", XH_COLUMNS))
+_ERRORS = (("l2_error", "error"), ("xh_error", "xh"))
 _SWEEP = (1.0, 10.0, 100.0, 1000.0)
 
 STUDIES = {
@@ -113,12 +117,14 @@ STUDIES = {
         title="volume locking study, {method}, p={p}", ylabel="L2 error"),
     "gradrob": Study(
         problem=gradrob_problem, p_list=(3,), levels=lambda p: (1, 2, 3),
-        cs2_list=_SWEEP, axis="cs2", metrics=(("l2_norm", NORM_COLUMNS),),
+        cs2_list=_SWEEP, axis="cs2", metrics=(("l2_norm", "norm"),),
         csv="rob.csv", svg="rob_{method}.svg", svg_groups=("method", "cs2"),
         label="cs2={cs2:g}", ref_slope=lambda p: 0.0,
         title="gradient-robustness study, {method}, p={p}",
         ylabel="L2 norm of u_h"),
 }
+ERROR_COLUMNS = STUDIES["convergence"].columns
+NORM_COLUMNS = STUDIES["gradrob"].columns
 
 # CSV second column per axis: (header, format, the fixed field)
 _CSV_AXIS = {"p": ("p", "%d", "cs2"), "cs2": ("cs", "%.17g", "p")}
@@ -170,10 +176,6 @@ def fit_slope(hs, errs, last=3):
 
 # -- CSV ----------------------------------------------------------------------
 
-def _fmt(v):
-    return "%.17g" % v
-
-
 def _csv_header(spec):
     return ["h", _CSV_AXIS[spec.axis][0]] + [spec.columns[m] for m in METHODS]
 
@@ -197,8 +199,9 @@ def emit_study_csv(report, path):
         fh.write(",".join(header) + "\n")
         for key in sorted(groups):
             cells = groups[key]
-            line = [_fmt(-key[2]), fmt % key[0]]
-            line += [_fmt(cells[c]) if c in cells else "" for c in header[2:]]
+            line = ["%.17g" % -key[2], fmt % key[0]]
+            line += ["%.17g" % cells[c] if c in cells else ""
+                     for c in header[2:]]
             fh.write(",".join(line) + "\n")
 
 
@@ -237,72 +240,61 @@ def write_svg(path, series, ref_slope, title, ylabel):
     def Y(lv):
         return mt + ph * (y1 - lv) / (y1 - y0)
 
-    out = []
-    out.append('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-               f'width="{width}" height="{height}" '
-               f'viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    out.append(f'<text x="{ml}" y="24" font-family="sans-serif" '
-               f'font-size="15">{title}</text>')
-    ax_col = "#444444"
-    out.append(f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" '
-               f'stroke="{ax_col}"/>')
-    out.append(f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" '
-               f'stroke="{ax_col}"/>')
-    for d in range(int(np.floor(x0)), int(np.ceil(x1)) + 1):
-        if x0 <= d <= x1:
-            x = X(d)
-            out.append(f'<line x1="{x:.2f}" y1="{mt + ph}" x2="{x:.2f}" '
-                       f'y2="{mt + ph + 5}" stroke="{ax_col}"/>')
-            out.append(f'<text x="{x:.2f}" y="{mt + ph + 20}" '
-                       'font-family="sans-serif" font-size="11" '
-                       f'text-anchor="middle">1e{d}</text>')
-    for d in range(int(np.floor(y0)), int(np.ceil(y1)) + 1):
-        if y0 <= d <= y1:
-            y = Y(d)
-            out.append(f'<line x1="{ml - 5}" y1="{y:.2f}" x2="{ml}" '
-                       f'y2="{y:.2f}" stroke="{ax_col}"/>')
-            out.append(f'<text x="{ml - 8}" y="{y + 4:.2f}" '
-                       'font-family="sans-serif" font-size="11" '
-                       f'text-anchor="end">1e{d}</text>')
-    out.append(f'<text x="{ml + pw / 2:.0f}" y="{height - 12}" '
-               'font-family="sans-serif" font-size="13" '
-               'text-anchor="middle">h (decreasing)</text>')
-    out.append(f'<text x="18" y="{mt + ph / 2:.0f}" font-family="sans-serif" '
-               'font-size="13" text-anchor="middle" '
-               f'transform="rotate(-90 18 {mt + ph / 2:.0f})">{ylabel}</text>')
+    def decades(lo, hi):     # the tick positions of one axis
+        return [d for d in range(int(np.floor(lo)), int(np.ceil(hi)) + 1)
+                if lo <= d <= hi]
 
+    def line(xa, ya, xb, yb, style):
+        out.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}" {style}/>')
+
+    def text(x, y, size, body, attrs=""):
+        out.append(f'<text x="{x}" y="{y}" font-family="sans-serif" '
+                   f'font-size="{size}"{attrs}>{body}</text>')
+
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">',
+           f'<rect width="{width}" height="{height}" fill="white"/>']
+    text(ml, 24, 15, title)
+    axis = 'stroke="#444444"'
+    line(ml, mt + ph, ml + pw, mt + ph, axis)
+    line(ml, mt, ml, mt + ph, axis)
+    for d in decades(x0, x1):
+        x = f"{X(d):.2f}"
+        line(x, mt + ph, x, mt + ph + 5, axis)
+        text(x, mt + ph + 20, 11, f"1e{d}", ' text-anchor="middle"')
+    for d in decades(y0, y1):
+        y = f"{Y(d):.2f}"
+        line(ml - 5, y, ml, y, axis)
+        text(ml - 8, f"{Y(d) + 4:.2f}", 11, f"1e{d}", ' text-anchor="end"')
+    text(f"{ml + pw / 2:.0f}", height - 12, 13, "h (decreasing)",
+         ' text-anchor="middle"')
+    mid = f"{mt + ph / 2:.0f}"
+    text(18, mid, 13, ylabel,
+         f' text-anchor="middle" transform="rotate(-90 18 {mid})"')
+
+    # (label, points, polyline style, legend key style) of each series, then
+    # of the dashed reference slope anchored below the lowest final point
+    curves = []
     for i, (label, hs, vs) in enumerate(series):
-        col = PALETTE[i % len(PALETTE)]
-        coords = " ".join(f"{X(np.log10(h)):.2f},{Y(np.log10(v)):.2f}"
-                          for h, v in zip(hs, vs) if v > 0)
-        out.append(f'<polyline fill="none" stroke="{col}" stroke-width="1.8" '
-                   f'points="{coords}"/>')
-        ley = mt + 16 + 18 * i
-        out.append(f'<line x1="{ml + pw + 12}" y1="{ley - 4}" '
-                   f'x2="{ml + pw + 36}" y2="{ley - 4}" stroke="{col}" '
-                   'stroke-width="1.8"/>')
-        out.append(f'<text x="{ml + pw + 42}" y="{ley}" '
-                   f'font-family="sans-serif" font-size="12">{label}</text>')
-
-    # dashed reference slope anchored below the lowest final data point
+        style = f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.8"'
+        curves.append((label, list(zip(hs, vs)), style, style))
     ref_h = sorted({h for _, hs, _ in series for h in hs}, reverse=True)
     if len(ref_h) >= 2 and ref_slope is not None:
         vmin = min(v for _, _, vs in series for v in vs if v > 0)
         c = vmin / (2.0 * min(ref_h) ** ref_slope)
-        coords = " ".join(
-            f"{X(np.log10(h)):.2f},{Y(np.log10(c * h ** ref_slope)):.2f}"
-            for h in ref_h)
-        out.append('<polyline fill="none" stroke="black" stroke-width="1.2" '
-                   f'stroke-dasharray="6,4" points="{coords}"/>')
-        ley = mt + 16 + 18 * len(series)
-        out.append(f'<line x1="{ml + pw + 12}" y1="{ley - 4}" '
-                   f'x2="{ml + pw + 36}" y2="{ley - 4}" stroke="black" '
-                   'stroke-dasharray="6,4"/>')
-        slope_txt = ("const" if ref_slope == 0
-                     else f"O(h^{ref_slope:g})")
-        out.append(f'<text x="{ml + pw + 42}" y="{ley}" '
-                   f'font-family="sans-serif" font-size="12">{slope_txt}</text>')
+        curves.append(("const" if ref_slope == 0 else f"O(h^{ref_slope:g})",
+                       [(h, c * h ** ref_slope) for h in ref_h],
+                       'stroke="black" stroke-width="1.2" '
+                       'stroke-dasharray="6,4"',
+                       'stroke="black" stroke-dasharray="6,4"'))
+    for i, (label, hv, style, key) in enumerate(curves):
+        coords = " ".join(f"{X(np.log10(h)):.2f},{Y(np.log10(v)):.2f}"
+                          for h, v in hv if v > 0)
+        out.append(f'<polyline fill="none" {style} points="{coords}"/>')
+        ley = mt + 16 + 18 * i
+        line(ml + pw + 12, ley - 4, ml + pw + 36, ley - 4, key)
+        text(ml + pw + 42, ley, 12, label)
     out.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
@@ -382,8 +374,8 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
                 sweep, solved_probs, columns = zip(*solved)
                 for cs2, res in zip(sweep, _cell_norms(m, ms, solved_probs,
                                                        columns)):
-                    for key, names in spec.metrics:
-                        report.add(h, p, cs2, m, names[m], res[key])
+                    for key, prefix in spec.metrics:
+                        report.add(h, p, cs2, m, prefix + NORMS[m], res[key])
     report.sort()
     if out_path is not None:
         emit_study_csv(report, f"{out_path}/{spec.csv}")
@@ -421,9 +413,9 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
     pseudo-pressure family (M2) has no single-field pair to compare and is
     rejected with ValueError.
     """
-    if method not in METHODS or METHOD_FORMS[method][1] is not None:
-        single = (m for m in METHODS if METHOD_FORMS[m][1] is None)
-        raise ValueError(f"diagnostics requires --method {'|'.join(single)}")
+    if method not in SINGLE_FIELD_METHODS:
+        raise ValueError("diagnostics requires --method "
+                         + "|".join(SINGLE_FIELD_METHODS))
     coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
                                 b_scale=b_scale)
     g = default_geom_order(p) if geom_order is None else geom_order
@@ -495,17 +487,13 @@ def _parse_int_list(text):
     return _nonempty(out, text)
 
 
-def _parse_float(text, positive=False):
-    """A finite float >= 0, or > 0 if positive."""
-    v = float(text)
-    if not 0 <= v < np.inf or positive and v == 0:
-        raise ValueError(f"{text.strip()!r} is not finite and "
-                         f"{'> 0' if positive else '>= 0'}")
-    return v
+def _parse_float(text, kind="nonnegative"):
+    """float(text) if it passes the library's number rule as `kind`."""
+    return check_number("value", float(text), kind)
 
 
 def _parse_float_list(text):
-    return _nonempty([_parse_float(x, positive=True) for x in text.split(",")
+    return _nonempty([_parse_float(x, "positive") for x in text.split(",")
                       if x.strip()], text)
 
 
@@ -532,12 +520,41 @@ def read_config(path):
     return cfg
 
 
-_CONFIG_PARSERS = {
-    "p": _parse_int_list, "levels": _parse_int_list,
-    "cs2": _parse_float_list, "methods": _parse_methods,
-    "lambda_b": _parse_float, "lambda_n": _parse_float, "geom_order": int,
-    "out": str, "method": str, "level": int,
-    "b_scale": partial(_parse_float, positive=True),
+# subcommand -> (help, the methods its --method or --methods names)
+COMMANDS = {
+    "convergence": ("h-convergence study", METHODS),
+    "locking": ("volume-locking study", METHODS),
+    "gradrob": ("gradient-robustness study", METHODS),
+    "solve": ("single assemble+solve with reports", METHODS),
+    "diagnostics": ("control/inf-sup constant of one method (dense)",
+                    SINGLE_FIELD_METHODS),
+}
+
+# Every option, in help order: the parser of its text (None for a flag
+# without a value, which is no config key), the subcommands that take it,
+# and its help, where "{methods}" is the subcommand's methods.  The flag
+# is --name with "-" for "_", and the config key is the name.
+Option = namedtuple("Option", "parse commands help")
+_ALL, _CELL = tuple(COMMANDS), ("solve", "diagnostics")
+OPTIONS = {
+    "p": Option(_parse_int_list, _ALL, "polynomial degree(s), e.g. 2 or 1,2,3"),
+    "levels": Option(_parse_int_list, tuple(STUDIES),
+                     "refinement levels, e.g. 1-4 or 0,1,2"),
+    "methods": Option(_parse_methods, tuple(STUDIES), "subset of {methods}"),
+    "cs2": Option(_parse_float_list, (*STUDIES, "solve"),
+                  "squared sound speed(s), e.g. 1,1000"),
+    "lambda_b": Option(_parse_float, _ALL, "flow-jump penalty (default 10 p^2)"),
+    "lambda_n": Option(_parse_float, _ALL, "normal-jump penalty (default "
+                       "100 p^2, locking study 10 p^2)"),
+    "geom_order": Option(int, _ALL, "geometry map degree (default: by degree p)"),
+    "out": Option(str, _ALL, "output directory (default: no files)"),
+    "method": Option(str, _CELL, "one of {methods}"),
+    "level": Option(int, _CELL, "refinement level"),
+    "dump_mesh": Option(None, ("solve",), "write mesh.txt next to the report"),
+    "dump_system": Option(None, ("solve",),
+                          "write matrix.txt (coordinate format)"),
+    "b_scale": Option(partial(_parse_float, kind="positive"), ("diagnostics",),
+                      "scale factor on the background flow (default 1)"),
 }
 
 
@@ -547,68 +564,40 @@ def build_parser():
         description="Finite element studies of the grad-div / "
                     "streamline-derivative model problem on the unit disc.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(sp, name, help):
-        # values stay text here; _resolve parses flags and config alike
-        sp.add_argument("--" + name.replace("_", "-"), dest=name, help=help)
-
-    def common(sp, study=False, cs2=True):
+    for command, (help, methods) in COMMANDS.items():
+        # full flag names only: a study would read --level as --levels
+        sp = sub.add_parser(command, help=help, allow_abbrev=False)
         sp.add_argument("--config", help="key=value config file; flags override")
-        option(sp, "p", "polynomial degree(s), e.g. 2 or 1,2,3")
-        if study:
-            option(sp, "levels", "refinement levels, e.g. 1-4 or 0,1,2")
-            option(sp, "methods", "subset of M1,M2,M3,M4")
-        if cs2:
-            option(sp, "cs2", "squared sound speed(s), e.g. 1,1000")
-        option(sp, "lambda_b", "flow-jump penalty (default 10 p^2)")
-        option(sp, "lambda_n", "normal-jump penalty (default 100 p^2, "
-                               "locking study 10 p^2)")
-        option(sp, "geom_order", "geometry map degree (default: by degree p)")
-        option(sp, "out", "output directory (default: no files)")
-
-    for name, help in (("convergence", "h-convergence study"),
-                       ("locking", "volume-locking study"),
-                       ("gradrob", "gradient-robustness study")):
-        common(sub.add_parser(name, help=help), study=True)
-
-    sp = sub.add_parser("solve", help="single assemble+solve with reports")
-    common(sp)
-    option(sp, "method", "one of M1,M2,M3,M4")
-    option(sp, "level", "refinement level")
-    sp.add_argument("--dump-mesh", action="store_true",
-                    help="write mesh.txt next to the report")
-    sp.add_argument("--dump-system", action="store_true",
-                    help="write matrix.txt (coordinate format)")
-
-    sp = sub.add_parser("diagnostics",
-                        help="control/inf-sup constant of one method (dense)")
-    common(sp, cs2=False)
-    option(sp, "method", "one of M1,M3,M4")
-    option(sp, "level", "refinement level")
-    option(sp, "b_scale", "scale factor on the background flow (default 1)")
+        for name, opt in OPTIONS.items():
+            if command in opt.commands:
+                # values stay text here; _resolve parses flags and config alike
+                sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                                action="store" if opt.parse else "store_true",
+                                help=opt.help.format(methods=",".join(methods)))
     return parser
 
 
 def _resolve(args, parser):
     """Option values: config file values under explicit flags.
 
-    Both are parsed by _CONFIG_PARSERS, and a value error names the flag
-    or the config key it came from.  A config key must be an option of the
-    subcommand; any other key is an error (exit 2).
+    Both pass the option's OPTIONS parser, and a value error names the flag
+    or the config key it came from.  A config key must be a valued option
+    of the subcommand; any other key is an error (exit 2).
     """
-    flags = {k: v for k, v in vars(args).items()
-             if k in _CONFIG_PARSERS and v is not None}
+    keys = [k for k, opt in OPTIONS.items()
+            if opt.parse and args.command in opt.commands]
+    flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     try:
         raw = read_config(args.config) if args.config else {}
         for key in raw:
-            if key not in _CONFIG_PARSERS or key not in vars(args):
+            if key not in keys:
                 raise ValueError(f"config key {key!r} is not an option of "
                                  f"{args.command}")
         raw.update(flags)
         opts = {}
         for k, v in raw.items():
             try:
-                opts[k] = _CONFIG_PARSERS[k](v)
+                opts[k] = OPTIONS[k].parse(v)
             except ValueError as exc:
                 where = ("--" + k.replace("_", "-") if k in flags
                          else f"config key {k!r}")
@@ -625,27 +614,26 @@ def main(argv=None):
     out = opts.get("out")
     if out is not None and not os.path.isdir(out):
         parser.error(f"--out directory {out!r} does not exist")
-    kw = {"lambda_b": opts.get("lambda_b"), "lambda_n": opts.get("lambda_n"),
-          "geom_order": opts.get("geom_order")}
-
-    def progress(msg):
-        print(msg, file=sys.stderr, flush=True)
-
+    kw = {k: opts.get(k) for k in ("lambda_b", "lambda_n", "geom_order")}
     try:
         if args.command in STUDIES:
             report, warnings = run_study(
                 args.command, p_list=opts.get("p"), cs2_list=opts.get("cs2"),
                 levels=opts.get("levels"),
                 methods=opts.get("methods", METHODS), out_path=out,
-                progress=progress, **kw)
-            _print_report(report, warnings)
+                progress=lambda msg: print(msg, file=sys.stderr, flush=True),
+                **kw)
+            for w in warnings:
+                print(w, file=sys.stderr)
+            for r in report.csv_rows():
+                print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
+                      f"{r.method} {r.metric_name}={r.value:.6e}")
             return 1 if warnings else 0
         if args.command == "solve":
-            method = opts.get("method")
-            if method not in METHODS:
-                parser.error("solve requires --method M1|M2|M3|M4")
+            if opts.get("method") not in METHODS:
+                parser.error(f"solve requires --method {'|'.join(METHODS)}")
             try:
-                res = run_solve(method, opts.get("level", 1),
+                res = run_solve(opts["method"], opts.get("level", 1),
                                 _single(opts.get("p", (2,)), "--p", parser),
                                 cs2=_single(opts.get("cs2", (1.0,)), "--cs2",
                                             parser),
@@ -676,14 +664,6 @@ def _single(vals, flag, parser):
     if len(vals) != 1:
         parser.error(f"this subcommand takes a single {flag} value")
     return vals[0]
-
-
-def _print_report(report, warnings):
-    for w in warnings:
-        print(w, file=sys.stderr)
-    for r in report.csv_rows():
-        print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
-              f"{r.method} {r.metric_name}={r.value:.6e}")
 
 
 if __name__ == "__main__":

@@ -127,6 +127,8 @@ class FeSpace:
         (linear) map to the physical elements, so a field evaluation never
         forms arrays with a basis axis.
         """
+        if np.ndim(elems) != 1:
+            raise ValueError(f"elems must be a 1-D int array, got {elems!r}")
         ref = np.asarray(ref_pts, dtype=float)
         u, g = self._reference_shapes(elems, ref, coefficients)
         return self._map(elems, ref, u, g, need_grad)

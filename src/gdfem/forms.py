@@ -18,7 +18,7 @@ c_s^2 is a constant, so every b_h form assembles B_h per unit c_s^2, and
 only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.  One pair and the one
 load assembled with it serve every c_s^2 of a sweep.  Each c_s^2, whether
 it enters through CoefficientSet, MethodSystem.system_at or error_norms,
-passes the one check _number.
+passes the one rule, check_number.
 
 _assemble is the one code path that composes a method's pair of forms,
 for the operator, the dense diagnostics and the triple-norm error alike.
@@ -49,7 +49,7 @@ from .quadrature import check_integer
 METHODS = ("M1", "M2", "M3", "M4")
 
 
-def _number(name, value, kind):
+def check_number(name, value, kind):
     """float(value) for a real number that is finite and `kind`, "positive"
     or "nonnegative"; anything else, a string, None or a bool included,
     raises ValueError naming `name`."""
@@ -80,7 +80,7 @@ class CoefficientSet:
         for name, kind in (("cs2", "positive"), ("b_inf", "positive"),
                            ("lambda_b", "nonnegative"),
                            ("lambda_n", "nonnegative")):
-            setattr(self, name, _number(name, getattr(self, name), kind))
+            setattr(self, name, check_number(name, getattr(self, name), kind))
 
     @property
     def c_s(self):
@@ -332,7 +332,7 @@ class MethodSystem:
     def system_at(self, cs2):
         """(cs2 B_h - A_h) x = load; ValueError unless cs2 is a positive,
         finite number."""
-        return LinearSystem(_number("cs2", cs2, "positive") * self.b - self.a,
+        return LinearSystem(check_number("cs2", cs2, "positive") * self.b - self.a,
                             self.load, self.velocity_space.constrained_dofs,
                             SYMMETRIC_PIVOT_THRESHOLD
                             if self.pressure_space is None
@@ -569,7 +569,7 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
     _, pp_family, _, _ = _method_forms(method)
     space, k = u_h.space, u_h.coefficients.shape[1]
     cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.array(
-        [_number("cs2", c, "positive") for c in cs2])
+        [check_number("cs2", c, "positive") for c in cs2])
     if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
     order = quadrature_order(space) + 2 if order is None else order

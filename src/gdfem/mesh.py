@@ -227,6 +227,8 @@ class GeometryMap:
     """
 
     def __init__(self, mesh, elems):
+        if np.ndim(elems) != 1:
+            raise ValueError(f"elems must be a 1-D int array, got {elems!r}")
         v = mesh.vertices[mesh.triangles[elems]]             # (E, 3, 2)
         self._origin = v[:, 0]
         self._jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)

@@ -1,13 +1,15 @@
 """CLI and study harness: CSV schema, determinism, SVG structure, exit codes."""
 
 import filecmp
+import re
 
 import numpy as np
 import pytest
 
 from conftest import read_study_csv
 from gdfem import cli, forms
-from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, STUDIES, StudyReport,
+from gdfem.cli import (COMMANDS, ERROR_COLUMNS, NORM_COLUMNS, OPTIONS,
+                       STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
                        run_convergence, run_diagnostics, run_gradrob,
@@ -235,6 +237,101 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
             main(argv)
         assert exc.value.code == 2, argv
         assert name in capsys.readouterr().err, argv
+
+
+# -- the option table ---------------------------------------------------------
+
+# A value each valued option accepts, and one it refuses ("out" is set per
+# test: an existing and a missing directory).
+GOOD = {"p": "1", "levels": "0", "methods": "M3", "cs2": "1", "lambda_b": "1",
+        "lambda_n": "1", "geom_order": "2", "out": None, "method": "M3",
+        "level": "0", "b_scale": "1"}
+BAD = {"p": "x", "levels": "3-1", "methods": "M7", "cs2": "-4",
+       "lambda_b": "nan", "lambda_n": "inf", "geom_order": "two", "out": None,
+       "method": "M7", "level": "x", "b_scale": "0"}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("command,name", [
+    (command, name) for command in COMMANDS
+    for name, opt in OPTIONS.items() if opt.parse is not None])
+def test_option_table(monkeypatch, capsys, tmp_path, command, name):
+    """Each valued option is a flag and a config key of exactly the
+    subcommands its OPTIONS entry names; any other subcommand refuses both
+    (exit 2).  Where it is taken, a bad value exits 2 before any cell runs,
+    and its error names the flag or the config key it came from; a text
+    option (--out, --method) is checked after parsing, under its flag."""
+    monkeypatch.setattr(cli, "_solve_cell", None)
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
+    assert set(GOOD) == set(BAD) == {n for n, o in OPTIONS.items() if o.parse}
+    opt, flag, cfg = OPTIONS[name], _flag(name), tmp_path / "run.cfg"
+    good, bad = GOOD[name], BAD[name]
+    if name == "out":
+        good, bad = str(tmp_path), str(tmp_path / "missing")
+    takes = command in opt.commands
+    parser = cli.build_parser()
+    if takes:
+        args = parser.parse_args([command, f"{flag}={good}"])
+        assert cli._resolve(args, parser) == {name: opt.parse(good)}
+    else:
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, f"{flag}={good}"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    cfg.write_text(f"{name}={good}\n")
+    args = parser.parse_args([command, "--config", str(cfg)])
+    if not takes:
+        with pytest.raises(SystemExit) as exc:
+            cli._resolve(args, parser)
+        assert exc.value.code == 2
+        assert (f"config key {name!r} is not an option of {command}"
+                in capsys.readouterr().err)
+        return
+    assert cli._resolve(args, parser) == {name: opt.parse(good)}
+    cfg.write_text(f"{name}={bad}\n")
+    for argv, where in (([f"{flag}={bad}"], flag),
+                        (["--config", str(cfg)], f"config key {name!r}")):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert (flag if opt.parse is str else where) in err, (argv, err)
+
+
+def _help_text(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_help_lists_the_option_table(capsys, command):
+    """A subcommand's --help lists --config and then exactly the OPTIONS
+    entries that name it, in table order."""
+    listed = re.findall(r"^  (?:-h, )?(--[a-z0-9-]+)",
+                        _help_text(capsys, command), re.M)
+    assert listed == ["--help", "--config"] + [
+        _flag(name) for name, opt in OPTIONS.items()
+        if command in opt.commands]
+
+
+def test_diagnostics_help_and_error_name_the_same_methods(monkeypatch,
+                                                         capsys):
+    """diagnostics' --method help and run_diagnostics' error list the same
+    methods: those whose forms have no pseudo-pressure family."""
+    single = [m for m in forms.METHODS if forms.METHOD_FORMS[m][1] is None]
+    helped = re.search(r"--method METHOD\s+one of (\S+)",
+                       _help_text(capsys, "diagnostics")).group(1)
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
+    with pytest.raises(ValueError) as exc:
+        run_diagnostics("M2", 0, 2)
+    named = str(exc.value).rsplit(" ", 1)[1]
+    assert helped.split(",") == named.split("|") == single
+    assert "M2" not in single
 
 
 def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):

@@ -53,6 +53,31 @@ def test_invalid_spaces_rejected(square1):
         DiscreteField(build_space("vector_dg", square1, 1), np.zeros(3))
 
 
+@pytest.mark.parametrize("call,family,need_grad", [("geometry", None, True)] + [
+    (call, family, need_grad) for call in ("eval_basis", "evaluate")
+    for family in FAMILIES for need_grad in (True, False)])
+def test_int_element_names_the_array_convention(disc1_curved, call, family,
+                                                need_grad):
+    """Geometry, bases and fields take an int array of elements.  A bare int
+    element is refused with a ValueError naming that convention, rather
+    than an IndexError, an einsum ValueError or a TypeError from inside the
+    batch code; the one-element array [0] works and keeps its batch axis."""
+    pts = np.array([[0.2, 0.3], [0.1, 0.6]])
+    if call == "geometry":
+        def run(elems):
+            return [disc1_curved.geometry(elems).points(pts)]
+    else:
+        space = build_space(family, disc1_curved, 2)
+        target = (space if call == "eval_basis"
+                  else DiscreteField(space, np.ones(space.ndof)))
+
+        def run(elems):
+            return getattr(target, call)(elems, pts, need_grad=need_grad)
+    with pytest.raises(ValueError, match="elems must be a 1-D int array"):
+        run(0)
+    assert all(a is None or a.shape[:2] == (1, len(pts)) for a in run([0]))
+
+
 # -- conformity ---------------------------------------------------------------
 
 def _trace_pair(mesh, space, coeffs_vec, f, ts):
