@@ -8,6 +8,12 @@ indefinite operator -a_h + b_h.  The H(div)-based methods (M3, M4) keep
 c_bh well above 1; the H1-conforming method (M1) at low degree does not,
 which is the volume-locking mechanism seen in the studies.
 
+For M3 and M4 the kernel dimension is counted from the mesh (the discrete
+de Rham sequence: the interior dofs of continuous P_{p+1}) and c_bh is
+the first eigenvalue of the pencil (b_h, a_h) past it; M1's kernel has no
+such count and is found by a relative threshold on the eigenvalues of b_h
+(see README.md, "The four methods").
+
 Run:  python3 demos/stability_diagnostics.py
 """
 

@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .fespace import DegreeError, DiscreteField
+from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, check_number,
                     error_norms, paper_coefficients)
 from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
@@ -46,6 +46,10 @@ from .problems import convergence_problem, gradrob_problem, locking_problem
 NORMS = {"M1": "H1", "M2": "H1pp", "M3": "Hdiv", "M4": "DG"}
 # The methods without a pseudo-pressure, whose pair diagnostics compares.
 SINGLE_FIELD_METHODS = tuple(m for m in METHODS if METHOD_FORMS[m][1] is None)
+# The methods with a Piola-mapped velocity family (M3, M4), whose kernel of
+# b_h derham_kernel_dim counts.
+DERHAM_METHODS = tuple(m for m in SINGLE_FIELD_METHODS
+                       if METHOD_FORMS[m][0] in PIOLA_FAMILIES)
 
 PALETTE = ["#1b6ca8", "#d1495b", "#66a182", "#edae49", "#8d96a3", "#2e4057"]
 
@@ -403,15 +407,40 @@ run_locking = partial(run_study, "locking")
 run_gradrob = partial(run_study, "gradrob")
 
 
+def derham_kernel_dim(mesh, p):
+    """Dimension of the kernel of b_h on the free dofs of a DERHAM_METHODS
+    method at degree p: V_i + p E_i + p(p-1)/2 T (interior vertices,
+    interior facets, triangles), the number of interior dofs of continuous
+    P_{p+1}.  Read off the mesh; no space is built.
+
+    On a simply connected domain the normal-continuous, divergence-free
+    fields of degree p with zero normal trace are the curls of continuous
+    P_{p+1} functions vanishing on the boundary (discrete de Rham
+    sequence; Arnold, Falk & Winther, Acta Numerica 2006).  The Piola map
+    commutes with the curl of a composed scalar, so curved cells keep the
+    count.
+    """
+    boundary = mesh.facet_boundary
+    interior_vertices = (mesh.num_vertices
+                         - len(np.unique(mesh.facet_vertices[boundary])))
+    return int(interior_vertices + p * np.count_nonzero(~boundary)
+               + p * (p - 1) // 2 * mesh.num_triangles)
+
+
 def run_diagnostics(method, level, p, out_path=None, geom_order=None,
                     lambda_b=None, lambda_n=None, b_scale=1.0):
     """Control-constant estimate c_bh of b_h against a_h for one method.
 
     Returns a dict with c_bh, the derived inf-sup constant c_hat (None if
     c_bh <= 1) and the dimension of the discrete kernel of b_h on the free
-    dofs.  Dense computation, capped at 2000 dofs.  A method with a
-    pseudo-pressure family (M2) has no single-field pair to compare and is
-    rejected with ValueError.
+    dofs.  Dense computation, capped at 2000 dofs.  For M3 and M4 the
+    kernel dimension is derham_kernel_dim's count, and c_bh comes from one
+    eigensolve of the pencil (B_h, A_h), which must have its spectral gap
+    there.  M1's kernel has no such count and is found by a relative
+    threshold on the eigenvalues of B_h, the route whose answer
+    perfbench/expected.json records (estimate_control_constant).  A
+    method with a pseudo-pressure family (M2) has no single-field pair to
+    compare and is rejected with ValueError.
     """
     if method not in SINGLE_FIELD_METHODS:
         raise ValueError("diagnostics requires --method "
@@ -424,7 +453,10 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
     constrained = ms.velocity_space.constrained_dofs
     Af = restrict_free(ms.a, constrained)
     Bf = restrict_free(ms.b, constrained)
-    c_bh, c_hat, kdim = estimate_control_constant(Af, Bf)
+    kernel_dim = (derham_kernel_dim(mesh, p) if method in DERHAM_METHODS
+                  else None)
+    c_bh, c_hat, kdim = estimate_control_constant(Af, Bf,
+                                                  kernel_dim=kernel_dim)
     result = {"method": method, "level": level, "p": p, "geom_order": g,
               "ndof_free": Af.shape[0], "kernel_dim": kdim,
               "c_bh": c_bh, "c_hat": c_hat}
@@ -497,12 +529,21 @@ def _parse_float_list(text):
                       if x.strip()], text)
 
 
+def _parse_method(text):
+    if text not in METHODS:
+        raise ValueError(f"unknown method {text!r}")
+    return text
+
+
 def _parse_methods(text):
     ms = _nonempty([m.strip() for m in text.split(",") if m.strip()], text)
-    for m in ms:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    return ms
+    return tuple(_parse_method(m) for m in ms)
+
+
+def _parse_dir(text):
+    if not os.path.isdir(text):
+        raise ValueError(f"directory {text!r} does not exist")
+    return text
 
 
 def read_config(path):
@@ -547,8 +588,8 @@ OPTIONS = {
     "lambda_n": Option(_parse_float, _ALL, "normal-jump penalty (default "
                        "100 p^2, locking study 10 p^2)"),
     "geom_order": Option(int, _ALL, "geometry map degree (default: by degree p)"),
-    "out": Option(str, _ALL, "output directory (default: no files)"),
-    "method": Option(str, _CELL, "one of {methods}"),
+    "out": Option(_parse_dir, _ALL, "output directory (default: no files)"),
+    "method": Option(_parse_method, _CELL, "one of {methods}"),
     "level": Option(int, _CELL, "refinement level"),
     "dump_mesh": Option(None, ("solve",), "write mesh.txt next to the report"),
     "dump_system": Option(None, ("solve",),
@@ -612,8 +653,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     opts = _resolve(args, parser)
     out = opts.get("out")
-    if out is not None and not os.path.isdir(out):
-        parser.error(f"--out directory {out!r} does not exist")
     kw = {k: opts.get(k) for k in ("lambda_b", "lambda_n", "geom_order")}
     try:
         if args.command in STUDIES:
@@ -630,7 +669,7 @@ def main(argv=None):
                       f"{r.method} {r.metric_name}={r.value:.6e}")
             return 1 if warnings else 0
         if args.command == "solve":
-            if opts.get("method") not in METHODS:
+            if "method" not in opts:
                 parser.error(f"solve requires --method {'|'.join(METHODS)}")
             try:
                 res = run_solve(opts["method"], opts.get("level", 1),

@@ -36,6 +36,7 @@ from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         shifted_legendre)
 
 FAMILIES = ("scalar_lagrange", "vector_lagrange", "vector_dg", "hdiv_bdm")
+PIOLA_FAMILIES = ("vector_dg", "hdiv_bdm")
 
 
 class DegreeError(ValueError):

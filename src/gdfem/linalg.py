@@ -3,11 +3,14 @@
 Strong constraints are imposed by restriction: solve and the diagnostics
 both work on the block of the free dofs (restrict_free).
 
-The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify each of A_h and B_h
-once: a Cholesky factorization checks A_h, one symmetric eigensolve of
-B_h gives its kernel, a Householder QR gives the a-orthogonal complement,
-sparse products reduce A_h and B_h onto it, and the reduced pencil is
-solved for its full spectrum.
+The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify A_h and B_h and take
+one of two routes (estimate_control_constant).  Given the dimension of
+ker B_h, which the discrete de Rham sequence counts for M3 and M4, one
+eigensolve of the pencil (B_h, A_h) gives c_bh.  Without it (M1), the
+kernel is found by a relative threshold on the eigenvalues of B_h and the
+pencil is reduced to its a-orthogonal complement; this route stays while
+perfbench/expected.json records its answer for M1 p=2 level 3, where the
+threshold and the pencil's own gap disagree.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +29,9 @@ class SingularMatrixError(RuntimeError):
 
 class SizeLimitError(ValueError):
     pass
+
+
+_NOT_SPD = "A is not symmetric positive definite"
 
 
 # Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
@@ -169,14 +175,20 @@ def dense_nullspace(M, tol=1e-8):
     """
     lam, Q = dla.eigh(_symmetric_part(M).toarray(), driver="evd",
                       overwrite_a=True)
+    return Q[:, np.abs(lam) <= tol * _semidefinite_scale(lam, tol)]
+
+
+def _semidefinite_scale(lam, tol):
+    """max |lam| of the ascending eigenvalues lam; ValueError if the
+    smallest is below -tol times it."""
     scale = np.abs(lam).max(initial=0.0)
     if lam.min(initial=0.0) < -tol * scale:
         raise ValueError(f"matrix not positive semidefinite: eigenvalue "
                          f"{lam[0]:g}, largest magnitude {scale:g}")
-    return Q[:, np.abs(lam) <= tol * scale]
+    return scale
 
 
-def estimate_control_constant(A, B, tol=1e-8):
+def estimate_control_constant(A, B, tol=1e-8, kernel_dim=None):
     """Smallest ratio b(w, w)/a(w, w) over the a-orthogonal complement of ker B.
 
     A must be symmetric positive definite, B symmetric positive
@@ -185,25 +197,64 @@ def estimate_control_constant(A, B, tol=1e-8):
     (c_bh, c_hat, dim_kernel) where c_hat = (c_bh - 1)/(c_bh + 1) when
     c_bh > 1, else None.
 
-    A Cholesky factorization checks that A is SPD.  One symmetric
-    eigensolve of B (dense_nullspace) gives its numerical kernel V, the
-    eigenvectors with |lambda| <= tol max|lambda|, and shows a negative
-    eigenvalue.  The trailing n - k columns of the full Householder QR of
-    A V are an orthonormal basis W of {w : V^T A w = 0}, and W^T A W and
-    W^T B W are formed with A and B kept sparse.  The pencil (W^T B W, W^T A W) is
-    solved for its full spectrum: on cells whose kernel is barely
-    separated (M1 at p=2, level 3) its smallest eigenvalue is determined
-    only to about 1e-6 relative, and solving for that eigenvalue alone
-    (subset_by_index=[0, 0]) moves it by 2.6e-6 relative.
+    The ratios are the eigenvalues of the pencil (B, A), ker B is the
+    eigenspace of 0, and c_bh is the first eigenvalue past it.  Both
+    routes raise the same ValueError for an A that is not SPD and for an
+    eigenvalue below -tol times the largest magnitude.
+
+    - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): one
+      eigh(B, A, eigvals_only=True), whose Cholesky factor of A is the SPD
+      check.  Unless its spectrum lam has its gap at N,
+      |lam[N-1]| <= tol max|lam| < lam[N], ValueError names N; c_bh is
+      lam[N].
+    - kernel_dim None (M1 and direct callers), the threshold route: a
+      Cholesky factorization checks A, and dense_nullspace(B, tol) gives
+      the kernel V.  The trailing n - k columns of the full Householder QR
+      of A V span W = {w : V^T A w = 0}, and the pencil
+      (W^T B W, W^T A W) is solved for its full spectrum (for its smallest
+      eigenvalue alone, M1 p=2 level 3 moves by 2.6e-6 relative).
+
+    M1's kernel, the curls of C^1 splines, has no dimension formula
+    (Morgan & Scott, Math. Comp. 1975), and perfbench/expected.json
+    records the threshold route's answer for M1 p=2 level 3 (a kernel of
+    266, where the pencil's own gap lies at 213), so M1 keeps that route.
     """
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"A {A.shape} and B {B.shape} must be square "
                          "matrices of one shape")
     A, B = _symmetric_part(A), _symmetric_part(B)
+    if kernel_dim is None:
+        c_bh, k = _complement_pencil(A, B, tol)
+    else:
+        c_bh, k = _counted_pencil(A, B, tol, kernel_dim), kernel_dim
+    c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None
+    return c_bh, c_hat, k
+
+
+def _counted_pencil(A, B, tol, k):
+    """c_bh of symmetric CSR A and B from the full spectrum of (B, A),
+    whose kernel has dimension k."""
+    try:
+        lam = dla.eigh(B.toarray(), A.toarray(), eigvals_only=True,
+                       overwrite_a=True, overwrite_b=True)
+    except dla.LinAlgError:
+        raise ValueError(_NOT_SPD) from None
+    gap = tol * _semidefinite_scale(lam, tol)
+    if not (0 <= k < len(lam) and (k == 0 or lam[k - 1] <= gap)
+            and lam[k] > gap):
+        raise ValueError(f"the pencil (B, A) has no spectral gap at the "
+                         f"kernel dimension {k}: exactly {k} of its {len(lam)} "
+                         f"eigenvalues must be at most {gap:g} in magnitude")
+    return float(lam[k])
+
+
+def _complement_pencil(A, B, tol):
+    """(c_bh, dim ker B) of symmetric CSR A and B, the kernel found by the
+    relative threshold tol on the eigenvalues of B."""
     try:
         dla.cholesky(A.toarray(), overwrite_a=True)
     except dla.LinAlgError:
-        raise ValueError("A is not symmetric positive definite") from None
+        raise ValueError(_NOT_SPD) from None
     V = dense_nullspace(B, tol)
     k = V.shape[1]
     if k == A.shape[0]:
@@ -216,9 +267,7 @@ def estimate_control_constant(A, B, tol=1e-8):
         Aw = W.T @ (A @ W)
         Bw = W.T @ (B @ W)
     eigs = dla.eigh(Bw, Aw, eigvals_only=True)
-    c_bh = float(eigs[0])
-    c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None
-    return c_bh, c_hat, k
+    return float(eigs[0]), k
 
 
 def dump_matrix(M, path):

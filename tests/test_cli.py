@@ -262,8 +262,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
     """Each valued option is a flag and a config key of exactly the
     subcommands its OPTIONS entry names; any other subcommand refuses both
     (exit 2).  Where it is taken, a bad value exits 2 before any cell runs,
-    and its error names the flag or the config key it came from; a text
-    option (--out, --method) is checked after parsing, under its flag."""
+    and its error names the flag or the config key it came from."""
     monkeypatch.setattr(cli, "_solve_cell", None)
     monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
     assert set(GOOD) == set(BAD) == {n for n, o in OPTIONS.items() if o.parse}
@@ -298,7 +297,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
             main([command] + argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert (flag if opt.parse is str else where) in err, (argv, err)
+        assert where in err, (argv, err)
 
 
 def _help_text(capsys, command):

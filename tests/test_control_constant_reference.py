@@ -1,11 +1,15 @@
-"""The control-constant diagnostic against its SVD reference.
+"""The control-constant diagnostic against its references.
 
-`linalg.estimate_control_constant` takes the kernel of B from one
-symmetric eigensolve, the a-orthogonal complement from a Householder QR
-and the reduced matrices from sparse products.  The functions below are
-the dense pipeline it replaced (an SVD of B, an SVD of V^T A, dense
-triple products), kept as the reference: the kernel dimension must be
-equal and c_bh agree to 1e-9 relative.
+`linalg.estimate_control_constant` has two routes.  Without a kernel
+count it takes the kernel of B from one symmetric eigensolve, the
+a-orthogonal complement from a Householder QR and the reduced matrices
+from sparse products; the functions below are the dense pipeline it
+replaced (an SVD of B, an SVD of V^T A, dense triple products), kept as
+the reference: the kernel dimension must be equal and c_bh agree to 1e-9
+relative.  With the count that `cli.derham_kernel_dim` reads off the mesh
+for M3 and M4 it solves the pencil (B, A) once; that count must equal
+the threshold route's kernel dimension, and c_bh agree to 1e-12
+relative.
 """
 
 import numpy as np
@@ -14,7 +18,9 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gdfem.cli import default_geom_order
+from gdfem import cli
+from gdfem.cli import (DERHAM_METHODS, SINGLE_FIELD_METHODS,
+                       default_geom_order, derham_kernel_dim, run_diagnostics)
 from gdfem.forms import assemble_method, paper_coefficients
 from gdfem.linalg import estimate_control_constant, restrict_free
 from gdfem.mesh import make_unit_disc_mesh
@@ -67,17 +73,76 @@ def assert_matches_reference(A, B):
         assert c_hat is None
 
 
+def free_pair(method, p, level, geom_order=None, **kw):
+    """(A_h, B_h) on the free dofs and the mesh, as run_diagnostics builds
+    them."""
+    g = default_geom_order(p) if geom_order is None else geom_order
+    mesh = make_unit_disc_mesh(level, geom_order=g)
+    ms = assemble_method(method, mesh, p, paper_coefficients(p, **kw), None)
+    constrained = ms.velocity_space.constrained_dofs
+    return (restrict_free(ms.a, constrained),
+            restrict_free(ms.b, constrained), mesh)
+
+
 @pytest.mark.parametrize("method", ["M1", "M3", "M4"])
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("level", [0, 1])
 def test_demo_cells_match_reference(method, p, level):
     """The cells of demos/stability_diagnostics.py, as run_diagnostics
     builds them."""
-    mesh = make_unit_disc_mesh(level, geom_order=default_geom_order(p))
-    ms = assemble_method(method, mesh, p, paper_coefficients(p), None)
-    constrained = ms.velocity_space.constrained_dofs
-    assert_matches_reference(restrict_free(ms.a, constrained),
-                             restrict_free(ms.b, constrained))
+    A, B, _ = free_pair(method, p, level)
+    assert_matches_reference(A, B)
+
+
+# (p, level, geometry order) of M3/M4 cells of up to about 600 free dofs:
+# the studies' geometry order, and one cell at each other order
+DERHAM_CELLS = [(p, level, default_geom_order(p)) for p, level in (
+    (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1), (4, 0))]
+DERHAM_CELLS += [(2, 1, 1), (2, 1, 3)]
+
+
+@pytest.mark.parametrize("method", DERHAM_METHODS)
+@pytest.mark.parametrize("p,level,geom_order", DERHAM_CELLS)
+def test_derham_count_is_the_threshold_kernel(method, p, level, geom_order):
+    """dim ker B_h of a Piola-mapped method is the count of interior dofs
+    of continuous P_{p+1}, on affine and curved cells; the pencil route
+    given that count returns the threshold route's c_bh."""
+    A, B, mesh = free_pair(method, p, level, geom_order)
+    assert A.shape[0] <= 600
+    c_ref, c_hat_ref, k_ref = estimate_control_constant(A, B)
+    n = derham_kernel_dim(mesh, p)
+    c_bh, c_hat, k = estimate_control_constant(A, B, kernel_dim=n)
+    assert n == k == k_ref
+    assert abs(c_bh - c_ref) <= 1e-12 * c_ref
+    assert c_hat == pytest.approx(c_hat_ref, rel=1e-12)
+
+
+def test_run_diagnostics_counts_the_piola_kernels(monkeypatch):
+    """run_diagnostics gives estimate_control_constant the de Rham count
+    for M3 and M4 and leaves M1 to the threshold route."""
+    assert DERHAM_METHODS == ("M3", "M4")
+    seen = []
+
+    def spy(A, B, kernel_dim):
+        seen.append(kernel_dim)
+        return estimate_control_constant(A, B, kernel_dim=kernel_dim)
+
+    monkeypatch.setattr(cli, "estimate_control_constant", spy)
+    kernels = [run_diagnostics(m, 1, 2)["kernel_dim"]
+               for m in SINGLE_FIELD_METHODS]
+    assert seen == [None, 91, 91]
+    assert kernels == [0, 91, 91]
+
+
+def test_m4_without_normal_penalty_is_indefinite():
+    """With lambda_n = 0, M4's b_h is indefinite, and the counted route
+    says so as the threshold route does."""
+    A, B, mesh = free_pair("M4", 1, 0, lambda_n=0.0)
+    for kernel_dim in (None, derham_kernel_dim(mesh, 1)):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            estimate_control_constant(A, B, kernel_dim=kernel_dim)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        run_diagnostics("M4", 0, 1, lambda_n=0.0)
 
 
 @settings(max_examples=40, deadline=None)

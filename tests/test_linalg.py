@@ -312,6 +312,39 @@ def test_estimate_rejects_shape_mismatch():
         estimate_control_constant(np.eye(3), np.eye(2))
 
 
+@pytest.mark.parametrize("A,B,k,c", [
+    (np.eye(2), np.diag([0.0, 4.0]), 1, 4.0),
+    (np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), 0, 1.5),
+    (np.eye(2), np.diag([0.0, 0.5]), 1, 0.5),
+    (np.array([[2.0, 1.0], [1.0, 2.0]]),
+     np.outer([1.0, -1.0], [1.0, -1.0]), 1, 2.0)])
+def test_counted_pencil_hand_cases(A, B, k, c):
+    """Given the kernel dimension, the pencil route returns what the
+    threshold route does; any other count has no gap and raises."""
+    assert estimate_control_constant(A, B, kernel_dim=k) == \
+        pytest.approx(estimate_control_constant(A, B), rel=1e-12)
+    assert estimate_control_constant(A, B, kernel_dim=k)[0] == \
+        pytest.approx(c, rel=1e-12)
+    for wrong in {k - 1, k + 1, len(A)}:
+        with pytest.raises(ValueError, match=f"kernel dimension {wrong}:"):
+            estimate_control_constant(A, B, kernel_dim=wrong)
+
+
+@pytest.mark.parametrize("A,B,message", [
+    (np.diag([1.0, -1.0]), np.eye(2), "A is not symmetric positive definite"),
+    (np.eye(2), -np.eye(2), "not positive semidefinite"),
+    (np.eye(2), np.diag([-1.0, 4.0]), "not positive semidefinite")])
+def test_counted_pencil_rejects_what_the_threshold_route_rejects(A, B,
+                                                                 message):
+    """A non-SPD A and an indefinite B raise the same message on both
+    routes, whatever the count."""
+    with pytest.raises(ValueError, match=message):
+        estimate_control_constant(A, B)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            estimate_control_constant(A, B, kernel_dim=k)
+
+
 def test_restrict_free():
     M = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
     R = restrict_free(M, np.array([1]))
