@@ -15,12 +15,21 @@ diagnostics   dense estimate of the control constant c_bh of b_h over the
               from it.
 
 Each option is one OPTIONS entry (parser, subcommands, help), which builds
-the flags and decides the config keys a subcommand accepts; numbers pass
-forms.check_number.  A method's columns are named by its NORMS entry.
+the flags and decides the config keys a subcommand accepts.  _resolve holds
+flags and config values to one contract: a value passes its option's
+parser (forms.check_number, quadrature.check_integer's minimums, the
+subcommand's methods); a cell subcommand takes one p and one cs2, a study
+one value of the field its CSV holds fixed; solve and diagnostics require
+--method.  A refusal exits 2 before any cell runs, and starts with the
+flag or config key it came from.  The runners' signatures hold the
+defaults.  A method's columns are named by its NORMS entry.
 
-All file output is deterministic: fixed float formats, no timestamps in
-files, LF line endings.  Exit codes: 0 success, 1 if any solve failed
-(failed cells are left empty in the CSV), 2 for invalid flags.
+solve and diagnostics print their one-cell record, a key=value line per
+entry with an absent value empty, and --out gets the same lines as
+solve.txt or diagnostics.txt.  All file output is deterministic: fixed
+float formats, no timestamps in files, LF line endings.  Exit codes: 0
+success, 1 if any solve failed (failed cells are left empty in the CSV),
+2 for invalid flags.
 """
 
 import argparse
@@ -35,10 +44,11 @@ import numpy as np
 from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, check_number,
                     error_norms, paper_coefficients)
-from .linalg import (SingularMatrixError, SizeLimitError, dump_matrix,
+from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
 from .problems import convergence_problem, gradrob_problem, locking_problem
+from .quadrature import check_integer
 
 # The norm of each method.  A report column is a prefix and the norm: the
 # CSV carries "error" or "norm" columns, and the triple-norm errors ("xh")
@@ -127,8 +137,6 @@ STUDIES = {
         title="gradient-robustness study, {method}, p={p}",
         ylabel="L2 norm of u_h"),
 }
-ERROR_COLUMNS = STUDIES["convergence"].columns
-NORM_COLUMNS = STUDIES["gradrob"].columns
 
 # CSV second column per axis: (header, format, the fixed field)
 _CSV_AXIS = {"p": ("p", "%d", "cs2"), "cs2": ("cs", "%.17g", "p")}
@@ -427,7 +435,7 @@ def derham_kernel_dim(mesh, p):
                + p * (p - 1) // 2 * mesh.num_triangles)
 
 
-def run_diagnostics(method, level, p, out_path=None, geom_order=None,
+def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
                     lambda_b=None, lambda_n=None, b_scale=1.0):
     """Control-constant estimate c_bh of b_h against a_h for one method.
 
@@ -440,7 +448,8 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
     threshold on the eigenvalues of B_h, the route whose answer
     perfbench/expected.json records (estimate_control_constant).  A
     method with a pseudo-pressure family (M2) has no single-field pair to
-    compare and is rejected with ValueError.
+    compare and is rejected with ValueError.  With out_path the result is
+    written there as diagnostics.txt (_record).
     """
     if method not in SINGLE_FIELD_METHODS:
         raise ValueError("diagnostics requires --method "
@@ -461,37 +470,37 @@ def run_diagnostics(method, level, p, out_path=None, geom_order=None,
               "ndof_free": Af.shape[0], "kernel_dim": kdim,
               "c_bh": c_bh, "c_hat": c_hat}
     if out_path is not None:
-        with open(out_path, "w", newline="\n") as fh:
-            for k, v in result.items():
-                fh.write(f"{k}={'' if v is None else v}\n")
+        with open(f"{out_path}/diagnostics.txt", "w", newline="\n") as fh:
+            fh.write(_record(result))
     return result
 
 
 # -- single solve -------------------------------------------------------------
 
-# Keys of the solve report, in the order solve.txt and stdout list them.
-_SOLVE_KEYS = ("method", "p", "level", "cs2", "geom_order", "h", "ndof",
-               "l2_error", "xh_error", "l2_norm")
+def _record(result):
+    """The one-cell record of solve and diagnostics, on stdout and in their
+    .txt file alike: a key=value line per entry, an absent value empty."""
+    return "".join(f"{k}={'' if v is None else v}\n"
+                   for k, v in result.items())
 
 
-def run_solve(method, level, p, cs2=1.0, out_path=None, geom_order=None,
+def run_solve(method, level=1, p=2, cs2=1.0, out_path=None, geom_order=None,
               lambda_b=None, lambda_n=None, dump_mesh=False,
               dump_system=False):
-    """One solve of the smooth manufactured problem; returns the error dict."""
+    """One solve of the smooth manufactured problem; returns its record,
+    which out_path gets as solve.txt, next to the optional dumps."""
     g = default_geom_order(p) if geom_order is None else geom_order
     prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, prob.coeffs, prob.f)
     u = _solve_cell(method, mesh, p, prob, ms)
-    res = _cell_norms(method, ms, [prob], [u])[0]
-    res.update({"method": method, "level": level, "p": p, "cs2": cs2,
-                "geom_order": g, "h": mesh_size(mesh),
-                "ndof": ms.a.shape[0]})
+    res = {"method": method, "p": p, "level": level, "cs2": cs2,
+           "geom_order": g, "h": mesh_size(mesh), "ndof": ms.a.shape[0],
+           **_cell_norms(method, ms, [prob], [u])[0]}
     if out_path is not None:
         with open(f"{out_path}/solve.txt", "w", newline="\n") as fh:
-            for k in _SOLVE_KEYS:
-                fh.write(f"{k}={res[k]}\n")
+            fh.write(_record(res))
         if dump_mesh:
             mesh.dump(f"{out_path}/mesh.txt")
         if dump_system:
@@ -507,7 +516,13 @@ def _nonempty(values, text):
     return tuple(values)
 
 
-def _parse_int_list(text):
+def _parse_int(text, methods, name, minimum):
+    return check_integer(name, int(text), minimum)
+
+
+def _parse_int_list(text, methods, name, minimum):
+    """A comma list of integers and a-b ranges, each passing
+    check_integer(name, ., minimum)."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -516,31 +531,31 @@ def _parse_int_list(text):
             out.extend(range(int(a), int(b) + 1))
         elif part:
             out.append(int(part))
-    return _nonempty(out, text)
+    return _nonempty([check_integer(name, v, minimum) for v in out], text)
 
 
-def _parse_float(text, kind="nonnegative"):
+def _parse_float(text, methods, kind="nonnegative"):
     """float(text) if it passes the library's number rule as `kind`."""
     return check_number("value", float(text), kind)
 
 
-def _parse_float_list(text):
-    return _nonempty([_parse_float(x, "positive") for x in text.split(",")
-                      if x.strip()], text)
+def _parse_float_list(text, methods):
+    return _nonempty([_parse_float(x, methods, "positive")
+                      for x in text.split(",") if x.strip()], text)
 
 
-def _parse_method(text):
-    if text not in METHODS:
-        raise ValueError(f"unknown method {text!r}")
+def _parse_method(text, methods):
+    if text not in methods:
+        raise ValueError(f"method {text!r} is not one of {'|'.join(methods)}")
     return text
 
 
-def _parse_methods(text):
+def _parse_methods(text, methods):
     ms = _nonempty([m.strip() for m in text.split(",") if m.strip()], text)
-    return tuple(_parse_method(m) for m in ms)
+    return tuple(_parse_method(m, methods) for m in ms)
 
 
-def _parse_dir(text):
+def _parse_dir(text, methods):
     if not os.path.isdir(text):
         raise ValueError(f"directory {text!r} does not exist")
     return text
@@ -571,26 +586,30 @@ COMMANDS = {
                     SINGLE_FIELD_METHODS),
 }
 
-# Every option, in help order: the parser of its text (None for a flag
-# without a value, which is no config key), the subcommands that take it,
-# and its help, where "{methods}" is the subcommand's methods.  The flag
-# is --name with "-" for "_", and the config key is the name.
+# Every option, in help order: the parser of its text and the subcommand's
+# methods, which raises ValueError for what the library would refuse (None
+# for a flag without a value, which is no config key), the subcommands that
+# take it, and its help, where "{methods}" is the subcommand's methods.  The
+# flag is --name with "-" for "_", and the config key is the name.
 Option = namedtuple("Option", "parse commands help")
 _ALL, _CELL = tuple(COMMANDS), ("solve", "diagnostics")
 OPTIONS = {
-    "p": Option(_parse_int_list, _ALL, "polynomial degree(s), e.g. 2 or 1,2,3"),
-    "levels": Option(_parse_int_list, tuple(STUDIES),
-                     "refinement levels, e.g. 1-4 or 0,1,2"),
+    "p": Option(partial(_parse_int_list, name="degree", minimum=1), _ALL,
+                "polynomial degree(s), e.g. 2 or 1,2,3"),
+    "levels": Option(partial(_parse_int_list, name="level", minimum=0),
+                     tuple(STUDIES), "refinement levels, e.g. 1-4 or 0,1,2"),
     "methods": Option(_parse_methods, tuple(STUDIES), "subset of {methods}"),
     "cs2": Option(_parse_float_list, (*STUDIES, "solve"),
                   "squared sound speed(s), e.g. 1,1000"),
     "lambda_b": Option(_parse_float, _ALL, "flow-jump penalty (default 10 p^2)"),
     "lambda_n": Option(_parse_float, _ALL, "normal-jump penalty (default "
                        "100 p^2, locking study 10 p^2)"),
-    "geom_order": Option(int, _ALL, "geometry map degree (default: by degree p)"),
+    "geom_order": Option(partial(_parse_int, name="geom_order", minimum=1),
+                         _ALL, "geometry map degree (default: by degree p)"),
     "out": Option(_parse_dir, _ALL, "output directory (default: no files)"),
     "method": Option(_parse_method, _CELL, "one of {methods}"),
-    "level": Option(int, _CELL, "refinement level"),
+    "level": Option(partial(_parse_int, name="level", minimum=0), _CELL,
+                    "refinement level"),
     "dump_mesh": Option(None, ("solve",), "write mesh.txt next to the report"),
     "dump_system": Option(None, ("solve",),
                           "write matrix.txt (coordinate format)"),
@@ -619,31 +638,41 @@ def build_parser():
 
 
 def _resolve(args, parser):
-    """Option values: config file values under explicit flags.
-
-    Both pass the option's OPTIONS parser, and a value error names the flag
-    or the config key it came from.  A config key must be a valued option
-    of the subcommand; any other key is an error (exit 2).
-    """
+    """The runner keywords of the options given, config file values under
+    explicit flags, held to the contract the module docstring states; a
+    config key must be a valued option of the subcommand."""
+    command, study = args.command, args.command in STUDIES
+    methods = COMMANDS[command][1]
+    single = (_CSV_AXIS[STUDIES[command].axis][2],) if study else ("p", "cs2")
     keys = [k for k, opt in OPTIONS.items()
-            if opt.parse and args.command in opt.commands]
+            if opt.parse and command in opt.commands]
     flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    kw = {k: True for k, opt in OPTIONS.items()
+          if opt.parse is None and getattr(args, k, False)}
     try:
         raw = read_config(args.config) if args.config else {}
         for key in raw:
             if key not in keys:
                 raise ValueError(f"config key {key!r} is not an option of "
-                                 f"{args.command}")
+                                 f"{command}")
         raw.update(flags)
-        opts = {}
-        for k, v in raw.items():
+        for k, text in raw.items():
             try:
-                opts[k] = OPTIONS[k].parse(v)
+                value = OPTIONS[k].parse(text, methods)
+                if k in single and len(value) != 1:
+                    raise ValueError(f"{command} takes a single value, "
+                                     f"got {text!r}")
             except ValueError as exc:
                 where = ("--" + k.replace("_", "-") if k in flags
                          else f"config key {k!r}")
                 raise ValueError(f"{where}: {exc}") from None
-        return opts
+            if k in ("p", "cs2"):   # a study's lists, a cell's one value
+                k, value = (f"{k}_list", value) if study else (k, value[0])
+            kw["out_path" if k == "out" else k] = value
+        if "method" in keys and "method" not in kw:
+            raise ValueError(f"{command} requires --method "
+                             + "|".join(methods))
+        return kw
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
 
@@ -651,58 +680,26 @@ def _resolve(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    opts = _resolve(args, parser)
-    out = opts.get("out")
-    kw = {k: opts.get(k) for k in ("lambda_b", "lambda_n", "geom_order")}
+    kw = _resolve(args, parser)
     try:
         if args.command in STUDIES:
             report, warnings = run_study(
-                args.command, p_list=opts.get("p"), cs2_list=opts.get("cs2"),
-                levels=opts.get("levels"),
-                methods=opts.get("methods", METHODS), out_path=out,
-                progress=lambda msg: print(msg, file=sys.stderr, flush=True),
-                **kw)
+                args.command, **kw,
+                progress=lambda msg: print(msg, file=sys.stderr, flush=True))
             for w in warnings:
                 print(w, file=sys.stderr)
             for r in report.csv_rows():
                 print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
                       f"{r.method} {r.metric_name}={r.value:.6e}")
             return 1 if warnings else 0
-        if args.command == "solve":
-            if "method" not in opts:
-                parser.error(f"solve requires --method {'|'.join(METHODS)}")
-            try:
-                res = run_solve(opts["method"], opts.get("level", 1),
-                                _single(opts.get("p", (2,)), "--p", parser),
-                                cs2=_single(opts.get("cs2", (1.0,)), "--cs2",
-                                            parser),
-                                out_path=out, dump_mesh=args.dump_mesh,
-                                dump_system=args.dump_system, **kw)
-            except SingularMatrixError as exc:
-                print(f"solver failure: {exc}", file=sys.stderr)
-                return 1
-            for k in _SOLVE_KEYS:
-                print(f"{k}={res[k]}")
-            return 0
-        # diagnostics
-        try:
-            res = run_diagnostics(opts.get("method"), opts.get("level", 1),
-                                  _single(opts.get("p", (1,)), "--p", parser),
-                                  out_path=f"{out}/diagnostics.txt" if out else None,
-                                  b_scale=opts.get("b_scale", 1.0), **kw)
-        except SizeLimitError as exc:
-            parser.error(str(exc))
-        for k, v in res.items():
-            print(f"{k}={v}")
-        return 0
+        res = (run_solve if args.command == "solve" else run_diagnostics)(**kw)
+    except SingularMatrixError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _single(vals, flag, parser):
-    if len(vals) != 1:
-        parser.error(f"this subcommand takes a single {flag} value")
-    return vals[0]
+    sys.stdout.write(_record(res))
+    return 0
 
 
 if __name__ == "__main__":

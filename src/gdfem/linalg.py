@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DIAGNOSTIC_SIZE_LIMIT = 2000
+KERNEL_TOL = 1e-8   # the diagnostics' relative eigenvalue threshold
 
 
 class SingularMatrixError(RuntimeError):
@@ -164,31 +165,31 @@ def _symmetric_part(M):
     return ((M + M.T) * 0.5).tocsr()
 
 
-def dense_nullspace(M, tol=1e-8):
+def dense_nullspace(M):
     """Orthonormal basis of the numerical kernel of a symmetric positive
     semidefinite M.
 
-    The kernel is spanned by the eigenvectors whose |eigenvalue|, which
-    is the singular value, is at most tol times the largest; an eigenvalue
-    below -tol times the largest raises ValueError.  Diagnostic scale only
+    The kernel is spanned by the eigenvectors whose |eigenvalue|, the
+    singular value, is at most KERNEL_TOL times the largest; an eigenvalue
+    below -KERNEL_TOL times it raises ValueError.  Diagnostic scale only
     (n <= 2000).
     """
     lam, Q = dla.eigh(_symmetric_part(M).toarray(), driver="evd",
                       overwrite_a=True)
-    return Q[:, np.abs(lam) <= tol * _semidefinite_scale(lam, tol)]
+    return Q[:, np.abs(lam) <= KERNEL_TOL * _semidefinite_scale(lam)]
 
 
-def _semidefinite_scale(lam, tol):
+def _semidefinite_scale(lam):
     """max |lam| of the ascending eigenvalues lam; ValueError if the
-    smallest is below -tol times it."""
+    smallest is below -KERNEL_TOL times it."""
     scale = np.abs(lam).max(initial=0.0)
-    if lam.min(initial=0.0) < -tol * scale:
+    if lam.min(initial=0.0) < -KERNEL_TOL * scale:
         raise ValueError(f"matrix not positive semidefinite: eigenvalue "
                          f"{lam[0]:g}, largest magnitude {scale:g}")
     return scale
 
 
-def estimate_control_constant(A, B, tol=1e-8, kernel_dim=None):
+def estimate_control_constant(A, B, kernel_dim=None):
     """Smallest ratio b(w, w)/a(w, w) over the a-orthogonal complement of ker B.
 
     A must be symmetric positive definite, B symmetric positive
@@ -200,15 +201,15 @@ def estimate_control_constant(A, B, tol=1e-8, kernel_dim=None):
     The ratios are the eigenvalues of the pencil (B, A), ker B is the
     eigenspace of 0, and c_bh is the first eigenvalue past it.  Both
     routes raise the same ValueError for an A that is not SPD and for an
-    eigenvalue below -tol times the largest magnitude.
+    eigenvalue below -KERNEL_TOL times the largest magnitude.
 
     - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): one
       eigh(B, A, eigvals_only=True), whose Cholesky factor of A is the SPD
       check.  Unless its spectrum lam has its gap at N,
-      |lam[N-1]| <= tol max|lam| < lam[N], ValueError names N; c_bh is
+      |lam[N-1]| <= KERNEL_TOL max|lam| < lam[N], ValueError names N; c_bh is
       lam[N].
     - kernel_dim None (M1 and direct callers), the threshold route: a
-      Cholesky factorization checks A, and dense_nullspace(B, tol) gives
+      Cholesky factorization checks A, and dense_nullspace(B) gives
       the kernel V.  The trailing n - k columns of the full Householder QR
       of A V span W = {w : V^T A w = 0}, and the pencil
       (W^T B W, W^T A W) is solved for its full spectrum (for its smallest
@@ -224,14 +225,14 @@ def estimate_control_constant(A, B, tol=1e-8, kernel_dim=None):
                          "matrices of one shape")
     A, B = _symmetric_part(A), _symmetric_part(B)
     if kernel_dim is None:
-        c_bh, k = _complement_pencil(A, B, tol)
+        c_bh, k = _complement_pencil(A, B)
     else:
-        c_bh, k = _counted_pencil(A, B, tol, kernel_dim), kernel_dim
+        c_bh, k = _counted_pencil(A, B, kernel_dim), kernel_dim
     c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None
     return c_bh, c_hat, k
 
 
-def _counted_pencil(A, B, tol, k):
+def _counted_pencil(A, B, k):
     """c_bh of symmetric CSR A and B from the full spectrum of (B, A),
     whose kernel has dimension k."""
     try:
@@ -239,7 +240,7 @@ def _counted_pencil(A, B, tol, k):
                        overwrite_a=True, overwrite_b=True)
     except dla.LinAlgError:
         raise ValueError(_NOT_SPD) from None
-    gap = tol * _semidefinite_scale(lam, tol)
+    gap = KERNEL_TOL * _semidefinite_scale(lam)
     if not (0 <= k < len(lam) and (k == 0 or lam[k - 1] <= gap)
             and lam[k] > gap):
         raise ValueError(f"the pencil (B, A) has no spectral gap at the "
@@ -248,14 +249,14 @@ def _counted_pencil(A, B, tol, k):
     return float(lam[k])
 
 
-def _complement_pencil(A, B, tol):
+def _complement_pencil(A, B):
     """(c_bh, dim ker B) of symmetric CSR A and B, the kernel found by the
-    relative threshold tol on the eigenvalues of B."""
+    relative threshold KERNEL_TOL on the eigenvalues of B."""
     try:
         dla.cholesky(A.toarray(), overwrite_a=True)
     except dla.LinAlgError:
         raise ValueError(_NOT_SPD) from None
-    V = dense_nullspace(B, tol)
+    V = dense_nullspace(B)
     k = V.shape[1]
     if k == A.shape[0]:
         raise ValueError("b_h vanishes: its numerical kernel is the whole "

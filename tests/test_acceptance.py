@@ -27,8 +27,7 @@ import pytest
 
 from conftest import (check_symmetry, load_vector, manufactured_defect,
                       read_study_csv, series)
-from gdfem.cli import (ERROR_COLUMNS, NORM_COLUMNS, emit_study_csv, fit_slope,
-                       run_diagnostics)
+from gdfem.cli import STUDIES, emit_study_csv, fit_slope, run_diagnostics
 from gdfem.forms import assemble_method, paper_coefficients
 from gdfem.linalg import dense_nullspace, restrict_free
 from gdfem.mesh import GeometryMap, make_unit_square_mesh
@@ -42,7 +41,8 @@ from gdfem.quadrature import triangle_rule
 @pytest.mark.parametrize("method", ["M3", "M4"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_convergence_rates_m3_m4(convergence_report, method, p):
-    hs, errs = series(convergence_report, method, ERROR_COLUMNS[method], p=p)
+    hs, errs = series(convergence_report, method,
+                      STUDIES["convergence"].columns[method], p=p)
     assert len(hs) >= 3
     slope = fit_slope(hs, errs)
     assert slope >= p + 0.2, f"{method} p={p}: slope {slope:.2f}"
@@ -67,7 +67,7 @@ def test_triple_norm_errors_recorded(convergence_report):
 
 def test_locking_free_methods(locking_report):
     for method in ("M3", "M4"):
-        col = ERROR_COLUMNS[method]
+        col = STUDIES["convergence"].columns[method]
         hs1, e1 = series(locking_report, method, col, cs2=1.0)
         hs2, e2 = series(locking_report, method, col, cs2=1000.0)
         assert np.allclose(hs1, hs2)
@@ -84,7 +84,7 @@ def test_locking_sensitivity_m1(locking_report):
 
 def test_gradient_robust_methods(gradrob_report):
     for method in ("M3", "M4"):
-        col = NORM_COLUMNS[method]
+        col = STUDIES["gradrob"].columns[method]
         for cs2 in (1.0, 10.0, 100.0, 1000.0):
             _, norms = series(gradrob_report, method, col, cs2=cs2)
             assert len(norms) >= 3

@@ -8,8 +8,7 @@ import pytest
 
 from conftest import read_study_csv
 from gdfem import cli, forms
-from gdfem.cli import (COMMANDS, ERROR_COLUMNS, NORM_COLUMNS, OPTIONS,
-                       STUDIES, StudyReport,
+from gdfem.cli import (COMMANDS, OPTIONS, STUDIES, StudyReport,
                        default_convergence_levels, default_geom_order,
                        emit_study_csv, fit_slope, main, read_config,
                        run_convergence, run_diagnostics, run_gradrob,
@@ -251,8 +250,29 @@ BAD = {"p": "x", "levels": "3-1", "methods": "M7", "cs2": "-4",
        "method": "M7", "level": "x", "b_scale": "0"}
 
 
+# Values an option's parser reads that the subcommand refuses: more than
+# one value of a field it holds fixed, or a method it does not run.
+REFUSED = {("solve", "p"): "1,2", ("diagnostics", "p"): "1,2",
+           ("locking", "p"): "1,2", ("gradrob", "p"): "1,2",
+           ("convergence", "cs2"): "1,10", ("solve", "cs2"): "1,10",
+           ("diagnostics", "method"): "M2"}
+
+
 def _flag(name):
     return "--" + name.replace("_", "-")
+
+
+def _resolved(command, name, value):
+    """The runner keywords _resolve gives for option name set to its parsed
+    value alone, with the --method M3 a cell subcommand requires: out sets
+    out_path, a study's p and cs2 set p_list and cs2_list, and a cell
+    subcommand takes the one value of its p or cs2 list."""
+    if command in STUDIES:
+        keyword = {"out": "out_path", "p": "p_list", "cs2": "cs2_list"}
+        return {keyword.get(name, name): value}
+    if name in ("p", "cs2"):
+        value, = value
+    return {"method": "M3", "out_path" if name == "out" else name: value}
 
 
 @pytest.mark.parametrize("command,name", [
@@ -261,8 +281,9 @@ def _flag(name):
 def test_option_table(monkeypatch, capsys, tmp_path, command, name):
     """Each valued option is a flag and a config key of exactly the
     subcommands its OPTIONS entry names; any other subcommand refuses both
-    (exit 2).  Where it is taken, a bad value exits 2 before any cell runs,
-    and its error names the flag or the config key it came from."""
+    (exit 2).  Where it is taken, a bad value, and a value the subcommand
+    refuses (REFUSED), exits 2 before any cell runs, and its error starts
+    with the flag or the config key it came from."""
     monkeypatch.setattr(cli, "_solve_cell", None)
     monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
     assert set(GOOD) == set(BAD) == {n for n, o in OPTIONS.items() if o.parse}
@@ -272,16 +293,19 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
         good, bad = str(tmp_path), str(tmp_path / "missing")
     takes = command in opt.commands
     parser = cli.build_parser()
+    needs_method = command not in STUDIES and name != "method"
+    method = ["--method", "M3"] if needs_method else []
     if takes:
-        args = parser.parse_args([command, f"{flag}={good}"])
-        assert cli._resolve(args, parser) == {name: opt.parse(good)}
+        want = _resolved(command, name, opt.parse(good, COMMANDS[command][1]))
+        args = parser.parse_args([command, f"{flag}={good}"] + method)
+        assert cli._resolve(args, parser) == want
     else:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([command, f"{flag}={good}"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     cfg.write_text(f"{name}={good}\n")
-    args = parser.parse_args([command, "--config", str(cfg)])
+    args = parser.parse_args([command, "--config", str(cfg)] + method)
     if not takes:
         with pytest.raises(SystemExit) as exc:
             cli._resolve(args, parser)
@@ -289,15 +313,18 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
         assert (f"config key {name!r} is not an option of {command}"
                 in capsys.readouterr().err)
         return
-    assert cli._resolve(args, parser) == {name: opt.parse(good)}
-    cfg.write_text(f"{name}={bad}\n")
-    for argv, where in (([f"{flag}={bad}"], flag),
-                        (["--config", str(cfg)], f"config key {name!r}")):
-        with pytest.raises(SystemExit) as exc:
-            main([command] + argv)
-        assert exc.value.code == 2, argv
-        err = capsys.readouterr().err
-        assert where in err, (argv, err)
+    assert cli._resolve(args, parser) == want
+    for bad in (bad, REFUSED.get((command, name))):
+        if bad is None:
+            continue
+        cfg.write_text(f"{name}={bad}\n")
+        for argv, where in (([f"{flag}={bad}"], flag),
+                            (["--config", str(cfg)], f"config key {name!r}")):
+            with pytest.raises(SystemExit) as exc:
+                main([command] + argv + method)
+            assert exc.value.code == 2, argv
+            err = capsys.readouterr().err
+            assert f"error: {where}: " in err, (argv, err)
 
 
 def _help_text(capsys, command):
@@ -333,34 +360,48 @@ def test_diagnostics_help_and_error_name_the_same_methods(monkeypatch,
     assert "M2" not in single
 
 
-def test_bad_input_rejected_before_any_cell(monkeypatch, tmp_path):
-    """A study with a nonpositive or infinite c_s^2, a penalty that is not
-    finite, a list option naming no value, a degree below 1 or a missing
-    output directory exits before it solves anything."""
+def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
+    """A nonpositive or infinite c_s^2, a penalty that is not finite, a
+    list option naming no value, a degree below 1, a level below 0 (in a
+    list, after a good one, too), a geometry order below 1 or a missing
+    output directory exits 2 before anything is solved, and before any
+    progress line, with an error that starts with its flag or config
+    key."""
     def no_cell(*args):
         raise AssertionError("a cell ran")
 
     monkeypatch.setattr(cli, "_solve_cell", no_cell)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cs2=\n")
-    for argv in (["locking", "--cs2=1,-4", "--levels", "0"],
-                 ["gradrob", "--cs2=nan", "--levels", "0"],
-                 ["locking", "--cs2=1,inf", "--levels", "0"],
-                 ["locking", "--lambda-b", "inf", "--levels", "0"],
-                 ["locking", "--lambda-n", "inf", "--levels", "0"],
-                 ["locking", "--cs2=", "--levels", "0"],
-                 ["locking", "--cs2", ",", "--levels", "0"],
-                 ["locking", "--levels", "0", "--config", str(cfg)],
-                 ["convergence", "--p=", "--levels", "0"],
-                 ["convergence", "--p", "0", "--levels", "0"],
-                 ["convergence", "--p", "1", "--levels="],
-                 ["convergence", "--p", "1", "--levels", "3-1"],
-                 ["convergence", "--p", "1", "--levels", "0", "--methods="],
-                 ["convergence", "--p", "1", "--levels", "0", "--out",
-                  str(tmp_path / "missing")]):
+    for argv, where in (
+            (["locking", "--cs2=1,-4", "--levels", "0"], "--cs2"),
+            (["gradrob", "--cs2=nan", "--levels", "0"], "--cs2"),
+            (["locking", "--cs2=1,inf", "--levels", "0"], "--cs2"),
+            (["locking", "--lambda-b", "inf", "--levels", "0"], "--lambda-b"),
+            (["locking", "--lambda-n", "inf", "--levels", "0"], "--lambda-n"),
+            (["locking", "--cs2=", "--levels", "0"], "--cs2"),
+            (["locking", "--cs2", ",", "--levels", "0"], "--cs2"),
+            (["locking", "--levels", "0", "--config", str(cfg)],
+             "config key 'cs2'"),
+            (["convergence", "--p=", "--levels", "0"], "--p"),
+            (["convergence", "--p", "0", "--levels", "0"], "--p"),
+            (["convergence", "--p", "1,0", "--levels", "0"], "--p"),
+            (["convergence", "--p", "1", "--levels="], "--levels"),
+            (["convergence", "--p", "1", "--levels", "3-1"], "--levels"),
+            (["convergence", "--p", "1", "--levels", "0,-1"], "--levels"),
+            (["convergence", "--p", "1", "--levels", "0", "--methods="],
+             "--methods"),
+            (["convergence", "--p", "1", "--levels", "0", "--out",
+              str(tmp_path / "missing")], "--out"),
+            (["locking", "--levels", "0", "--geom-order", "0"],
+             "--geom-order"),
+            (["solve", "--method", "M3", "--level=-1"], "--level")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: "), (argv, err)
+        assert f"error: {where}: " in err, (argv, err)
 
 
 @pytest.mark.parametrize("study", ["locking", "gradrob"])
@@ -419,7 +460,8 @@ def test_failed_solve_leaves_its_cell_empty(monkeypatch, tmp_path, capsys):
         want, got = want.split(","), got.split(",")
         assert got[:2] == want[:2]
         for column, a, b in zip(header[2:], want[2:], got[2:]):
-            if want[1] == "10" and column == ERROR_COLUMNS["M3"]:
+            if (want[1] == "10"
+                    and column == STUDIES["locking"].columns["M3"]):
                 assert a != "" and b == ""
             elif a == "":
                 assert b == "", (column, want[1])
@@ -479,6 +521,19 @@ def test_diagnostics_subcommand(capsys):
                capsys.readouterr().out.strip().splitlines())
     assert float(out["c_bh"]) > 1.0
     assert 0.0 < float(out["c_hat"]) < 1.0
+
+
+def test_cell_record_on_stdout_is_its_file(capsys, tmp_path):
+    """solve and diagnostics print exactly the record they write to
+    solve.txt or diagnostics.txt: key=value lines, an absent value empty
+    (M1 p=1 level 1 has c_bh <= 1, so no c_hat)."""
+    for command, method, level in (("solve", "M3", "0"),
+                                   ("diagnostics", "M1", "1")):
+        assert main([command, "--method", method, "--p", "1", "--level",
+                     level, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (tmp_path / f"{command}.txt").read_text(), command
+    assert "\nc_hat=\n" in out
 
 
 def test_diagnostics_strong_flow_still_runs():
