@@ -15,14 +15,16 @@ diagnostics   dense estimate of the control constant c_bh of b_h over the
               from it.
 
 Each option is one OPTIONS entry (parser, subcommands, help), which builds
-the flags and decides the config keys a subcommand accepts.  _resolve holds
-flags and config values to one contract: a value passes its option's
-parser (forms.check_number, quadrature.check_integer's minimums, the
-subcommand's methods); a cell subcommand takes one p and one cs2, a study
-one value of the field its CSV holds fixed; solve and diagnostics require
---method.  A refusal exits 2 before any cell runs, and starts with the
-flag or config key it came from.  The runners' signatures hold the
-defaults.  A method's columns are named by its NORMS entry.
+the flags and decides the config keys a subcommand accepts.  A parser
+reads a tuple of values under the library's value rule (check_number,
+check_integer's minimums, a list names a value, --out is a directory).
+_resolve applies the subcommand's rules to flags and config values alike:
+its options; a study sweeps its CSV axis, levels and methods, and every
+other option takes one value; a method is one of the subcommand's; solve
+and diagnostics require --method, and its degree rule (check_degree).  A
+refusal exits 2 before any cell runs, and starts with the flag or config
+key it came from.  The runners' signatures hold the defaults.  A method's
+columns are named by its NORMS entry.
 
 solve and diagnostics print their one-cell record, a key=value line per
 entry with an absent value empty, and --out gets the same lines as
@@ -42,8 +44,8 @@ from functools import partial
 import numpy as np
 
 from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
-from .forms import (METHOD_FORMS, METHODS, assemble_method, check_number,
-                    error_norms, paper_coefficients)
+from .forms import (METHOD_FORMS, METHODS, assemble_method, check_degree,
+                    check_number, error_norms, paper_coefficients)
 from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -510,55 +512,32 @@ def run_solve(method, level=1, p=2, cs2=1.0, out_path=None, geom_order=None,
 
 # -- argument handling --------------------------------------------------------
 
-def _nonempty(values, text):
+def _parse_list(text, item):
+    """The values of a comma list, one at least: item(part) gives a list of
+    the values of each part not blank, and raises ValueError for a value
+    the library refuses."""
+    values = tuple(v for part in map(str.strip, text.split(",")) if part
+                   for v in item(part))
     if not values:
         raise ValueError(f"{text!r} names no value")
-    return tuple(values)
+    return values
 
 
-def _parse_int(text, methods, name, minimum):
-    return check_integer(name, int(text), minimum)
+def _integers(name, minimum, part):
+    """n or the range a-b, each passing check_integer(name, ., minimum)."""
+    a, b = part.split("-", 1) if "-" in part[1:] else (part, part)
+    return [check_integer(name, v, minimum) for v in range(int(a), int(b) + 1)]
 
 
-def _parse_int_list(text, methods, name, minimum):
-    """A comma list of integers and a-b ranges, each passing
-    check_integer(name, ., minimum)."""
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            a, b = part.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
-        elif part:
-            out.append(int(part))
-    return _nonempty([check_integer(name, v, minimum) for v in out], text)
+def _number(kind, part):
+    return [check_number("value", float(part), kind)]
 
 
-def _parse_float(text, methods, kind="nonnegative"):
-    """float(text) if it passes the library's number rule as `kind`."""
-    return check_number("value", float(text), kind)
-
-
-def _parse_float_list(text, methods):
-    return _nonempty([_parse_float(x, methods, "positive")
-                      for x in text.split(",") if x.strip()], text)
-
-
-def _parse_method(text, methods):
-    if text not in methods:
-        raise ValueError(f"method {text!r} is not one of {'|'.join(methods)}")
-    return text
-
-
-def _parse_methods(text, methods):
-    ms = _nonempty([m.strip() for m in text.split(",") if m.strip()], text)
-    return tuple(_parse_method(m, methods) for m in ms)
-
-
-def _parse_dir(text, methods):
+def _parse_dir(text):
+    """(text,) for an existing directory: read whole, not as a list."""
     if not os.path.isdir(text):
         raise ValueError(f"directory {text!r} does not exist")
-    return text
+    return (text,)
 
 
 def read_config(path):
@@ -586,34 +565,38 @@ COMMANDS = {
                     SINGLE_FIELD_METHODS),
 }
 
-# Every option, in help order: the parser of its text and the subcommand's
-# methods, which raises ValueError for what the library would refuse (None
-# for a flag without a value, which is no config key), the subcommands that
-# take it, and its help, where "{methods}" is the subcommand's methods.  The
-# flag is --name with "-" for "_", and the config key is the name.
+# Every option, in help order: the parser of its text, which returns the
+# tuple of its values and raises ValueError for one the library refuses
+# (None for a flag without a value, which is no config key), the subcommands
+# that take it, and its help, where "{methods}" is the subcommand's methods.
+# The flag is --name with "-" for "_", and the config key is the name.
 Option = namedtuple("Option", "parse commands help")
 _ALL, _CELL = tuple(COMMANDS), ("solve", "diagnostics")
+_DEGREES = partial(_parse_list, item=partial(_integers, "degree", 1))
+_LEVELS = partial(_parse_list, item=partial(_integers, "level", 0))
+_METHODS = partial(_parse_list, item=lambda part: [part])
+_PENALTY = partial(_parse_list, item=partial(_number, "nonnegative"))
+_POSITIVE = partial(_parse_list, item=partial(_number, "positive"))
 OPTIONS = {
-    "p": Option(partial(_parse_int_list, name="degree", minimum=1), _ALL,
-                "polynomial degree(s), e.g. 2 or 1,2,3"),
-    "levels": Option(partial(_parse_int_list, name="level", minimum=0),
-                     tuple(STUDIES), "refinement levels, e.g. 1-4 or 0,1,2"),
-    "methods": Option(_parse_methods, tuple(STUDIES), "subset of {methods}"),
-    "cs2": Option(_parse_float_list, (*STUDIES, "solve"),
+    "p": Option(_DEGREES, _ALL, "polynomial degree(s), e.g. 2 or 1,2,3"),
+    "levels": Option(_LEVELS, tuple(STUDIES),
+                     "refinement levels, e.g. 1-4 or 0,1,2"),
+    "methods": Option(_METHODS, tuple(STUDIES), "subset of {methods}"),
+    "cs2": Option(_POSITIVE, (*STUDIES, "solve"),
                   "squared sound speed(s), e.g. 1,1000"),
-    "lambda_b": Option(_parse_float, _ALL, "flow-jump penalty (default 10 p^2)"),
-    "lambda_n": Option(_parse_float, _ALL, "normal-jump penalty (default "
+    "lambda_b": Option(_PENALTY, _ALL, "flow-jump penalty (default 10 p^2)"),
+    "lambda_n": Option(_PENALTY, _ALL, "normal-jump penalty (default "
                        "100 p^2, locking study 10 p^2)"),
-    "geom_order": Option(partial(_parse_int, name="geom_order", minimum=1),
+    "geom_order": Option(partial(_parse_list, item=partial(
+                             _integers, "geom_order", 1)),
                          _ALL, "geometry map degree (default: by degree p)"),
     "out": Option(_parse_dir, _ALL, "output directory (default: no files)"),
-    "method": Option(_parse_method, _CELL, "one of {methods}"),
-    "level": Option(partial(_parse_int, name="level", minimum=0), _CELL,
-                    "refinement level"),
+    "method": Option(_METHODS, _CELL, "one of {methods}"),
+    "level": Option(_LEVELS, _CELL, "refinement level"),
     "dump_mesh": Option(None, ("solve",), "write mesh.txt next to the report"),
     "dump_system": Option(None, ("solve",),
                           "write matrix.txt (coordinate format)"),
-    "b_scale": Option(partial(_parse_float, kind="positive"), ("diagnostics",),
+    "b_scale": Option(_POSITIVE, ("diagnostics",),
                       "scale factor on the background flow (default 1)"),
 }
 
@@ -641,9 +624,9 @@ def _resolve(args, parser):
     """The runner keywords of the options given, config file values under
     explicit flags, held to the contract the module docstring states; a
     config key must be a valued option of the subcommand."""
-    command, study = args.command, args.command in STUDIES
+    command, study = args.command, STUDIES.get(args.command)
     methods = COMMANDS[command][1]
-    single = (_CSV_AXIS[STUDIES[command].axis][2],) if study else ("p", "cs2")
+    swept = (study.axis, "levels", "methods") if study else ()
     keys = [k for k, opt in OPTIONS.items()
             if opt.parse and command in opt.commands]
     flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
@@ -656,18 +639,27 @@ def _resolve(args, parser):
                 raise ValueError(f"config key {key!r} is not an option of "
                                  f"{command}")
         raw.update(flags)
-        for k, text in raw.items():
+        # the method first: the degrees a cell takes depend on it
+        for k in sorted(raw, key=lambda k: k != "method"):
             try:
-                value = OPTIONS[k].parse(text, methods)
-                if k in single and len(value) != 1:
+                value = OPTIONS[k].parse(raw[k])
+                if k not in swept and len(value) != 1:
                     raise ValueError(f"{command} takes a single value, "
-                                     f"got {text!r}")
+                                     f"got {raw[k]!r}")
+                for m in value if k in ("method", "methods") else ():
+                    if m not in methods:
+                        raise ValueError(f"method {m!r} is not one of "
+                                         + "|".join(methods))
+                if k == "p" and "method" in kw:
+                    check_degree(kw["method"], value[0])
             except ValueError as exc:
                 where = ("--" + k.replace("_", "-") if k in flags
                          else f"config key {k!r}")
                 raise ValueError(f"{where}: {exc}") from None
-            if k in ("p", "cs2"):   # a study's lists, a cell's one value
-                k, value = (f"{k}_list", value) if study else (k, value[0])
+            if study and k in ("p", "cs2"):     # a fixed one as a 1-tuple
+                k += "_list"
+            elif k not in swept:
+                value, = value
             kw["out_path" if k == "out" else k] = value
         if "method" in keys and "method" not in kw:
             raise ValueError(f"{command} requires --method "

@@ -359,12 +359,19 @@ def _method_forms(method):
     return METHOD_FORMS[method]
 
 
+def check_degree(method, p):
+    """int(p) for a degree of a method: an integer >= 1, >= 2 with a
+    pseudo-pressure family (M2's, built at p - 1); else DegreeError."""
+    return check_integer(f"{method} degree", p,
+                         1 if _method_forms(method)[1] is None else 2,
+                         DegreeError)
+
+
 def method_spaces(method, mesh, p):
     """The (velocity, pseudo-pressure or None) spaces of a method at degree
-    p; DegreeError unless p is an integer >= 1 (>= 2 for M2)."""
+    p; DegreeError unless check_degree accepts p."""
     vel_family, pp_family, _, _ = _method_forms(method)
-    p = check_integer(f"{method} degree", p, 1 if pp_family is None else 2,
-                      DegreeError)
+    p = check_degree(method, p)
     return (build_space(vel_family, mesh, p), None if pp_family is None
             else build_space(pp_family, mesh, p - 1))
 

@@ -250,12 +250,17 @@ BAD = {"p": "x", "levels": "3-1", "methods": "M7", "cs2": "-4",
        "method": "M7", "level": "x", "b_scale": "0"}
 
 
-# Values an option's parser reads that the subcommand refuses: more than
-# one value of a field it holds fixed, or a method it does not run.
-REFUSED = {("solve", "p"): "1,2", ("diagnostics", "p"): "1,2",
-           ("locking", "p"): "1,2", ("gradrob", "p"): "1,2",
-           ("convergence", "cs2"): "1,10", ("solve", "cs2"): "1,10",
-           ("diagnostics", "method"): "M2"}
+# Values an option's parser reads that the subcommand refuses, each with a
+# part of its error: two values of an option it takes one value of (every
+# option but out, a study's levels and methods and the field its CSV
+# sweeps), or a method it does not run.
+TWO = {"p": "1,2", "cs2": "1,10", "lambda_b": "1,2", "lambda_n": "1,2",
+       "geom_order": "1,2", "method": "M1,M3", "level": "1,2",
+       "b_scale": "1,2"}
+REFUSED = {(command, name): [(two, "takes a single value")]
+           for name, two in TWO.items() for command in OPTIONS[name].commands
+           if command not in STUDIES or STUDIES[command].axis != name}
+REFUSED["diagnostics", "method"].append(("M2", "is not one of M1|M3|M4"))
 
 
 def _flag(name):
@@ -264,14 +269,16 @@ def _flag(name):
 
 def _resolved(command, name, value):
     """The runner keywords _resolve gives for option name set to its parsed
-    value alone, with the --method M3 a cell subcommand requires: out sets
-    out_path, a study's p and cs2 set p_list and cs2_list, and a cell
-    subcommand takes the one value of its p or cs2 list."""
+    value alone, a tuple, with the --method M3 a cell subcommand requires:
+    out sets out_path, a study's p and cs2 set p_list and cs2_list, a
+    study's p, cs2, levels and methods keep their tuple, and every other
+    option takes the one value of its tuple."""
     if command in STUDIES:
         keyword = {"out": "out_path", "p": "p_list", "cs2": "cs2_list"}
+        if name not in ("p", "cs2", "levels", "methods"):
+            value, = value
         return {keyword.get(name, name): value}
-    if name in ("p", "cs2"):
-        value, = value
+    value, = value
     return {"method": "M3", "out_path" if name == "out" else name: value}
 
 
@@ -283,7 +290,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
     subcommands its OPTIONS entry names; any other subcommand refuses both
     (exit 2).  Where it is taken, a bad value, and a value the subcommand
     refuses (REFUSED), exits 2 before any cell runs, and its error starts
-    with the flag or the config key it came from."""
+    with the flag or the config key it came from and names the rule."""
     monkeypatch.setattr(cli, "_solve_cell", None)
     monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
     assert set(GOOD) == set(BAD) == {n for n, o in OPTIONS.items() if o.parse}
@@ -296,7 +303,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
     needs_method = command not in STUDIES and name != "method"
     method = ["--method", "M3"] if needs_method else []
     if takes:
-        want = _resolved(command, name, opt.parse(good, COMMANDS[command][1]))
+        want = _resolved(command, name, opt.parse(good))
         args = parser.parse_args([command, f"{flag}={good}"] + method)
         assert cli._resolve(args, parser) == want
     else:
@@ -314,9 +321,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
                 in capsys.readouterr().err)
         return
     assert cli._resolve(args, parser) == want
-    for bad in (bad, REFUSED.get((command, name))):
-        if bad is None:
-            continue
+    for bad, part in [(bad, ""), *REFUSED.get((command, name), ())]:
         cfg.write_text(f"{name}={bad}\n")
         for argv, where in (([f"{flag}={bad}"], flag),
                             (["--config", str(cfg)], f"config key {name!r}")):
@@ -325,6 +330,7 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
             assert exc.value.code == 2, argv
             err = capsys.readouterr().err
             assert f"error: {where}: " in err, (argv, err)
+            assert part in err, (argv, err)
 
 
 def _help_text(capsys, command):
@@ -363,16 +369,18 @@ def test_diagnostics_help_and_error_name_the_same_methods(monkeypatch,
 def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
     """A nonpositive or infinite c_s^2, a penalty that is not finite, a
     list option naming no value, a degree below 1, a level below 0 (in a
-    list, after a good one, too), a geometry order below 1 or a missing
-    output directory exits 2 before anything is solved, and before any
-    progress line, with an error that starts with its flag or config
-    key."""
-    def no_cell(*args):
-        raise AssertionError("a cell ran")
+    list, after a good one, too), M2 at degree 1, a geometry order below 1
+    or a missing output directory exits 2 before any mesh is built or
+    anything solved, and before any progress line, with an error that
+    starts with its flag or config key."""
+    def no_cell(*args, **kw):
+        raise AssertionError("a cell started")
 
     monkeypatch.setattr(cli, "_solve_cell", no_cell)
-    cfg = tmp_path / "run.cfg"
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", no_cell)
+    cfg, p1 = tmp_path / "run.cfg", tmp_path / "p1.cfg"
     cfg.write_text("cs2=\n")
+    p1.write_text("p=1\n")
     for argv, where in (
             (["locking", "--cs2=1,-4", "--levels", "0"], "--cs2"),
             (["gradrob", "--cs2=nan", "--levels", "0"], "--cs2"),
@@ -395,7 +403,10 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
               str(tmp_path / "missing")], "--out"),
             (["locking", "--levels", "0", "--geom-order", "0"],
              "--geom-order"),
-            (["solve", "--method", "M3", "--level=-1"], "--level")):
+            (["solve", "--method", "M3", "--level=-1"], "--level"),
+            (["solve", "--method", "M2", "--p", "1", "--level", "0"], "--p"),
+            (["solve", "--method", "M2", "--level", "0", "--config", str(p1)],
+             "config key 'p'")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

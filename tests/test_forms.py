@@ -404,6 +404,22 @@ def test_m2_requires_degree_two(square1):
             method_spaces("M2", square1, bad)
 
 
+@pytest.mark.parametrize("method,p", [("M2", 1), ("M2", 2.0), ("M1", 0),
+                                      ("M3", "1"), ("M4", True)])
+def test_method_spaces_asks_check_degree(square1, method, p):
+    """method_spaces refuses a degree with check_degree's DegreeError, text
+    and all, so a caller can refuse it before building a mesh; both take
+    M2 from degree 2 and the other methods from degree 1."""
+    with pytest.raises(DegreeError) as spaces:
+        method_spaces(method, square1, p)
+    with pytest.raises(DegreeError) as rule:
+        forms.check_degree(method, p)
+    assert str(spaces.value) == str(rule.value)
+    assert str(rule.value).startswith(f"{method} degree must be an integer")
+    assert [forms.check_degree(m, 2 if m == "M2" else 1)
+            for m in METHODS] == [1, 2, 1, 1]
+
+
 def test_m2_schur_oracle(square1):
     """Eliminating the auxiliary scalar reproduces -a(u,u) + b^pp(u,u).
 
