@@ -21,10 +21,13 @@ check_integer's minimums, a list names a value, --out is a directory).
 _resolve applies the subcommand's rules to flags and config values alike:
 its options; a study sweeps its CSV axis, levels and methods, and every
 other option takes one value; a method is one of the subcommand's; solve
-and diagnostics require --method, and its degree rule (check_degree).  A
+and diagnostics require --method, and its degree rule (check_degree); and
+every cell it runs keeps the quadrature orders it computes
+(quadrature_orders; diagnostics has no error norms) within MAX_ORDER.  A
 refusal exits 2 before any cell runs, and starts with the flag or config
-key it came from.  The runners' signatures hold the defaults.  A method's
-columns are named by its NORMS entry.
+key it came from (for an order above the cap --geom-order if given, else
+--p).  The runners' signatures hold the defaults.  A method's columns are
+named by its NORMS entry.
 
 solve and diagnostics print their one-cell record, a key=value line per
 entry with an absent value empty, and --out gets the same lines as
@@ -40,6 +43,8 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
+from inspect import signature
+from itertools import product
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
 from .problems import convergence_problem, gradrob_problem, locking_problem
-from .quadrature import check_integer
+from .quadrature import MAX_ORDER, check_integer, quadrature_orders
 
 # The norm of each method.  A report column is a prefix and the norm: the
 # CSV carries "error" or "norm" columns, and the triple-norm errors ("xh")
@@ -620,6 +625,18 @@ def build_parser():
     return parser
 
 
+def _cells(command, kw):
+    """(method, p) of every cell the runner keywords kw give a subcommand:
+    a study's methods at each of its degrees, or the one cell, its degree
+    by default its runner's."""
+    if command in STUDIES:
+        return product(kw.get("methods", METHODS),
+                       kw.get("p_list", STUDIES[command].p_list))
+    runner = run_solve if command == "solve" else run_diagnostics
+    return [(kw["method"],
+             kw.get("p", signature(runner).parameters["p"].default))]
+
+
 def _resolve(args, parser):
     """The runner keywords of the options given, config file values under
     explicit flags, held to the contract the module docstring states; a
@@ -632,6 +649,7 @@ def _resolve(args, parser):
     flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     kw = {k: True for k, opt in OPTIONS.items()
           if opt.parse is None and getattr(args, k, False)}
+    k = None                # the option a refusal names, if any
     try:
         raw = read_config(args.config) if args.config else {}
         for key in raw:
@@ -639,34 +657,48 @@ def _resolve(args, parser):
                 raise ValueError(f"config key {key!r} is not an option of "
                                  f"{command}")
         raw.update(flags)
-        # the method first: the degrees a cell takes depend on it
-        for k in sorted(raw, key=lambda k: k != "method"):
-            try:
-                value = OPTIONS[k].parse(raw[k])
-                if k not in swept and len(value) != 1:
-                    raise ValueError(f"{command} takes a single value, "
-                                     f"got {raw[k]!r}")
-                for m in value if k in ("method", "methods") else ():
-                    if m not in methods:
-                        raise ValueError(f"method {m!r} is not one of "
-                                         + "|".join(methods))
-                if k == "p" and "method" in kw:
-                    check_degree(kw["method"], value[0])
-            except ValueError as exc:
-                where = ("--" + k.replace("_", "-") if k in flags
-                         else f"config key {k!r}")
-                raise ValueError(f"{where}: {exc}") from None
+        for k in raw:
+            value = OPTIONS[k].parse(raw[k])
+            if k not in swept and len(value) != 1:
+                raise ValueError(f"{command} takes a single value, "
+                                 f"got {raw[k]!r}")
+            for m in value if k in ("method", "methods") else ():
+                if m not in methods:
+                    raise ValueError(f"method {m!r} is not one of "
+                                     + "|".join(methods))
             if study and k in ("p", "cs2"):     # a fixed one as a 1-tuple
-                k += "_list"
-            elif k not in swept:
-                value, = value
-            kw["out_path" if k == "out" else k] = value
+                kw[k + "_list"] = value
+            else:
+                kw["out_path" if k == "out" else k] = (value if k in swept
+                                                       else value[0])
+        k = None
         if "method" in keys and "method" not in kw:
             raise ValueError(f"{command} requires --method "
                              + "|".join(methods))
+        # every cell the subcommand runs keeps its quadrature orders, those
+        # the subcommand computes, within the cap
+        for m, p in _cells(command, kw):
+            k = "p"
+            try:
+                check_degree(m, p)
+            except DegreeError:
+                if study:           # a study leaves the cell empty
+                    continue
+                raise
+            k = "geom_order" if "geom_order" in raw else "p"
+            g = kw.get("geom_order") or default_geom_order(p)
+            uses = quadrature_orders(METHOD_FORMS[m][0], p, g)
+            if command == "diagnostics":        # it computes no error norms
+                del uses["error norms"]
+            if max(uses.values()) > MAX_ORDER:
+                raise ValueError(f"{m} at p={p}, geom_order={g} needs "
+                                 f"quadrature order {max(uses.values())}, "
+                                 f"above the supported maximum {MAX_ORDER}")
         return kw
     except (OSError, ValueError) as exc:
-        parser.error(str(exc))
+        where = ("--" + k.replace("_", "-") if k in flags
+                 else f"config key {k!r}")
+        parser.error(str(exc) if k is None else f"{where}: {exc}")
 
 
 def main(argv=None):

@@ -30,7 +30,8 @@ curved elements of a batch only.
 import numpy as np
 
 from .mesh import GeometryMap, facet_ref_points
-from .quadrature import check_integer, segment_rule, triangle_rule
+from .quadrature import (check_integer, quadrature_orders, segment_rule,
+                         triangle_rule)
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         eval_monomials, lagrange_basis, monomial_exponents,
                         shifted_legendre)
@@ -44,10 +45,10 @@ class DegreeError(ValueError):
 
 
 def quadrature_order(space):
-    """Default exactness order of quadrature on a space: 2p for a product
-    of two degree-p fields, 2(g - 1) for the Jacobian factors of a degree-g
-    geometry map, plus 2."""
-    return 2 * space.degree + 2 * (space.mesh.geom_order - 1) + 2
+    """Default exactness order of quadrature on a space, its "assembly"
+    entry of quadrature_orders."""
+    return quadrature_orders(space.family, space.degree,
+                             space.mesh.geom_order)["assembly"]
 
 
 def build_space(family, mesh, p):
@@ -110,18 +111,18 @@ class FeSpace:
 
     # -- basis evaluation ---------------------------------------------------
 
-    def eval_basis(self, elems, ref_pts, need_grad=True):
+    def eval_basis(self, elems, ref_pts):
         """Physical basis values on the elements of the int array `elems`.
 
         `ref_pts` is (q, 2), shared by every element, or (E, q, 2), one set
-        per element.  Returns (values, gradients, divergences):
-        scalar family: (E, q, nloc), (E, q, nloc, 2), None;
-        vector families: (E, q, nloc, 2), (E, q, nloc, 2, 2) with
-        grad[c, d] = d u_c / d x_d, and (E, q, nloc).
+        per element.  Returns (values, gradients, divergences): for the
+        vector families (E, q, nloc, 2), (E, q, nloc, 2, 2) with
+        grad[c, d] = d u_c / d x_d, and (E, q, nloc); for the scalar
+        pseudo-pressure family only its values, (E, q, nloc), None, None.
         """
-        return self._evaluate(elems, ref_pts, need_grad)
+        return self._evaluate(elems, ref_pts)
 
-    def _evaluate(self, elems, ref_pts, need_grad, coefficients=None):
+    def _evaluate(self, elems, ref_pts, coefficients=None):
         """eval_basis, or with (ndof, k) coefficients the k fields they
         span, one per column, in place of its basis axis.  The
         coefficients are applied on the reference element, before the
@@ -132,7 +133,7 @@ class FeSpace:
             raise ValueError(f"elems must be a 1-D int array, got {elems!r}")
         ref = np.asarray(ref_pts, dtype=float)
         u, g = self._reference_shapes(elems, ref, coefficients)
-        return self._map(elems, ref, u, g, need_grad)
+        return self._map(elems, ref, u, g)
 
     def _reference_shapes(self, elems, ref, coefficients):
         """Local shapes on the reference element and their reference gradients.
@@ -162,7 +163,7 @@ class FeSpace:
         return (np.einsum(lead + "m...,emi->eqi...", u, W, optimize=True),
                 np.einsum(lead + "m...,emi->eqi...", g, W, optimize=True))
 
-    def _map(self, elems, ref, u, g, need_grad):
+    def _map(self, elems, ref, u, g):
         """(values, gradients, divergences) on the physical elements.
 
         Lagrange shapes keep their values; gradients map by J^-1.  The Piola
@@ -170,16 +171,12 @@ class FeSpace:
         P = J / det J, divergence div_ref u / det J and gradient
         (dP u + P g) J^-1, where dP = dP / d ref.  dP is zero on affine
         elements, so its term is formed on the curved elements only.
-        Scalar Lagrange values need no geometry at all.
+        Scalar Lagrange values (values only, None, None) need no geometry.
         """
-        if self.family == "scalar_lagrange" and not need_grad:
+        if self.family == "scalar_lagrange":
             return np.broadcast_to(u, (len(elems),) + u.shape[-2:]), None, None
         gm = self.mesh.geometry(elems)
         jac = gm.jacobian(ref)
-        if self.family == "scalar_lagrange":
-            grads = np.einsum("...qnd,...qde->...qne", g, GeometryMap.inv(jac),
-                              optimize=True)
-            return np.broadcast_to(u, grads.shape[:-1]), grads, None
         if self.family == "vector_lagrange":
             grads = np.einsum("...qncd,...qde->...qnce", g,
                               GeometryMap.inv(jac), optimize=True)
@@ -189,8 +186,6 @@ class FeSpace:
         P = jac / det[..., None, None]                        # Piola matrix
         vals = np.einsum("...qck,...qik->...qic", P, u, optimize=True)
         div = (g[..., 0, 0] + g[..., 1, 1]) / det[..., None]
-        if not need_grad:
-            return vals, None, div
         jinv = GeometryMap.inv(jac)
         # contract the per-point geometric factors with J^-1 first, so the
         # only arrays with a basis axis are the terms of the result
@@ -249,7 +244,8 @@ class FeSpace:
                                              mono * nref[c], optimize=True)
 
         if p >= 2:
-            vrule = triangle_rule(quadrature_order(self) + 4)
+            vrule = triangle_rule(quadrature_orders(
+                self.family, p, mesh.geom_order)["interior moments"])
             gm = mesh.geometry(elems)
             jac = gm.jacobian(vrule.points)
             det = GeometryMap.dets(jac)
@@ -321,12 +317,11 @@ class DiscreteField:
         self.space = space
         self.coefficients = coefficients.reshape(space.ndof, -1)
 
-    def evaluate(self, elems, ref_pts, need_grad=True):
+    def evaluate(self, elems, ref_pts):
         """(values, gradients, divergences) of the k fields on the elements
-        of the int array `elems`; shapes as in FeSpace.eval_basis, with
+        of the int array `elems`, as FeSpace.eval_basis returns them, with
         the k fields in place of its basis axis."""
-        return self.space._evaluate(elems, ref_pts, need_grad,
-                                    self.coefficients)
+        return self.space._evaluate(elems, ref_pts, self.coefficients)
 
 
 def eval_pointwise(fun, pts):

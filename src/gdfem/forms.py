@@ -44,7 +44,7 @@ from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
 from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
                      LinearSystem, assemble_csr, assemble_vector)
-from .quadrature import check_integer
+from .quadrature import check_integer, quadrature_orders
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -120,13 +120,12 @@ def _chunks(n):
     return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
-def _volume(space, order, need_grad=True, elems=slice(None)):
+def _volume(space, order, elems=slice(None)):
     """Weights * det, points and basis tables (eval_basis) of the elements
     of the slice `elems`, all by default."""
     rule, wdet, phys = space.mesh.element_quadrature(order)
     return (wdet[elems], phys[elems]) + space.eval_basis(
-        np.arange(space.mesh.num_triangles)[elems], rule.points,
-        need_grad=need_grad)
+        np.arange(space.mesh.num_triangles)[elems], rule.points)
 
 
 def _matrix(space, loc):
@@ -178,14 +177,14 @@ def _facet_dofs(space, fg):
     return np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
 
 
-def _facet_basis(space, fg, need_grad=True):
+def _facet_basis(space, fg):
     """Basis traces of every owner of a facet batch, owners side by side.
 
     Returns (values, gradients, divergences, signs) with the owners
     concatenated along the basis axis; the sign of a basis function is +1
     on owner 0 and -1 on owner 1.
     """
-    return _side_by_side([space.eval_basis(e, rp, need_grad=need_grad)
+    return _side_by_side([space.eval_basis(e, rp)
                           for (e, _, _), rp in zip(fg.sides, fg.ref_points)],
                          space.dof_map.shape[1])
 
@@ -193,10 +192,8 @@ def _facet_basis(space, fg, need_grad=True):
 def _side_by_side(traces, nloc):
     """The (values, gradients, divergences) of each owner, `nloc` basis
     functions each, as _facet_basis returns them, signs included."""
-    vals, grads, divs = (None if part[0] is None
-                         else np.concatenate(part, axis=2)
-                         for part in zip(*traces))
-    return vals, grads, divs, np.repeat([1.0, -1.0][:len(traces)], nloc)
+    return (*(np.concatenate(part, axis=2) for part in zip(*traces)),
+            np.repeat([1.0, -1.0][:len(traces)], nloc))
 
 
 def assemble_a_dg(coeffs, rule, fg, traces):
@@ -395,12 +392,11 @@ def _assemble(method, space, coeffs, order, pp_space, f):
     A chunk's tables come from two builders looked up at each call,
     _volume and _facet_basis, or the _ErrorSpace's own; every form with
     terms there reads them, and they are dropped before the next chunk's
-    are built.  The element table, with gradients, feeds the volume terms
-    and the load; a facet set's traces of both owners, with gradients only
-    where a_h has terms, feed both forms, and on M2's boundary its N and G
-    with the pseudo-pressure values.  Each form's blocks of all chunks of
-    a point set are scattered at once (_scatter), so every matrix equals
-    the one assembled from all items at once, bit for bit.
+    are built.  The element table feeds the volume terms and the load, a
+    facet set's traces of both owners feed both forms and, on M2's
+    boundary, its N and G with the pseudo-pressure values.  Each form's
+    blocks of all chunks of a point set are scattered at once (_scatter),
+    so every matrix equals the one assembled from all items, bit for bit.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
     volume, facet_basis = ((_ErrorSpace.volume, _ErrorSpace.facet_basis)
@@ -416,8 +412,7 @@ def _assemble(method, space, coeffs, order, pp_space, f):
         if pp_space is None:
             b.append(assemble_b_volume(t))
         else:
-            blocks = _pressure_blocks(t, _volume(
-                pp_space, order, need_grad=False, elems=elems)[2])
+            blocks = _pressure_blocks(t, _volume(pp_space, order, elems)[2])
             d.append(blocks[0])
             mp.append(blocks[1])
         del t
@@ -435,8 +430,8 @@ def _assemble(method, space, coeffs, order, pp_space, f):
         for facets in _chunks(len(fg.length)):
             part = fg.part(facets)
             qv = None if pp_space is None else pp_space.eval_basis(
-                part.sides[0][0], part.ref_points[0], need_grad=False)[0]
-            traces = facet_basis(space, part, need_grad=boundary in a_sets)
+                part.sides[0][0], part.ref_points[0])[0]
+            traces = facet_basis(space, part)
             if boundary in a_sets:
                 a.append(assemble_a_dg(coeffs, rule, part, traces))
             if pp_space is not None:
@@ -504,43 +499,39 @@ class _ErrorSpace:
         self.tables = (wq, phys) + errors
         if pp_space is not None:
             # L2 projection of each div e_j (D holds their loads)
-            D, Mp = _pressure_blocks(self.tables, _volume(
-                pp_space, order, need_grad=False)[2])
+            D, Mp = _pressure_blocks(self.tables, _volume(pp_space, order)[2])
             D = assemble_csr(pp_space.dof_map, self.dof_map, D,
                              (pp_space.ndof, self.ndof))
             self.div = DiscreteField(pp_space, spla.spsolve(
                 _matrix(pp_space, Mp).tocsc(), D.toarray()).reshape(
                     pp_space.ndof, self.ndof))
             self.tables = self.tables[:4] + (self.div.evaluate(
-                elems, rule.points, need_grad=False)[0],)
+                elems, rule.points)[0],)
 
     def _at(self, pts):
         """The exact u, grad u and div u at physical points pts."""
         return [eval_pointwise(f, pts) for f in (
             self.exact.u, self.exact.grad_u, self.exact.div_u)]
 
-    def _errors(self, elems, ref_pts, exact, need_grad=True):
+    def _errors(self, elems, ref_pts, exact):
         """(u_h values, (values, gradients, divergences) of e) at ref_pts of
         elems, from `exact` _at their physical points; the k fields stand
         where eval_basis has its basis axis."""
         u, grad_u, div_u = exact
-        vals, grads, div = self.u_h.evaluate(elems, ref_pts, need_grad)
-        return vals, (vals - u[..., None, :],
-                      None if grads is None
-                      else grads - grad_u[..., None, :, :],
+        vals, grads, div = self.u_h.evaluate(elems, ref_pts)
+        return vals, (vals - u[..., None, :], grads - grad_u[..., None, :, :],
                       div - div_u[..., None] if self.div is None
-                      else self.div.evaluate(elems, ref_pts,
-                                             need_grad=False)[0])
+                      else self.div.evaluate(elems, ref_pts)[0])
 
     def volume(self, order, elems):
         """_volume of the errors: the chunk `elems` of `tables` (at the
         order they were evaluated at, error_norms' order)."""
         return tuple(t[elems] for t in self.tables)
 
-    def facet_basis(self, fg, need_grad=True):
+    def facet_basis(self, fg):
         """_facet_basis of the errors on a facet chunk fg."""
         exact = self._at(fg.points)
-        return _side_by_side([self._errors(e, rp, exact, need_grad)[1]
+        return _side_by_side([self._errors(e, rp, exact)[1]
                               for (e, _, _), rp in zip(fg.sides,
                                                        fg.ref_points)],
                              self.ndof)
@@ -579,11 +570,13 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
         [check_number("cs2", c, "positive") for c in cs2])
     if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
-    order = quadrature_order(space) + 2 if order is None else order
+    if order is None:
+        order = quadrature_orders(space.family, space.degree,
+                                  space.mesh.geom_order)["error norms"]
     if exact is None:
         rule, wq, _ = space.mesh.element_quadrature(order)
         vals, _, _ = u_h.evaluate(np.arange(space.mesh.num_triangles),
-                                  rule.points, need_grad=False)
+                                  rule.points)
         return [{"l2_error": None, "xh_error": None, "l2_norm": n}
                 for n in _l2(wq, vals)]
 

@@ -329,12 +329,9 @@ def refine(mesh: Mesh) -> Mesh:
 
 
 def mesh_size(mesh: Mesh) -> float:
-    """Maximum element diameter over straight vertices."""
-    v = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    d01 = np.linalg.norm(v[:, 0] - v[:, 1], axis=1)
-    d12 = np.linalg.norm(v[:, 1] - v[:, 2], axis=1)
-    d20 = np.linalg.norm(v[:, 2] - v[:, 0], axis=1)
-    return float(np.max([d01, d12, d20]))
+    """Maximum element diameter over straight vertices: the largest facet
+    chord."""
+    return float(mesh.facet_length(np.arange(mesh.num_facets)).max())
 
 
 def facet_ref_points(k, ts, flipped):

@@ -228,7 +228,7 @@ def l2_project(space, f, order=None):
     order = quadrature_order(space) if order is None else order
     rule, wq, phys = space.mesh.element_quadrature(order)
     elems = np.arange(space.mesh.num_triangles)
-    bv, _, _ = space.eval_basis(elems, rule.points, need_grad=False)
+    bv, _, _ = space.eval_basis(elems, rule.points)
     fv = eval_pointwise(f, phys)
     if space.ncomp == 1:
         loc = np.einsum("eq,eqi,eqj->eij", wq, bv, bv, optimize=True)

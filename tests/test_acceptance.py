@@ -142,7 +142,7 @@ def test_kernel_fields_orthogonal_to_gradients(n, method):
     for e in range(mesh.num_triangles):
         det = GeometryMap.dets(mesh.geometry([e]).jacobian(rule.points))[0]
         wq = rule.weights * det
-        bv = space.eval_basis([e], rule.points, need_grad=False)[0][0]
+        bv = space.eval_basis([e], rule.points)[0][0]
         dofs = space.dof_map[e]
         M[np.ix_(dofs, dofs)] += np.einsum("q,qic,qjc->ij", wq, bv, bv)
     for j in range(V.shape[1]):

@@ -370,9 +370,11 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
     """A nonpositive or infinite c_s^2, a penalty that is not finite, a
     list option naming no value, a degree below 1, a level below 0 (in a
     list, after a good one, too), M2 at degree 1, a geometry order below 1
-    or a missing output directory exits 2 before any mesh is built or
-    anything solved, and before any progress line, with an error that
-    starts with its flag or config key."""
+    a missing output directory, or a cell whose quadrature order exceeds
+    the cap (from its degree or its geometry order, at the orders its
+    subcommand computes) exits 2 before any mesh is built or anything
+    solved, and before any progress line, with an error that starts with
+    its flag or config key.  A cell exactly at the cap still resolves."""
     def no_cell(*args, **kw):
         raise AssertionError("a cell started")
 
@@ -381,6 +383,9 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
     cfg, p1 = tmp_path / "run.cfg", tmp_path / "p1.cfg"
     cfg.write_text("cs2=\n")
     p1.write_text("p=1\n")
+    g17, p19 = tmp_path / "g17.cfg", tmp_path / "p19.cfg"
+    g17.write_text("geom_order=17\n")
+    p19.write_text("p=1,19\n")
     for argv, where in (
             (["locking", "--cs2=1,-4", "--levels", "0"], "--cs2"),
             (["gradrob", "--cs2=nan", "--levels", "0"], "--cs2"),
@@ -406,13 +411,35 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
             (["solve", "--method", "M3", "--level=-1"], "--level"),
             (["solve", "--method", "M2", "--p", "1", "--level", "0"], "--p"),
             (["solve", "--method", "M2", "--level", "0", "--config", str(p1)],
-             "config key 'p'")):
+             "config key 'p'"),
+            # order 42 of BDM's interior moments, 42 of the error norms and
+            # 46 of p=19's error norms, each above the cap of 40
+            (["solve", "--method", "M3", "--p", "2", "--level", "0",
+              "--geom-order", "17"], "--geom-order"),
+            (["solve", "--method", "M3", "--p", "2", "--level", "0",
+              "--config", str(g17)], "config key 'geom_order'"),
+            (["solve", "--method", "M3", "--level", "0", "--geom-order",
+              "17"], "--geom-order"),
+            (["solve", "--method", "M1", "--p", "1", "--level", "0",
+              "--geom-order", "19"], "--geom-order"),
+            (["convergence", "--p", "1,19", "--levels", "0", "--methods",
+              "M1"], "--p"),
+            (["convergence", "--levels", "0", "--methods", "M1", "--config",
+              str(p19)], "config key 'p'")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("usage: "), (argv, err)
         assert f"error: {where}: " in err, (argv, err)
+        if set(argv) & {"17", "19", "1,19", str(g17), str(p19)}:
+            assert "quadrature order 4" in err and "maximum 40" in err, err
+    # diagnostics computes no error norms: assembly order 40 is the cap
+    parser = cli.build_parser()
+    args = parser.parse_args(["diagnostics", "--method", "M1", "--p", "1",
+                              "--level", "0", "--geom-order", "19"])
+    assert cli._resolve(args, parser) == {"method": "M1", "p": 1, "level": 0,
+                                          "geom_order": 19}
 
 
 @pytest.mark.parametrize("study", ["locking", "gradrob"])

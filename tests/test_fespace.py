@@ -53,11 +53,10 @@ def test_invalid_spaces_rejected(square1):
         DiscreteField(build_space("vector_dg", square1, 1), np.zeros(3))
 
 
-@pytest.mark.parametrize("call,family,need_grad", [("geometry", None, True)] + [
-    (call, family, need_grad) for call in ("eval_basis", "evaluate")
-    for family in FAMILIES for need_grad in (True, False)])
-def test_int_element_names_the_array_convention(disc1_curved, call, family,
-                                                need_grad):
+@pytest.mark.parametrize("call,family", [("geometry", None)] + [
+    (call, family) for call in ("eval_basis", "evaluate")
+    for family in FAMILIES])
+def test_int_element_names_the_array_convention(disc1_curved, call, family):
     """Geometry, bases and fields take an int array of elements.  A bare int
     element is refused with a ValueError naming that convention, rather
     than an IndexError, an einsum ValueError or a TypeError from inside the
@@ -72,7 +71,7 @@ def test_int_element_names_the_array_convention(disc1_curved, call, family,
                   else DiscreteField(space, np.ones(space.ndof)))
 
         def run(elems):
-            return getattr(target, call)(elems, pts, need_grad=need_grad)
+            return getattr(target, call)(elems, pts)
     with pytest.raises(ValueError, match="elems must be a 1-D int array"):
         run(0)
     assert all(a is None or a.shape[:2] == (1, len(pts)) for a in run([0]))
@@ -84,7 +83,7 @@ def _trace_pair(mesh, space, coeffs_vec, f, ts):
     """Both-side traces (q, 2) of a field on interior facet f at params ts."""
     field = DiscreteField(space, coeffs_vec)
     fg = FacetGeometry(mesh, [f], ts)
-    return [field.evaluate(e, rp, need_grad=False)[0][0, :, 0]
+    return [field.evaluate(e, rp)[0][0, :, 0]
             for (e, _, _), rp in zip(fg.sides, fg.ref_points)]
 
 
@@ -142,7 +141,7 @@ def test_bdm_interpolation_reproduces_polynomials(square2):
         vh = bdm_interpolate(space, v)
         for e in (0, 3, 5):
             phys = square2.geometry([e]).points(pts)[0]
-            got = vh.evaluate([e], pts, need_grad=False)[0][0, :, 0]
+            got = vh.evaluate([e], pts)[0][0, :, 0]
             assert np.abs(got - v(phys)).max() <= 1e-10
 
 
@@ -225,8 +224,8 @@ def test_gradients_match_finite_differences(family, p):
         for d in range(2):
             step = np.zeros(2)
             step[d] = h
-            vp, _, _ = field.evaluate(e, np.array([r + step]), need_grad=False)
-            vm, _, _ = field.evaluate(e, np.array([r - step]), need_grad=False)
+            vp, _, _ = field.evaluate(e, np.array([r + step]))
+            vm, _, _ = field.evaluate(e, np.array([r - step]))
             fd[:, d] = (vp[0, 0, 0] - vm[0, 0, 0]) / (2 * h)
         fd_phys = fd @ np.linalg.inv(jac)
         assert np.abs(fd_phys - grads[q]).max() <= 1e-5
@@ -296,29 +295,42 @@ def test_piola_map_matches_full_derivative_formula(disc1_curved, family,
             _close(a, b)
 
 
-@pytest.mark.parametrize("family", ["scalar_lagrange", "vector_lagrange",
-                                    "vector_dg", "hdiv_bdm"])
-def test_values_and_divergences_without_gradients(disc1_curved, family):
-    """need_grad=False gives the values and divergences of need_grad=True;
-    the Piola families return no gradients."""
+@pytest.mark.parametrize("family", FAMILIES)
+def test_evaluation_contract(monkeypatch, disc1_curved, family):
+    """eval_basis and DiscreteField.evaluate return (values, gradients,
+    divergences) of shapes (E, q, n, 2), (E, q, n, 2, 2) and (E, q, n)
+    for a vector family, n the basis or field axis, and (values, None,
+    None) with values (E, q, n) for scalar_lagrange, which maps no
+    geometry; for shared (q, 2) points, per-element facet points
+    (E, q, 2) and a one-element batch alike."""
     mesh = disc1_curved
     space = build_space(family, mesh, 2)
-    field = DiscreteField(space, RNG.standard_normal(space.ndof))
-    elems = np.arange(mesh.num_triangles)
+    field = DiscreteField(space, RNG.standard_normal((space.ndof, 3)))
     _, fg = mesh.facet_quadrature(6, boundary=False)
-    for e, ref in ((elems, triangle_rule(6).points),
-                   ([0], np.array([[0.2, 0.3]])),
-                   (fg.sides[1][0], fg.ref_points[1])):
-        for evaluate in (space.eval_basis, field.evaluate):
-            vals, grads, div = evaluate(e, ref)
-            nvals, ngrads, ndiv = evaluate(e, ref, need_grad=False)
-            assert np.array_equal(nvals, vals)
+    geometry_calls = []
+    geometry = type(mesh).geometry
+
+    def counted(self, elems):
+        geometry_calls.append(len(elems))
+        return geometry(self, elems)
+
+    monkeypatch.setattr(type(mesh), "geometry", counted)
+    for elems, ref in ((np.arange(mesh.num_triangles),
+                        triangle_rule(6).points),
+                       (fg.sides[1][0], fg.ref_points[1]),
+                       (np.array([0]), np.array([[0.2, 0.3]]))):
+        for evaluate, n in ((space.eval_basis, space.dof_map.shape[1]),
+                            (field.evaluate, 3)):
+            vals, grads, div = evaluate(elems, ref)
+            lead = (len(elems), ref.shape[-2], n)
             if family == "scalar_lagrange":
-                assert div is None and ndiv is None
-                continue
-            if family in ("vector_dg", "hdiv_bdm"):
-                assert ngrads is None
-            assert np.array_equal(ndiv, div)
+                assert vals.shape == lead
+                assert grads is None and div is None
+            else:
+                assert vals.shape == lead + (2,)
+                assert grads.shape == lead + (2, 2)
+                assert div.shape == lead
+    assert (geometry_calls == []) == (family == "scalar_lagrange")
 
 
 # -- projection ---------------------------------------------------------------
@@ -336,7 +348,7 @@ def test_l2_project_matches_dense_oracle(square1):
         det = GeometryMap.dets(gm.jacobian(rule.points))[0]
         phys = gm.points(rule.points)[0]
         wq = rule.weights * det
-        bv = space.eval_basis([e], rule.points, need_grad=False)[0][0]
+        bv = space.eval_basis([e], rule.points)[0][0]
         dofs = space.dof_map[e]
         A[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq, bv, bv)
         rhs[dofs] += np.einsum("q,q,qj->j", wq, f(phys), bv)
@@ -352,14 +364,14 @@ def test_l2_project_reproduces_space_members(square2, disc1_curved):
     proj = l2_project(space, v)
     for e in (0, square2.num_triangles - 1):
         phys = square2.geometry([e]).points(pts)[0]
-        got = proj.evaluate([e], pts, need_grad=False)[0][0, :, 0]
+        got = proj.evaluate([e], pts)[0][0, :, 0]
         assert np.abs(got - v(phys)).max() <= 1e-11
     # curved mesh: the map is non-affine, so only near-best approximation
     cspace = build_space("vector_lagrange", disc1_curved, 2)
     cproj = l2_project(cspace, v)
     for e in range(disc1_curved.num_triangles):
         phys = disc1_curved.geometry([e]).points(pts)[0]
-        got = cproj.evaluate([e], pts, need_grad=False)[0][0, :, 0]
+        got = cproj.evaluate([e], pts)[0][0, :, 0]
         assert np.abs(got - v(phys)).max() <= 5e-3
 
 

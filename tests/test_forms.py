@@ -182,8 +182,8 @@ def _reexpand(field, dg_space):
     for e in range(mesh.num_triangles):
         det = GeometryMap.dets(mesh.geometry([e]).jacobian(rule.points))[0]
         wq = rule.weights * det
-        bv = dg_space.eval_basis([e], rule.points, need_grad=False)[0][0]
-        fv = field.evaluate([e], rule.points, need_grad=False)[0][0, :, 0]
+        bv = dg_space.eval_basis([e], rule.points)[0][0]
+        fv = field.evaluate([e], rule.points)[0][0, :, 0]
         M = np.einsum("q,qic,qjc->ij", wq, bv, bv)
         r = np.einsum("q,qc,qjc->j", wq, fv, bv)
         coeffs[dg_space.dof_map[e]] = np.linalg.solve(M, r)
@@ -280,12 +280,12 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     calls, held, facet_sets = [], [], []
     eval_basis, facet_basis = FeSpace.eval_basis, forms._facet_basis
 
-    def traced_facets(space, fg, need_grad=True):
-        out = facet_basis(space, fg, need_grad)
+    def traced_facets(space, fg):
+        out = facet_basis(space, fg)
         facet_sets.append(weakref.ref(out[0]))
         return out
 
-    def counted(space, elems, ref_pts, need_grad=True):
+    def counted(space, elems, ref_pts):
         assert all(ref() is None for ref in facet_sets)
         alive = [i for i, (ref, _, _) in enumerate(held)
                  if ref() is not None]
@@ -299,7 +299,7 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
             assert other_owner or pressure
         assert len(elems) <= forms.CHUNK
         calls.append((id(space), ref_pts.ctypes.data, elems.tobytes()))
-        out = eval_basis(space, elems, ref_pts, need_grad)
+        out = eval_basis(space, elems, ref_pts)
         held.append((weakref.ref(out[0]), space, ref_pts))
         return out
 
@@ -456,7 +456,7 @@ def test_m2_schur_oracle(square1):
         wq = rule.weights * det
         cs2 = co.cs2
         b = co.b_at(phys)
-        qv = pp.eval_basis([e], rule.points, need_grad=False)[0][0]
+        qv = pp.eval_basis([e], rule.points)[0][0]
         uv, ug, ud = (a[0, :, 0] for a in u.evaluate([e], rule.points))
         dofs = pp.dof_map[e]
         Mo[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", wq * cs2, qv, qv)
@@ -470,10 +470,10 @@ def test_m2_schur_oracle(square1):
     for f in np.nonzero(mesh.facet_boundary)[0]:
         fg = FacetGeometry(mesh, [f], ts)
         e0 = fg.sides[0][0]
-        uv = u.evaluate(e0, fg.ref_points[0], need_grad=False)[0][0, :, 0]
+        uv = u.evaluate(e0, fg.ref_points[0])[0][0, :, 0]
         un = np.einsum("qc,qc->q", uv, fg.normals[0])
         cs2 = co.cs2
-        qv = pp.eval_basis(e0, fg.ref_points[0], need_grad=False)[0][0]
+        qv = pp.eval_basis(e0, fg.ref_points[0])[0][0]
         h = mesh.facet_length(f)
         w = srule.weights * fg.dline[0]
         F[pp.dof_map[e0[0]]] -= np.einsum("q,q,qj->j", w * cs2, un, qv)
@@ -548,7 +548,7 @@ def test_divfree_kernel_embeds_into_dg(square2):
     for f in np.nonzero(square2.facet_boundary)[0]:
         fg = FacetGeometry(square2, [f], ts)
         e0 = fg.sides[0][0]
-        uv = udg.evaluate(e0, fg.ref_points[0], need_grad=False)[0][0, :, 0]
+        uv = udg.evaluate(e0, fg.ref_points[0])[0][0, :, 0]
         un = np.einsum("qc,qc->q", uv, fg.normals[0])
         penalty += co.lambda_n / square2.facet_length(f) \
             * float((srule.weights * fg.dline[0]) @ (un * un))
@@ -703,10 +703,10 @@ def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
     calls, exact_calls = [], []
     evaluate = DiscreteField.evaluate
 
-    def counted(field, elems, ref_pts, need_grad=True):
+    def counted(field, elems, ref_pts):
         if field.space is vel:
             calls.append((ref_pts.ctypes.data, np.asarray(elems).tobytes()))
-        return evaluate(field, elems, ref_pts, need_grad)
+        return evaluate(field, elems, ref_pts)
 
     def exact_u(pts):
         exact_calls.append(len(pts))

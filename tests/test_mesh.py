@@ -20,12 +20,22 @@ def normal_from_side(fg, mesh, side_index):
     return _unit_normals(jac, k)
 
 
+def longest_element_edge(mesh):
+    """The longest vertex-to-vertex edge over the three edges of every
+    element."""
+    v = mesh.vertices[mesh.triangles]
+    return float(np.linalg.norm(v - np.roll(v, -1, axis=1), axis=-1).max())
+
+
 def test_square_counts_and_area():
     mesh = make_unit_square_mesh(2)
     assert mesh.num_vertices == 9
     assert mesh.num_triangles == 8
     assert mesh.num_facets == 16
     assert abs(total_area(mesh) - 1.0) <= 1e-14
+    for n in (1, 2, 5):
+        square = make_unit_square_mesh(n)
+        assert mesh_size(square) == longest_element_edge(square)
 
 
 def test_disc_level0_counts():
@@ -211,9 +221,12 @@ def test_facet_geometry_part_equals_a_fresh_one(boundary):
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_disc_meshes_pass_the_circle_check(level):
+    """Every element keeps a positive Jacobian, and mesh_size, the largest
+    facet chord, is the longest element edge, bit for bit."""
     for g in (1, 2, 3, 4):
         mesh = make_unit_disc_mesh(level, geom_order=g)
         assert np.all(mesh.element_quadrature(8)[1] > 0)
+        assert mesh_size(mesh) == longest_element_edge(mesh)
 
 
 def test_mesh_dump(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gdfem.quadrature import (MAX_ORDER, QuadratureRule, UnsupportedOrderError,
-                              segment_rule, triangle_rule)
+                              quadrature_orders, segment_rule, triangle_rule)
 
 
 def monomial_integral(a, b):
@@ -69,3 +69,14 @@ def test_max_order_still_works():
     x = rule.points[:, 0]
     got = float(rule.weights @ x ** MAX_ORDER)
     assert abs(got - monomial_integral(MAX_ORDER, 0)) <= 1e-13
+
+
+def test_quadrature_orders_by_use():
+    """A space's orders: assembly 2p + 2(g - 1) + 2, the error norms 2
+    more, and BDM's interior moments, at p >= 2 only, 4 more."""
+    assert quadrature_orders("vector_lagrange", 1, 19) == {
+        "assembly": 40, "error norms": 42}
+    assert quadrature_orders("hdiv_bdm", 1, 2) == {
+        "assembly": 6, "error norms": 8}
+    assert quadrature_orders("hdiv_bdm", 2, 17) == {
+        "assembly": 38, "error norms": 40, "interior moments": 42}
