@@ -53,14 +53,19 @@ def test_invalid_spaces_rejected(square1):
         DiscreteField(build_space("vector_dg", square1, 1), np.zeros(3))
 
 
-@pytest.mark.parametrize("call,family", [("geometry", None)] + [
-    (call, family) for call in ("eval_basis", "evaluate")
-    for family in FAMILIES])
-def test_int_element_names_the_array_convention(disc1_curved, call, family):
+@pytest.mark.parametrize("call,family,numpy_elems", [
+    (call, family, numpy_elems)
+    for call, family in [("geometry", None)] + [
+        (call, family) for call in ("eval_basis", "evaluate")
+        for family in FAMILIES]
+    for numpy_elems in (True, False)])
+def test_int_element_names_the_array_convention(disc1_curved, call, family,
+                                                numpy_elems):
     """Geometry, bases and fields take an int array of elements.  A bare int
-    element is refused with a ValueError naming that convention, rather
-    than an IndexError, an einsum ValueError or a TypeError from inside the
-    batch code; the one-element array [0] works and keeps its batch axis."""
+    element, a Python int or a NumPy integer scalar, is refused with a
+    ValueError naming that convention, rather than an IndexError, an einsum
+    ValueError or a TypeError from inside the batch code; the one-element
+    list or array [0] works and keeps its batch axis."""
     pts = np.array([[0.2, 0.3], [0.1, 0.6]])
     if call == "geometry":
         def run(elems):
@@ -72,9 +77,10 @@ def test_int_element_names_the_array_convention(disc1_curved, call, family):
 
         def run(elems):
             return getattr(target, call)(elems, pts)
+    bare, batch = (np.intp(0), np.array([0])) if numpy_elems else (0, [0])
     with pytest.raises(ValueError, match="elems must be a 1-D int array"):
-        run(0)
-    assert all(a is None or a.shape[:2] == (1, len(pts)) for a in run([0]))
+        run(bare)
+    assert all(a is None or a.shape[:2] == (1, len(pts)) for a in run(batch))
 
 
 # -- conformity ---------------------------------------------------------------
