@@ -16,18 +16,14 @@ diagnostics   dense estimate of the control constant c_bh of b_h over the
 
 Each option is one OPTIONS entry (parser, subcommands, help), which builds
 the flags and decides the config keys a subcommand accepts.  A parser
-reads a tuple of values under the library's value rule (check_number,
-check_integer's minimums, a list names a value, --out is a directory).
-_resolve applies the subcommand's rules to flags and config values alike:
-its options; a study sweeps its CSV axis, levels and methods, and every
-other option takes one value; a method is one of the subcommand's; solve
-and diagnostics require --method, and its degree rule (check_degree); and
-every cell it runs keeps the quadrature orders it computes
-(quadrature_orders; diagnostics has no error norms) within MAX_ORDER.  A
-refusal exits 2 before any cell runs, and starts with the flag or config
-key it came from (for an order above the cap --geom-order if given, else
---p).  The runners' signatures hold the defaults.  A method's columns are
-named by its NORMS entry.
+reads a tuple of values (check_number's rule for a number, a list names a
+value, --out is a directory); _resolve holds flags and config values alike
+to the subcommand's options and arity: a study sweeps its CSV axis, levels
+and methods, every other option takes one value, and solve and diagnostics
+require --method.  The runners hold the defaults, and each checks every
+cell it would run before its first mesh (_plan): a study with no cell is
+refused too.  A refusal exits 2; a ParameterError's message starts with
+the flag or config key of the parameter it names.  NORMS names columns.
 
 solve and diagnostics print their one-cell record, a key=value line per
 entry with an absent value empty, and --out gets the same lines as
@@ -43,8 +39,6 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from inspect import signature
-from itertools import product
 
 import numpy as np
 
@@ -147,6 +141,16 @@ STUDIES = {
 
 # CSV second column per axis: (header, format, the fixed field)
 _CSV_AXIS = {"p": ("p", "%d", "cs2"), "cs2": ("cs", "%.17g", "p")}
+
+# subcommand -> (help, the methods its runner runs and --method(s) names)
+COMMANDS = {
+    "convergence": ("h-convergence study", METHODS),
+    "locking": ("volume-locking study", METHODS),
+    "gradrob": ("gradient-robustness study", METHODS),
+    "solve": ("single assemble+solve with reports", METHODS),
+    "diagnostics": ("control/inf-sup constant of one method (dense)",
+                    SINGLE_FIELD_METHODS),
+}
 
 
 # -- study report -------------------------------------------------------------
@@ -319,6 +323,56 @@ def write_svg(path, series, ref_slope, title, ylabel):
         fh.write("\n".join(out) + "\n")
 
 
+class ParameterError(ValueError):
+    """A refused value; `name` is its parameter, the CLI option."""
+
+    def __init__(self, name, message):
+        super().__init__(message)
+        self.name = name
+
+
+def _plan(command, methods, p_list, levels, geom_order):
+    """{(p, geometry order, levels): methods} of the cells that the runner
+    of `command` runs (levels None: the study's levels(p)).
+    ParameterError names the parameter of a method not in COMMANDS, a
+    degree, level or geometry order check_integer refuses, a degree
+    check_degree refuses (a study skips that cell: M2 at p = 1), a
+    quadrature order the command computes above MAX_ORDER, or no cell."""
+    study = STUDIES.get(command)
+    method_key, level_key = ("methods", "levels") if study else ("method",
+                                                                 "level")
+    plan = {}
+    for p in p_list:
+        check_integer("degree", p, 1, partial(ParameterError, "p"))
+        g = default_geom_order(p) if geom_order is None else geom_order
+        check_integer("geom_order", g, 1, partial(ParameterError, "geom_order"))
+        p_levels = tuple(study.levels(p) if levels is None else levels)
+        for level in p_levels:
+            check_integer("level", level, 0, partial(ParameterError, level_key))
+        for m in methods:
+            if m not in COMMANDS[command][1]:
+                raise ParameterError(method_key, f"method {m!r} is not one "
+                                     "of " + "|".join(COMMANDS[command][1]))
+            try:        # a study leaves the cell empty: M2 below p = 2
+                check_degree(m, p, DegreeError if study
+                             else partial(ParameterError, "p"))
+            except DegreeError:
+                continue
+            uses = quadrature_orders(METHOD_FORMS[m][0], p, g)
+            if command == "diagnostics":        # it computes no error norms
+                del uses["error norms"]
+            if max(uses.values()) > MAX_ORDER:
+                raise ParameterError(
+                    "p" if geom_order is None else "geom_order",
+                    f"{m} at p={p}, geom_order={g} needs quadrature order "
+                    f"{max(uses.values())}, above the maximum {MAX_ORDER}")
+            plan.setdefault((p, g, p_levels), []).append(m)
+    if not any(p_levels for _, _, p_levels in plan):
+        raise ParameterError(method_key, f"no cell to run: {','.join(methods)}"
+                             f" at p={','.join(map(str, p_list))}")
+    return plan
+
+
 # -- study runners ------------------------------------------------------------
 
 def _solve_cell(method, mesh, p, prob, ms):
@@ -349,11 +403,11 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
               geom_order=None, progress=None):
     """Run one study of STUDIES; returns (report, warnings).
 
-    Arguments left None take the study's defaults.  The runner loops
-    level -> method -> c_s^2.  It assembles each (mesh, method) operator
-    pair once, solves it at every c_s^2 and evaluates the error norms of
-    all the solutions in one error_norms call, given each one's c_s^2.
-    With out_path it writes the study's CSV and SVGs there.
+    Arguments left None take the study's defaults.  The runner loops over
+    its _plan's cells, p -> level -> method -> c_s^2.  It assembles each
+    (mesh, method) operator pair once, solves it at every c_s^2 and
+    evaluates the error norms of all the solutions in one error_norms call,
+    given each one's c_s^2.  With out_path it writes its CSV and SVGs there.
     """
     spec = STUDIES[study]
     p_list = spec.p_list if p_list is None else tuple(p_list)
@@ -361,22 +415,18 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     values = {"p": p_list, "cs2": cs2_list, "method": tuple(methods)}
     fixed = _CSV_AXIS[spec.axis][2]
     if len(values[fixed]) != 1:
-        raise ValueError(f"{study} takes a single --{fixed} value")
+        raise ParameterError(fixed, f"{study} takes a single {fixed} value")
     report = StudyReport(study)
     warnings = []
-    for p in p_list:
-        g = default_geom_order(p) if geom_order is None else geom_order
+    for (p, g, p_levels), p_methods in _plan(study, methods, p_list, levels,
+                                             geom_order).items():
         probs = [spec.problem(p=p, cs2=cs2, lambda_b=lambda_b,
                               lambda_n=lambda_n) for cs2 in cs2_list]
-        for level in spec.levels(p) if levels is None else levels:
+        for level in p_levels:
             mesh = make_unit_disc_mesh(level, geom_order=g)
             h = mesh_size(mesh)
-            for m in methods:
-                try:
-                    ms = assemble_method(m, mesh, p, probs[0].coeffs,
-                                         probs[0].f)
-                except DegreeError:     # M2 below p = 2: the cell stays empty
-                    continue
+            for m in p_methods:
+                ms = assemble_method(m, mesh, p, probs[0].coeffs, probs[0].f)
                 solved = []
                 for cs2, prob in zip(cs2_list, probs):
                     if progress:
@@ -455,15 +505,12 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     threshold on the eigenvalues of B_h, the route whose answer
     perfbench/expected.json records (estimate_control_constant).  A
     method with a pseudo-pressure family (M2) has no single-field pair to
-    compare and is rejected with ValueError.  With out_path the result is
-    written there as diagnostics.txt (_record).
+    compare; _plan refuses it as it does any bad cell.  With out_path the
+    result is written there as diagnostics.txt (_record).
     """
-    if method not in SINGLE_FIELD_METHODS:
-        raise ValueError("diagnostics requires --method "
-                         + "|".join(SINGLE_FIELD_METHODS))
+    [(_, g, _)] = _plan("diagnostics", [method], [p], [level], geom_order)
     coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
                                 b_scale=b_scale)
-    g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, coeffs, None)
     constrained = ms.velocity_space.constrained_dofs
@@ -496,7 +543,7 @@ def run_solve(method, level=1, p=2, cs2=1.0, out_path=None, geom_order=None,
               dump_system=False):
     """One solve of the smooth manufactured problem; returns its record,
     which out_path gets as solve.txt, next to the optional dumps."""
-    g = default_geom_order(p) if geom_order is None else geom_order
+    [(_, g, _)] = _plan("solve", [method], [p], [level], geom_order)
     prob = convergence_problem(p, cs2=cs2, lambda_b=lambda_b,
                                lambda_n=lambda_n)
     mesh = make_unit_disc_mesh(level, geom_order=g)
@@ -528,10 +575,10 @@ def _parse_list(text, item):
     return values
 
 
-def _integers(name, minimum, part):
-    """n or the range a-b, each passing check_integer(name, ., minimum)."""
+def _integers(part):
+    """n or the range a-b; the runners check their minimums (_plan)."""
     a, b = part.split("-", 1) if "-" in part[1:] else (part, part)
-    return [check_integer(name, v, minimum) for v in range(int(a), int(b) + 1)]
+    return range(int(a), int(b) + 1)
 
 
 def _number(kind, part):
@@ -560,16 +607,6 @@ def read_config(path):
     return cfg
 
 
-# subcommand -> (help, the methods its --method or --methods names)
-COMMANDS = {
-    "convergence": ("h-convergence study", METHODS),
-    "locking": ("volume-locking study", METHODS),
-    "gradrob": ("gradient-robustness study", METHODS),
-    "solve": ("single assemble+solve with reports", METHODS),
-    "diagnostics": ("control/inf-sup constant of one method (dense)",
-                    SINGLE_FIELD_METHODS),
-}
-
 # Every option, in help order: the parser of its text, which returns the
 # tuple of its values and raises ValueError for one the library refuses
 # (None for a flag without a value, which is no config key), the subcommands
@@ -577,14 +614,13 @@ COMMANDS = {
 # The flag is --name with "-" for "_", and the config key is the name.
 Option = namedtuple("Option", "parse commands help")
 _ALL, _CELL = tuple(COMMANDS), ("solve", "diagnostics")
-_DEGREES = partial(_parse_list, item=partial(_integers, "degree", 1))
-_LEVELS = partial(_parse_list, item=partial(_integers, "level", 0))
+_INTEGERS = partial(_parse_list, item=_integers)
 _METHODS = partial(_parse_list, item=lambda part: [part])
 _PENALTY = partial(_parse_list, item=partial(_number, "nonnegative"))
 _POSITIVE = partial(_parse_list, item=partial(_number, "positive"))
 OPTIONS = {
-    "p": Option(_DEGREES, _ALL, "polynomial degree(s), e.g. 2 or 1,2,3"),
-    "levels": Option(_LEVELS, tuple(STUDIES),
+    "p": Option(_INTEGERS, _ALL, "polynomial degree(s), e.g. 2 or 1,2,3"),
+    "levels": Option(_INTEGERS, tuple(STUDIES),
                      "refinement levels, e.g. 1-4 or 0,1,2"),
     "methods": Option(_METHODS, tuple(STUDIES), "subset of {methods}"),
     "cs2": Option(_POSITIVE, (*STUDIES, "solve"),
@@ -592,12 +628,11 @@ OPTIONS = {
     "lambda_b": Option(_PENALTY, _ALL, "flow-jump penalty (default 10 p^2)"),
     "lambda_n": Option(_PENALTY, _ALL, "normal-jump penalty (default "
                        "100 p^2, locking study 10 p^2)"),
-    "geom_order": Option(partial(_parse_list, item=partial(
-                             _integers, "geom_order", 1)),
-                         _ALL, "geometry map degree (default: by degree p)"),
+    "geom_order": Option(_INTEGERS, _ALL,
+                         "geometry map degree (default: by degree p)"),
     "out": Option(_parse_dir, _ALL, "output directory (default: no files)"),
     "method": Option(_METHODS, _CELL, "one of {methods}"),
-    "level": Option(_LEVELS, _CELL, "refinement level"),
+    "level": Option(_INTEGERS, _CELL, "refinement level"),
     "dump_mesh": Option(None, ("solve",), "write mesh.txt next to the report"),
     "dump_system": Option(None, ("solve",),
                           "write matrix.txt (coordinate format)"),
@@ -625,87 +660,47 @@ def build_parser():
     return parser
 
 
-def _cells(command, kw):
-    """(method, p) of every cell the runner keywords kw give a subcommand:
-    a study's methods at each of its degrees, or the one cell, its degree
-    by default its runner's."""
-    if command in STUDIES:
-        return product(kw.get("methods", METHODS),
-                       kw.get("p_list", STUDIES[command].p_list))
-    runner = run_solve if command == "solve" else run_diagnostics
-    return [(kw["method"],
-             kw.get("p", signature(runner).parameters["p"].default))]
-
-
-def _resolve(args, parser):
+def _resolve(args):
     """The runner keywords of the options given, config file values under
-    explicit flags, held to the contract the module docstring states; a
-    config key must be a valued option of the subcommand."""
+    explicit flags, held to the options and arity the module docstring
+    states; a ParameterError names the option at fault."""
     command, study = args.command, STUDIES.get(args.command)
-    methods = COMMANDS[command][1]
     swept = (study.axis, "levels", "methods") if study else ()
     keys = [k for k, opt in OPTIONS.items()
             if opt.parse and command in opt.commands]
-    flags = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     kw = {k: True for k, opt in OPTIONS.items()
           if opt.parse is None and getattr(args, k, False)}
-    k = None                # the option a refusal names, if any
-    try:
-        raw = read_config(args.config) if args.config else {}
-        for key in raw:
-            if key not in keys:
-                raise ValueError(f"config key {key!r} is not an option of "
-                                 f"{command}")
-        raw.update(flags)
-        for k in raw:
-            value = OPTIONS[k].parse(raw[k])
-            if k not in swept and len(value) != 1:
-                raise ValueError(f"{command} takes a single value, "
-                                 f"got {raw[k]!r}")
-            for m in value if k in ("method", "methods") else ():
-                if m not in methods:
-                    raise ValueError(f"method {m!r} is not one of "
-                                     + "|".join(methods))
-            if study and k in ("p", "cs2"):     # a fixed one as a 1-tuple
-                kw[k + "_list"] = value
-            else:
-                kw["out_path" if k == "out" else k] = (value if k in swept
-                                                       else value[0])
-        k = None
-        if "method" in keys and "method" not in kw:
-            raise ValueError(f"{command} requires --method "
-                             + "|".join(methods))
-        # every cell the subcommand runs keeps its quadrature orders, those
-        # the subcommand computes, within the cap
-        for m, p in _cells(command, kw):
-            k = "p"
-            try:
-                check_degree(m, p)
-            except DegreeError:
-                if study:           # a study leaves the cell empty
-                    continue
-                raise
-            k = "geom_order" if "geom_order" in raw else "p"
-            g = kw.get("geom_order") or default_geom_order(p)
-            uses = quadrature_orders(METHOD_FORMS[m][0], p, g)
-            if command == "diagnostics":        # it computes no error norms
-                del uses["error norms"]
-            if max(uses.values()) > MAX_ORDER:
-                raise ValueError(f"{m} at p={p}, geom_order={g} needs "
-                                 f"quadrature order {max(uses.values())}, "
-                                 f"above the supported maximum {MAX_ORDER}")
-        return kw
-    except (OSError, ValueError) as exc:
-        where = ("--" + k.replace("_", "-") if k in flags
-                 else f"config key {k!r}")
-        parser.error(str(exc) if k is None else f"{where}: {exc}")
+    raw = read_config(args.config) if args.config else {}
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"config key {key!r} is not an option of "
+                             f"{command}")
+    raw.update({k: getattr(args, k) for k in keys
+                if getattr(args, k) is not None})
+    for k, text in raw.items():
+        try:
+            value = OPTIONS[k].parse(text)
+        except ValueError as exc:
+            raise ParameterError(k, exc) from None
+        if k not in swept and len(value) != 1:
+            raise ParameterError(k, f"{command} takes a single value, "
+                                 f"got {text!r}")
+        if study and k in ("p", "cs2"):     # a fixed one as a 1-tuple
+            kw[k + "_list"] = value
+        else:
+            kw["out_path" if k == "out" else k] = (value if k in swept
+                                                   else value[0])
+    if "method" in keys and "method" not in kw:
+        raise ValueError(f"{command} requires --method "
+                         + "|".join(COMMANDS[command][1]))
+    return kw
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    kw = _resolve(args, parser)
     try:
+        kw = _resolve(args)
         if args.command in STUDIES:
             report, warnings = run_study(
                 args.command, **kw,
@@ -720,7 +715,11 @@ def main(argv=None):
     except SingularMatrixError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, ParameterError):     # name its flag or config key
+            flag = getattr(args, exc.name) is not None
+            exc = (f"--{exc.name.replace('_', '-')}" if flag
+                   else f"config key {exc.name!r}") + f": {exc}"
         parser.error(str(exc))
     sys.stdout.write(_record(res))
     return 0

@@ -356,12 +356,11 @@ def _method_forms(method):
     return METHOD_FORMS[method]
 
 
-def check_degree(method, p):
+def check_degree(method, p, error=DegreeError):
     """int(p) for a degree of a method: an integer >= 1, >= 2 with a
-    pseudo-pressure family (M2's, built at p - 1); else DegreeError."""
+    pseudo-pressure family (M2's, built at p - 1); else `error`."""
     return check_integer(f"{method} degree", p,
-                         1 if _method_forms(method)[1] is None else 2,
-                         DegreeError)
+                         1 if _method_forms(method)[1] is None else 2, error)
 
 
 def method_spaces(method, mesh, p):

@@ -305,22 +305,22 @@ def test_option_table(monkeypatch, capsys, tmp_path, command, name):
     if takes:
         want = _resolved(command, name, opt.parse(good))
         args = parser.parse_args([command, f"{flag}={good}"] + method)
-        assert cli._resolve(args, parser) == want
+        assert cli._resolve(args) == want
     else:
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([command, f"{flag}={good}"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
     cfg.write_text(f"{name}={good}\n")
-    args = parser.parse_args([command, "--config", str(cfg)] + method)
     if not takes:
         with pytest.raises(SystemExit) as exc:
-            cli._resolve(args, parser)
+            main([command, "--config", str(cfg)] + method)
         assert exc.value.code == 2
         assert (f"config key {name!r} is not an option of {command}"
                 in capsys.readouterr().err)
         return
-    assert cli._resolve(args, parser) == want
+    args = parser.parse_args([command, "--config", str(cfg)] + method)
+    assert cli._resolve(args) == want
     for bad, part in [(bad, ""), *REFUSED.get((command, name), ())]:
         cfg.write_text(f"{name}={bad}\n")
         for argv, where in (([f"{flag}={bad}"], flag),
@@ -374,7 +374,7 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
     the cap (from its degree or its geometry order, at the orders its
     subcommand computes) exits 2 before any mesh is built or anything
     solved, and before any progress line, with an error that starts with
-    its flag or config key.  A cell exactly at the cap still resolves."""
+    its flag or config key."""
     def no_cell(*args, **kw):
         raise AssertionError("a cell started")
 
@@ -434,12 +434,102 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
         assert f"error: {where}: " in err, (argv, err)
         if set(argv) & {"17", "19", "1,19", str(g17), str(p19)}:
             assert "quadrature order 4" in err and "maximum 40" in err, err
-    # diagnostics computes no error norms: assembly order 40 is the cap
-    parser = cli.build_parser()
-    args = parser.parse_args(["diagnostics", "--method", "M1", "--p", "1",
-                              "--level", "0", "--geom-order", "19"])
-    assert cli._resolve(args, parser) == {"method": "M1", "p": 1, "level": 0,
-                                          "geom_order": 19}
+
+
+class _MeshReached(Exception):
+    pass
+
+
+def _no_cell(*args, **kw):
+    raise _MeshReached
+
+
+@pytest.mark.parametrize("runner,kw,name", [
+    pytest.param(run_convergence, dict(p_list=(1, 19), levels=(0,),
+                                       methods=("M1",)), "p", id="p-19"),
+    pytest.param(run_convergence, dict(p_list=(1, 0), levels=(0,),
+                                       methods=("M1",)), "p", id="p-0"),
+    pytest.param(run_convergence, dict(p_list=(1, 1.5), levels=(0,),
+                                       methods=("M1",)), "p", id="p-1.5"),
+    pytest.param(run_convergence, dict(p_list=(1, "2"), levels=(0,),
+                                       methods=("M1",)), "p", id="p-str"),
+    pytest.param(run_convergence, dict(p_list=(1,), levels=(0,),
+                                       methods=("M1", "M9")), "methods",
+                 id="methods-M9"),
+    pytest.param(run_convergence, dict(p_list=(1,), levels=(0, -1),
+                                       methods=("M1",)), "levels",
+                 id="levels-minus-1"),
+    pytest.param(run_locking, dict(levels=(0,), methods=("M3",),
+                                   geom_order=17), "geom_order",
+                 id="locking-geom-order-17"),
+    pytest.param(run_convergence, dict(p_list=(1,), levels=(0,),
+                                       methods=("M2",)), "methods",
+                 id="no-cell"),
+    pytest.param(run_solve, dict(method="M3", level=0, p=2, geom_order=17),
+                 "geom_order", id="solve-geom-order-17"),
+    pytest.param(run_solve, dict(method="M2", level=0, p=1), "p",
+                 id="solve-M2-p-1"),
+    pytest.param(run_solve, dict(method="M3", level=-1, p=1), "level",
+                 id="solve-level-minus-1"),
+    pytest.param(run_diagnostics, dict(method="M2", level=0, p=2), "method",
+                 id="diagnostics-M2")])
+def test_runners_refuse_a_bad_cell_before_any(monkeypatch, runner, kw, name):
+    """A runner checks every cell it would run before its first mesh: a
+    degree above the quadrature cap, below 1 or not an integer (a study
+    skips only M2's cells at a valid degree below 2), a method not its
+    subcommand's, a level below 0, a geometry order above the cap, and a
+    study with no cell to run each raise one ParameterError naming the
+    parameter, before any mesh is built or cell solved."""
+    monkeypatch.setattr(cli, "_solve_cell", _no_cell)
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", _no_cell)
+    with pytest.raises(cli.ParameterError) as exc:
+        runner(**kw)
+    assert exc.value.name == name
+
+
+def test_the_cap_edge_is_the_orders_a_runner_computes(monkeypatch):
+    """M1 at p=1, geometry order 19: diagnostics, which computes no error
+    norms, assembles at order 40, the cap, and reaches its mesh; solve
+    needs order 42 for the error norms and refuses the cell by
+    geom_order."""
+    monkeypatch.setattr(cli, "_solve_cell", _no_cell)
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", _no_cell)
+    with pytest.raises(_MeshReached):
+        run_diagnostics("M1", 0, 1, geom_order=19)
+    with pytest.raises(cli.ParameterError,
+                       match="needs quadrature order 42, above the "
+                             "maximum 40") as exc:
+        run_solve("M1", 0, 1, geom_order=19)
+    assert exc.value.name == "geom_order"
+
+
+def test_a_study_builds_meshes_only_for_its_cells(monkeypatch):
+    """M2 runs at p=2 but not at p=1: one mesh is built, for p=2, and the
+    p=1 cells stay empty."""
+    meshes = []
+    make_mesh = cli.make_unit_disc_mesh
+
+    def counted(*args, **kw):
+        meshes.append(args)
+        return make_mesh(*args, **kw)
+
+    monkeypatch.setattr(cli, "make_unit_disc_mesh", counted)
+    report, warnings = run_convergence(p_list=(1, 2), levels=(0,),
+                                       methods=("M2",))
+    assert not warnings
+    assert len(meshes) == 1
+    assert {r.p for r in report.csv_rows()} == {2}
+
+
+def test_a_study_without_cells_exits_2(capsys, tmp_path):
+    """M2 does not run at p=1: a study of nothing but that cell exits 2,
+    naming --methods, and writes no CSV."""
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--p", "1", "--levels", "0", "--methods", "M2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: --methods: no cell to run" in capsys.readouterr().err
+    assert not (tmp_path / "hconv.csv").exists()
 
 
 @pytest.mark.parametrize("study", ["locking", "gradrob"])
@@ -586,7 +676,7 @@ def test_diagnostics_rejects_m2(monkeypatch):
     the message the diagnostics subcommand prints."""
     monkeypatch.setattr(cli, "make_unit_disc_mesh", None)
     with pytest.raises(ValueError,
-                       match=r"^diagnostics requires --method M1\|M3\|M4$"):
+                       match=r"^method 'M2' is not one of M1\|M3\|M4$"):
         run_diagnostics("M2", 0, 2)
 
 
