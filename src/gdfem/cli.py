@@ -27,10 +27,10 @@ the flag or config key of the parameter it names.  NORMS names columns.
 
 solve and diagnostics print their one-cell record, a key=value line per
 entry with an absent value empty, and --out gets the same lines as
-solve.txt or diagnostics.txt.  All file output is deterministic: fixed
-float formats, no timestamps in files, LF line endings.  Exit codes: 0
-success, 1 if any solve failed (failed cells are left empty in the CSV),
-2 for invalid flags.
+solve.txt or diagnostics.txt.  All file output is deterministic (fixed
+float formats, no timestamps, LF line endings) and independent of the
+order of list values.  Exit codes: 0 success, 1 if any solve failed
+(failed cells are left empty in the CSV), 2 for invalid flags.
 """
 
 import argparse
@@ -87,11 +87,11 @@ class Study:
     """Problem, defaults and report layout of one study.
 
     `axis` is the report field in the CSV's second column ("p" or "cs2");
-    a run takes a single value of the other one.  `svg`, `label` and
-    `title` are formatted with the fields of a StudyRow.  The problems of
-    a sweep differ only in c_s^2: the runner assembles every c_s^2 of a
-    sweep with the first one's coefficients and forcing and measures it
-    against the first one's exact solution, if it has one.
+    a run takes one value of the other.  Axis p draws an SVG per p with a
+    series per method, axis cs2 an SVG per method with a series per c_s^2;
+    `svg` and `title` format a StudyRow's fields.  A sweep's problems differ
+    only in c_s^2, so the runner assembles them with the first's coefficients
+    and forcing and measures them against the first's exact solution, if any.
     """
     problem: object      # problem(p=, cs2=, lambda_b=, lambda_n=)
     p_list: tuple
@@ -101,8 +101,6 @@ class Study:
     metrics: tuple       # (error_norms key, column prefix), CSV one first
     csv: str
     svg: str
-    svg_groups: tuple    # report fields: one SVG per value, one series per value
-    label: str           # series legend
     ref_slope: object    # p -> slope of the dashed reference line
     title: str
     ylabel: str
@@ -121,20 +119,17 @@ STUDIES = {
         problem=convergence_problem, p_list=(1, 2, 3, 4),
         levels=default_convergence_levels, cs2_list=(1.0,), axis="p",
         metrics=_ERRORS, csv="hconv.csv", svg="hconv_p{p}.svg",
-        svg_groups=("p", "method"), label="{method}",
         ref_slope=lambda p: p + 0.5,
         title="h-convergence, degree p={p}", ylabel="L2 error"),
     "locking": Study(
         problem=locking_problem, p_list=(2,), levels=lambda p: (0, 1, 2),
         cs2_list=_SWEEP, axis="cs2", metrics=_ERRORS, csv="locking.csv",
-        svg="locking_{method}.svg", svg_groups=("method", "cs2"),
-        label="cs2={cs2:g}", ref_slope=lambda p: p + 0.5,
+        svg="locking_{method}.svg", ref_slope=lambda p: p + 0.5,
         title="volume locking study, {method}, p={p}", ylabel="L2 error"),
     "gradrob": Study(
         problem=gradrob_problem, p_list=(3,), levels=lambda p: (1, 2, 3),
         cs2_list=_SWEEP, axis="cs2", metrics=(("l2_norm", "norm"),),
-        csv="rob.csv", svg="rob_{method}.svg", svg_groups=("method", "cs2"),
-        label="cs2={cs2:g}", ref_slope=lambda p: 0.0,
+        csv="rob.csv", svg="rob_{method}.svg", ref_slope=lambda p: 0.0,
         title="gradient-robustness study, {method}, p={p}",
         ylabel="L2 norm of u_h"),
 }
@@ -220,8 +215,7 @@ def emit_study_csv(report, path):
         groups.setdefault(key, {})[r.metric_name] = r.value
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for key in sorted(groups):
-            cells = groups[key]
+        for key, cells in sorted(groups.items()):
             line = ["%.17g" % -key[2], fmt % key[0]]
             line += ["%.17g" % cells[c] if c in cells else ""
                      for c in header[2:]]
@@ -407,14 +401,14 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     its _plan's cells, p -> level -> method -> c_s^2.  It assembles each
     (mesh, method) operator pair once, solves it at every c_s^2 and
     evaluates the error norms of all the solutions in one error_norms call,
-    given each one's c_s^2.  With out_path it writes its CSV and SVGs there.
+    given each one's c_s^2.  With out_path it writes its CSV and SVGs there
+    from the sorted report rows alone: the order of its lists changes no file.
     """
     spec = STUDIES[study]
     p_list = spec.p_list if p_list is None else tuple(p_list)
     cs2_list = spec.cs2_list if cs2_list is None else tuple(cs2_list)
-    values = {"p": p_list, "cs2": cs2_list, "method": tuple(methods)}
     fixed = _CSV_AXIS[spec.axis][2]
-    if len(values[fixed]) != 1:
+    if len(p_list if fixed == "p" else cs2_list) != 1:
         raise ParameterError(fixed, f"{study} takes a single {fixed} value")
     report = StudyReport(study)
     warnings = []
@@ -448,21 +442,20 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     report.sort()
     if out_path is not None:
         emit_study_csv(report, f"{out_path}/{spec.csv}")
-        rows = report.csv_rows()
-        per_svg, per_series = spec.svg_groups
-        for v in values[per_svg]:
-            svg_rows = [r for r in rows if getattr(r, per_svg) == v]
-            series = []
-            for sv in values[per_series]:
-                sr = [r for r in svg_rows if getattr(r, per_series) == sv]
-                if sr:
-                    series.append((spec.label.format(**vars(sr[0])),
-                                   [r.h for r in sr], [r.value for r in sr]))
-            if series:
-                fields = vars(svg_rows[0])
-                write_svg(f"{out_path}/{spec.svg.format(**fields)}", series,
-                          spec.ref_slope(fields["p"]),
-                          spec.title.format(**fields), spec.ylabel)
+        # {SVG value: (fields, {series value: {h: value}})}, h descending
+        per_svg, per_series = (("p", "method") if spec.axis == "p"
+                               else ("method", "cs2"))
+        plots = {}
+        for r in report.csv_rows():
+            series = plots.setdefault(getattr(r, per_svg), (vars(r), {}))[1]
+            series.setdefault(getattr(r, per_series), {})[r.h] = r.value
+        for fields, series in plots.values():
+            write_svg(f"{out_path}/{spec.svg.format(**fields)}",
+                      [(v if per_series == "method" else f"cs2={v:g}",
+                        list(pts), list(pts.values()))
+                       for v, pts in sorted(series.items())],
+                      spec.ref_slope(fields["p"]),
+                      spec.title.format(**fields), spec.ylabel)
     return report, warnings
 
 
@@ -650,6 +643,7 @@ def build_parser():
     for command, (help, methods) in COMMANDS.items():
         # full flag names only: a study would read --level as --levels
         sp = sub.add_parser(command, help=help, allow_abbrev=False)
+        sp.set_defaults(parser=sp)      # a refusal prints its usage line
         sp.add_argument("--config", help="key=value config file; flags override")
         for name, opt in OPTIONS.items():
             if command in opt.commands:
@@ -697,9 +691,10 @@ def _resolve(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         kw = _resolve(args)
         if args.command in STUDIES:
             report, warnings = run_study(
@@ -720,7 +715,7 @@ def main(argv=None):
             flag = getattr(args, exc.name) is not None
             exc = (f"--{exc.name.replace('_', '-')}" if flag
                    else f"config key {exc.name!r}") + f": {exc}"
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     sys.stdout.write(_record(res))
     return 0
 

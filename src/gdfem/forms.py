@@ -318,7 +318,6 @@ class MethodSystem:
     saddle-point pair) carry SADDLE_PIVOT_THRESHOLD, those of the others
     SYMMETRIC_PIVOT_THRESHOLD.  `split` turns solutions into fields.
     """
-    method: str
     velocity_space: object
     pressure_space: object      # M2's pseudo-pressure space, else None
     a: object                   # A_h, CSR
@@ -465,7 +464,7 @@ def assemble_method(method, mesh, p, coeffs, f, order=None):
     if load is not None:
         load = np.concatenate([load, np.zeros(A.shape[0] - len(load))])
         load.setflags(write=False)
-    return MethodSystem(method, vel, pp, A, B, load, coeffs.cs2)
+    return MethodSystem(vel, pp, A, B, load, coeffs.cs2)
 
 
 # -- error norms ---------------------------------------------------------------

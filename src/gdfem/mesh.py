@@ -369,13 +369,13 @@ class FacetGeometry:
     """
 
     def __init__(self, mesh, facets, ts):
-        self.ts = np.asarray(ts, dtype=float)
+        ts = np.asarray(ts, dtype=float)
         nsides = 1 if np.any(mesh.facet_boundary[facets]) else 2
         elems, local = mesh.facet_elems[facets], mesh.facet_local[facets]
         self.sides = [(elems[:, s], local[:, s],
                        mesh.elem_flipped[elems[:, s], local[:, s]])
                       for s in range(nsides)]
-        self.ref_points = [facet_ref_points(k, self.ts, fl)
+        self.ref_points = [facet_ref_points(k, ts, fl)
                            for (_, k, fl) in self.sides]
         e0, k0, flip0 = self.sides[0]
         gm = mesh.geometry(e0)
@@ -391,13 +391,12 @@ class FacetGeometry:
 
     def part(self, facets):
         """This batch's geometry on the slice `facets` of its facets, as
-        FacetGeometry builds it for those facets: every field but the
-        shared params ts has a leading facet axis (per owner in `sides` and
-        `ref_points`) and is sliced along it."""
+        FacetGeometry builds it for those facets: every field has a leading
+        facet axis (per owner in `sides` and `ref_points`) and is sliced
+        along it."""
         part = copy.copy(self)
         for name, value in vars(self).items():
-            if name != "ts":
-                setattr(part, name, _apply(lambda a: a[facets], value))
+            setattr(part, name, _apply(lambda a: a[facets], value))
         return part
 
 

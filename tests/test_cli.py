@@ -92,23 +92,31 @@ def test_skipped_method_leaves_empty_cell(tmp_path):
 
 
 def test_duplicate_cs2_rows_identical(tmp_path):
+    """A repeated c_s^2 keeps its two report rows, and the plot draws it
+    as one series (the single level draws no reference line)."""
     report, _ = run_locking(cs2_list=(1.0, 1.0), levels=(0,),
-                            methods=("M3",))
+                            methods=("M3",), out_path=str(tmp_path))
     rows = report.csv_rows()
     assert len(rows) == 2
     assert rows[0].value == rows[1].value
+    assert (tmp_path / "locking_M3.svg").read_text().count("<polyline") == 1
 
 
 def test_determinism_byte_identical(tmp_path):
-    for i in (1, 2):
-        d = tmp_path / str(i)
-        d.mkdir()
-        run_locking(cs2_list=(1.0,), levels=(0, 1), methods=("M3", "M4"),
-                    out_path=str(d))
-    assert filecmp.cmp(tmp_path / "1" / "locking.csv",
-                       tmp_path / "2" / "locking.csv", shallow=False)
-    assert filecmp.cmp(tmp_path / "1" / "locking_M3.svg",
-                       tmp_path / "2" / "locking_M3.svg", shallow=False)
+    """A study rerun writes the same files byte for byte, also with its
+    c_s^2 values, levels and methods given in reverse order."""
+    args = dict(cs2_list=(1.0, 1000.0), levels=(0, 1), methods=("M3", "M4"))
+    for run, step in (("1", 1), ("2", 1), ("reversed", -1)):
+        (tmp_path / run).mkdir()
+        run_locking(**{k: v[::step] for k, v in args.items()},
+                    out_path=str(tmp_path / run))
+    names = ["locking.csv", "locking_M3.svg", "locking_M4.svg"]
+    for run in ("1", "2", "reversed"):
+        assert sorted(f.name for f in (tmp_path / run).iterdir()) == names
+    for run in ("2", "reversed"):
+        _, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / run,
+                                               names, shallow=False)
+        assert not mismatch and not errors, (run, mismatch, errors)
 
 
 # -- SVG ----------------------------------------------------------------------
@@ -172,15 +180,20 @@ def test_invalid_flags_exit_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--level", "0"])  # missing --method
     assert exc.value.code == 2
-    # one solve takes one sound speed, level and method
+    capsys.readouterr()
+    # one solve takes one sound speed, level and method, and no unknown
+    # flag; the refusal comes under the subcommand's usage line
     for argv in (["solve", "--method", "M4", "--cs2", "1,1000"],
                  ["solve", "--method", "M4", "--levels", "3"],
                  ["solve", "--method", "M4", "--methods", "M3"],
+                 ["solve", "--method", "M3", "--bogus"],
                  ["diagnostics", "--method", "M3", "--levels", "0"],
                  ["diagnostics", "--method", "M3", "--methods", "M4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: gdfem {argv[0]} "), (argv, err)
     # c_s^2 must be positive, and --out must name an existing directory
     for argv in (["locking", "--cs2=-4", "--levels", "0", "--out",
                   str(tmp_path)],
@@ -430,7 +443,7 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
-        assert err.startswith("usage: "), (argv, err)
+        assert err.startswith(f"usage: gdfem {argv[0]} "), (argv, err)
         assert f"error: {where}: " in err, (argv, err)
         if set(argv) & {"17", "19", "1,19", str(g17), str(p19)}:
             assert "quadrature order 4" in err and "maximum 40" in err, err
