@@ -327,7 +327,8 @@ class ParameterError(ValueError):
 
 def _plan(command, methods, p_list, levels, geom_order):
     """{(p, geometry order, levels): methods} of the cells that the runner
-    of `command` runs (levels None: the study's levels(p)).
+    of `command` runs (levels None: the study's levels(p)); a repeated p,
+    level or method runs once, where it first occurs.
     ParameterError names the parameter of a method not in COMMANDS, a
     degree, level or geometry order check_integer refuses, a degree
     check_degree refuses (a study skips that cell: M2 at p = 1), a
@@ -340,9 +341,9 @@ def _plan(command, methods, p_list, levels, geom_order):
         check_integer("degree", p, 1, partial(ParameterError, "p"))
         g = default_geom_order(p) if geom_order is None else geom_order
         check_integer("geom_order", g, 1, partial(ParameterError, "geom_order"))
-        p_levels = tuple(study.levels(p) if levels is None else levels)
-        for level in p_levels:
+        p_levels = tuple(dict.fromkeys(
             check_integer("level", level, 0, partial(ParameterError, level_key))
+            for level in (study.levels(p) if levels is None else levels)))
         for m in methods:
             if m not in COMMANDS[command][1]:
                 raise ParameterError(method_key, f"method {m!r} is not one "
@@ -352,7 +353,7 @@ def _plan(command, methods, p_list, levels, geom_order):
                              else partial(ParameterError, "p"))
             except DegreeError:
                 continue
-            uses = quadrature_orders(METHOD_FORMS[m][0], p, g)
+            uses = quadrature_orders(p, g)
             if command == "diagnostics":        # it computes no error norms
                 del uses["error norms"]
             if max(uses.values()) > MAX_ORDER:
@@ -360,7 +361,7 @@ def _plan(command, methods, p_list, levels, geom_order):
                     "p" if geom_order is None else "geom_order",
                     f"{m} at p={p}, geom_order={g} needs quadrature order "
                     f"{max(uses.values())}, above the maximum {MAX_ORDER}")
-            plan.setdefault((p, g, p_levels), []).append(m)
+            plan.setdefault((p, g, p_levels), {})[m] = None
     if not any(p_levels for _, _, p_levels in plan):
         raise ParameterError(method_key, f"no cell to run: {','.join(methods)}"
                              f" at p={','.join(map(str, p_list))}")

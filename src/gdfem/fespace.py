@@ -13,13 +13,13 @@ but on curved elements it is essential: it keeps element-wise divergence-free
 reference fields divergence-free in physical space, which the locking-free
 and gradient-robustness properties rely on.
 
-BDM shape functions are contravariant Piola images of reference vector
-monomials; the local basis on each element is obtained by inverting the
-matrix of degree-of-freedom functionals (facet moments of the normal
-trace against Legendre polynomials in the global facet parameter, plus
-interior moments).  Every element evaluates the *same* global facet
-functionals, mapping the facet parameter onto its local edge through the
-mesh's `elem_flipped`, so normal-trace continuity needs no dof sign table.
+BDM's dofs are the moments of the normal trace on each facet against
+Legendre polynomials in the global facet parameter and the moments
+int_ref u_ref . w dxi on the reference triangle against fixed fields w,
+which equal the physical ones against J^-T w.  So an element's basis is a
+per-element scale times the Piola image of one reference basis, and every
+element evaluates the *same* global facet functionals (through
+`elem_flipped`): normal continuity needs no dof sign table.
 
 Basis tables are reference tables mapped by per-element geometry.  The
 Piola gradient (dP u + P g) J^-1 has a term in the derivative dP of the
@@ -27,9 +27,11 @@ Piola matrix, which vanishes on affine elements, so it is formed on the
 curved elements of a batch only.
 """
 
+import functools
+
 import numpy as np
 
-from .mesh import GeometryMap, facet_ref_points
+from .mesh import GeometryMap
 from .quadrature import (check_integer, quadrature_orders, segment_rule,
                          triangle_rule)
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
@@ -44,11 +46,10 @@ class DegreeError(ValueError):
     pass
 
 
-def quadrature_order(space):
-    """Default exactness order of quadrature on a space, its "assembly"
-    entry of quadrature_orders."""
-    return quadrature_orders(space.family, space.degree,
-                             space.mesh.geom_order)["assembly"]
+def quadrature_order(space, use="assembly"):
+    """Exactness order of quadrature on a space for a use, its entry of
+    quadrature_orders: "assembly" by default, or "error norms"."""
+    return quadrature_orders(space.degree, space.mesh.geom_order)[use]
 
 
 def build_space(family, mesh, p):
@@ -66,7 +67,7 @@ class FeSpace:
         self.degree = degree
         self._build_dof_map()
         if family == "hdiv_bdm":
-            self._bdm_coeffs = self._bdm_local_bases()
+            self._bdm_scale = self._bdm_scale_table()
 
     @property
     def ncomp(self):
@@ -109,6 +110,22 @@ class FeSpace:
                                     axis=-1).reshape(nt, -1)
             self.ndof *= 2
 
+    def _bdm_scale_table(self):
+        """Scale s (E, nloc): basis i of element e is s[e, i] times the Piola
+        image of reference basis i (bdm_basis).  As (u . n) ds = (u_ref .
+        n_ref) dl_ref, 1 / s scales the reference facet dofs by the owner's
+        sign, reference edge length / chord and (-1)^j where the edge runs
+        against the facet (L_j(1 - t) = (-1)^j L_j(t)), and no interior dof."""
+        p, mesh = self.degree, self.mesh
+        facets = mesh.elem_facets
+        owner = mesh.facet_elems[facets, 0] == np.arange(len(facets))[:, None]
+        va, vb = np.transpose(EDGE_VERTICES)
+        ell = np.linalg.norm(REF_VERTICES[vb] - REF_VERTICES[va], axis=-1)
+        s = (mesh.facet_length(facets) / np.where(owner, ell, -ell))[..., None]
+        s = s * (-1.0) ** (np.arange(p + 1) * mesh.elem_flipped[..., None])
+        return np.hstack([s.reshape(len(facets), -1),
+                          np.ones((len(facets), p * p - 1))])
+
     # -- basis evaluation ---------------------------------------------------
 
     def eval_basis(self, elems, ref_pts):
@@ -139,10 +156,11 @@ class FeSpace:
         """Local shapes on the reference element and their reference gradients.
 
         Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
-        the local BDM bases C[e] over x/y copies of the monomials.  Values
-        are (..., q, n) or (..., q, n, 2), gradients have one more trailing
-        axis; with coefficients n is their number of columns, the fields
-        they span.
+        the reference BDM basis bdm_basis, one table for all elements, times
+        the element's BDM scale, which a field takes into its coefficients.
+        Values are (..., q, n) or (..., q, n, 2), gradients have one more
+        trailing axis; with coefficients n is their number of columns, the
+        fields they span.
         """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
@@ -155,8 +173,12 @@ class FeSpace:
             u, g = _xy_copies(u), _xy_copies(g, axis=-2)
         W = None if coefficients is None else coefficients[self.dof_map[elems]]
         if self.family == "hdiv_bdm":
-            C = self._bdm_coeffs[elems]
-            W = C if W is None else C @ W
+            C, s = bdm_basis(self.degree), self._bdm_scale[elems]
+            u = np.einsum("...mc,mi->...ic", u, C, optimize=True)
+            g = np.einsum("...mcd,mi->...icd", g, C, optimize=True)
+            if W is None:
+                return u * s[:, None, :, None], g * s[:, None, :, None, None]
+            W = s[..., None] * W
         if W is None:
             return u, g
         lead = "q" if ref.ndim == 2 else "eq"
@@ -206,80 +228,37 @@ class FeSpace:
                 "...qcke,...qed->...qckd", dP, jinv), uc, optimize=True)
         return vals, grads, div
 
-    # -- BDM construction ---------------------------------------------------
+def bdm_moment_fields(p, pts):
+    """BDM's interior test fields w at reference points, (npts, p^2 - 1, 2):
+    [P^{p-2}]^2, then X^perp X^a Y^(p-2-a) for a = 0..p-2, in X = xi -
+    (1/3, 1/3), orthonormalised in that order in L^2 of the reference
+    triangle."""
+    rule = triangle_rule(2 * p)
+    X = np.vstack([rule.points, pts]) - 1.0 / 3.0
+    mono = eval_monomials(monomial_exponents(p - 2), X)
+    perp = np.column_stack([-X[:, 1], X[:, 0]])[:, None]
+    w = np.concatenate([_xy_copies(mono), perp * mono[:, :-p:-1, None]], 1)
+    wq, w = w[:len(rule.weights)], w[len(rule.weights):]
+    gram = np.einsum("q,qic,qjc->ij", rule.weights, wq, wq)
+    return np.linalg.solve(np.linalg.cholesky(gram), w)
 
-    def _bdm_local_bases(self):
-        """Coefficient matrices C (E, nloc, nloc) of the local BDM bases.
 
-        Column i of C[e] expresses basis function i of element e in the Piola
-        images of the reference vector monomials; the basis is dual to the
-        global facet moments and the element interior moments.
-        """
-        p = self.degree
-        mesh = self.mesh
-        exps = monomial_exponents(p)
-        nloc = 2 * len(exps)
-        elems = np.arange(mesh.num_triangles)
-        M = np.zeros((len(elems), nloc, nloc))
-
-        srule = segment_rule(2 * p + 2)
-        ts = srule.points[:, 0]
-        leg = np.array([shifted_legendre(j, ts) for j in range(p + 1)])
-        facets = mesh.elem_facets
-        sign = np.where(mesh.facet_elems[facets, 0] == elems[:, None],
-                        1.0, -1.0)
-        chord = mesh.facet_length(facets)
-        for k, (va, vb) in enumerate(EDGE_VERTICES):
-            ell = np.linalg.norm(REF_VERTICES[vb] - REF_VERTICES[va])
-            rp = facet_ref_points(k, ts, mesh.elem_flipped[:, k])
-            mono = _ref_table(lambda x: eval_monomials(exps, x), rp)
-            nref = EDGE_NORMALS[k]
-            # identity (u . n) ds = (u_ref . n_ref) dl_ref makes the facet
-            # moment a pure reference-element integral
-            w = (srule.weights * leg * sign[:, k, None, None] * ell
-                 / chord[:, k, None, None])                 # (E, p+1, q)
-            rows = slice(k * (p + 1), (k + 1) * (p + 1))
-            for c in range(2):
-                M[:, rows, c::2] = np.einsum("ejq,eqm->ejm", w,
-                                             mono * nref[c], optimize=True)
-
-        if p >= 2:
-            vrule = triangle_rule(quadrature_orders(
-                self.family, p, mesh.geom_order)["interior moments"])
-            gm = mesh.geometry(elems)
-            jac = gm.jacobian(vrule.points)
-            det = GeometryMap.dets(jac)
-            shp = _xy_copies(eval_monomials(exps, vrule.points))
-            shp = shp @ np.swapaxes(jac / det[..., None, None], -1, -2)
-            wm = self._interior_moment_fields(elems, gm.points(vrule.points))
-            area = det @ vrule.weights
-            wq = vrule.weights * det / area[:, None]
-            M[:, 3 * (p + 1):, :] = np.einsum("eq,eqid,eqmd->emi",
-                                              wq, shp, wm, optimize=True)
-        return np.linalg.inv(M)
-
-    def _interior_moment_fields(self, elems, phys_pts):
-        """Interior moment test fields at physical points, (E, q, nint, 2).
-
-        Full [P^{p-2}]^2 plus the rotated homogeneous tail X^perp * P~^{p-2},
-        in element-centered, diameter-scaled coordinates.
-        """
-        p = self.degree
-        v = self.mesh.vertices[self.mesh.triangles[elems]]      # (E, 3, 2)
-        xc = v.mean(axis=1)
-        h = np.linalg.norm(v[:, [1, 2, 2]] - v[:, [0, 0, 1]], axis=-1).max(1)
-        X = (phys_pts - xc[:, None, :]) / h[:, None, None]
-        exps = monomial_exponents(p - 2)
-        mono = _ref_table(lambda x: eval_monomials(exps, x), X)
-        nm2 = mono.shape[-1]
-        fields = np.zeros(X.shape[:2] + (2 * nm2 + (p - 1), 2))
-        fields[..., 0:2 * nm2:2, 0] = mono
-        fields[..., 1:2 * nm2:2, 1] = mono
-        for i, a in enumerate(range(p - 1)):
-            q = X[..., 0] ** a * X[..., 1] ** (p - 2 - a)
-            fields[..., 2 * nm2 + i, 0] = -X[..., 1] * q
-            fields[..., 2 * nm2 + i, 1] = X[..., 0] * q
-        return fields
+@functools.cache
+def bdm_basis(p):
+    """Coefficients C (2 nm, nloc) over x/y copies of the nm monomials of
+    BDM's reference basis of degree p, dual to the moments int_0^1 (u .
+    n_k) L_j(t) dt on each edge k (t from its first vertex) for the shifted
+    Legendre L_0..L_p, then int_ref u . w dxi for bdm_moment_fields w."""
+    shapes = lambda x: _xy_copies(eval_monomials(monomial_exponents(p), x))
+    srule, vrule = segment_rule(2 * p), triangle_rule(2 * p)
+    wleg = srule.weights * np.array(
+        [shifted_legendre(j, srule.points[:, 0]) for j in range(p + 1)])
+    rows = [wleg @ (shapes(REF_VERTICES[va] + srule.points
+                           * (REF_VERTICES[vb] - REF_VERTICES[va])) @ n)
+            for (va, vb), n in zip(EDGE_VERTICES, EDGE_NORMALS)]
+    rows.append(np.einsum("q,qic,qmc->im", vrule.weights, bdm_moment_fields(
+        p, vrule.points), shapes(vrule.points)))
+    return np.linalg.inv(np.vstack(rows))
 
 
 def _ref_table(table, ref):

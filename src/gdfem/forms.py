@@ -44,7 +44,7 @@ from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
 from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
                      LinearSystem, assemble_csr, assemble_vector)
-from .quadrature import check_integer, quadrature_orders
+from .quadrature import check_integer
 
 METHODS = ("M1", "M2", "M3", "M4")
 
@@ -569,8 +569,7 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
     if len(cs2) != k:
         raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
     if order is None:
-        order = quadrature_orders(space.family, space.degree,
-                                  space.mesh.geom_order)["error norms"]
+        order = quadrature_order(space, "error norms")
     if exact is None:
         rule, wq, _ = space.mesh.element_quadrature(order)
         vals, _, _ = u_h.evaluate(np.arange(space.mesh.num_triangles),

@@ -46,17 +46,13 @@ def check_order(order):
     return order
 
 
-def quadrature_orders(family, p, geom_order):
-    """The quadrature orders of a space of `family` at degree p on a mesh
-    of geometry degree g, by use.  "assembly": 2p for a product of two
-    degree-p fields, 2(g - 1) for the Jacobian factors of the geometry map,
-    plus 2; "error norms": 2 more; and, for "hdiv_bdm" at p >= 2, its
-    "interior moments": 4 more."""
+def quadrature_orders(p, geom_order):
+    """The quadrature orders of a space of degree p on a mesh of geometry
+    degree g, by use, for every family.  "assembly": 2p for a product of
+    two degree-p fields, 2(g - 1) for the Jacobian factors of the geometry
+    map, plus 2; "error norms": 2 more."""
     order = 2 * p + 2 * (geom_order - 1) + 2
-    orders = {"assembly": order, "error norms": order + 2}
-    if family == "hdiv_bdm" and p >= 2:
-        orders["interior moments"] = order + 4
-    return orders
+    return {"assembly": order, "error norms": order + 2}
 
 
 def segment_rule(order: int) -> QuadratureRule:

@@ -13,7 +13,8 @@ import scipy.sparse.linalg as spla
 from gdfem.cli import (STUDIES, StudyReport, _csv_header,
                        run_convergence, run_gradrob, run_locking)
 from gdfem import forms
-from gdfem.fespace import DiscreteField, eval_pointwise, quadrature_order
+from gdfem.fespace import (DiscreteField, bdm_moment_fields, eval_pointwise,
+                           quadrature_order)
 from gdfem.linalg import assemble_csr, assemble_vector
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh)
@@ -189,8 +190,10 @@ def bdm_interpolate(space, v, order=None):
     """Element-wise BDM interpolation of a smooth vector field.
 
     Matches facet moments of v.n against P^p on each facet and interior
-    moments against the reduced rotational set (empty for p = 1).  `order`
-    raises the quadrature order used for the moments of a non-polynomial v.
+    moments against the space's reference test fields w (none for p = 1),
+    taken as int_K v . J^-T w dx, which equals int_ref v_ref . w dxi for
+    the inverse Piola image v_ref of v.  `order` raises the quadrature
+    order used for the moments of a non-polynomial v.
     """
     if space.family != "hdiv_bdm":
         raise ValueError("bdm_interpolate requires an hdiv_bdm space")
@@ -213,11 +216,12 @@ def bdm_interpolate(space, v, order=None):
                               else order)
         elems = np.arange(mesh.num_triangles)
         gm = mesh.geometry(elems)
-        det = GeometryMap.dets(gm.jacobian(vrule.points))
-        phys = gm.points(vrule.points)
-        wm = space._interior_moment_fields(elems, phys)
-        wq = vrule.weights * det / (det @ vrule.weights)[:, None]
-        moms = np.einsum("eq,eqd,eqmd->em", wq, eval_pointwise(v, phys), wm,
+        jac = gm.jacobian(vrule.points)
+        wm = np.einsum("eqdc,qmd->eqmc", GeometryMap.inv(jac),
+                       bdm_moment_fields(p, vrule.points))
+        wq = vrule.weights * GeometryMap.dets(jac)
+        moms = np.einsum("eq,eqd,eqmd->em", wq,
+                         eval_pointwise(v, gm.points(vrule.points)), wm,
                          optimize=True)
         coeffs[mesh.num_facets * (p + 1):] = moms.ravel()
     return DiscreteField(space, coeffs)

@@ -102,6 +102,28 @@ def test_duplicate_cs2_rows_identical(tmp_path):
     assert (tmp_path / "locking_M3.svg").read_text().count("<polyline") == 1
 
 
+@pytest.mark.parametrize("kw", [
+    dict(p_list=(1, 1), levels=(0,), methods=("M3",)),
+    dict(p_list=(1,), levels=(0, 0), methods=("M3",)),
+    dict(p_list=(1,), levels=(0,), methods=("M3", "M3"))],
+    ids=["p", "levels", "methods"])
+def test_a_repeated_value_runs_its_cells_once(monkeypatch, kw):
+    """A repeated p, level or method assembles its cell once and adds its
+    report row once."""
+    calls = []
+    assemble = cli.assemble_method
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble_method", counted)
+    report, warnings = run_convergence(**kw)
+    assert not warnings
+    assert calls == ["M3"]
+    assert len(report.csv_rows()) == 1
+
+
 def test_determinism_byte_identical(tmp_path):
     """A study rerun writes the same files byte for byte, also with its
     c_s^2 values, levels and methods given in reverse order."""
@@ -396,8 +418,8 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
     cfg, p1 = tmp_path / "run.cfg", tmp_path / "p1.cfg"
     cfg.write_text("cs2=\n")
     p1.write_text("p=1\n")
-    g17, p19 = tmp_path / "g17.cfg", tmp_path / "p19.cfg"
-    g17.write_text("geom_order=17\n")
+    g18, p19 = tmp_path / "g18.cfg", tmp_path / "p19.cfg"
+    g18.write_text("geom_order=18\n")
     p19.write_text("p=1,19\n")
     for argv, where in (
             (["locking", "--cs2=1,-4", "--levels", "0"], "--cs2"),
@@ -425,14 +447,15 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
             (["solve", "--method", "M2", "--p", "1", "--level", "0"], "--p"),
             (["solve", "--method", "M2", "--level", "0", "--config", str(p1)],
              "config key 'p'"),
-            # order 42 of BDM's interior moments, 42 of the error norms and
-            # 46 of p=19's error norms, each above the cap of 40
+            # order 42 of the error norms at p=2, geometry order 18 (three
+            # times) and at p=1, geometry order 19, and 46 of p=19's error
+            # norms, each above the cap of 40
             (["solve", "--method", "M3", "--p", "2", "--level", "0",
-              "--geom-order", "17"], "--geom-order"),
+              "--geom-order", "18"], "--geom-order"),
             (["solve", "--method", "M3", "--p", "2", "--level", "0",
-              "--config", str(g17)], "config key 'geom_order'"),
+              "--config", str(g18)], "config key 'geom_order'"),
             (["solve", "--method", "M3", "--level", "0", "--geom-order",
-              "17"], "--geom-order"),
+              "18"], "--geom-order"),
             (["solve", "--method", "M1", "--p", "1", "--level", "0",
               "--geom-order", "19"], "--geom-order"),
             (["convergence", "--p", "1,19", "--levels", "0", "--methods",
@@ -445,7 +468,7 @@ def test_bad_input_rejected_before_any_cell(monkeypatch, capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith(f"usage: gdfem {argv[0]} "), (argv, err)
         assert f"error: {where}: " in err, (argv, err)
-        if set(argv) & {"17", "19", "1,19", str(g17), str(p19)}:
+        if set(argv) & {"18", "19", "1,19", str(g18), str(p19)}:
             assert "quadrature order 4" in err and "maximum 40" in err, err
 
 
@@ -473,13 +496,13 @@ def _no_cell(*args, **kw):
                                        methods=("M1",)), "levels",
                  id="levels-minus-1"),
     pytest.param(run_locking, dict(levels=(0,), methods=("M3",),
-                                   geom_order=17), "geom_order",
-                 id="locking-geom-order-17"),
+                                   geom_order=18), "geom_order",
+                 id="locking-geom-order-18"),
     pytest.param(run_convergence, dict(p_list=(1,), levels=(0,),
                                        methods=("M2",)), "methods",
                  id="no-cell"),
-    pytest.param(run_solve, dict(method="M3", level=0, p=2, geom_order=17),
-                 "geom_order", id="solve-geom-order-17"),
+    pytest.param(run_solve, dict(method="M3", level=0, p=2, geom_order=18),
+                 "geom_order", id="solve-geom-order-18"),
     pytest.param(run_solve, dict(method="M2", level=0, p=1), "p",
                  id="solve-M2-p-1"),
     pytest.param(run_solve, dict(method="M3", level=-1, p=1), "level",
@@ -504,11 +527,14 @@ def test_the_cap_edge_is_the_orders_a_runner_computes(monkeypatch):
     """M1 at p=1, geometry order 19: diagnostics, which computes no error
     norms, assembles at order 40, the cap, and reaches its mesh; solve
     needs order 42 for the error norms and refuses the cell by
-    geom_order."""
+    geom_order.  M3 at p=2, geometry order 17 needs order 40 for its
+    error norms, as every family does, and reaches its mesh."""
     monkeypatch.setattr(cli, "_solve_cell", _no_cell)
     monkeypatch.setattr(cli, "make_unit_disc_mesh", _no_cell)
     with pytest.raises(_MeshReached):
         run_diagnostics("M1", 0, 1, geom_order=19)
+    with pytest.raises(_MeshReached):
+        run_solve("M3", 0, 2, geom_order=17)
     with pytest.raises(cli.ParameterError,
                        match="needs quadrature order 42, above the "
                              "maximum 40") as exc:

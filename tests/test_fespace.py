@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import bdm_interpolate, l2_project
-from gdfem.fespace import FAMILIES, DegreeError, DiscreteField, build_space
-from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
-                        make_unit_square_mesh)
-from gdfem.quadrature import triangle_rule
-from gdfem.reference import lattice_points
+from gdfem.fespace import (FAMILIES, DegreeError, DiscreteField, bdm_basis,
+                           bdm_moment_fields, build_space)
+from gdfem.mesh import (FacetGeometry, GeometryMap, facet_ref_points,
+                        make_unit_disc_mesh, make_unit_square_mesh)
+from gdfem.quadrature import segment_rule, triangle_rule
+from gdfem.reference import (EDGE_VERTICES, REF_VERTICES, eval_monomials,
+                             lattice_points, monomial_exponents,
+                             shifted_legendre)
 
 RNG = np.random.default_rng(7)
 
@@ -299,6 +302,63 @@ def test_piola_map_matches_full_derivative_formula(disc1_curved, family,
         for a, b in zip(got, want):
             assert a.shape == b.shape
             _close(a, b)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("mesh_name", ["disc1_curved", "square2"])
+def test_bdm_basis_is_dual_to_reference_moments(request, mesh_name, p):
+    """Each element's BDM basis is dual to the space's dofs: the facet
+    moments (1/chord) int_F (phi . n_F) L_j(t_F) ds in the global facet
+    parameter and the interior moments int_K phi . J^-T w dx against the
+    reference fields w, curved elements included.  And eval_basis is the
+    per-element scale (the owner's sign times ref length / chord, and
+    (-1)^j on a flipped edge; 1 inside) times the Piola image of the one
+    reference table."""
+    mesh = request.getfixturevalue(mesh_name)
+    space = build_space("hdiv_bdm", mesh, p)
+    elems = np.arange(mesh.num_triangles)
+    nloc, nf = space.dof_map.shape[1], 3 * (p + 1)
+    moments = np.zeros((len(elems), nloc, nloc))
+    srule = segment_rule(2 * p)
+    ts = srule.points[:, 0]
+    wleg = srule.weights * np.array([shifted_legendre(j, ts)
+                                     for j in range(p + 1)])
+    for k in range(3):
+        facets = mesh.elem_facets[:, k]
+        fg = FacetGeometry(mesh, facets, ts)
+        rp = facet_ref_points(k, ts, mesh.elem_flipped[:, k])
+        un = np.einsum("eqic,eqc->eqi", space.eval_basis(elems, rp)[0],
+                       fg.normals)
+        moments[:, k * (p + 1):(k + 1) * (p + 1)] = np.einsum(
+            "jq,eqi,eq->eji", wleg, un, fg.dline) \
+            / mesh.facet_length(facets)[:, None, None]
+    vrule = triangle_rule(2 * p)
+    jac = mesh.geometry(elems).jacobian(vrule.points)
+    w = np.einsum("eqdc,qmd->eqmc", GeometryMap.inv(jac),
+                  bdm_moment_fields(p, vrule.points))
+    moments[:, nf:] = np.einsum(
+        "q,eq,eqic,eqmc->emi", vrule.weights, GeometryMap.dets(jac),
+        space.eval_basis(elems, vrule.points)[0], w)
+    assert np.abs(moments - np.eye(nloc)).max() <= 1e-12
+
+    owner = mesh.facet_elems[mesh.elem_facets, 0] == elems[:, None]
+    ell = np.array([np.linalg.norm(REF_VERTICES[b] - REF_VERTICES[a])
+                    for a, b in EDGE_VERTICES])
+    d = np.ones((len(elems), nloc))
+    for e, k, j in np.ndindex(len(elems), 3, p + 1):
+        d[e, k * (p + 1) + j] = ((1 if owner[e, k] else -1) * ell[k]
+                                 / mesh.facet_length(mesh.elem_facets[e, k])
+                                 * (-1) ** (j * mesh.elem_flipped[e, k]))
+    ref = triangle_rule(6).points
+    exps, C = monomial_exponents(p), bdm_basis(p).reshape(-1, 2, nloc)
+    table = (np.einsum("qm,mci->qic", eval_monomials(exps, ref), C),
+             np.einsum("qmd,mci->qicd", eval_monomials(exps, ref, 1), C))
+    vals, grads, div = _piola_reference(space, elems, ref, *table)
+    s = (1 / d)[:, None]
+    for got, want in zip(space.eval_basis(elems, ref),
+                         (vals * s[..., None], grads * s[..., None, None],
+                          div * s)):
+        _close(got, want)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
