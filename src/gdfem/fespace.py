@@ -174,11 +174,11 @@ class FeSpace:
         W = None if coefficients is None else coefficients[self.dof_map[elems]]
         if self.family == "hdiv_bdm":
             C, s = bdm_basis(self.degree), self._bdm_scale[elems]
-            u = np.einsum("...mc,mi->...ic", u, C, optimize=True)
-            g = np.einsum("...mcd,mi->...icd", g, C, optimize=True)
             if W is None:
+                u = np.einsum("...mc,mi->...ic", u, C, optimize=True)
+                g = np.einsum("...mcd,mi->...icd", g, C, optimize=True)
                 return u * s[:, None, :, None], g * s[:, None, :, None, None]
-            W = s[..., None] * W
+            W = C @ (s[..., None] * W)
         if W is None:
             return u, g
         lead = "q" if ref.ndim == 2 else "eq"
