@@ -156,11 +156,10 @@ class FeSpace:
         """Local shapes on the reference element and their reference gradients.
 
         Shapes are the nodal Lagrange basis (as x/y copies for vectors) or
-        the reference BDM basis bdm_basis, one table for all elements, times
-        the element's BDM scale, which a field takes into its coefficients.
-        Values are (..., q, n) or (..., q, n, 2), gradients have one more
-        trailing axis; with coefficients n is their number of columns, the
-        fields they span.
+        one reference BDM table (bdm_basis) times each element's BDM scale,
+        which a field takes into its coefficients.  Values are (..., q, n)
+        or (..., q, n, 2), gradients have one more trailing axis; with
+        coefficients n is their number of columns, the fields they span.
         """
         if self.family == "hdiv_bdm":
             exps = monomial_exponents(self.degree)
@@ -227,6 +226,7 @@ class FeSpace:
             grads[c] += np.einsum("...qckd,...qik->...qicd", np.einsum(
                 "...qcke,...qed->...qckd", dP, jinv), uc, optimize=True)
         return vals, grads, div
+
 
 def bdm_moment_fields(p, pts):
     """BDM's interior test fields w at reference points, (npts, p^2 - 1, 2):
