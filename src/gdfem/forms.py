@@ -42,8 +42,7 @@ import scipy.sparse.linalg as spla
 
 from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order)
-from .linalg import (SADDLE_PIVOT_THRESHOLD, SYMMETRIC_PIVOT_THRESHOLD,
-                     LinearSystem, assemble_csr, assemble_vector)
+from .linalg import LinearSystem, assemble_csr, assemble_vector
 from .quadrature import check_integer
 
 METHODS = ("M1", "M2", "M3", "M4")
@@ -314,9 +313,7 @@ class MethodSystem:
     is -A_h + c_s^2 B_h (`system_at`), and one pair and load serve a whole
     c_s^2 sweep; `system` is the one at the c_s^2 of the coefficients
     assembled with.  `load` is read-only and zero on pseudo-pressure rows.
-    The systems of a method with a pseudo-pressure space (M2's
-    saddle-point pair) carry SADDLE_PIVOT_THRESHOLD, those of the others
-    SYMMETRIC_PIVOT_THRESHOLD.  `split` turns solutions into fields.
+    `split` turns solutions into fields.
     """
     velocity_space: object
     pressure_space: object      # M2's pseudo-pressure space, else None
@@ -329,10 +326,7 @@ class MethodSystem:
         """(cs2 B_h - A_h) x = load; ValueError unless cs2 is a positive,
         finite number."""
         return LinearSystem(check_number("cs2", cs2, "positive") * self.b - self.a,
-                            self.load, self.velocity_space.constrained_dofs,
-                            SYMMETRIC_PIVOT_THRESHOLD
-                            if self.pressure_space is None
-                            else SADDLE_PIVOT_THRESHOLD)
+                            self.load, self.velocity_space.constrained_dofs)
 
     @cached_property
     def system(self):

@@ -1,7 +1,8 @@
 """Sparse systems, symmetric-indefinite solves, dense stability diagnostics.
 
 Strong constraints are imposed by restriction: solve and the diagnostics
-both work on the block of the free dofs (restrict_free).
+both work on the block of the free dofs (restrict_free).  solve factors it
+by one rule, static pivoting refined with a longdouble residual.
 
 The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify A_h and B_h and take
 one of two routes (estimate_control_constant).  Given the dimension of
@@ -21,6 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DIAGNOSTIC_SIZE_LIMIT = 2000
+REFINE_STEPS = 3    # the most refinement steps of one solve (_factor_solve)
 KERNEL_TOL = 1e-8   # the diagnostics' relative eigenvalue threshold
 
 
@@ -35,41 +37,18 @@ class SizeLimitError(ValueError):
 _NOT_SPD = "A is not symmetric positive definite"
 
 
-# Diagonal pivot threshold of the symmetric-mode factorization: SuperLU
-# keeps the diagonal pivot of a column unless it is below this fraction of
-# the column's largest entry.  Fill of the level-4, p=2 disc operators
-# (L + U entries), COLAMD with partial pivoting -> symmetric mode at 1e-3:
-# M1 1.50M -> 0.77M, M2 3.39M -> 1.85M, M3 7.87M -> 3.58M, M4 13.08M ->
-# 3.94M, relative residuals <= 1.3e-15.  At 1e-2 M3/M4 fill 4.5M/6.2M, at
-# 1e-1 8.2M/11.7M.
-SYMMETRIC_PIVOT_THRESHOLD = 1e-3
-
-# The threshold of a saddle-point system (M2's velocity and pseudo-pressure
-# blocks).  Its pseudo-pressure diagonal, -M_p, is small against the
-# column's coupling entries (D - G), so at 1e-3 SuperLU takes off-diagonal
-# pivots, which break the symmetric ordering, and more of them as c_s^2
-# grows.  Gradrob M2, p=3, level 3, c_s^2 = 1000: 1,588 off-diagonal
-# pivots, fill 12.4M and a 4.5 s factor at 1e-3; none, 0.50M and 0.055 s
-# at 1e-6, on a 2-core host (Duff & Pralet, SIMAX 2005; Benzi, Golub &
-# Liesen, Acta Numerica 2005).  A blanket 1e-6 moved hconv M3 p=4 level 3
-# by 4.9e-7, so the single-field methods keep SYMMETRIC_PIVOT_THRESHOLD.
-SADDLE_PIVOT_THRESHOLD = 1e-6
-
-
 @dataclass
 class LinearSystem:
     """Sparse symmetric matrix, right-hand side, and strong constraints.
 
     The matrix and rhs stay full size.  solve factors the block of the
     unconstrained (free) dofs only, so solutions are exactly zero at the
-    constrained dofs, with `pivot_threshold` as its diagonal pivot
-    threshold.  rhs is None for a system assembled without a forcing,
-    which solve rejects.
+    constrained dofs.  rhs is None for a system assembled without a
+    forcing, which solve rejects.
     """
     matrix: sp.spmatrix
     rhs: np.ndarray
     constrained: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-    pivot_threshold: float = SYMMETRIC_PIVOT_THRESHOLD
 
 
 def assemble_csr(rows, cols, local, shape):
@@ -111,15 +90,16 @@ def apply_constraints(system):
 def solve(system: LinearSystem) -> np.ndarray:
     """Direct sparse solve of a symmetric (possibly indefinite) system.
 
-    The free-dof block (apply_constraints) is factored by SuperLU in
-    symmetric mode: a minimum-degree ordering of A^T + A with diagonal
-    pivots down to the system's pivot_threshold of the column maximum
-    (Demmel et al., SIMAX 1999; Li, ACM TOMS 2005).  Every solve must meet
-    the residual contract ||Ax - r|| <= 1e-9 (||A||_max ||x|| + ||r||) on
-    that block.  If the symmetric-mode factor fails or misses it, the block is
-    factored again with COLAMD and partial pivoting; SingularMatrixError is
-    raised when that fails too.  The solution is zero at constrained dofs.
-    A system without a right-hand side raises ValueError.
+    The free-dof block (apply_constraints) of every method is factored by
+    SuperLU in symmetric mode with static pivoting: a minimum-degree
+    ordering of A^T + A that keeps every diagonal pivot, and so its fill
+    (Li & Demmel, ACM TOMS 2003), and _factor_solve refines the answer.
+    Every solve must meet the residual contract ||Ax - r|| <= 1e-9
+    (||A||_max ||x|| + ||r||) on that block.  If the symmetric-mode factor
+    fails or misses it, the block is factored again with COLAMD and partial
+    pivoting and refined the same way; SingularMatrixError is raised when
+    that fails too.  The solution is zero at constrained dofs.  A system
+    without a right-hand side raises ValueError.
     """
     if system.rhs is None:
         raise ValueError("the system has no right-hand side: it was "
@@ -131,7 +111,7 @@ def solve(system: LinearSystem) -> np.ndarray:
     x = np.zeros(n)
     try:
         x[free] = _factor_solve(A, r, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=system.pivot_threshold,
+                                diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True})
     except SingularMatrixError:
         x[free] = _factor_solve(A, r)
@@ -139,11 +119,36 @@ def solve(system: LinearSystem) -> np.ndarray:
 
 
 def _factor_solve(A, r, **splu_options):
-    """spla.splu(A, **splu_options).solve(r) under the residual contract."""
+    """spla.splu(A, **splu_options).solve(r) of a CSC A, refined, under the
+    residual contract.
+
+    Each step forms r - A x in np.longdouble, from a longdouble copy of A's
+    data array alone, and adds the factor's solution for it.  As in
+    LAPACK's xGERFS, the steps stop after REFINE_STEPS, at a correction
+    that has not halved (it is dropped) or at one down to eps ||x||_inf
+    (Demmel et al., ACM TOMS 2006).  With an 80-bit np.longdouble (x86-64
+    Linux) the answer then does not depend on the factor's ordering and
+    pivots beyond round-off.  Where np.finfo(np.longdouble) is double, the
+    same step is fixed-precision refinement, which still bounds the growth
+    of static pivots (Skeel, Math. Comp. 1980) but not that dependence.
+    """
     try:
-        x = spla.splu(A, **splu_options).solve(r)
+        lu = spla.splu(A, **splu_options)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
+    x = lu.solve(r)
+    A_ext = sp.csc_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
+                          shape=A.shape, copy=False)
+    last = np.inf
+    for _ in range(REFINE_STEPS):
+        d = lu.solve((r - A_ext @ x).astype(float))
+        step = np.abs(d).max(initial=0.0)
+        if step > last / 2:
+            break
+        x = x + d
+        if step <= np.finfo(float).eps * np.abs(x).max(initial=0.0):
+            break
+        last = step
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("non-finite solution")
     res = np.linalg.norm(A @ x - r)

@@ -7,15 +7,15 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import check_symmetry
-from gdfem import forms
+from gdfem import forms, linalg
 from gdfem.forms import METHODS, assemble_method, paper_coefficients
-from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, SADDLE_PIVOT_THRESHOLD,
-                          SYMMETRIC_PIVOT_THRESHOLD, LinearSystem,
+from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, LinearSystem,
                           SingularMatrixError, SizeLimitError, assemble_csr,
                           dense_nullspace, dump_matrix,
                           estimate_control_constant, restrict_free, solve)
 from gdfem.mesh import make_unit_disc_mesh
-from gdfem.problems import convergence_problem, gradrob_problem
+from gdfem.problems import (convergence_problem, gradrob_problem,
+                            locking_problem)
 
 
 def test_solve_hand_case():
@@ -79,8 +79,7 @@ def fill(lu):
 def test_symmetric_mode_matches_colamd(method, monkeypatch):
     """The symmetric-mode factor solves the disc operators as the general
     COLAMD factor with partial pivoting does, with less fill, first time,
-    at the pivot threshold of the method's system: the saddle-point one
-    for M2, the symmetric one for the others."""
+    with the same static pivoting for every method."""
     system, A, r, free = disc_system(method, 2, 2)
     lu = spla.splu(A)
     x_ref = lu.solve(r)
@@ -88,10 +87,8 @@ def test_symmetric_mode_matches_colamd(method, monkeypatch):
     x = solve(system)
     monkeypatch.undo()
     assert np.linalg.norm(x[free] - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
-    threshold = (SADDLE_PIVOT_THRESHOLD if method == "M2"
-                 else SYMMETRIC_PIVOT_THRESHOLD)
     assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
-                      "diag_pivot_thresh": threshold,
+                      "diag_pivot_thresh": 0.0,
                       "options": {"SymmetricMode": True}}]
     assert fill(spla.splu(A, **calls[0])) < fill(lu)
 
@@ -106,10 +103,10 @@ class _BadFactor:
 @pytest.mark.parametrize("failure", ["raises", "bad_residual"])
 def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     """A symmetric-mode factor that fails or misses the residual contract
-    is replaced by the COLAMD factor, whose answer solve returns."""
+    is replaced by the COLAMD factor, whose refined answer solve returns."""
     system, A, r, free = disc_system("M4", 1, 2)
     splu = spla.splu
-    x_ref = splu(A).solve(r)
+    x_ref = linalg._factor_solve(A, r)
 
     def factor(A, **kw):
         if not kw:
@@ -124,16 +121,24 @@ def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     assert np.array_equal(x[free], x_ref)
 
 
-def test_saddle_factor_keeps_symmetric_order(monkeypatch):
-    """M2's saddle-point system takes only diagonal pivots at large c_s^2,
-    so the factor keeps the symmetric minimum-degree order and its fill.
-    Gradrob M2, p=3, level 2, c_s^2 = 1000: at the symmetric threshold,
-    397 row and column positions differ and the fill is 794,444 entries;
-    89,174 is the fill at c_s^2 = 1."""
-    prob = gradrob_problem(1000.0)
-    system = assemble_method("M2", make_unit_disc_mesh(2, geom_order=2), 3,
-                             prob.coeffs, prob.f).system
-    assert system.pivot_threshold == SADDLE_PIVOT_THRESHOLD
+def study_system(method, problem, level, p):
+    """The system of a study cell on the disc at geometry order 2."""
+    return assemble_method(method, make_unit_disc_mesh(level, geom_order=2),
+                           p, problem.coeffs, problem.f).system
+
+
+@pytest.mark.parametrize("method, problem, level, p, max_fill", [
+    ("M2", gradrob_problem(1000.0), 2, 3, 89_174),
+    ("M3", convergence_problem(2), 3, 2, 541_638)], ids=["gradrob-M2", "hconv-M3"])
+def test_saddle_factor_keeps_symmetric_order(method, problem, level, p,
+                                             max_fill, monkeypatch):
+    """Static pivoting takes only diagonal pivots, so the factor keeps the
+    symmetric minimum-degree order and its fill.  Gradrob M2, p=3, level
+    2, c_s^2 = 1000: at a diagonal pivot threshold of 1e-3, 397 row and
+    column positions differ and the fill is 794,444 entries; 89,174 is the
+    fill at c_s^2 = 1.  Hconv M3, p=2, level 3: at 1e-3, 34 off-diagonal
+    pivots and a fill of 682,518."""
+    system = study_system(method, problem, level, p)
     splu, factors = spla.splu, []
 
     def factor(A, **kw):
@@ -144,7 +149,25 @@ def test_saddle_factor_keeps_symmetric_order(monkeypatch):
     solve(system)
     (lu,) = factors
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    assert fill(lu) <= 89_174
+    assert fill(lu) <= max_fill
+
+
+@pytest.mark.parametrize("method, problem, p", [
+    ("M4", locking_problem(1000.0), 2), ("M1", gradrob_problem(1000.0), 3)],
+    ids=["locking-M4", "gradrob-M1"])
+def test_answer_does_not_depend_on_the_ordering(method, problem, p,
+                                                 monkeypatch):
+    """With splu forced to COLAMD and partial pivoting, solve returns its
+    default answer to 1e-10 relative in the max norm: the refinement's
+    extended-precision residual removes the factor's ordering and pivots
+    from the answer (locking M4 p=2 and gradrob M1 p=3, level 2,
+    c_s^2 = 1000: 1.4e-8 and 1.6e-9 unrefined)."""
+    system = study_system(method, problem, 2, p)
+    x, splu = solve(system), spla.splu
+    calls = record_splu(monkeypatch, lambda A, **kw: splu(A))
+    x_colamd = solve(system)
+    assert len(calls) == 1
+    assert np.abs(x_colamd - x).max() <= 1e-10 * np.abs(x).max()
 
 
 def test_solve_without_forcing_raises():
