@@ -166,8 +166,6 @@ class StudyReport:
     rows: list = field(default_factory=list)
 
     def add(self, h, p, cs2, method, metric_name, value):
-        if value is None:
-            return
         if not np.isfinite(value):
             raise ValueError(f"non-finite value for {method} {metric_name}")
         self.rows.append(StudyRow(float(h), int(p), float(cs2),
@@ -297,7 +295,7 @@ def write_svg(path, series, ref_slope, title, ylabel):
         style = f'stroke="{PALETTE[i % len(PALETTE)]}" stroke-width="1.8"'
         curves.append((label, list(zip(hs, vs)), style, style))
     ref_h = sorted({h for _, hs, _ in series for h in hs}, reverse=True)
-    if len(ref_h) >= 2 and ref_slope is not None:
+    if len(ref_h) >= 2:
         vmin = min(v for _, _, vs in series for v in vs if v > 0)
         c = vmin / (2.0 * min(ref_h) ** ref_slope)
         curves.append(("const" if ref_slope == 0 else f"O(h^{ref_slope:g})",

@@ -2,7 +2,8 @@
 
 Strong constraints are imposed by restriction: solve and the diagnostics
 both work on the block of the free dofs (restrict_free).  solve factors it
-by one rule, static pivoting refined with a longdouble residual.
+by one rule, static pivoting, and corrects the answer once with a
+longdouble residual.
 
 The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify A_h and B_h and take
 one of two routes (estimate_control_constant).  Given the dimension of
@@ -22,7 +23,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DIAGNOSTIC_SIZE_LIMIT = 2000
-REFINE_STEPS = 3    # the most refinement steps of one solve (_factor_solve)
 KERNEL_TOL = 1e-8   # the diagnostics' relative eigenvalue threshold
 
 
@@ -93,11 +93,11 @@ def solve(system: LinearSystem) -> np.ndarray:
     The free-dof block (apply_constraints) of every method is factored by
     SuperLU in symmetric mode with static pivoting: a minimum-degree
     ordering of A^T + A that keeps every diagonal pivot, and so its fill
-    (Li & Demmel, ACM TOMS 2003), and _factor_solve refines the answer.
+    (Li & Demmel, ACM TOMS 2003); _factor_solve corrects the answer once.
     Every solve must meet the residual contract ||Ax - r|| <= 1e-9
     (||A||_max ||x|| + ||r||) on that block.  If the symmetric-mode factor
     fails or misses it, the block is factored again with COLAMD and partial
-    pivoting and refined the same way; SingularMatrixError is raised when
+    pivoting and corrected the same way; SingularMatrixError is raised when
     that fails too.  The solution is zero at constrained dofs.  A system
     without a right-hand side raises ValueError.
     """
@@ -119,18 +119,18 @@ def solve(system: LinearSystem) -> np.ndarray:
 
 
 def _factor_solve(A, r, **splu_options):
-    """spla.splu(A, **splu_options).solve(r) of a CSC A, refined, under the
-    residual contract.
+    """spla.splu(A, **splu_options).solve(r) of a CSC A, corrected once,
+    under the residual contract.
 
-    Each step forms r - A x in np.longdouble, from a longdouble copy of A's
-    data array alone, and adds the factor's solution for it.  As in
-    LAPACK's xGERFS, the steps stop after REFINE_STEPS, at a correction
-    that has not halved (it is dropped) or at one down to eps ||x||_inf
-    (Demmel et al., ACM TOMS 2006).  With an 80-bit np.longdouble (x86-64
-    Linux) the answer then does not depend on the factor's ordering and
-    pivots beyond round-off.  Where np.finfo(np.longdouble) is double, the
-    same step is fixed-precision refinement, which still bounds the growth
-    of static pivots (Skeel, Math. Comp. 1980) but not that dependence.
+    The correction is the factor's solution for r - A x, formed in
+    np.longdouble from a longdouble copy of A's data array alone.  With an
+    80-bit np.longdouble (x86-64 Linux) this one step reaches the
+    round-off floor when cond(A) times the double epsilon is below 1
+    (Moler, J. ACM 1967; Demmel et al., ACM TOMS 2006), so the answer does
+    not depend on the factor's ordering and pivots beyond round-off.  Where
+    np.finfo(np.longdouble) is double, the same step is fixed-precision
+    refinement, which still bounds the growth of static pivots (Skeel,
+    Math. Comp. 1980) but not that dependence.
     """
     try:
         lu = spla.splu(A, **splu_options)
@@ -139,16 +139,7 @@ def _factor_solve(A, r, **splu_options):
     x = lu.solve(r)
     A_ext = sp.csc_matrix((A.data.astype(np.longdouble), A.indices, A.indptr),
                           shape=A.shape, copy=False)
-    last = np.inf
-    for _ in range(REFINE_STEPS):
-        d = lu.solve((r - A_ext @ x).astype(float))
-        step = np.abs(d).max(initial=0.0)
-        if step > last / 2:
-            break
-        x = x + d
-        if step <= np.finfo(float).eps * np.abs(x).max(initial=0.0):
-            break
-        last = step
+    x = x + lu.solve((r - A_ext @ x).astype(float))
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("non-finite solution")
     res = np.linalg.norm(A @ x - r)

@@ -75,21 +75,40 @@ def fill(lu):
     return lu.L.nnz + lu.U.nnz
 
 
+class _CountingFactor:
+    """A factor that counts the triangular solves made with it."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, r):
+        self.solves += 1
+        return self.lu.solve(r)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_symmetric_mode_matches_colamd(method, monkeypatch):
     """The symmetric-mode factor solves the disc operators as the general
     COLAMD factor with partial pivoting does, with less fill, first time,
-    with the same static pivoting for every method."""
+    with the same static pivoting for every method, and with one
+    correction: two triangular solves with the one factor."""
     system, A, r, free = disc_system(method, 2, 2)
     lu = spla.splu(A)
     x_ref = lu.solve(r)
-    calls = record_splu(monkeypatch)
+    splu, factors = spla.splu, []
+
+    def factor(A, **kw):
+        factors.append(_CountingFactor(splu(A, **kw)))
+        return factors[-1]
+
+    calls = record_splu(monkeypatch, factor)
     x = solve(system)
     monkeypatch.undo()
     assert np.linalg.norm(x[free] - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
     assert calls == [{"permc_spec": "MMD_AT_PLUS_A",
                       "diag_pivot_thresh": 0.0,
                       "options": {"SymmetricMode": True}}]
+    assert [f.solves for f in factors] == [2]
     assert fill(spla.splu(A, **calls[0])) < fill(lu)
 
 
@@ -103,7 +122,7 @@ class _BadFactor:
 @pytest.mark.parametrize("failure", ["raises", "bad_residual"])
 def test_symmetric_mode_failure_retries_colamd(failure, monkeypatch):
     """A symmetric-mode factor that fails or misses the residual contract
-    is replaced by the COLAMD factor, whose refined answer solve returns."""
+    is replaced by the COLAMD factor, whose corrected answer solve returns."""
     system, A, r, free = disc_system("M4", 1, 2)
     splu = spla.splu
     x_ref = linalg._factor_solve(A, r)
