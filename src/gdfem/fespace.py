@@ -126,6 +126,22 @@ class FeSpace:
         return np.hstack([s.reshape(len(facets), -1),
                           np.ones((len(facets), p * p - 1))])
 
+    # -- tables of a chunk --------------------------------------------------
+
+    def volume(self, order, elems=slice(None)):
+        """Weights * det, points and basis tables (eval_basis) at quadrature
+        order `order` of the elements of the slice `elems`, all by default."""
+        rule, wdet, phys = self.mesh.element_quadrature(order)
+        return (wdet[elems], phys[elems]) + self.eval_basis(
+            np.arange(self.mesh.num_triangles)[elems], rule.points)
+
+    def facet_basis(self, fg):
+        """Basis traces of every owner of a facet batch fg, owners side by
+        side (side_by_side)."""
+        return side_by_side([self.eval_basis(e, rp) for (e, _, _), rp
+                             in zip(fg.sides, fg.ref_points)],
+                            self.dof_map.shape[1])
+
     # -- basis evaluation ---------------------------------------------------
 
     def eval_basis(self, elems, ref_pts):
@@ -301,6 +317,16 @@ class DiscreteField:
         of the int array `elems`, as FeSpace.eval_basis returns them, with
         the k fields in place of its basis axis."""
         return self.space._evaluate(elems, ref_pts, self.coefficients)
+
+
+def side_by_side(traces, nloc):
+    """The traces of a facet batch's owners as one table: `traces` holds the
+    (values, gradients, divergences) of each owner, with `nloc` basis
+    functions (or fields) each.  Returns them concatenated along the basis
+    axis, and the sign of each basis function: +1 on owner 0 and -1 on
+    owner 1."""
+    return (*(np.concatenate(part, axis=2) for part in zip(*traces)),
+            np.repeat([1.0, -1.0][:len(traces)], nloc))
 
 
 def eval_pointwise(fun, pts):

@@ -23,12 +23,12 @@ passes the one rule, check_number.
 _assemble is the one code path that composes a method's pair of forms,
 for the operator, the dense diagnostics and the triple-norm error alike.
 It walks the elements, and the facets of each set, in chunks of at most
-CHUNK items, and takes each chunk's tables from a space's builders
-(_volume, _facet_basis) or the error space's: geometry and basis tables
-carry a leading element or facet axis over one chunk, and each chunk's
-local matrices are one einsum.  The forms only read the tables they are
-handed and return local matrices; each form's local matrices of all
-chunks of a point set are summed by one COO -> CSR conversion, so a
+CHUNK items, and asks the space it walks, an FeSpace or the error space,
+for each chunk's tables (its volume and facet_basis): geometry and basis
+tables carry a leading element or facet axis over one chunk, and each
+chunk's local matrices are one einsum.  The forms only read the tables
+they are handed and return local matrices; each form's local matrices of
+all chunks of a point set are summed by one COO -> CSR conversion, so a
 matrix does not depend on the chunk size, bit for bit.
 """
 
@@ -41,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .fespace import (DiscreteField, build_space, DegreeError,
-                      eval_pointwise, quadrature_order)
+                      eval_pointwise, quadrature_order, side_by_side)
 from .linalg import LinearSystem, assemble_csr, assemble_vector
 from .quadrature import check_integer
 
@@ -119,24 +119,10 @@ def _chunks(n):
     return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
 
 
-def _volume(space, order, elems=slice(None)):
-    """Weights * det, points and basis tables (eval_basis) of the elements
-    of the slice `elems`, all by default."""
-    rule, wdet, phys = space.mesh.element_quadrature(order)
-    return (wdet[elems], phys[elems]) + space.eval_basis(
-        np.arange(space.mesh.num_triangles)[elems], rule.points)
-
-
-def _matrix(space, loc):
-    """Global square matrix of the local blocks loc (E, nloc, nloc)."""
-    return assemble_csr(space.dof_map, space.dof_map, loc,
-                        (space.ndof, space.ndof))
-
-
 # -- volume forms -----------------------------------------------------------
 
-# The volume forms read `tables`, a chunk of elements of the space's
-# _volume (a_h reads its gradients), and return that chunk's local blocks
+# The volume forms read `tables`, the space's volume of a chunk of elements
+# (a_h reads its gradients), and return that chunk's local blocks
 # (E, nloc, nloc), or the load's local vectors (E, nloc).
 
 def assemble_a_volume(coeffs, tables):
@@ -166,33 +152,15 @@ def assemble_rhs(f, tables):
 # -- facet terms --------------------------------------------------------------
 
 # The facet forms take one facet set's segment rule, a chunk fg of its
-# FacetGeometry and that chunk's traces (its _facet_basis) and return the
+# FacetGeometry and that chunk's traces (the space's facet_basis: values,
+# gradients, divergences and signs, owners side by side) and return the
 # chunk's local blocks (F, ns nloc, ns nloc) on the owners' dofs
 # (_facet_dofs).
 
 def _facet_dofs(space, fg):
     """Dofs (F, ns nloc) of every owner of a facet batch, owners side by
-    side, as the traces of _facet_basis order them."""
+    side, as the traces of facet_basis order them."""
     return np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
-
-
-def _facet_basis(space, fg):
-    """Basis traces of every owner of a facet batch, owners side by side.
-
-    Returns (values, gradients, divergences, signs) with the owners
-    concatenated along the basis axis; the sign of a basis function is +1
-    on owner 0 and -1 on owner 1.
-    """
-    return _side_by_side([space.eval_basis(e, rp)
-                          for (e, _, _), rp in zip(fg.sides, fg.ref_points)],
-                         space.dof_map.shape[1])
-
-
-def _side_by_side(traces, nloc):
-    """The (values, gradients, divergences) of each owner, `nloc` basis
-    functions each, as _facet_basis returns them, signs included."""
-    return (*(np.concatenate(part, axis=2) for part in zip(*traces)),
-            np.repeat([1.0, -1.0][:len(traces)], nloc))
 
 
 def assemble_a_dg(coeffs, rule, fg, traces):
@@ -244,7 +212,7 @@ def _pressure_blocks(tables, qv):
 
     D (E, npp_loc, nu_loc) couples div u to the pseudo-pressure basis and
     M_p (E, npp_loc, npp_loc) is its mass matrix (per unit c_s^2).
-    `tables` is a chunk of the velocity space's _volume and `qv` the
+    `tables` is the velocity space's volume of a chunk and `qv` the
     pseudo-pressure basis values at its points.
     """
     wdet, _, _, _, div = tables
@@ -266,19 +234,18 @@ def _pressure_facet_blocks(coeffs, rule, fg, uv, qv):
             np.einsum("fq,fqi,fqj->fij", wq, qv, un, optimize=True))
 
 
-def assemble_m2_system(A, D, Mp, N, G):
-    """Operator pair (A_h, B_h) of the pseudo-pressure formulation.
+def assemble_m2_system(D, Mp, N, G):
+    """B_h of the pseudo-pressure formulation, per unit c_s^2.
 
-    Unknowns (u_h, p_h).  A_h = blockdiag(a_h, 0) and
-    B_h = [[N, (D - G)^T], [D - G, -M_p]] with N the boundary normal
-    penalty, D and G the volume and boundary couplings of u_h to p_h and M_p
-    the pseudo-pressure mass matrix, all per unit c_s^2.  -A_h + c_s^2 B_h
-    is symmetric indefinite; eliminating p_h reproduces -a + b^pp with the
-    L2 projection of the divergence.  `A` is a_h; all five are CSR.
+    Unknowns (u_h, p_h).  B_h = [[N, (D - G)^T], [D - G, -M_p]] with N
+    the boundary normal penalty, D and G the volume and boundary couplings
+    of u_h to p_h and M_p the pseudo-pressure mass matrix, all CSR.  With
+    A_h = blockdiag(a_h, 0), which _assemble scatters at the (u_h, p_h)
+    size, -A_h + c_s^2 B_h is symmetric indefinite; eliminating p_h
+    reproduces -a + b^pp with the L2 projection of the divergence.
     """
     DG = D - G
-    return (sp.block_diag([A, sp.csr_matrix(Mp.shape)], format="csr"),
-            sp.bmat([[N, DG.T], [DG, -Mp]], format="csr"))
+    return sp.bmat([[N, DG.T], [DG, -Mp]], format="csr")
 
 
 # -- method dispatch ----------------------------------------------------------
@@ -292,8 +259,8 @@ INTERIOR, BOUNDARY = False, True
 # assemble_b_dg.  Strong boundary constraints come
 # with the space: only BDM pins dofs (its boundary normal moments).  A
 # method with a pseudo-pressure family (M2) has its operator pair on
-# (u_h, p_h) from assemble_m2_system; its forms are those of its triple
-# norm, with div replaced by the weighted projection onto the
+# (u_h, p_h), B_h from assemble_m2_system; its forms are those of its
+# triple norm, with div replaced by the weighted projection onto the
 # pseudo-pressure space.  _assemble composes every pair from this table,
 # calling the forms through this module's attributes, so a wrapper
 # installed on one (a profiler or tracer) sees every call.
@@ -381,41 +348,41 @@ def _assemble(method, space, coeffs, order, pp_space, f):
     the triple-norm error (error_norms, on its _ErrorSpace) all take their
     pair from here.  The elements, then each facet set the method has
     terms on, interior first, are walked in chunks of at most CHUNK items.
-    A chunk's tables come from two builders looked up at each call,
-    _volume and _facet_basis, or the _ErrorSpace's own; every form with
-    terms there reads them, and they are dropped before the next chunk's
-    are built.  The element table feeds the volume terms and the load, a
-    facet set's traces of both owners feed both forms and, on M2's
-    boundary, its N and G with the pseudo-pressure values.  Each form's
-    blocks of all chunks of a point set are scattered at once (_scatter),
-    so every matrix equals the one assembled from all items, bit for bit.
+    A chunk's tables come from the space walked, its volume and
+    facet_basis; every form with terms there reads them, and they are
+    dropped before the next chunk's are built.  The element table feeds
+    the volume terms and the load, a facet set's traces of both owners
+    feed both forms and, on M2's boundary, its N and G with the
+    pseudo-pressure values.  Each form's blocks of all chunks of a point
+    set are scattered at once (_scatter), so every matrix equals the one
+    assembled from all items, bit for bit.  With a pp_space (M2), A_h
+    and the load are scattered on (u_h, p_h), n = ndof_u + ndof_p
+    entries, zero on the pseudo-pressure rows, and B_h is
+    assemble_m2_system's.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
-    volume, facet_basis = ((_ErrorSpace.volume, _ErrorSpace.facet_basis)
-                           if isinstance(space, _ErrorSpace)
-                           else (_volume, _facet_basis))
-    nu, dofs = (space.ndof, space.ndof), space.dof_map
+    dofs, nu = space.dof_map, space.ndof
+    n = nu if pp_space is None else nu + pp_space.ndof     # A_h's size
     a, b, rhs, d, mp, g = [], [], [], [], [], []   # each form's blocks
     for elems in _chunks(space.mesh.num_triangles):
-        t = volume(space, order, elems=elems)
+        t = space.volume(order, elems)
         a.append(assemble_a_volume(coeffs, t))
         if f is not None:
             rhs.append(assemble_rhs(f, t))
         if pp_space is None:
             b.append(assemble_b_volume(t))
         else:
-            blocks = _pressure_blocks(t, _volume(pp_space, order, elems)[2])
+            blocks = _pressure_blocks(t, pp_space.volume(order, elems)[2])
             d.append(blocks[0])
             mp.append(blocks[1])
         del t
-    A = _scatter(a, dofs, dofs, nu)
-    load = None if f is None else assemble_vector(dofs, np.concatenate(rhs),
-                                                  space.ndof)
+    A = _scatter(a, dofs, dofs, (n, n))
+    load = None if f is None else assemble_vector(dofs, np.concatenate(rhs), n)
     if pp_space is None:
-        B = _scatter(b, dofs, dofs, nu)
+        B = _scatter(b, dofs, dofs, (n, n))
     else:
         npp, pdofs = pp_space.ndof, pp_space.dof_map
-        D = _scatter(d, pdofs, dofs, (npp, space.ndof))
+        D = _scatter(d, pdofs, dofs, (npp, nu))
         Mp = _scatter(mp, pdofs, pdofs, (npp, npp))
     for boundary in sorted(set(a_sets + b_sets)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
@@ -423,7 +390,7 @@ def _assemble(method, space, coeffs, order, pp_space, f):
             part = fg.part(facets)
             qv = None if pp_space is None else pp_space.eval_basis(
                 part.sides[0][0], part.ref_points[0])[0]
-            traces = facet_basis(space, part)
+            traces = space.facet_basis(part)
             if boundary in a_sets:
                 a.append(assemble_a_dg(coeffs, rule, part, traces))
             if pp_space is not None:
@@ -436,15 +403,14 @@ def _assemble(method, space, coeffs, order, pp_space, f):
             del traces, qv
         fdofs = _facet_dofs(space, fg)
         if boundary in a_sets:
-            A = A + _scatter(a, fdofs, fdofs, nu)
+            A = A + _scatter(a, fdofs, fdofs, (n, n))
         if pp_space is not None:    # M2's boundary normal penalty, coupling
-            N = _scatter(b, fdofs, fdofs, nu)
-            G = _scatter(g, _facet_dofs(pp_space, fg), fdofs,
-                         (npp, space.ndof))
+            N = _scatter(b, fdofs, fdofs, (nu, nu))
+            G = _scatter(g, _facet_dofs(pp_space, fg), fdofs, (npp, nu))
         elif boundary in b_sets:
-            B = B + _scatter(b, fdofs, fdofs, nu)
+            B = B + _scatter(b, fdofs, fdofs, (n, n))
     if pp_space is not None:
-        A, B = assemble_m2_system(A, D, Mp, N, G)
+        B = assemble_m2_system(D, Mp, N, G)
     return A, B, load
 
 
@@ -456,7 +422,6 @@ def assemble_method(method, mesh, p, coeffs, f, order=None):
     order = quadrature_order(vel) if order is None else order
     A, B, load = _assemble(method, vel, coeffs, order, pp, f)
     if load is not None:
-        load = np.concatenate([load, np.zeros(A.shape[0] - len(load))])
         load.setflags(write=False)
     return MethodSystem(vel, pp, A, B, load, coeffs.cs2)
 
@@ -467,10 +432,10 @@ class _ErrorSpace:
     """The errors e_j = u_h[:, j] - u of k fields as a space of k functions.
 
     `u_h` is a DiscreteField with coefficients (ndof, k).  The space has
-    what the forms read of a space, the same k dofs 0..k-1 on every
-    element, and builders in place of _volume and _facet_basis whose
-    tables hold e_1..e_k as its basis, so the pair _assemble composes on
-    it holds a_h(e_j, e_j) and b_h(e_j, e_j) on its k x k diagonals.  The
+    what _assemble reads of a space, the same k dofs 0..k-1 on every
+    element and the FeSpace methods volume and facet_basis, whose tables
+    hold e_1..e_k as its basis, so the pair _assemble composes on it
+    holds a_h(e_j, e_j) and b_h(e_j, e_j) on its k x k diagonals.  The
     element tables at `order` (`tables`, and u_h's values `vals`) are
     evaluated once, whole, so the L2 norms sum over all elements in one
     pass; `volume` slices them per chunk.  `facet_basis` evaluates u_h on
@@ -491,12 +456,12 @@ class _ErrorSpace:
         self.tables = (wq, phys) + errors
         if pp_space is not None:
             # L2 projection of each div e_j (D holds their loads)
-            D, Mp = _pressure_blocks(self.tables, _volume(pp_space, order)[2])
-            D = assemble_csr(pp_space.dof_map, self.dof_map, D,
-                             (pp_space.ndof, self.ndof))
+            D, Mp = _pressure_blocks(self.tables, pp_space.volume(order)[2])
+            pdofs, npp = pp_space.dof_map, pp_space.ndof
+            D = assemble_csr(pdofs, self.dof_map, D, (npp, self.ndof))
+            Mp = assemble_csr(pdofs, pdofs, Mp, (npp, npp))
             self.div = DiscreteField(pp_space, spla.spsolve(
-                _matrix(pp_space, Mp).tocsc(), D.toarray()).reshape(
-                    pp_space.ndof, self.ndof))
+                Mp.tocsc(), D.toarray()).reshape(npp, self.ndof))
             self.tables = self.tables[:4] + (self.div.evaluate(
                 elems, rule.points)[0],)
 
@@ -516,17 +481,17 @@ class _ErrorSpace:
                       else self.div.evaluate(elems, ref_pts)[0])
 
     def volume(self, order, elems):
-        """_volume of the errors: the chunk `elems` of `tables` (at the
-        order they were evaluated at, error_norms' order)."""
+        """FeSpace.volume of the errors: the chunk `elems` of `tables` (at
+        the order they were evaluated at, error_norms' order)."""
         return tuple(t[elems] for t in self.tables)
 
     def facet_basis(self, fg):
-        """_facet_basis of the errors on a facet chunk fg."""
+        """FeSpace.facet_basis of the errors on a facet chunk fg."""
         exact = self._at(fg.points)
-        return _side_by_side([self._errors(e, rp, exact)[1]
-                              for (e, _, _), rp in zip(fg.sides,
-                                                       fg.ref_points)],
-                             self.ndof)
+        return side_by_side([self._errors(e, rp, exact)[1]
+                             for (e, _, _), rp in zip(fg.sides,
+                                                      fg.ref_points)],
+                            self.ndof)
 
 
 def _l2(wq, vals):

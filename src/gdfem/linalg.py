@@ -270,6 +270,6 @@ def _complement_pencil(A, B):
 def dump_matrix(M, path):
     """Coordinate text dump, one 'i j value' per line, 0-based."""
     coo = sp.coo_matrix(M)
-    with open(path, "w") as fh:
+    with open(path, "w", newline="\n") as fh:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{i} {j} {v:.17g}\n")

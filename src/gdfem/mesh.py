@@ -185,7 +185,7 @@ class Mesh:
 
     def dump(self, path):
         """Plain-text debug dump."""
-        with open(path, "w") as fh:
+        with open(path, "w", newline="\n") as fh:
             fh.write("vertices %d triangles %d facets %d geom_order %d\n"
                      % (self.num_vertices, self.num_triangles,
                         self.num_facets, self.geom_order))

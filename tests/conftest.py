@@ -262,7 +262,9 @@ def volume_matrix(space, form, *args, order=None):
     """The global matrix of a volume form of `forms` on all elements of
     the space, at quadrature_order(space) by default."""
     order = quadrature_order(space) if order is None else order
-    return forms._matrix(space, form(*args, forms._volume(space, order)))
+    return assemble_csr(space.dof_map, space.dof_map,
+                        form(*args, space.volume(order)),
+                        (space.ndof, space.ndof))
 
 
 def load_vector(space, f, order=None):
@@ -270,4 +272,4 @@ def load_vector(space, f, order=None):
     default."""
     order = quadrature_order(space) if order is None else order
     return assemble_vector(space.dof_map, forms.assemble_rhs(
-        f, forms._volume(space, order)), space.ndof)
+        f, space.volume(order)), space.ndof)

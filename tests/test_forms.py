@@ -250,6 +250,28 @@ def test_cs2_split_matches_assembly(method):
         assert spla.norm(Ks - K, "fro") <= 1e-12 * spla.norm(K, "fro"), c2
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_load_is_read_only_at_the_operator_size(method):
+    """The load of assemble_method (level-1 disc, p=2) is read-only and has
+    the size of A_h and B_h, (u_h, p_h) for M2, where it is zero on the
+    pseudo-pressure rows and A_h = blockdiag(a_h, 0) stores no entry in a
+    pseudo-pressure row or column."""
+    prob = convergence_problem(2)
+    ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
+                         prob.coeffs, prob.f)
+    assert not ms.load.flags.writeable
+    with pytest.raises(ValueError):
+        ms.load[0] = 1.0
+    n, nu = len(ms.load), ms.velocity_space.ndof
+    assert ms.a.shape == ms.b.shape == (n, n)
+    assert n == nu + (0 if ms.pressure_space is None
+                      else ms.pressure_space.ndof)
+    assert not ms.load[nu:].any()
+    assert ms.a[nu:].nnz == ms.a[:, nu:].nnz == 0
+    if method == "M2":
+        assert n > nu and ms.load[:nu].any()
+
+
 @pytest.mark.parametrize("method,point_sets,facet_chunks,load,chunk", [
     pytest.param(m, n, nf, load, chunk,
                  id=f"{m}-{n}" + ("" if load else "-no_load")
@@ -272,13 +294,13 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
     table of M2, the velocity table on the same points (D couples the
     two) or, on a boundary chunk, the pseudo-pressure table on the points
     where the velocity trace is evaluated (G couples them).  A facet
-    chunk's traces (forms._facet_basis, which every method's facet sets
+    chunk's traces (FeSpace.facet_basis, which every method's facet sets
     go through once per set and chunk, M2's boundary included) are its
     owners' tables concatenated, so those are tracked too."""
     if chunk is not None:
         monkeypatch.setattr(forms, "CHUNK", chunk)
     calls, held, facet_sets = [], [], []
-    eval_basis, facet_basis = FeSpace.eval_basis, forms._facet_basis
+    eval_basis, facet_basis = FeSpace.eval_basis, FeSpace.facet_basis
 
     def traced_facets(space, fg):
         out = facet_basis(space, fg)
@@ -304,7 +326,7 @@ def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
         return out
 
     monkeypatch.setattr(FeSpace, "eval_basis", counted)
-    monkeypatch.setattr(forms, "_facet_basis", traced_facets)
+    monkeypatch.setattr(FeSpace, "facet_basis", traced_facets)
     prob = convergence_problem(2)
     f = prob.f if load else None
     ms = assemble_method(method, make_unit_disc_mesh(1, geom_order=2), 2,
