@@ -30,7 +30,7 @@ conv, warn = run_convergence(out_path=str(out), progress=progress)
 assert not warn, warn
 for p in (1, 2, 3, 4):
     for method in ("M1", "M2", "M3", "M4"):
-        rows = [r for r in conv.csv_rows() if r.p == p and r.method == method]
+        rows = [r for r in conv.rows if r.p == p and r.method == method]
         if len(rows) >= 3:
             slope = fit_slope([r.h for r in rows], [r.value for r in rows])
             print(f"  p={p} {method}: fitted L2 rate {slope:.2f}")
@@ -39,7 +39,7 @@ print("== volume-locking study (p = 2) ==")
 lock, warn = run_locking(out_path=str(out), progress=progress)
 assert not warn, warn
 for method in ("M1", "M3", "M4"):
-    rows = {(r.cs2, r.h): r.value for r in lock.csv_rows()
+    rows = {(r.cs2, r.h): r.value for r in lock.rows
             if r.method == method}
     hs = sorted({h for _, h in rows}, reverse=True)
     ratio = rows[(1000.0, hs[-1])] / rows[(1.0, hs[-1])]
@@ -49,7 +49,7 @@ print("== gradient-robustness study (p = 3) ==")
 rob, warn = run_gradrob(out_path=str(out), progress=progress)
 assert not warn, warn
 for method in ("M1", "M2", "M3", "M4"):
-    rows = [r for r in rob.csv_rows()
+    rows = [r for r in rob.rows
             if r.method == method and r.cs2 == 1000.0]
     vals = [r.value for r in sorted(rows, key=lambda r: -r.h)]
     spread = (max(vals) - min(vals)) / max(vals)

@@ -44,16 +44,15 @@ import numpy as np
 
 from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, check_degree,
-                    check_number, error_norms, paper_coefficients)
+                    check_number, error_norms, l2_norms, paper_coefficients)
 from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
 from .problems import convergence_problem, gradrob_problem, locking_problem
 from .quadrature import MAX_ORDER, check_integer, quadrature_orders
 
-# The norm of each method.  A report column is a prefix and the norm: the
-# CSV carries "error" or "norm" columns, and the triple-norm errors ("xh")
-# are recorded in the report but not in the CSV.
+# The norm of each method.  A report column is a prefix and the norm: a
+# study's CSV carries its "error" (L2 error) or "norm" (L2 norm) columns.
 NORMS = {"M1": "H1", "M2": "H1pp", "M3": "Hdiv", "M4": "DG"}
 # The methods without a pseudo-pressure, whose pair diagnostics compares.
 SINGLE_FIELD_METHODS = tuple(m for m in METHODS if METHOD_FORMS[m][1] is None)
@@ -98,7 +97,7 @@ class Study:
     levels: object       # p -> default refinement levels
     cs2_list: tuple
     axis: str
-    metrics: tuple       # (error_norms key, column prefix), CSV one first
+    metric: tuple        # (l2_norms key, column prefix) of the CSV columns
     csv: str
     svg: str
     ref_slope: object    # p -> slope of the dashed reference line
@@ -108,27 +107,27 @@ class Study:
     @property
     def columns(self):
         """method -> CSV column."""
-        return {m: self.metrics[0][1] + NORMS[m] for m in METHODS}
+        return {m: self.metric[1] + NORMS[m] for m in METHODS}
 
 
-_ERRORS = (("l2_error", "error"), ("xh_error", "xh"))
 _SWEEP = (1.0, 10.0, 100.0, 1000.0)
 
 STUDIES = {
     "convergence": Study(
         problem=convergence_problem, p_list=(1, 2, 3, 4),
         levels=default_convergence_levels, cs2_list=(1.0,), axis="p",
-        metrics=_ERRORS, csv="hconv.csv", svg="hconv_p{p}.svg",
+        metric=("l2_error", "error"), csv="hconv.csv", svg="hconv_p{p}.svg",
         ref_slope=lambda p: p + 0.5,
         title="h-convergence, degree p={p}", ylabel="L2 error"),
     "locking": Study(
         problem=locking_problem, p_list=(2,), levels=lambda p: (0, 1, 2),
-        cs2_list=_SWEEP, axis="cs2", metrics=_ERRORS, csv="locking.csv",
+        cs2_list=_SWEEP, axis="cs2", metric=("l2_error", "error"),
+        csv="locking.csv",
         svg="locking_{method}.svg", ref_slope=lambda p: p + 0.5,
         title="volume locking study, {method}, p={p}", ylabel="L2 error"),
     "gradrob": Study(
         problem=gradrob_problem, p_list=(3,), levels=lambda p: (1, 2, 3),
-        cs2_list=_SWEEP, axis="cs2", metrics=(("l2_norm", "norm"),),
+        cs2_list=_SWEEP, axis="cs2", metric=("l2_norm", "norm"),
         csv="rob.csv", svg="rob_{method}.svg", ref_slope=lambda p: 0.0,
         title="gradient-robustness study, {method}, p={p}",
         ylabel="L2 norm of u_h"),
@@ -175,11 +174,6 @@ class StudyReport:
         self.rows.sort(key=lambda r: (r.p, r.cs2, -r.h, r.method, r.metric_name))
         return self
 
-    def csv_rows(self):
-        """The subset of rows that the pinned CSV schema can carry."""
-        keep = set(STUDIES[self.study].columns.values())
-        return [r for r in self.rows if r.metric_name in keep]
-
 
 def fit_slope(hs, errs, last=3):
     """Least-squares slope of log(err) vs log(h) over the last `last` levels."""
@@ -208,7 +202,7 @@ def emit_study_csv(report, path):
     header = _csv_header(spec)
     _, fmt, fixed = _CSV_AXIS[spec.axis]
     groups = {}
-    for r in report.csv_rows():
+    for r in report.rows:
         key = (getattr(r, spec.axis), getattr(r, fixed), -r.h)
         groups.setdefault(key, {})[r.metric_name] = r.value
     with open(path, "w", newline="\n") as fh:
@@ -241,9 +235,8 @@ def write_svg(path, series, ref_slope, title, ylabel):
     ly = [np.log10(v) for _, v in pts]
     x0, x1 = min(lx), max(lx)
     y0, y1 = min(ly), max(ly)
-    if ref_slope:
-        # reserve room for the reference line half a decade below the data
-        y0 -= 0.5 + abs(ref_slope) * (x1 - x0) * 0.25
+    # reserve room for the reference line, drawn below the data at any slope
+    y0 -= 0.5 + abs(ref_slope) * (x1 - x0) * 0.25
     x0 -= 0.05 * max(x1 - x0, 0.1)
     x1 += 0.05 * max(x1 - x0, 0.1)
     y0 -= 0.05 * max(y1 - y0, 0.1)
@@ -379,18 +372,6 @@ def _solve_cell(method, mesh, p, prob, ms):
     return ms.split(solve(ms.system_at(prob.coeffs.cs2)))[0].coefficients
 
 
-def _cell_norms(method, ms, probs, columns):
-    """The error_norms dicts of the velocity coefficients `columns` that
-    _solve_cell returned for `probs`, cells of one (mesh, method) pair, in
-    one error_norms call.  The problems of a c_s^2 sweep share their exact
-    solution (if any), so the first one's serves them all."""
-    prob = probs[0]
-    u = DiscreteField(ms.velocity_space, np.column_stack(columns))
-    return error_norms(u, prob if prob.has_exact else None, prob.coeffs,
-                       method=method, pp_space=ms.pressure_space,
-                       cs2=[pr.coeffs.cs2 for pr in probs])
-
-
 def run_study(study, p_list=None, cs2_list=None, levels=None,
               methods=METHODS, out_path=None, lambda_b=None, lambda_n=None,
               geom_order=None, progress=None):
@@ -399,9 +380,10 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     Arguments left None take the study's defaults.  The runner loops over
     its _plan's cells, p -> level -> method -> c_s^2.  It assembles each
     (mesh, method) operator pair once, solves it at every c_s^2 and
-    evaluates the error norms of all the solutions in one error_norms call,
-    given each one's c_s^2.  With out_path it writes its CSV and SVGs there
-    from the sorted report rows alone: the order of its lists changes no file.
+    computes the one norm its CSV holds (Study.metric) for all the
+    solutions in one l2_norms call; a sweep's problems share their exact
+    solution, if any.  With out_path it writes its CSV and SVGs there from
+    the sorted report rows alone: the order of its lists changes no file.
     """
     spec = STUDIES[study]
     p_list = spec.p_list if p_list is None else tuple(p_list)
@@ -409,12 +391,14 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
     fixed = _CSV_AXIS[spec.axis][2]
     if len(p_list if fixed == "p" else cs2_list) != 1:
         raise ParameterError(fixed, f"{study} takes a single {fixed} value")
+    key, prefix = spec.metric
     report = StudyReport(study)
     warnings = []
     for (p, g, p_levels), p_methods in _plan(study, methods, p_list, levels,
                                              geom_order).items():
         probs = [spec.problem(p=p, cs2=cs2, lambda_b=lambda_b,
                               lambda_n=lambda_n) for cs2 in cs2_list]
+        exact = probs[0] if probs[0].has_exact else None
         for level in p_levels:
             mesh = make_unit_disc_mesh(level, geom_order=g)
             h = mesh_size(mesh)
@@ -430,14 +414,13 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
                         warnings.append(f"warning: {m} p={p} solve failed: "
                                         f"{exc}")
                         continue
-                    solved.append((cs2, prob, x))
+                    solved.append((cs2, x))
                 if not solved:
                     continue
-                sweep, solved_probs, columns = zip(*solved)
-                for cs2, res in zip(sweep, _cell_norms(m, ms, solved_probs,
-                                                       columns)):
-                    for key, prefix in spec.metrics:
-                        report.add(h, p, cs2, m, prefix + NORMS[m], res[key])
+                sweep, columns = zip(*solved)
+                u = DiscreteField(ms.velocity_space, np.column_stack(columns))
+                for cs2, res in zip(sweep, l2_norms(u, exact)):
+                    report.add(h, p, cs2, m, prefix + NORMS[m], res[key])
     report.sort()
     if out_path is not None:
         emit_study_csv(report, f"{out_path}/{spec.csv}")
@@ -445,7 +428,7 @@ def run_study(study, p_list=None, cs2_list=None, levels=None,
         per_svg, per_series = (("p", "method") if spec.axis == "p"
                                else ("method", "cs2"))
         plots = {}
-        for r in report.csv_rows():
+        for r in report.rows:
             series = plots.setdefault(getattr(r, per_svg), (vars(r), {}))[1]
             series.setdefault(getattr(r, per_series), {})[r.h] = r.value
         for fields, series in plots.values():
@@ -543,7 +526,8 @@ def run_solve(method, level=1, p=2, cs2=1.0, out_path=None, geom_order=None,
     u = _solve_cell(method, mesh, p, prob, ms)
     res = {"method": method, "p": p, "level": level, "cs2": cs2,
            "geom_order": g, "h": mesh_size(mesh), "ndof": ms.a.shape[0],
-           **_cell_norms(method, ms, [prob], [u])[0]}
+           **error_norms(DiscreteField(ms.velocity_space, u), prob,
+                         prob.coeffs, method, ms.pressure_space)[0]}
     if out_path is not None:
         with open(f"{out_path}/solve.txt", "w", newline="\n") as fh:
             fh.write(_record(res))
@@ -701,7 +685,7 @@ def main(argv=None):
                 progress=lambda msg: print(msg, file=sys.stderr, flush=True))
             for w in warnings:
                 print(w, file=sys.stderr)
-            for r in report.csv_rows():
+            for r in report.rows:
                 print(f"p={r.p} cs2={r.cs2:g} h={r.h:.5f} "
                       f"{r.method} {r.metric_name}={r.value:.6e}")
             return 1 if warnings else 0

@@ -17,8 +17,8 @@ discrete operator of every method is -a_h + b_h:
 c_s^2 is a constant, so every b_h form assembles B_h per unit c_s^2, and
 only MethodSystem applies c_s^2: -A_h + c_s^2 B_h.  One pair and the one
 load assembled with it serve every c_s^2 of a sweep.  Each c_s^2, whether
-it enters through CoefficientSet, MethodSystem.system_at or error_norms,
-passes the one rule, check_number.
+it enters through CoefficientSet or MethodSystem.system_at, passes the one
+rule, check_number.
 
 _assemble is the one code path that composes a method's pair of forms,
 for the operator, the dense diagnostics and the triple-norm error alike.
@@ -500,48 +500,58 @@ def _l2(wq, vals):
             for v in np.moveaxis(vals, 2, 0)]
 
 
-def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None,
-                cs2=None):
+def l2_norms(u_h, exact, order=None):
+    """L2 error and L2 norm of discrete solutions, in one element pass.
+
+    `u_h` is one DiscreteField of k solutions of one space, and the result
+    a list of k dicts {"l2_error", "l2_norm"} in column order; l2_error is
+    None without `exact` (a callable u).  `order` is quadrature_order of
+    the space for "error norms" by default, error_norms' order, and the
+    values equal error_norms' bit for bit.
+    """
+    space = u_h.space
+    if order is None:
+        order = quadrature_order(space, "error norms")
+    rule, wq, phys = space.mesh.element_quadrature(order)
+    vals, _, _ = u_h.evaluate(np.arange(space.mesh.num_triangles),
+                              rule.points)
+    norms = _l2(wq, vals)
+    errors = ([None] * len(norms) if exact is None else
+              _l2(wq, vals - eval_pointwise(exact.u, phys)[..., None, :]))
+    return [{"l2_error": e, "l2_norm": n} for e, n in zip(errors, norms)]
+
+
+def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None):
     """L2 error, method triple-norm error, and L2 norm of discrete solutions.
 
     `u_h` is one DiscreteField of k solutions of one space, and the result
-    a list of k dicts in column order.  `cs2` is the c_s^2 of each solution,
-    by default that of `coeffs` for all: solution j's triple norm takes
-    B_h, which is per unit c_s^2, scaled by cs2[j], which must be a
-    positive, finite number (ValueError naming cs2 otherwise).
-
-    The triple norm of the error e = u_h - u is a_h(e, e) + b_h(e, e) of
-    the method's pair, composed by _assemble on the _ErrorSpace of the k
+    a list of k dicts in column order.  The triple norm of the error
+    e = u_h - u is a_h(e, e) + c_s^2 b_h(e, e) of the method's pair at the
+    c_s^2 of `coeffs`, composed by _assemble on the _ErrorSpace of the k
     errors, whose k x k pair holds them on its diagonal; exact values and
     u_h traces are evaluated for all k at once, on the elements whole and
     on the facet sets the method has terms on chunk by chunk.  For a
     method with a pseudo-pressure family, div e is replaced by its L2
     projection onto that space (pp_space, built when not given), one
     solve with k right-hand sides.  `exact` provides callables u, grad_u,
-    div_u (or is None, in which case only the solution norm is reported).
-    An unknown method raises ValueError, with or without `exact`.
+    div_u (or is None, in which case only the solution norm is reported,
+    by l2_norms).  An unknown method raises ValueError, with or without
+    `exact`.
     """
     _, pp_family, _, _ = _method_forms(method)
-    space, k = u_h.space, u_h.coefficients.shape[1]
-    cs2 = np.full(k, coeffs.cs2) if cs2 is None else np.array(
-        [check_number("cs2", c, "positive") for c in cs2])
-    if len(cs2) != k:
-        raise ValueError(f"{len(cs2)} c_s^2 values for {k} solutions")
+    space = u_h.space
     if order is None:
         order = quadrature_order(space, "error norms")
     if exact is None:
-        rule, wq, _ = space.mesh.element_quadrature(order)
-        vals, _, _ = u_h.evaluate(np.arange(space.mesh.num_triangles),
-                                  rule.points)
-        return [{"l2_error": None, "xh_error": None, "l2_norm": n}
-                for n in _l2(wq, vals)]
+        return [{"l2_error": None, "xh_error": None, "l2_norm": r["l2_norm"]}
+                for r in l2_norms(u_h, None, order)]
 
     if pp_family is not None and pp_space is None:
         pp_space = build_space(pp_family, space.mesh, space.degree - 1)
     err = _ErrorSpace(u_h, exact, order,
                       None if pp_family is None else pp_space)
     A, B, _ = _assemble(method, err, coeffs, order, None, None)
-    xh2 = A.diagonal() + cs2 * B.diagonal()
+    xh2 = A.diagonal() + coeffs.cs2 * B.diagonal()
     wq = err.tables[0]
     return [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),
              "l2_norm": n}

@@ -104,8 +104,8 @@ def read_study_csv(path):
 
     The study kind is inferred from the header.  The field absent from the
     file (cs2 for convergence, p for locking/gradrob) is restored from the
-    study defaults, so parse(emit(report)) reproduces the CSV-carried rows
-    of a default run exactly.
+    study defaults, so parse(emit(report)) reproduces the rows of a
+    default run exactly.
     """
     with open(path, newline="\n") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]

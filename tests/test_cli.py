@@ -69,7 +69,7 @@ def test_csv_headers_and_roundtrip(tmp_path, tiny_reports):
         assert text.splitlines()[0] == headers[study]
         assert "\r" not in text
         parsed = read_study_csv(path)
-        assert parsed.rows == StudyReport(study, report.csv_rows()).sort().rows
+        assert parsed.rows == report.rows
 
 
 def test_rows_sorted_and_finite(tiny_reports):
@@ -96,7 +96,7 @@ def test_duplicate_cs2_rows_identical(tmp_path):
     as one series (the single level draws no reference line)."""
     report, _ = run_locking(cs2_list=(1.0, 1.0), levels=(0,),
                             methods=("M3",), out_path=str(tmp_path))
-    rows = report.csv_rows()
+    rows = report.rows
     assert len(rows) == 2
     assert rows[0].value == rows[1].value
     assert (tmp_path / "locking_M3.svg").read_text().count("<polyline") == 1
@@ -121,7 +121,7 @@ def test_a_repeated_value_runs_its_cells_once(monkeypatch, kw):
     report, warnings = run_convergence(**kw)
     assert not warnings
     assert calls == ["M3"]
-    assert len(report.csv_rows()) == 1
+    assert len(report.rows) == 1
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -155,6 +155,26 @@ def test_svg_polyline_counts(tmp_path):
     assert text.startswith("<svg")
     with pytest.raises(ValueError):
         write_svg(tmp_path / "empty.svg", [("a", [0.5], [0.0])], 1.0, "t", "e")
+
+
+def test_constant_reference_line_inside_the_axes(tmp_path):
+    """A slope-0 reference line (gradrob's "const") is drawn inside the
+    axes box with the series, not below the x-axis over its tick labels."""
+    path = tmp_path / "plot.svg"
+    hs = [0.5, 0.25, 0.125]
+    write_svg(path, [("a", hs, [1.0, 0.9, 0.95]), ("b", hs, [2.0, 2.1, 2.0])],
+              0.0, "t", "norm")
+    text = path.read_text()
+    axes = [[float(v) for v in m] for m in re.findall(
+        r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)" '
+        r'stroke="#444444"/>', text)[:2]]
+    (left, bottom, right, _), (_, top, _, _) = axes
+    polylines = re.findall(r'<polyline [^>]*points="([^"]*)"', text)
+    assert len(polylines) == 3
+    for points in polylines:
+        for point in points.split():
+            x, y = map(float, point.split(","))
+            assert left <= x <= right and top <= y <= bottom, point
 
 
 def test_study_svgs_one_polyline_per_series(tmp_path):
@@ -557,7 +577,7 @@ def test_a_study_builds_meshes_only_for_its_cells(monkeypatch):
                                        methods=("M2",))
     assert not warnings
     assert len(meshes) == 1
-    assert {r.p for r in report.csv_rows()} == {2}
+    assert {r.p for r in report.rows} == {2}
 
 
 def test_a_study_without_cells_exits_2(capsys, tmp_path):
@@ -589,7 +609,7 @@ def test_sweep_assembles_load_once(monkeypatch, study):
     monkeypatch.setattr(forms, "assemble_rhs", counted)
     report, warnings = run_study(study, levels=(0,))
     assert not warnings
-    assert len(report.csv_rows()) == 16
+    assert len(report.rows) == 16
     assert len(calls) == 4
 
 

@@ -15,7 +15,7 @@ from gdfem.fespace import (DegreeError, DiscreteField, FeSpace, build_space,
 from gdfem import forms
 from gdfem.forms import (METHODS, CoefficientSet, assemble_a_volume,
                          assemble_b_volume, assemble_method, error_norms,
-                         method_spaces, paper_coefficients)
+                         l2_norms, method_spaces, paper_coefficients)
 from gdfem.linalg import solve
 from gdfem.mesh import (FacetGeometry, GeometryMap, make_unit_disc_mesh,
                         make_unit_square_mesh, mesh_size)
@@ -346,7 +346,7 @@ def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
     (M2's blocks included) and load on the level-2 disc (96 elements, 132
     interior and 24 boundary facets) equals, bit for bit, the pair and
     load assembled in one chunk, and so do the error norms of a solution
-    (k = 1) and of two (k = 2, c_s^2 = 1 and 10)."""
+    (k = 1) and of two (k = 2, solved at c_s^2 = 1 and 10)."""
     mesh = make_unit_disc_mesh(2, geom_order=2)
     cells = [(m, p) for p in (1, 2) for m in METHODS
              if not (m == "M2" and p < 2)]
@@ -357,9 +357,8 @@ def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
         us = np.column_stack([ms.split(solve(ms.system_at(cs2)))[0]
                               .coefficients for cs2 in (1.0, 10.0)])
         norms = [error_norms(DiscreteField(ms.velocity_space, u), prob,
-                             prob.coeffs, method, ms.pressure_space,
-                             cs2=cs2)
-                 for u, cs2 in ((us[:, :1], None), (us, [1, 10]))]
+                             prob.coeffs, method, ms.pressure_space)
+                 for u in (us[:, :1], us)]
         return ms, norms
 
     whole = {cell: assembled(*cell) for cell in cells}
@@ -404,18 +403,14 @@ def test_assembly_peak_is_bounded_by_its_output(method, bound):
                          ids=["zero", "negative", "nan", "inf", "str", "none",
                               "true", "false"])
 def test_every_cs2_passes_the_number_rule(bad):
-    """system_at and each entry of error_norms(cs2=...) check c_s^2 as
-    CoefficientSet does: anything but a positive, finite number raises
-    ValueError naming cs2, rather than solving a negative-definite system
-    or reporting a zero triple-norm error."""
+    """system_at checks c_s^2 as CoefficientSet does: anything but a
+    positive, finite number raises ValueError naming cs2, rather than
+    solving a negative-definite system."""
     prob = convergence_problem(1)
     ms = assemble_method("M4", make_unit_disc_mesh(1, geom_order=2), 1,
                          prob.coeffs, prob.f)
     with pytest.raises(ValueError, match="cs2"):
         ms.system_at(bad)
-    u, _ = ms.split(solve(ms.system))
-    with pytest.raises(ValueError, match="cs2"):
-        error_norms(u, prob, prob.coeffs, method="M4", cs2=[bad])
 
 
 def test_m2_requires_degree_two(square1):
@@ -634,11 +629,14 @@ def test_error_norms_trivial_cases(square1):
     assert res["xh_error"] <= 1e-11
 
 
-@pytest.mark.parametrize("method", ["M1", "M3", "M4"])
-def test_triple_norm_is_operator_energy(disc1_curved, method):
+@pytest.mark.parametrize("method,cs2", [
+    pytest.param(m, cs2, id=m if cs2 == 1.0 else f"{m}-cs2={cs2:g}")
+    for cs2 in (1.0, 1000.0) for m in ("M1", "M3", "M4")])
+def test_triple_norm_is_operator_energy(disc1_curved, method, cs2):
     """At exact u = 0 the triple-norm error of u_h = sum x_i phi_i is the
-    energy x.(A_h + B_h)x of the method's operator pair."""
-    co = paper_coefficients(2)
+    energy x.(A_h + c_s^2 B_h)x of the method's operator pair, B_h per unit
+    c_s^2; at c_s^2 = 1000 a triple norm that drops the c_s^2 fails."""
+    co = paper_coefficients(2, cs2=cs2)
     space, _ = method_spaces(method, disc1_curved, 2)
     x = np.random.default_rng(5).standard_normal(space.ndof)
     zero = _FieldExact(u=lambda q: np.zeros((len(q), 2)),
@@ -646,7 +644,7 @@ def test_triple_norm_is_operator_energy(disc1_curved, method):
                        div_u=lambda q: np.zeros(len(q)))
     for k in (8, 10):
         ms = assemble_method(method, disc1_curved, 2, co, None, order=k)
-        energy = x @ ((ms.a + ms.b) @ x)
+        energy = x @ ((ms.a + cs2 * ms.b) @ x)
         xh = error_norms(DiscreteField(space, x), zero, co, method=method,
                          order=k)[0]["xh_error"]
         assert abs(xh ** 2 - energy) <= 1e-12 * abs(energy)
@@ -674,25 +672,24 @@ _SWEEP = (1.0, 10.0, 100.0, 1000.0)
                          ids=["locking-p2", "gradrob-p3"])
 @pytest.mark.parametrize("method", METHODS)
 def test_batched_error_norms_match_single(method, problem, p):
-    """One error_norms call on the k columns of a c_s^2 sweep's solutions,
-    with b_h scaled by each c_s^2, gives what k calls on one column each
-    give (the locking problem has an exact solution, gradrob only a
-    norm)."""
+    """One l2_norms call on the k columns of a c_s^2 sweep's solutions, as
+    a study makes it, gives what k calls on one column each give, and its
+    values are error_norms' L2 values of the k columns, bit for bit (the
+    locking problem has an exact solution, gradrob only a norm)."""
     mesh = make_unit_disc_mesh(1, geom_order=2)
     probs = [problem(cs2, p=p) for cs2 in _SWEEP]
     ms = assemble_method(method, mesh, p, probs[0].coeffs, probs[0].f)
     exact = probs[0] if probs[0].has_exact else None
     xs = [ms.split(solve(ms.system_at(cs2)))[0].coefficients
           for cs2 in _SWEEP]
-    batch = error_norms(DiscreteField(ms.velocity_space, np.column_stack(xs)),
-                        exact, probs[1].coeffs, method=method,
-                        pp_space=ms.pressure_space,
-                        cs2=[pr.coeffs.cs2 for pr in probs])
+    u = DiscreteField(ms.velocity_space, np.column_stack(xs))
+    batch = l2_norms(u, exact)
     assert len(batch) == len(_SWEEP)
-    for x, pr, got in zip(xs, probs, batch):
-        want, = error_norms(DiscreteField(ms.velocity_space, x), exact,
-                            pr.coeffs, method=method,
-                            pp_space=ms.pressure_space)
+    full = error_norms(u, exact, probs[0].coeffs, method=method,
+                       pp_space=ms.pressure_space)
+    assert batch == [{k: r[k] for k in ("l2_error", "l2_norm")} for r in full]
+    for x, got in zip(xs, batch):
+        want, = l2_norms(DiscreteField(ms.velocity_space, x), exact)
         assert got.keys() == want.keys()
         for key, value in want.items():
             if value is None:
@@ -737,7 +734,7 @@ def test_error_norms_evaluate_each_point_set_once(monkeypatch, method,
     monkeypatch.setattr(DiscreteField, "evaluate", counted)
     error_norms(DiscreteField(vel, RNG.standard_normal((vel.ndof, 3))),
                 replace(prob, u=exact_u), prob.coeffs, method=method,
-                pp_space=pp, cs2=(1.0, 10.0, 1000.0))
+                pp_space=pp)
     assert len(calls) == len(set(calls)) == point_sets
     assert len(exact_calls) == physical_sets
 
