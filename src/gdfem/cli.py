@@ -44,7 +44,8 @@ import numpy as np
 
 from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, check_degree,
-                    check_number, error_norms, l2_norms, paper_coefficients)
+                    check_number, error_norms, l2_norms, paper_coefficients,
+                    rotation_action)
 from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -474,9 +475,11 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     Returns a dict with c_bh, the derived inf-sup constant c_hat (None if
     c_bh <= 1) and the dimension of the discrete kernel of b_h on the free
     dofs.  Dense computation, capped at 2000 dofs.  For M3 and M4 the
-    kernel dimension is derham_kernel_dim's count, and c_bh comes from one
-    eigensolve of the pencil (B_h, A_h), which must have its spectral gap
-    there.  M1's kernel has no such count and is found by a relative
+    kernel dimension is derham_kernel_dim's count, and c_bh comes from the
+    spectrum of the pencil (B_h, A_h), which must have its spectral gap
+    there; it is solved on the four Fourier blocks of the hexagon fan's
+    rotation (forms.rotation_action on the free dofs), with which A_h and
+    B_h commute.  M1's kernel has no such count and is found by a relative
     threshold on the eigenvalues of B_h, the route whose answer
     perfbench/expected.json records (estimate_control_constant).  A
     method with a pseudo-pressure family (M2) has no single-field pair to
@@ -491,10 +494,13 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     constrained = ms.velocity_space.constrained_dofs
     Af = restrict_free(ms.a, constrained)
     Bf = restrict_free(ms.b, constrained)
-    kernel_dim = (derham_kernel_dim(mesh, p) if method in DERHAM_METHODS
-                  else None)
-    c_bh, c_hat, kdim = estimate_control_constant(Af, Bf,
-                                                  kernel_dim=kernel_dim)
+    kernel_dim = rotation = None
+    if method in DERHAM_METHODS:
+        kernel_dim = derham_kernel_dim(mesh, p)
+        rotation = restrict_free(rotation_action(ms.velocity_space),
+                                 constrained)
+    c_bh, c_hat, kdim = estimate_control_constant(
+        Af, Bf, kernel_dim=kernel_dim, rotation=rotation)
     result = {"method": method, "level": level, "p": p, "geom_order": g,
               "ndof_free": Af.shape[0], "kernel_dim": kdim,
               "c_bh": c_bh, "c_hat": c_hat}

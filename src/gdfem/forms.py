@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import (DiscreteField, build_space, DegreeError,
+from .fespace import (PIOLA_FAMILIES, DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order, side_by_side)
 from .linalg import LinearSystem, assemble_csr, assemble_vector
 from .quadrature import check_integer
@@ -330,6 +330,36 @@ def method_spaces(method, mesh, p):
     p = check_degree(method, p)
     return (build_space(vel_family, mesh, p), None if pp_family is None
             else build_space(pp_family, mesh, p - 1))
+
+
+def rotation_action(space):
+    """Q, the dof action of the hexagon fan's rotation R by 60 degrees on a
+    Piola-mapped space: the field u with coefficients x turned by R,
+    R u(R^-1 .), has coefficients Q x.  Q is a signed permutation (CSR).
+
+    R maps element e onto e' = Mesh.rotated_elements()[e] in the same
+    local order, and the Piola map commutes with it, so it turns basis
+    function i of e into that of e', times s[e, i] / s[e', i] = +-1 for
+    BDM's per-element scale s (FeSpace._bdm_scale) and times 1 for vector
+    DG.  ValueError for a Lagrange family, a mesh without the symmetry,
+    or elements that disagree on a shared dof's image or sign.
+    """
+    if space.family not in PIOLA_FAMILIES:
+        raise ValueError(f"the rotation acts on the Piola families "
+                         f"{PIOLA_FAMILIES} only, not on {space.family!r}")
+    image = space.mesh.rotated_elements()
+    dofs, turned = space.dof_map, space.dof_map[image]
+    sign = np.ones(dofs.shape)
+    if space.family == "hdiv_bdm":
+        sign = np.sign(space._bdm_scale[image] / space._bdm_scale)
+    target, factor = np.empty(space.ndof, dtype=int), np.empty(space.ndof)
+    target[dofs], factor[dofs] = turned, sign
+    if not (np.array_equal(target[dofs], turned)
+            and np.array_equal(factor[dofs], sign)):
+        raise ValueError("the elements disagree on the image or sign of a "
+                         "shared dof under the rotation")
+    return sp.csr_matrix((factor, (target, np.arange(space.ndof))),
+                         shape=(space.ndof, space.ndof))
 
 
 def _scatter(blocks, rows, cols, shape):

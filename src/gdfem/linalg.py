@@ -7,14 +7,18 @@ diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True}): static
 pivoting without relaxed supernodes.  It corrects the answer once with a
 longdouble residual.
 
-The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) densify A_h and B_h and take
-one of two routes (estimate_control_constant).  Given the dimension of
-ker B_h, which the discrete de Rham sequence counts for M3 and M4, one
-eigensolve of the pencil (B_h, A_h) gives c_bh.  Without it (M1), the
-kernel is found by a relative threshold on the eigenvalues of B_h and the
-pencil is reduced to its a-orthogonal complement; this route stays while
-perfbench/expected.json records its answer for M1 p=2 level 3, where the
-threshold and the pencil's own gap disagree.
+The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) solve dense pencils with
+LAPACK's "gv" driver and take one of two routes
+(estimate_control_constant).  Given the dimension of ker B_h, which the
+discrete de Rham sequence counts for M3 and M4, the spectrum of the
+pencil (B_h, A_h) gives c_bh.  It is solved on the four Fourier blocks of
+the hexagon fan's rotation by 60 degrees, of n/6 rows each: A_h and B_h
+commute with the rotation's dof action, so the split is exact, not an
+approximation.  Without a count (M1), the kernel is found by a relative
+threshold on the eigenvalues of B_h and the pencil is reduced to its
+a-orthogonal complement; this route stays while perfbench/expected.json
+records its answer for M1 p=2 level 3, where the threshold and the
+pencil's own gap disagree.
 """
 
 from dataclasses import dataclass, field
@@ -193,7 +197,7 @@ def _semidefinite_scale(lam):
     return scale
 
 
-def estimate_control_constant(A, B, kernel_dim=None):
+def estimate_control_constant(A, B, kernel_dim=None, rotation=None):
     """Smallest ratio b(w, w)/a(w, w) over the a-orthogonal complement of ker B.
 
     A must be symmetric positive definite, B symmetric positive
@@ -205,19 +209,33 @@ def estimate_control_constant(A, B, kernel_dim=None):
     The ratios are the eigenvalues of the pencil (B, A), ker B is the
     eigenspace of 0, and c_bh is the first eigenvalue past it.  Both
     routes raise the same ValueError for an A that is not SPD and for an
-    eigenvalue below -KERNEL_TOL times the largest magnitude.
+    eigenvalue below -KERNEL_TOL times the largest magnitude.  Each
+    solves its pencil with LAPACK's xSYGV/xHEGV (driver "gv"), faster than
+    the default divide-and-conquer "gvd" on these pencils (M1 p=2 level
+    3's whole pencil: 0.29 s against 0.48 s).
 
-    - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): one
-      eigh(B, A, eigvals_only=True), whose Cholesky factor of A is the SPD
-      check.  Unless its spectrum lam has its gap at N,
-      |lam[N-1]| <= KERNEL_TOL max|lam| < lam[N], ValueError names N; c_bh is
-      lam[N].
+    - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): the
+      spectrum lam of (B, A), each block by eigh(..., eigvals_only=True),
+      whose Cholesky factor of the block of A is the SPD check.  Unless lam
+      has its gap at N, |lam[N-1]| <= KERNEL_TOL max|lam| < lam[N],
+      ValueError names N; c_bh is lam[N].  With `rotation`, a signed
+      permutation Q of order 6 whose orbits all hold six dofs and with
+      which A and B commute (the hexagon fan's rotation on the free dofs,
+      forms.rotation_action), the pencil splits exactly into Q's four
+      Fourier blocks U_k^H (B, A) U_k, k = 0..3 (_fourier_blocks): the
+      eigenspaces of Q are invariant under A and B, and blocks 1 and 2,
+      complex Hermitian, stand for their conjugates 5 and 4 too (Bossavit,
+      CMAME 1986).  A block has n/6 rows, so its eigensolve costs about
+      1/216 of the whole pencil's, or 1/54 if complex.  U is unitary, so a
+      block's Cholesky fails only when A is not SPD.  Without `rotation`,
+      one identity block.
     - kernel_dim None (M1 and direct callers), the threshold route: a
       Cholesky factorization checks A, and dense_nullspace(B) gives
       the kernel V.  The trailing n - k columns of the full Householder QR
       of A V span W = {w : V^T A w = 0}, and the pencil
       (W^T B W, W^T A W) is solved for its full spectrum (for its smallest
       eigenvalue alone, M1 p=2 level 3 moves by 2.6e-6 relative).
+      `rotation` needs kernel_dim: ValueError.
 
     M1's kernel, the curls of C^1 splines, has no dimension formula
     (Morgan & Scott, Math. Comp. 1975), and perfbench/expected.json
@@ -227,23 +245,107 @@ def estimate_control_constant(A, B, kernel_dim=None):
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"A {A.shape} and B {B.shape} must be square "
                          "matrices of one shape")
+    if rotation is not None and kernel_dim is None:
+        raise ValueError("a rotation needs kernel_dim: the threshold route "
+                         "solves the whole pencil")
     A, B = _symmetric_part(A), _symmetric_part(B)
     if kernel_dim is None:
         c_bh, k = _complement_pencil(A, B)
     else:
-        c_bh, k = _counted_pencil(A, B, kernel_dim), kernel_dim
+        c_bh, k = _counted_pencil(A, B, kernel_dim, rotation), kernel_dim
     c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None
     return c_bh, c_hat, k
 
 
-def _counted_pencil(A, B, k):
-    """c_bh of symmetric CSR A and B from the full spectrum of (B, A),
-    whose kernel has dimension k."""
+_NOT_ROTATION = ("the rotation must be a signed permutation of order 6 "
+                 "whose orbits all hold six dofs")
+
+
+def _orbits(Q, A, B):
+    """(dofs, signs), both (n/6, 6): Q^j e_d = signs[o, j] e_dofs[o, j] for
+    the first dof d = dofs[o, 0] of each orbit o of the signed permutation
+    Q, found by composing Q's index map five times.  Without Q, each dof
+    its own orbit, (n, 1).  ValueError unless Q is an (n, n) signed
+    permutation of order 6 whose orbits all hold six dofs, and commutes
+    with the symmetric CSR A and B to 1e-10 relative.
+    """
+    n = A.shape[0]
+    if Q is None:
+        return np.arange(n)[:, None], np.ones((n, 1))
+    if Q.shape != (n, n):
+        raise ValueError(f"the rotation {Q.shape} must be of A's shape "
+                         f"{A.shape}")
+    Q = sp.csc_matrix(Q, dtype=float, copy=True)
+    Q.sum_duplicates()
+    Q.eliminate_zeros()
+    image, sign = Q.indices, Q.data
+    if not (np.all(np.diff(Q.indptr) == 1) and np.all(np.abs(sign) == 1)
+            and np.all(np.bincount(image, minlength=n) == 1)):
+        raise ValueError(_NOT_ROTATION)
+    dofs, signs = [np.arange(n)], [np.ones(n)]
+    for _ in range(5):
+        signs.append(sign[dofs[-1]] * signs[-1])
+        dofs.append(image[dofs[-1]])
+    dofs, signs = np.transpose(dofs), np.transpose(signs)
+    if not (np.array_equal(image[dofs[:, -1]], dofs[:, 0])
+            and np.all(sign[dofs[:, -1]] * signs[:, -1] == 1)
+            and np.all(dofs[:, 1:] != dofs[:, :1])):
+        raise ValueError(_NOT_ROTATION)
+    for M in (A, B):
+        if abs(Q @ M - M @ Q).max() > 1e-10 * abs(M).max():
+            raise ValueError("A and B must commute with the rotation")
+    first = dofs.min(axis=1) == dofs[:, 0]
+    return dofs[first], signs[first]
+
+
+def _fourier_blocks(M, dofs, signs):
+    """The blocks U_k^H M U_k, k = 0..m/2, of a symmetric CSR M and the
+    multiplicity of their eigenvalues, over the orbits (dofs, signs) of
+    _orbits, m to an orbit.  Column o of U_k is sum_j w_j v_oj, where
+    v_oj = Q^j e_dofs[o, 0] and w_j = exp(2 pi i jk/m)/sqrt(m), an
+    eigenvector of Q.  With X_jl[o, p] = v_oj^T M v_pl, the block is
+    sum_s exp(2 pi i sk/m) D_s for D_s = (1/m) sum_{l - j = s mod m} X_jl,
+    which one bincount of M's entries forms: no n x n array is built.
+    Blocks 0 and m/2 are real; the others stand for their conjugates
+    m - k too.
+    """
+    no, m = dofs.shape
+    at = np.argsort(dofs, axis=None)          # each dof's place in dofs
+    orbit, shift = np.divmod(at, m)
+    sign = signs.ravel()[at]
+    M = M.tocoo()
+    r, c = M.row, M.col
+    D = np.bincount(((shift[c] - shift[r]) % m * no + orbit[r]) * no
+                    + orbit[c], weights=sign[r] * sign[c] * M.data,
+                    minlength=m * no * no).reshape(m, no, no) / m
+    for k in range(m // 2 + 1):
+        w = np.exp(2j * np.pi * k / m * np.arange(m))
+        block = np.tensordot(w.real, D, 1)
+        if 2 * k % m:
+            yield block + 1j * np.tensordot(w.imag, D, 1), 2
+        else:
+            yield block, 1
+
+
+def _block_spectra(A, B, orbits):
+    """[(eigenvalues of the pencil's Fourier block, multiplicity)] of
+    symmetric CSR A and B over `orbits` (_orbits)."""
     try:
-        lam = dla.eigh(B.toarray(), A.toarray(), eigvals_only=True,
-                       overwrite_a=True, overwrite_b=True)
+        return [(dla.eigh(Bk, Ak, eigvals_only=True, driver="gv",
+                          overwrite_a=True, overwrite_b=True), mult)
+                for (Bk, mult), (Ak, _) in zip(_fourier_blocks(B, *orbits),
+                                               _fourier_blocks(A, *orbits))]
     except dla.LinAlgError:
         raise ValueError(_NOT_SPD) from None
+
+
+def _counted_pencil(A, B, k, rotation):
+    """c_bh of symmetric CSR A and B from the full spectrum of (B, A),
+    whose kernel has dimension k, solved on the Fourier blocks of
+    `rotation`, or None (_orbits)."""
+    orbits = _orbits(rotation, A, B)
+    lam = np.sort(np.concatenate([np.tile(mu, mult) for mu, mult
+                                  in _block_spectra(A, B, orbits)]))
     gap = KERNEL_TOL * _semidefinite_scale(lam)
     if not (0 <= k < len(lam) and (k == 0 or lam[k - 1] <= gap)
             and lam[k] > gap):
@@ -271,7 +373,7 @@ def _complement_pencil(A, B):
         W = dla.qr(A @ V, mode="full")[0][:, k:]
         Aw = W.T @ (A @ W)
         Bw = W.T @ (B @ W)
-    eigs = dla.eigh(Bw, Aw, eigvals_only=True)
+    eigs = dla.eigh(Bw, Aw, eigvals_only=True, driver="gv")
     return float(eigs[0]), k
 
 

@@ -151,6 +151,31 @@ class Mesh:
         """GeometryMap of the elements of the int array `elems`."""
         return GeometryMap(self, elems)
 
+    def rotated_elements(self):
+        """The image e' = (e + T/6) mod T of each of the T elements under R,
+        the rotation by 60 degrees about the origin, which turns each
+        sector of the hexagon fan onto the next: red refinement numbers the
+        children of element e 4e..4e+3 in one local order.  ValueError
+        unless R maps the vertices, in local order, and the curved control
+        points of every element e onto those of e' within 1e-13."""
+        nt = self.num_triangles
+        image = (np.arange(nt) + nt // 6) % nt
+        c, s = np.cos(np.pi / 3.0), np.sin(np.pi / 3.0)
+        R = np.array([[c, s], [-s, c]])                  # x -> R x, row-wise
+
+        def turns(x, turned):
+            return np.abs(x @ R - x[turned]).max(initial=0.0) <= 1e-13
+
+        slot = self._curved_slot
+        curved = slot >= 0
+        if not (np.array_equal(curved, curved[image])
+                and turns(self.vertices[self.triangles], image)
+                and turns(self._curved_controls, slot[image[curved]])):
+            raise ValueError("the mesh has no hexagon-fan symmetry: the "
+                             "rotation by 60 degrees does not map element e "
+                             "onto element (e + T/6) mod T")
+        return image
+
     def facet_length(self, facets):
         """Chord length of one facet or of an array of facets."""
         fv = self.facet_vertices[facets]

@@ -9,7 +9,9 @@ the reference: the kernel dimension must be equal and c_bh agree to 1e-9
 relative.  With the count that `cli.derham_kernel_dim` reads off the mesh
 for M3 and M4 it solves the pencil (B, A) once; that count must equal
 the threshold route's kernel dimension, and c_bh agree to 1e-12
-relative.
+relative.  Given the hexagon fan's rotation too, it solves the pencil on
+the rotation's four Fourier blocks, which must return the one dense
+pencil's c_bh to 1e-12 relative.
 """
 
 import numpy as np
@@ -18,10 +20,10 @@ import scipy.linalg as dla
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from gdfem import cli
+from gdfem import cli, linalg
 from gdfem.cli import (DERHAM_METHODS, SINGLE_FIELD_METHODS,
                        default_geom_order, derham_kernel_dim, run_diagnostics)
-from gdfem.forms import assemble_method, paper_coefficients
+from gdfem.forms import assemble_method, paper_coefficients, rotation_action
 from gdfem.linalg import estimate_control_constant, restrict_free
 from gdfem.mesh import make_unit_disc_mesh
 
@@ -74,14 +76,17 @@ def assert_matches_reference(A, B):
 
 
 def free_pair(method, p, level, geom_order=None, **kw):
-    """(A_h, B_h) on the free dofs and the mesh, as run_diagnostics builds
+    """(A_h, B_h) on the free dofs, the mesh and, for the DERHAM_METHODS,
+    the rotation on the free dofs (else None), as run_diagnostics builds
     them."""
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, paper_coefficients(p, **kw), None)
     constrained = ms.velocity_space.constrained_dofs
+    rotation = (restrict_free(rotation_action(ms.velocity_space), constrained)
+                if method in DERHAM_METHODS else None)
     return (restrict_free(ms.a, constrained),
-            restrict_free(ms.b, constrained), mesh)
+            restrict_free(ms.b, constrained), mesh, rotation)
 
 
 @pytest.mark.parametrize("method", ["M1", "M3", "M4"])
@@ -90,7 +95,7 @@ def free_pair(method, p, level, geom_order=None, **kw):
 def test_demo_cells_match_reference(method, p, level):
     """The cells of demos/stability_diagnostics.py, as run_diagnostics
     builds them."""
-    A, B, _ = free_pair(method, p, level)
+    A, B, _, _ = free_pair(method, p, level)
     assert_matches_reference(A, B)
 
 
@@ -107,7 +112,7 @@ def test_derham_count_is_the_threshold_kernel(method, p, level, geom_order):
     """dim ker B_h of a Piola-mapped method is the count of interior dofs
     of continuous P_{p+1}, on affine and curved cells; the pencil route
     given that count returns the threshold route's c_bh."""
-    A, B, mesh = free_pair(method, p, level, geom_order)
+    A, B, mesh, _ = free_pair(method, p, level, geom_order)
     assert A.shape[0] <= 600
     c_ref, c_hat_ref, k_ref = estimate_control_constant(A, B)
     n = derham_kernel_dim(mesh, p)
@@ -117,15 +122,36 @@ def test_derham_count_is_the_threshold_kernel(method, p, level, geom_order):
     assert c_hat == pytest.approx(c_hat_ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", DERHAM_METHODS)
+@pytest.mark.parametrize("p,level,geom_order", DERHAM_CELLS)
+def test_fourier_blocks_match_the_dense_pencil(method, p, level, geom_order):
+    """The pencil on the rotation's four Fourier blocks gives the dense
+    pencil's c_bh and kernel; each block holds (N - 1)/6 kernel
+    eigenvalues, and block 0 the centre vertex's stream function too."""
+    A, B, mesh, Q = free_pair(method, p, level, geom_order)
+    n = derham_kernel_dim(mesh, p)
+    c_dense, _, k_dense = estimate_control_constant(A, B, kernel_dim=n)
+    c_bh, _, k = estimate_control_constant(A, B, kernel_dim=n, rotation=Q)
+    assert k == k_dense == n
+    assert abs(c_bh - c_dense) <= 1e-12 * c_dense
+    A, B = linalg._symmetric_part(A), linalg._symmetric_part(B)
+    spectra = linalg._block_spectra(A, B, linalg._orbits(Q, A, B))
+    assert [mult for _, mult in spectra] == [1, 2, 2, 1]
+    gap = linalg.KERNEL_TOL * max(np.abs(lam).max() for lam, _ in spectra)
+    kernels = [np.count_nonzero(lam <= gap) for lam, _ in spectra]
+    assert kernels == [(n - 1) // 6 + 1] + [(n - 1) // 6] * 3
+
+
 def test_run_diagnostics_counts_the_piola_kernels(monkeypatch):
     """run_diagnostics gives estimate_control_constant the de Rham count
     for M3 and M4 and leaves M1 to the threshold route."""
     assert DERHAM_METHODS == ("M3", "M4")
     seen = []
 
-    def spy(A, B, kernel_dim):
+    def spy(A, B, kernel_dim, rotation):
         seen.append(kernel_dim)
-        return estimate_control_constant(A, B, kernel_dim=kernel_dim)
+        return estimate_control_constant(A, B, kernel_dim=kernel_dim,
+                                         rotation=rotation)
 
     monkeypatch.setattr(cli, "estimate_control_constant", spy)
     kernels = [run_diagnostics(m, 1, 2)["kernel_dim"]
@@ -136,11 +162,13 @@ def test_run_diagnostics_counts_the_piola_kernels(monkeypatch):
 
 def test_m4_without_normal_penalty_is_indefinite():
     """With lambda_n = 0, M4's b_h is indefinite, and the counted route
-    says so as the threshold route does."""
-    A, B, mesh = free_pair("M4", 1, 0, lambda_n=0.0)
-    for kernel_dim in (None, derham_kernel_dim(mesh, 1)):
+    says so as the threshold route does, on the Fourier blocks too."""
+    A, B, mesh, Q = free_pair("M4", 1, 0, lambda_n=0.0)
+    n = derham_kernel_dim(mesh, 1)
+    for kernel_dim, rotation in ((None, None), (n, None), (n, Q)):
         with pytest.raises(ValueError, match="not positive semidefinite"):
-            estimate_control_constant(A, B, kernel_dim=kernel_dim)
+            estimate_control_constant(A, B, kernel_dim=kernel_dim,
+                                      rotation=rotation)
     with pytest.raises(ValueError, match="not positive semidefinite"):
         run_diagnostics("M4", 0, 1, lambda_n=0.0)
 

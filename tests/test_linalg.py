@@ -395,6 +395,89 @@ def test_counted_pencil_rejects_what_the_threshold_route_rejects(A, B,
             estimate_control_constant(A, B, kernel_dim=k)
 
 
+def invariant_pencil(seed, orbits=4, kernel_orbits=1):
+    """(A, B, Q): a signed permutation Q of order 6 on n = 6 orbits dofs,
+    each orbit spread over random dofs with random signs, and an SPD A
+    and a PSD B that commute with Q, B's kernel the span of the first
+    kernel_orbits orbits."""
+    rng = np.random.default_rng(seed)
+    n = 6 * orbits
+    dofs = rng.permutation(n).reshape(orbits, 6)
+    signs = rng.choice([-1.0, 1.0], size=(orbits, 6))
+    signs[:, -1] = signs[:, :-1].prod(axis=1)          # Q^6 = I
+    Q = sp.csr_matrix((signs.ravel(), (np.roll(dofs, -1, axis=1).ravel(),
+                                       dofs.ravel())), shape=(n, n))
+    G = rng.standard_normal((n, n))
+    C = rng.standard_normal((n, n))
+    C[:, dofs[:kernel_orbits].ravel()] = 0.0
+    A = B = 0.0
+    Qj = sp.eye(n)
+    for _ in range(6):
+        A = A + Qj @ (G @ G.T + n * np.eye(n)) @ Qj.T
+        B = B + Qj @ (C.T @ C) @ Qj.T
+        Qj = Q @ Qj
+    return np.asarray(A), np.asarray(B), Q
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kernel_orbits", [0, 1, 2])
+def test_fourier_blocks_match_the_whole_pencil(seed, kernel_orbits):
+    """The four Fourier blocks of a rotation-invariant pencil hold its
+    whole spectrum: the block route returns the identity-block route's
+    c_bh, and both raise alike at a wrong count."""
+    A, B, Q = invariant_pencil(seed, kernel_orbits=kernel_orbits)
+    k = 6 * kernel_orbits
+    c_bh, c_hat, kdim = estimate_control_constant(A, B, kernel_dim=k,
+                                                  rotation=Q)
+    assert kdim == k
+    assert c_bh == pytest.approx(
+        estimate_control_constant(A, B, kernel_dim=k)[0], rel=1e-12)
+    with pytest.raises(ValueError, match=f"kernel dimension {k + 1}:"):
+        estimate_control_constant(A, B, kernel_dim=k + 1, rotation=Q)
+
+
+def _signed_shift(Q, orbit_sign):
+    """Q with the sign of its first column times orbit_sign."""
+    Q = Q.tocsc(copy=True)
+    Q.data[Q.indptr[0]] *= orbit_sign
+    return Q
+
+
+@pytest.mark.parametrize("bad", [
+    lambda Q: sp.eye(Q.shape[0]),                        # order 1
+    lambda Q: 2.0 * Q,                                   # not signed
+    lambda Q: _signed_shift(Q, -1.0),                    # Q^6 = -I on an orbit
+    lambda Q: Q @ Q,                                     # orbits of three
+    lambda Q: sp.csr_matrix(np.abs(Q.toarray()) + sp.eye(Q.shape[0]))])
+def test_estimate_rejects_a_rotation_that_is_not_one(bad):
+    A, B, Q = invariant_pencil(0)
+    with pytest.raises(ValueError, match="signed permutation of order 6"):
+        estimate_control_constant(A, B, kernel_dim=6, rotation=bad(Q))
+
+
+def test_estimate_rejects_a_rotation_of_the_wrong_shape():
+    A, B, Q = invariant_pencil(0)
+    with pytest.raises(ValueError, match=r"rotation \(30, 30\) must be of "
+                                         r"A's shape \(24, 24\)"):
+        estimate_control_constant(A, B, kernel_dim=6,
+                                  rotation=sp.block_diag([Q, sp.eye(6)]))
+
+
+def test_estimate_rejects_a_rotation_without_kernel_dim():
+    A, B, Q = invariant_pencil(0)
+    with pytest.raises(ValueError, match="needs kernel_dim"):
+        estimate_control_constant(A, B, rotation=Q)
+
+
+def test_estimate_rejects_a_rotation_the_pencil_does_not_commute_with():
+    """A Q of the right kind that is not a symmetry of (B, A) would split
+    the pencil into blocks that do not hold its spectrum."""
+    A, B, Q = invariant_pencil(0)
+    _, _, other = invariant_pencil(1)
+    with pytest.raises(ValueError, match="commute with the rotation"):
+        estimate_control_constant(A, B, kernel_dim=6, rotation=other)
+
+
 def test_restrict_free():
     M = sp.csr_matrix(np.arange(9.0).reshape(3, 3))
     R = restrict_free(M, np.array([1]))
