@@ -10,12 +10,12 @@ which is the volume-locking mechanism seen in the studies.
 
 For M3 and M4 the kernel dimension is counted from the mesh (the discrete
 de Rham sequence: the interior dofs of continuous P_{p+1}) and c_bh is
-the first eigenvalue of the pencil (b_h, a_h) past it.  The pencil is
-solved on the four Fourier blocks of the hexagon fan's rotation by 60
-degrees: a_h and b_h commute with the rotation, so the blocks hold its
-spectrum exactly.  M1's kernel has no such count and is found by a
-relative threshold on the eigenvalues of b_h.  Every dense pencil is
-solved with LAPACK's "gv" driver (see README.md, "The four methods").
+the first eigenvalue of the pencil (b_h, a_h) past it.  M1's kernel has
+no such count and is found by a relative threshold on the eigenvalues of
+b_h.  Every method's pencil is solved on the four Fourier blocks of the
+hexagon fan's rotation by 60 degrees: a_h and b_h commute with the
+rotation, so the blocks hold its spectrum exactly.  Every dense pencil
+is solved with LAPACK's "gv" driver (see README.md, "The four methods").
 
 Run:  python3 demos/stability_diagnostics.py
 """

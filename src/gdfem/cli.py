@@ -477,14 +477,15 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     dofs.  Dense computation, capped at 2000 dofs.  For M3 and M4 the
     kernel dimension is derham_kernel_dim's count, and c_bh comes from the
     spectrum of the pencil (B_h, A_h), which must have its spectral gap
-    there; it is solved on the four Fourier blocks of the hexagon fan's
-    rotation (forms.rotation_action on the free dofs), with which A_h and
-    B_h commute.  M1's kernel has no such count and is found by a relative
+    there.  M1's kernel has no such count and is found by a relative
     threshold on the eigenvalues of B_h, the route whose answer
-    perfbench/expected.json records (estimate_control_constant).  A
-    method with a pseudo-pressure family (M2) has no single-field pair to
-    compare; _plan refuses it as it does any bad cell.  With out_path the
-    result is written there as diagnostics.txt (_record).
+    perfbench/expected.json records (estimate_control_constant).  Either
+    route solves the pencil on the four Fourier blocks of the hexagon
+    fan's rotation (forms.rotation_action on the free dofs), with which
+    A_h and B_h commute.  A method with a pseudo-pressure family (M2) has
+    no single-field pair to compare; _plan refuses it as it does any bad
+    cell.  With out_path the result is written there as diagnostics.txt
+    (_record).
     """
     [(_, g, _)] = _plan("diagnostics", [method], [p], [level], geom_order)
     coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
@@ -494,11 +495,9 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     constrained = ms.velocity_space.constrained_dofs
     Af = restrict_free(ms.a, constrained)
     Bf = restrict_free(ms.b, constrained)
-    kernel_dim = rotation = None
-    if method in DERHAM_METHODS:
-        kernel_dim = derham_kernel_dim(mesh, p)
-        rotation = restrict_free(rotation_action(ms.velocity_space),
-                                 constrained)
+    kernel_dim = (derham_kernel_dim(mesh, p) if method in DERHAM_METHODS
+                  else None)
+    rotation = restrict_free(rotation_action(ms.velocity_space), constrained)
     c_bh, c_hat, kdim = estimate_control_constant(
         Af, Bf, kernel_dim=kernel_dim, rotation=rotation)
     result = {"method": method, "level": level, "p": p, "geom_order": g,

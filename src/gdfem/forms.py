@@ -40,9 +40,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import (PIOLA_FAMILIES, DiscreteField, build_space, DegreeError,
+from .fespace import (DiscreteField, build_space, DegreeError,
                       eval_pointwise, quadrature_order, side_by_side)
 from .linalg import LinearSystem, assemble_csr, assemble_vector
+from .mesh import FAN_ROTATION
 from .quadrature import check_integer
 
 METHODS = ("M1", "M2", "M3", "M4")
@@ -334,32 +335,38 @@ def method_spaces(method, mesh, p):
 
 def rotation_action(space):
     """Q, the dof action of the hexagon fan's rotation R by 60 degrees on a
-    Piola-mapped space: the field u with coefficients x turned by R,
-    R u(R^-1 .), has coefficients Q x.  Q is a signed permutation (CSR).
+    space: the field u with coefficients x turned by R, R u(R^-1 .), has
+    coefficients Q x (CSR).
 
     R maps element e onto e' = Mesh.rotated_elements()[e] in the same
-    local order, and the Piola map commutes with it, so it turns basis
-    function i of e into that of e', times s[e, i] / s[e', i] = +-1 for
-    BDM's per-element scale s (FeSpace._bdm_scale) and times 1 for vector
-    DG.  ValueError for a Lagrange family, a mesh without the symmetry,
-    or elements that disagree on a shared dof's image or sign.
+    local order, so it takes each Lagrange node of e to that of e'.  The
+    Piola map commutes with R, so it turns basis function i of e into
+    that of e', times s[e, i] / s[e', i] = +-1 for BDM's per-element scale
+    s (FeSpace._bdm_scale) and times 1 for vector DG: Q is a signed
+    permutation.  For scalar Lagrange Q is the node permutation P; vector
+    Lagrange turns a node's value pair (u_x, u_y) by R too, so Q = P
+    kron R on its interleaved components, orthogonal but no signed
+    permutation.  ValueError for a mesh without the symmetry, or elements
+    that disagree on a shared dof's image or sign.
     """
-    if space.family not in PIOLA_FAMILIES:
-        raise ValueError(f"the rotation acts on the Piola families "
-                         f"{PIOLA_FAMILIES} only, not on {space.family!r}")
     image = space.mesh.rotated_elements()
-    dofs, turned = space.dof_map, space.dof_map[image]
+    dofs, n = space.dof_map, space.ndof
+    if space.family == "vector_lagrange":
+        dofs, n = dofs[:, ::2] // 2, n // 2                  # the nodes
+    turned = dofs[image]
     sign = np.ones(dofs.shape)
     if space.family == "hdiv_bdm":
         sign = np.sign(space._bdm_scale[image] / space._bdm_scale)
-    target, factor = np.empty(space.ndof, dtype=int), np.empty(space.ndof)
+    target, factor = np.empty(n, dtype=int), np.empty(n)
     target[dofs], factor[dofs] = turned, sign
     if not (np.array_equal(target[dofs], turned)
             and np.array_equal(factor[dofs], sign)):
         raise ValueError("the elements disagree on the image or sign of a "
                          "shared dof under the rotation")
-    return sp.csr_matrix((factor, (target, np.arange(space.ndof))),
-                         shape=(space.ndof, space.ndof))
+    Q = sp.csr_matrix((factor, (target, np.arange(n))), shape=(n, n))
+    if space.family == "vector_lagrange":
+        Q = sp.kron(Q, FAN_ROTATION, format="csr")
+    return Q
 
 
 def _scatter(blocks, rows, cols, shape):

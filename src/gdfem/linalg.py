@@ -9,16 +9,16 @@ longdouble residual.
 
 The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) solve dense pencils with
 LAPACK's "gv" driver and take one of two routes
-(estimate_control_constant).  Given the dimension of ker B_h, which the
-discrete de Rham sequence counts for M3 and M4, the spectrum of the
-pencil (B_h, A_h) gives c_bh.  It is solved on the four Fourier blocks of
-the hexagon fan's rotation by 60 degrees, of n/6 rows each: A_h and B_h
-commute with the rotation's dof action, so the split is exact, not an
-approximation.  Without a count (M1), the kernel is found by a relative
-threshold on the eigenvalues of B_h and the pencil is reduced to its
-a-orthogonal complement; this route stays while perfbench/expected.json
-records its answer for M1 p=2 level 3, where the threshold and the
-pencil's own gap disagree.
+(estimate_control_constant), both on the four Fourier blocks of the
+hexagon fan's rotation by 60 degrees, of about n/6 rows each: A_h and
+B_h commute with the rotation's dof action, so the split is exact, not
+an approximation.  Given the dimension of ker B_h, which the discrete de
+Rham sequence counts for M3 and M4, the spectrum of the pencil (B_h,
+A_h) gives c_bh.  Without a count (M1), the kernel is found by one
+relative threshold on the eigenvalues of B_h over all blocks, and each
+block's pencil is reduced to its a-orthogonal complement; this route
+stays while perfbench/expected.json records its answer for M1 p=2 level
+3, where the threshold and the pencil's own gap disagree.
 """
 
 from dataclasses import dataclass, field
@@ -210,32 +210,39 @@ def estimate_control_constant(A, B, kernel_dim=None, rotation=None):
     eigenspace of 0, and c_bh is the first eigenvalue past it.  Both
     routes raise the same ValueError for an A that is not SPD and for an
     eigenvalue below -KERNEL_TOL times the largest magnitude.  Each
-    solves its pencil with LAPACK's xSYGV/xHEGV (driver "gv"), faster than
-    the default divide-and-conquer "gvd" on these pencils (M1 p=2 level
-    3's whole pencil: 0.29 s against 0.48 s).
+    solves its pencils with LAPACK's xSYGV/xHEGV (driver "gv"), faster
+    than the default divide-and-conquer "gvd" on these pencils (M1 p=2
+    level 3's whole pencil: 0.29 s against 0.48 s).
+
+    Both routes solve the pencil on the Fourier blocks of `rotation`, an
+    orthogonal Q of order 6 with which A and B commute (the hexagon fan's
+    rotation on the free dofs, forms.rotation_action): a signed
+    permutation, or one up to 2 x 2 rotations of dof pairs, as on vector
+    Lagrange's node values (_orbits).  The pencil splits exactly into Q's
+    four Fourier blocks U_k^H (B, A) U_k, k = 0..3 (_fourier_blocks): the
+    eigenspaces of Q are invariant under A and B, and blocks 1 and 2,
+    complex Hermitian, stand for their conjugates 5 and 4 too (Bossavit,
+    CMAME 1986; Allgower, Boehmer, Georg & Miranda, SINUM 1992).  A block
+    has about n/6 rows, so its eigensolve costs about 1/216 of the whole
+    pencil's, or 1/54 if complex.  U is unitary, so a block's Cholesky
+    fails only when A is not SPD.  Without `rotation`, one identity
+    block.
 
     - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): the
       spectrum lam of (B, A), each block by eigh(..., eigvals_only=True),
       whose Cholesky factor of the block of A is the SPD check.  Unless lam
       has its gap at N, |lam[N-1]| <= KERNEL_TOL max|lam| < lam[N],
-      ValueError names N; c_bh is lam[N].  With `rotation`, a signed
-      permutation Q of order 6 whose orbits all hold six dofs and with
-      which A and B commute (the hexagon fan's rotation on the free dofs,
-      forms.rotation_action), the pencil splits exactly into Q's four
-      Fourier blocks U_k^H (B, A) U_k, k = 0..3 (_fourier_blocks): the
-      eigenspaces of Q are invariant under A and B, and blocks 1 and 2,
-      complex Hermitian, stand for their conjugates 5 and 4 too (Bossavit,
-      CMAME 1986).  A block has n/6 rows, so its eigensolve costs about
-      1/216 of the whole pencil's, or 1/54 if complex.  U is unitary, so a
-      block's Cholesky fails only when A is not SPD.  Without `rotation`,
-      one identity block.
+      ValueError names N; c_bh is lam[N].
     - kernel_dim None (M1 and direct callers), the threshold route: a
-      Cholesky factorization checks A, and dense_nullspace(B) gives
-      the kernel V.  The trailing n - k columns of the full Householder QR
-      of A V span W = {w : V^T A w = 0}, and the pencil
-      (W^T B W, W^T A W) is solved for its full spectrum (for its smallest
-      eigenvalue alone, M1 p=2 level 3 moves by 2.6e-6 relative).
-      `rotation` needs kernel_dim: ValueError.
+      Cholesky factorization of each block A_k checks A.  The kernel is
+      spanned by the eigenvectors V of the blocks B_k whose |eigenvalue|
+      is at most KERNEL_TOL times the largest of all blocks, each block
+      counted with its multiplicity; "b_h vanishes" if that is all of
+      them.  The trailing columns of the full Householder QR of A_k V span
+      W = {w : V^H A_k w = 0}, the pencil (W^H B_k W, W^H A_k W) is solved
+      for its full spectrum (for its smallest eigenvalue alone, M1 p=2
+      level 3 moves by 2.6e-6 relative), and c_bh is the smallest
+      eigenvalue over the blocks.
 
     M1's kernel, the curls of C^1 splines, has no dimension formula
     (Morgan & Scott, Math. Comp. 1975), and perfbench/expected.json
@@ -245,86 +252,155 @@ def estimate_control_constant(A, B, kernel_dim=None, rotation=None):
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise ValueError(f"A {A.shape} and B {B.shape} must be square "
                          "matrices of one shape")
-    if rotation is not None and kernel_dim is None:
-        raise ValueError("a rotation needs kernel_dim: the threshold route "
-                         "solves the whole pencil")
     A, B = _symmetric_part(A), _symmetric_part(B)
+    orbits = _orbits(rotation, A, B)
     if kernel_dim is None:
-        c_bh, k = _complement_pencil(A, B)
+        c_bh, k = _complement_pencil(A, B, orbits)
     else:
-        c_bh, k = _counted_pencil(A, B, kernel_dim, rotation), kernel_dim
+        c_bh, k = _counted_pencil(A, B, kernel_dim, orbits), kernel_dim
     c_hat = (c_bh - 1.0) / (c_bh + 1.0) if c_bh > 1.0 else None
     return c_bh, c_hat, k
 
 
-_NOT_ROTATION = ("the rotation must be a signed permutation of order 6 "
-                 "whose orbits all hold six dofs")
+_NOT_ROTATION = ("the rotation must be a signed permutation of order 6, up "
+                 "to 2 x 2 rotations of dof pairs, whose orbits hold six "
+                 "dofs or one")
+_OMEGA = np.exp(1j * np.pi / 3.0 * np.arange(6))    # omega^t, e^(i pi/3)
 
 
 def _orbits(Q, A, B):
-    """(dofs, signs), both (n/6, 6): Q^j e_d = signs[o, j] e_dofs[o, j] for
-    the first dof d = dofs[o, 0] of each orbit o of the signed permutation
-    Q, found by composing Q's index map five times.  Without Q, each dof
-    its own orbit, (n, 1).  ValueError unless Q is an (n, n) signed
-    permutation of order 6 whose orbits all hold six dofs, and commutes
-    with the symmetric CSR A and B to 1e-10 relative.
+    """(legs, orbit, shift, mode): a unitary basis b_0..b_n-1 on which Q
+    acts as a permutation with orbits of six and fixed points, and those
+    orbits.  b_d lies at place shift[d] of orbit orbit[d]; mode[o] is -1
+    for an orbit of six, b_d0, Q b_d0, ..., Q^5 b_d0, and k for a fixed
+    Q b_d0 = omega^-k b_d0, omega = exp(i pi/3).  legs lists the basis by
+    rows, [(dof, coef)] with b_dof[r] = coef[r] at row r: first each b_r
+    at its own row, then, when Q turns pairs of dofs, each pair's b at its
+    partner's row.
+
+    Q maps a dof onto +-1 times a dof, or a pair of dofs a < b onto a pair
+    r < s by a rotation through t sixths of a turn, as on vector
+    Lagrange's (u_x, u_y) at a node.  Along an orbit of six, b_d is Q^j
+    applied to the unit vector of the orbit's first dof: its sign, or its
+    pair turned by the sum of the turns t so far.  A fixed pair takes the
+    circular components (e_a -+ i e_b)/sqrt(2), in modes -+t.  Without Q,
+    each dof is fixed, in mode 0.  ValueError unless Q is (n, n) and of
+    that kind with Q^6 = I, has an orbit of six, and commutes with the
+    symmetric CSR A and B to 1e-10 relative.
     """
     n = A.shape[0]
+    d = np.arange(n)
     if Q is None:
-        return np.arange(n)[:, None], np.ones((n, 1))
+        zero = np.zeros(n, dtype=int)
+        return [(d, np.ones(n))], d, zero, zero
     if Q.shape != (n, n):
         raise ValueError(f"the rotation {Q.shape} must be of A's shape "
                          f"{A.shape}")
     Q = sp.csc_matrix(Q, dtype=float, copy=True)
     Q.sum_duplicates()
     Q.eliminate_zeros()
-    image, sign = Q.indices, Q.data
-    if not (np.all(np.diff(Q.indptr) == 1) and np.all(np.abs(sign) == 1)
-            and np.all(np.bincount(image, minlength=n) == 1)):
+    start, count = Q.indptr[:-1], np.diff(Q.indptr)
+    one, pairs = count == 1, np.flatnonzero(count == 2)
+    if not (np.all(one | (count == 2)) and len(pairs) % 2 == 0):
         raise ValueError(_NOT_ROTATION)
-    dofs, signs = [np.arange(n)], [np.ones(n)]
+    rows = Q.indices[start[pairs, None] + [0, 1]]      # ascending
+    pairs = pairs[np.lexsort(rows.T[::-1])].reshape(-1, 2)
+    rows = Q.indices[start[pairs[:, :1]] + [0, 1]]     # (r, s) of (a, b)
+    (c, minus_s), (s, c_b) = (Q.data[start[pairs] + i].T for i in (0, 1))
+    t = np.rint(np.angle(c + 1j * s) / (np.pi / 3.0)).astype(int) % 6
+    if not (np.array_equal(rows, Q.indices[start[pairs[:, 1:]] + [0, 1]])
+            and np.all(np.abs(Q.data[start[one]]) == 1)
+            and np.allclose([c, s, minus_s, c_b], [_OMEGA[t].real,
+                            _OMEGA[t].imag, -s, c], rtol=0, atol=1e-12)):
+        raise ValueError(_NOT_ROTATION)
+    image, partner = Q.indices[start], d.copy()
+    tau = np.where(Q.data[start] < 0, 3, 0)            # omega^3 = -1
+    image[pairs], tau[pairs], partner[pairs] = rows, t[:, None], pairs[:, ::-1]
+    dofs, turns = [d], [np.zeros(n, dtype=int)]
     for _ in range(5):
-        signs.append(sign[dofs[-1]] * signs[-1])
+        turns.append(turns[-1] + tau[dofs[-1]])
         dofs.append(image[dofs[-1]])
-    dofs, signs = np.transpose(dofs), np.transpose(signs)
-    if not (np.array_equal(image[dofs[:, -1]], dofs[:, 0])
-            and np.all(sign[dofs[:, -1]] * signs[:, -1] == 1)
-            and np.all(dofs[:, 1:] != dofs[:, :1])):
+    dofs, turns = np.transpose(dofs), np.transpose(turns) % 6
+    fixed = image == d
+    six = ((image[dofs[:, -1]] == dofs[:, 0])
+           & ((turns[:, -1] + tau[dofs[:, -1]]) % 6 == 0)
+           & np.all(dofs[:, 1:] != dofs[:, :1], axis=1))
+    if not (np.all(np.bincount(image, minlength=n) == 1)
+            and np.array_equal(partner[image], image[partner])
+            and np.all(fixed | six) and not np.all(fixed)):
         raise ValueError(_NOT_ROTATION)
     for M in (A, B):
         if abs(Q @ M - M @ Q).max() > 1e-10 * abs(M).max():
             raise ValueError("A and B must commute with the rotation")
     first = dofs.min(axis=1) == dofs[:, 0]
-    return dofs[first], signs[first]
+    orbit, shift, turn = (np.zeros(n, dtype=int) for _ in range(3))
+    orbit[dofs[first]] = np.arange(np.count_nonzero(first))[:, None]
+    shift[dofs[first & ~fixed]] = np.arange(6)
+    turn[dofs[first & ~fixed]] = turns[first & ~fixed]
+    # b_d on its own dof and on its pair partner's: cos and +-sin of its
+    # turn (a sign without a partner), or a fixed pair's circular component
+    second = np.where(d > partner, -1, 1)
+    own, other = _OMEGA[turn].real, second * _OMEGA[turn].imag
+    circular = fixed & ~one
+    if circular.any():
+        h = np.sqrt(0.5)
+        own = np.where(circular, np.where(second > 0, h, 1j * h), own)
+        other = np.where(circular, np.where(second > 0, -1j * h, h), other)
+    tau[circular] *= second[circular]
+    mode = np.where(fixed, -tau % 6, -1)[dofs[first, 0]]
+    legs = [(d, own)] + ([(partner, other[partner])] if len(pairs) else [])
+    return legs, orbit, shift, mode
 
 
-def _fourier_blocks(M, dofs, signs):
+def _fourier_blocks(M, orbits):
     """The blocks U_k^H M U_k, k = 0..m/2, of a symmetric CSR M and the
-    multiplicity of their eigenvalues, over the orbits (dofs, signs) of
-    _orbits, m to an orbit.  Column o of U_k is sum_j w_j v_oj, where
-    v_oj = Q^j e_dofs[o, 0] and w_j = exp(2 pi i jk/m)/sqrt(m), an
-    eigenvector of Q.  With X_jl[o, p] = v_oj^T M v_pl, the block is
-    sum_s exp(2 pi i sk/m) D_s for D_s = (1/m) sum_{l - j = s mod m} X_jl,
-    which one bincount of M's entries forms: no n x n array is built.
-    Blocks 0 and m/2 are real; the others stand for their conjugates
-    m - k too.
+    multiplicity of their eigenvalues, over the orbits of _orbits, m = 6
+    dofs to an orbit (m = 1 when every dof is fixed).  Column o of U_k is
+    sum_j exp(2 pi i jk/m) Q^j b_d0 / sqrt(m) over an orbit of six, an
+    eigenvector of Q for omega^-k, and b_d0 in block mode[o] only for a
+    fixed one.  With X_jl[o, p] = b^H M b' for the j-th b of orbit o and
+    the l-th b' of orbit p, of sizes m_o and m_p, the block is sum_s
+    exp(2 pi i sk/m) D_s for D_s = sum_{l - j = s mod m} X_jl / sqrt(m_o
+    m_p), which one bincount of M's entries, spread over the basis by the
+    legs, forms: no n x n array is built.  Blocks 0 and m/2 hold only real
+    b, so they are real; the others stand for their conjugates m - k too.
     """
-    no, m = dofs.shape
-    at = np.argsort(dofs, axis=None)          # each dof's place in dofs
-    orbit, shift = np.divmod(at, m)
-    sign = signs.ravel()[at]
+    legs, orbit, shift, mode = orbits
+    no, m = len(mode), 1 if np.all(mode >= 0) else 6
     M = M.tocoo()
-    r, c = M.row, M.col
-    D = np.bincount(((shift[c] - shift[r]) % m * no + orbit[r]) * no
-                    + orbit[c], weights=sign[r] * sign[c] * M.data,
-                    minlength=m * no * no).reshape(m, no, no) / m
+    at, weight = [], []
+    for dof_r, coef_r in legs:
+        for dof_c, coef_c in legs:
+            r, c = dof_r[M.row], dof_c[M.col]
+            at.append(((shift[c] - shift[r]) % m * no + orbit[r]) * no
+                      + orbit[c])
+            weight.append(np.conj(coef_r[M.row]) * coef_c[M.col] * M.data)
+    at, weight = np.concatenate(at), np.concatenate(weight)
+    size = np.where(mode < 0, m, 1)
+    scale = np.sqrt(np.outer(size, size))
+    parts = ((weight.real, weight.imag) if np.iscomplexobj(weight)
+             else (weight,))
+    D = [np.bincount(at, weights=part, minlength=m * no * no).reshape(
+        m, no, no) / scale for part in parts]
     for k in range(m // 2 + 1):
         w = np.exp(2j * np.pi * k / m * np.arange(m))
-        block = np.tensordot(w.real, D, 1)
+        block = np.tensordot(w.real, D[0], 1)
         if 2 * k % m:
-            yield block + 1j * np.tensordot(w.imag, D, 1), 2
-        else:
-            yield block, 1
+            block = block + 1j * np.tensordot(w.imag, D[0], 1)
+            if len(D) == 2:
+                block = block + 1j * np.tensordot(w, D[1], 1)
+        keep = (mode < 0) | (mode == k)
+        if not keep.all():
+            block = block[np.ix_(keep, keep)]
+        yield block, 2 if 2 * k % m else 1
+
+
+def _block_pairs(A, B, orbits):
+    """(A's block, B's block, multiplicity) of each Fourier block of
+    symmetric CSR A and B over `orbits` (_orbits), one at a time."""
+    for (Ak, mult), (Bk, _) in zip(_fourier_blocks(A, orbits),
+                                   _fourier_blocks(B, orbits)):
+        yield Ak, Bk, mult
 
 
 def _block_spectra(A, B, orbits):
@@ -333,19 +409,23 @@ def _block_spectra(A, B, orbits):
     try:
         return [(dla.eigh(Bk, Ak, eigvals_only=True, driver="gv",
                           overwrite_a=True, overwrite_b=True), mult)
-                for (Bk, mult), (Ak, _) in zip(_fourier_blocks(B, *orbits),
-                                               _fourier_blocks(A, *orbits))]
+                for Ak, Bk, mult in _block_pairs(A, B, orbits)]
     except dla.LinAlgError:
         raise ValueError(_NOT_SPD) from None
 
 
-def _counted_pencil(A, B, k, rotation):
+def _union(spectra):
+    """The ascending eigenvalues of [(eigenvalues of a block,
+    multiplicity)], each block's repeated by its multiplicity."""
+    return np.sort(np.concatenate([np.tile(mu, mult)
+                                   for mu, mult in spectra]))
+
+
+def _counted_pencil(A, B, k, orbits):
     """c_bh of symmetric CSR A and B from the full spectrum of (B, A),
     whose kernel has dimension k, solved on the Fourier blocks of
-    `rotation`, or None (_orbits)."""
-    orbits = _orbits(rotation, A, B)
-    lam = np.sort(np.concatenate([np.tile(mu, mult) for mu, mult
-                                  in _block_spectra(A, B, orbits)]))
+    `orbits` (_orbits)."""
+    lam = _union(_block_spectra(A, B, orbits))
     gap = KERNEL_TOL * _semidefinite_scale(lam)
     if not (0 <= k < len(lam) and (k == 0 or lam[k - 1] <= gap)
             and lam[k] > gap):
@@ -355,26 +435,35 @@ def _counted_pencil(A, B, k, rotation):
     return float(lam[k])
 
 
-def _complement_pencil(A, B):
-    """(c_bh, dim ker B) of symmetric CSR A and B, the kernel found by the
-    relative threshold KERNEL_TOL on the eigenvalues of B."""
+def _complement_pencil(A, B, orbits):
+    """(c_bh, dim ker B) of symmetric CSR A and B on the Fourier blocks of
+    `orbits` (_orbits), the kernel found by the relative threshold
+    KERNEL_TOL on the union of the blocks' eigenvalues of B."""
+    blocks = list(_block_pairs(A, B, orbits))
     try:
-        dla.cholesky(A.toarray(), overwrite_a=True)
+        for Ak, _, _ in blocks:
+            dla.cholesky(Ak)
     except dla.LinAlgError:
         raise ValueError(_NOT_SPD) from None
-    V = dense_nullspace(B)
-    k = V.shape[1]
+    eigs = [dla.eigh(Bk, driver="evd") for _, Bk, _ in blocks]
+    tol = KERNEL_TOL * _semidefinite_scale(_union(
+        [(lam, mult) for (lam, _), (_, _, mult) in zip(eigs, blocks)]))
+    kernels = [X[:, np.abs(lam) <= tol] for lam, X in eigs]
+    k = sum(mult * V.shape[1] for V, (_, _, mult) in zip(kernels, blocks))
     if k == A.shape[0]:
         raise ValueError("b_h vanishes: its numerical kernel is the whole "
                          "space")
-    if k == 0:
-        Aw, Bw = A.toarray(), B.toarray()
-    else:
-        W = dla.qr(A @ V, mode="full")[0][:, k:]
-        Aw = W.T @ (A @ W)
-        Bw = W.T @ (B @ W)
-    eigs = dla.eigh(Bw, Aw, eigvals_only=True, driver="gv")
-    return float(eigs[0]), k
+    c_bh = np.inf
+    for (Ak, Bk, _), V in zip(blocks, kernels):
+        kk = V.shape[1]
+        if kk == len(Ak):
+            continue
+        if kk:
+            W = dla.qr(Ak @ V, mode="full")[0][:, kk:]
+            Ak, Bk = W.conj().T @ Ak @ W, W.conj().T @ Bk @ W
+        c_bh = min(c_bh, dla.eigh(Bk, Ak, eigvals_only=True,
+                                  driver="gv")[0])
+    return float(c_bh), k
 
 
 def dump_matrix(M, path):

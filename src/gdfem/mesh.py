@@ -16,6 +16,11 @@ from .quadrature import check_integer, check_order, segment_rule, triangle_rule
 from .reference import (EDGE_NORMALS, EDGE_VERTICES, REF_VERTICES,
                         lagrange_basis, lattice_multiindices)
 
+# R, the rotation by 60 degrees about the origin that turns each sector of
+# the hexagon fan onto the next, acting on column vectors
+FAN_ROTATION = np.array([[np.cos(np.pi / 3.0), -np.sin(np.pi / 3.0)],
+                         [np.sin(np.pi / 3.0), np.cos(np.pi / 3.0)]])
+
 
 class Mesh:
     """Immutable triangle mesh with facet topology and curved boundary data.
@@ -160,11 +165,10 @@ class Mesh:
         points of every element e onto those of e' within 1e-13."""
         nt = self.num_triangles
         image = (np.arange(nt) + nt // 6) % nt
-        c, s = np.cos(np.pi / 3.0), np.sin(np.pi / 3.0)
-        R = np.array([[c, s], [-s, c]])                  # x -> R x, row-wise
 
         def turns(x, turned):
-            return np.abs(x @ R - x[turned]).max(initial=0.0) <= 1e-13
+            return (np.abs(x @ FAN_ROTATION.T - x[turned]).max(initial=0.0)
+                    <= 1e-13)
 
         slot = self._curved_slot
         curved = slot >= 0

@@ -11,7 +11,9 @@ for M3 and M4 it solves the pencil (B, A) once; that count must equal
 the threshold route's kernel dimension, and c_bh agree to 1e-12
 relative.  Given the hexagon fan's rotation too, it solves the pencil on
 the rotation's four Fourier blocks, which must return the one dense
-pencil's c_bh to 1e-12 relative.
+pencil's c_bh to 1e-12 relative.  So does the threshold route for M1,
+whose blocks must find the whole pencil's kernel count and its c_bh to
+1e-7 relative, the tolerance of perfbench/expected.json.
 """
 
 import numpy as np
@@ -76,15 +78,13 @@ def assert_matches_reference(A, B):
 
 
 def free_pair(method, p, level, geom_order=None, **kw):
-    """(A_h, B_h) on the free dofs, the mesh and, for the DERHAM_METHODS,
-    the rotation on the free dofs (else None), as run_diagnostics builds
-    them."""
+    """(A_h, B_h) on the free dofs, the mesh and the rotation on the free
+    dofs, as run_diagnostics builds them."""
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, paper_coefficients(p, **kw), None)
     constrained = ms.velocity_space.constrained_dofs
-    rotation = (restrict_free(rotation_action(ms.velocity_space), constrained)
-                if method in DERHAM_METHODS else None)
+    rotation = restrict_free(rotation_action(ms.velocity_space), constrained)
     return (restrict_free(ms.a, constrained),
             restrict_free(ms.b, constrained), mesh, rotation)
 
@@ -144,20 +144,41 @@ def test_fourier_blocks_match_the_dense_pencil(method, p, level, geom_order):
 
 def test_run_diagnostics_counts_the_piola_kernels(monkeypatch):
     """run_diagnostics gives estimate_control_constant the de Rham count
-    for M3 and M4 and leaves M1 to the threshold route."""
+    for M3 and M4 and leaves M1 to the threshold route, and the rotation
+    to every method."""
     assert DERHAM_METHODS == ("M3", "M4")
     seen = []
 
     def spy(A, B, kernel_dim, rotation):
-        seen.append(kernel_dim)
+        seen.append((kernel_dim, rotation.shape == A.shape))
         return estimate_control_constant(A, B, kernel_dim=kernel_dim,
                                          rotation=rotation)
 
     monkeypatch.setattr(cli, "estimate_control_constant", spy)
     kernels = [run_diagnostics(m, 1, 2)["kernel_dim"]
                for m in SINGLE_FIELD_METHODS]
-    assert seen == [None, 91, 91]
+    assert seen == [(None, True), (91, True), (91, True)]
     assert kernels == [0, 91, 91]
+
+
+# (p, level) of the M1 cells of up to about 1,000 free dofs
+M1_CELLS = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (3, 1),
+            (3, 2)]
+
+
+@pytest.mark.parametrize("p,level", M1_CELLS)
+def test_m1_blocks_match_the_whole_pencil(p, level):
+    """run_diagnostics solves M1's threshold route on the rotation's
+    Fourier blocks: it finds the whole pencil's kernel count exactly and
+    its c_bh to 1e-7 relative, the tolerance perfbench/expected.json gives
+    M1's cells; round-off moves c_bh by up to about 6e-8 between
+    equivalent orderings of the whole pencil of M1 p=2 level 3."""
+    A, B, _, _ = free_pair("M1", p, level)
+    assert A.shape[0] <= 1000
+    c_whole, _, k_whole = estimate_control_constant(A, B)
+    res = run_diagnostics("M1", level, p)
+    assert res["kernel_dim"] == k_whole
+    assert abs(res["c_bh"] - c_whole) <= 1e-7 * c_whole
 
 
 def test_m4_without_normal_penalty_is_indefinite():
@@ -165,7 +186,7 @@ def test_m4_without_normal_penalty_is_indefinite():
     says so as the threshold route does, on the Fourier blocks too."""
     A, B, mesh, Q = free_pair("M4", 1, 0, lambda_n=0.0)
     n = derham_kernel_dim(mesh, 1)
-    for kernel_dim, rotation in ((None, None), (n, None), (n, Q)):
+    for kernel_dim, rotation in ((None, None), (n, None), (n, Q), (None, Q)):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             estimate_control_constant(A, B, kernel_dim=kernel_dim,
                                       rotation=rotation)

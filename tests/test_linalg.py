@@ -13,7 +13,7 @@ from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, LinearSystem,
                           SingularMatrixError, SizeLimitError, assemble_csr,
                           dense_nullspace, dump_matrix,
                           estimate_control_constant, restrict_free, solve)
-from gdfem.mesh import make_unit_disc_mesh
+from gdfem.mesh import FAN_ROTATION, make_unit_disc_mesh
 from gdfem.problems import (convergence_problem, gradrob_problem,
                             locking_problem)
 
@@ -395,6 +395,24 @@ def test_counted_pencil_rejects_what_the_threshold_route_rejects(A, B,
             estimate_control_constant(A, B, kernel_dim=k)
 
 
+def invariant_pair(Q, kernel, seed):
+    """An SPD A and a PSD B that commute with Q, an orthogonal matrix of
+    order 6, B's kernel the span of the dofs `kernel` if Q maps their span
+    onto itself."""
+    rng = np.random.default_rng(seed)
+    n = Q.shape[0]
+    G = rng.standard_normal((n, n))
+    C = rng.standard_normal((n, n))
+    C[:, kernel] = 0.0
+    A = B = 0.0
+    Qj = sp.eye(n)
+    for _ in range(6):
+        A = A + Qj @ (G @ G.T + n * np.eye(n)) @ Qj.T
+        B = B + Qj @ (C.T @ C) @ Qj.T
+        Qj = Q @ Qj
+    return np.asarray(A), np.asarray(B)
+
+
 def invariant_pencil(seed, orbits=4, kernel_orbits=1):
     """(A, B, Q): a signed permutation Q of order 6 on n = 6 orbits dofs,
     each orbit spread over random dofs with random signs, and an SPD A
@@ -407,16 +425,25 @@ def invariant_pencil(seed, orbits=4, kernel_orbits=1):
     signs[:, -1] = signs[:, :-1].prod(axis=1)          # Q^6 = I
     Q = sp.csr_matrix((signs.ravel(), (np.roll(dofs, -1, axis=1).ravel(),
                                        dofs.ravel())), shape=(n, n))
-    G = rng.standard_normal((n, n))
-    C = rng.standard_normal((n, n))
-    C[:, dofs[:kernel_orbits].ravel()] = 0.0
-    A = B = 0.0
-    Qj = sp.eye(n)
-    for _ in range(6):
-        A = A + Qj @ (G @ G.T + n * np.eye(n)) @ Qj.T
-        B = B + Qj @ (C.T @ C) @ Qj.T
-        Qj = Q @ Qj
-    return np.asarray(A), np.asarray(B), Q
+    return (*invariant_pair(Q, dofs[:kernel_orbits].ravel(), seed), Q)
+
+
+def turned_pencil(seed, orbits=3, kernel_orbits=1):
+    """(A, B, Q) as invariant_pencil, but Q turns the values (x, y) of
+    nodes by R, as on vector Lagrange: 6 orbits + 1 nodes of two random
+    dofs x < y each, in orbits of six but the last node, which is fixed;
+    B's kernel the span of the first kernel_orbits orbits of nodes."""
+    rng = np.random.default_rng(seed)
+    nodes = 6 * orbits + 1
+    xy = np.sort(rng.permutation(2 * nodes).reshape(nodes, 2), axis=1)
+    image = np.append(np.roll(np.arange(6 * orbits).reshape(orbits, 6), -1,
+                              axis=1).ravel(), nodes - 1)
+    rows = xy[image][:, :, None].repeat(2, axis=2)
+    cols = xy[:, None, :].repeat(2, axis=1)
+    Q = sp.csr_matrix((np.broadcast_to(FAN_ROTATION, rows.shape).ravel(),
+                       (rows.ravel(), cols.ravel())),
+                      shape=(2 * nodes, 2 * nodes))
+    return (*invariant_pair(Q, xy[:6 * kernel_orbits].ravel(), seed), Q)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -463,10 +490,53 @@ def test_estimate_rejects_a_rotation_of_the_wrong_shape():
                                   rotation=sp.block_diag([Q, sp.eye(6)]))
 
 
-def test_estimate_rejects_a_rotation_without_kernel_dim():
-    A, B, Q = invariant_pencil(0)
-    with pytest.raises(ValueError, match="needs kernel_dim"):
-        estimate_control_constant(A, B, rotation=Q)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kernel_orbits", [0, 1, 2])
+def test_threshold_route_with_a_rotation_matches_the_route_without(
+        seed, kernel_orbits):
+    """Without a count, the threshold taken over all Fourier blocks finds
+    the whole pencil's kernel, and the blocks' complements give its c_bh."""
+    A, B, Q = invariant_pencil(seed, kernel_orbits=kernel_orbits)
+    c_bh, c_hat, k = estimate_control_constant(A, B, rotation=Q)
+    assert k == 6 * kernel_orbits
+    assert (c_bh, c_hat, k) == pytest.approx(estimate_control_constant(A, B),
+                                             rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kernel_orbits", [0, 1])
+def test_fourier_blocks_of_turned_nodes_match_the_whole_pencil(
+        seed, kernel_orbits):
+    """Nodes of two dofs turned by R and one fixed node: both routes on
+    the blocks agree with the whole pencil, and block 1 holds one of the
+    fixed node's circular components (block 5, its conjugate, the other)."""
+    A, B, Q = turned_pencil(seed, kernel_orbits=kernel_orbits)
+    k = 12 * kernel_orbits
+    c_bh, _, kdim = estimate_control_constant(A, B, rotation=Q)
+    assert kdim == k
+    assert c_bh == pytest.approx(estimate_control_constant(A, B)[0],
+                                 rel=1e-12)
+    assert estimate_control_constant(A, B, kernel_dim=k, rotation=Q)[0] == \
+        pytest.approx(estimate_control_constant(A, B, kernel_dim=k)[0],
+                      rel=1e-12)
+    A, B = linalg._symmetric_part(A), linalg._symmetric_part(B)
+    blocks = list(linalg._block_pairs(A, B, linalg._orbits(Q, A, B)))
+    assert [(len(Ak), mult) for Ak, _, mult in blocks] == \
+        [(6, 1), (7, 2), (6, 2), (6, 1)]
+
+
+@pytest.mark.parametrize("bad", [
+    lambda R: R.T @ np.diag([1.0, -1.0]),                # a reflection
+    lambda R: np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)])  # 45 deg
+def test_estimate_rejects_a_pair_turn_that_is_no_sixth(bad):
+    """A 2 x 2 block of Q that is not a rotation by a multiple of 60
+    degrees has no circular components that Q multiplies by a phase."""
+    A, B, Q = turned_pencil(0)
+    Q = Q.toarray()
+    rows = np.flatnonzero(Q[:, 0])                       # dof 0's node
+    Q[np.ix_(rows, np.flatnonzero(Q[rows[0]]))] = bad(FAN_ROTATION)
+    with pytest.raises(ValueError, match="signed permutation of order 6"):
+        estimate_control_constant(A, B, rotation=sp.csr_matrix(Q))
 
 
 def test_estimate_rejects_a_rotation_the_pencil_does_not_commute_with():
