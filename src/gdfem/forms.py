@@ -29,7 +29,11 @@ tables carry a leading element or facet axis over one chunk, and each
 chunk's local matrices are one einsum.  The forms only read the tables
 they are handed and return local matrices; each form's local matrices of
 all chunks of a point set are summed by one COO -> CSR conversion, so a
-matrix does not depend on the chunk size, bit for bit.
+matrix does not depend on the chunk size, bit for bit.  On a space of a
+Piola family (M3, M4) on the hexagon fan, the walk visits sector 0's
+elements and one facet of each orbit of six and turns their local blocks
+onto the other five sectors by the rotation R: that matches the walk
+over every element and facet to round-off, not bit for bit.
 """
 
 from dataclasses import dataclass
@@ -40,8 +44,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fespace import (DiscreteField, build_space, DegreeError,
-                      eval_pointwise, quadrature_order, side_by_side)
+from .fespace import (PIOLA_FAMILIES, DiscreteField, build_space,
+                      DegreeError, eval_pointwise, quadrature_order,
+                      side_by_side)
 from .linalg import LinearSystem, assemble_csr, assemble_vector
 from .mesh import FAN_ROTATION
 from .quadrature import check_integer
@@ -117,7 +122,7 @@ CHUNK = 600
 
 def _chunks(n):
     """Slices of at most CHUNK consecutive items covering range(n)."""
-    return [slice(i, i + CHUNK) for i in range(0, n, CHUNK)]
+    return [slice(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
 
 
 # -- volume forms -----------------------------------------------------------
@@ -143,10 +148,11 @@ def assemble_b_volume(tables):
     return np.einsum("eq,eqi,eqj->eij", wdet, div, div, optimize=True)
 
 
-def assemble_rhs(f, tables):
-    """Load <f, basis> of a callable f on a vector space."""
-    wdet, phys, vals, _, _ = tables
-    return np.einsum("eq,eqc,eqjc->ej", wdet, eval_pointwise(f, phys), vals,
+def assemble_rhs(fvals, tables):
+    """Load <f, basis> on a vector space from f's values fvals (..., E, q,
+    2) at the tables' points; a leading axis of fvals stays on the load."""
+    wdet, _, vals, _, _ = tables
+    return np.einsum("eq,...eqc,eqjc->...ej", wdet, fvals, vals,
                      optimize=True)
 
 
@@ -155,14 +161,8 @@ def assemble_rhs(f, tables):
 # The facet forms take one facet set's segment rule, a chunk fg of its
 # FacetGeometry and that chunk's traces (the space's facet_basis: values,
 # gradients, divergences and signs, owners side by side) and return the
-# chunk's local blocks (F, ns nloc, ns nloc) on the owners' dofs
-# (_facet_dofs).
-
-def _facet_dofs(space, fg):
-    """Dofs (F, ns nloc) of every owner of a facet batch, owners side by
-    side, as the traces of facet_basis order them."""
-    return np.concatenate([space.dof_map[e] for e, _, _ in fg.sides], axis=1)
-
+# chunk's local blocks (F, ns nloc, ns nloc) on the owners' dofs, side by
+# side (_Orbits.owners).
 
 def assemble_a_dg(coeffs, rule, fg, traces):
     """Interior-penalty terms of a_h^DG in the b-weighted jump.
@@ -333,30 +333,42 @@ def method_spaces(method, mesh, p):
             else build_space(pp_family, mesh, p - 1))
 
 
+def _turn_signs(space, turned):
+    """The signs by which R turns each basis function i of each element e
+    into that of element turned[..., e], (..., T, nloc), or None where
+    every sign is 1.  The Piola map commutes with R, so it turns BDM's
+    basis function i of e into that of e' times s[e', i] / s[e, i] = +-1
+    for its per-element scale s (FeSpace._bdm_scale), and vector DG's
+    into that of e'; the Lagrange families take their nodes along."""
+    if space.family != "hdiv_bdm":
+        return None
+    s = np.sign(space._bdm_scale)
+    return s[turned] * s
+
+
 def rotation_action(space):
     """Q, the dof action of the hexagon fan's rotation R by 60 degrees on a
     space: the field u with coefficients x turned by R, R u(R^-1 .), has
     coefficients Q x (CSR).
 
     R maps element e onto e' = Mesh.rotated_elements()[e] in the same
-    local order, so it takes each Lagrange node of e to that of e'.  The
-    Piola map commutes with R, so it turns basis function i of e into
-    that of e', times s[e, i] / s[e', i] = +-1 for BDM's per-element scale
-    s (FeSpace._bdm_scale) and times 1 for vector DG: Q is a signed
-    permutation.  For scalar Lagrange Q is the node permutation P; vector
-    Lagrange turns a node's value pair (u_x, u_y) by R too, so Q = P
-    kron R on its interleaved components, orthogonal but no signed
-    permutation.  ValueError for a mesh without the symmetry, or elements
-    that disagree on a shared dof's image or sign.
+    local order, so it takes each Lagrange node of e to that of e', and
+    each Piola-mapped basis function of e to that of e' times its
+    _turn_signs sign: Q is a signed permutation.  For scalar Lagrange Q
+    is the node permutation P; vector Lagrange turns a node's value pair
+    (u_x, u_y) by R too, so Q = P kron R on its interleaved components,
+    orthogonal but no signed permutation.  ValueError for a mesh without
+    the symmetry, or elements that disagree on a shared dof's image or
+    sign.
     """
     image = space.mesh.rotated_elements()
     dofs, n = space.dof_map, space.ndof
     if space.family == "vector_lagrange":
         dofs, n = dofs[:, ::2] // 2, n // 2                  # the nodes
     turned = dofs[image]
-    sign = np.ones(dofs.shape)
-    if space.family == "hdiv_bdm":
-        sign = np.sign(space._bdm_scale[image] / space._bdm_scale)
+    sign = _turn_signs(space, image)
+    if sign is None:
+        sign = np.ones(dofs.shape)
     target, factor = np.empty(n, dtype=int), np.empty(n)
     target[dofs], factor[dofs] = turned, sign
     if not (np.array_equal(target[dofs], turned)
@@ -369,13 +381,74 @@ def rotation_action(space):
     return Q
 
 
-def _scatter(blocks, rows, cols, shape):
-    """CSR matrix of one form on a point set from `blocks`, the list of
-    its chunks' local blocks, joined and scattered at once, as if from one
-    chunk; the list is emptied first.  rows, cols: the set's dofs."""
-    loc = np.concatenate(blocks)
-    blocks.clear()
-    return assemble_csr(rows, cols, loc, shape)
+class _Orbits:
+    """The orbits of the elements and facets that _assemble walks, and the
+    turns that carry each representative onto the members of its orbit.
+
+    On a space of a Piola family (PIOLA_FAMILIES) on a mesh with the
+    hexagon fan's symmetry (Mesh.rotated_facets succeeds), R^j, j = 0..5,
+    turns element e onto images[j, e] = (e + j T/6) mod T and its basis
+    function i onto that of the image times signs[j, e, i] (_turn_signs;
+    None for vector DG, all of whose signs are 1).  The forms are
+    invariant under R, so image j of a local block is the block times
+    outer(s, s) for the signs s of its owners' images, and the
+    representatives are the T/6 elements of sector 0 and the first facet
+    of each 6-facet orbit.  On any other space or mesh the one turn is the
+    identity, each element and facet is its own orbit and signs is None:
+    the full walk.
+    """
+
+    def __init__(self, space):
+        mesh, nt = space.mesh, space.mesh.num_triangles
+        self.facet_image = None
+        if space.family in PIOLA_FAMILIES:
+            try:
+                self.facet_image = mesh.rotated_facets()
+            except ValueError:
+                pass
+        m = 1 if self.facet_image is None else 6
+        self.mesh, self.elements = mesh, nt // m
+        self.images = (np.arange(nt) + self.elements * np.arange(m)[:, None]
+                       ) % nt
+        self.signs = None if m == 1 else _turn_signs(space, self.images)
+        # R^j, stacked to turn (m, E, q, 2) rows of values back by R^-j
+        self.rotations = np.stack([np.linalg.matrix_power(FAN_ROTATION, j)
+                                   for j in range(m)])[:, None]
+
+    def facets(self, boundary):
+        """The representatives among the facets of one set, as positions
+        in the set (Mesh.facet_quadrature's order): all of them, or those
+        that come first in their orbits."""
+        if self.facet_image is None:
+            return slice(None)
+        facets = np.flatnonzero(self.mesh.facet_boundary == boundary)
+        orbit = [facets]
+        for _ in range(5):
+            orbit.append(self.facet_image[orbit[-1]])
+        return np.flatnonzero(facets == np.min(orbit, axis=0))
+
+    def owners(self, space, elems):
+        """The dofs (m F, ns nloc) of every image of owners `elems`, a list
+        of ns (F,) arrays, side by side in image-major order, and their
+        signs (m, F, ns nloc), or None."""
+        dofs = np.concatenate([space.dof_map[self.images[:, e]]
+                               for e in elems], axis=-1)
+        signs = None if self.signs is None else np.concatenate(
+            [self.signs[:, e] for e in elems], axis=-1)
+        return dofs.reshape(-1, dofs.shape[-1]), signs
+
+    def turn(self, blocks, signs):
+        """The local blocks (m F, k, l) of every image, from `blocks`, the
+        list of the representatives' chunks of blocks (F, k, l), joined at
+        once, as if from one chunk; the list is emptied.  Image j is the
+        block times outer(s, s) for s = signs[j], or the block itself."""
+        loc = np.concatenate(blocks)
+        blocks.clear()
+        if signs is not None:
+            return (loc * signs[..., :, None] * signs[..., None, :]).reshape(
+                (-1,) + loc.shape[1:])
+        m = len(self.images)
+        return loc if m == 1 else np.tile(loc, (m, 1, 1))
 
 
 def _assemble(method, space, coeffs, order, pp_space, f):
@@ -383,29 +456,40 @@ def _assemble(method, space, coeffs, order, pp_space, f):
 
     The operator (assemble_method), the dense diagnostics (f None) and
     the triple-norm error (error_norms, on its _ErrorSpace) all take their
-    pair from here.  The elements, then each facet set the method has
-    terms on, interior first, are walked in chunks of at most CHUNK items.
-    A chunk's tables come from the space walked, its volume and
-    facet_basis; every form with terms there reads them, and they are
-    dropped before the next chunk's are built.  The element table feeds
-    the volume terms and the load, a facet set's traces of both owners
-    feed both forms and, on M2's boundary, its N and G with the
-    pseudo-pressure values.  Each form's blocks of all chunks of a point
-    set are scattered at once (_scatter), so every matrix equals the one
-    assembled from all items, bit for bit.  With a pp_space (M2), A_h
-    and the load are scattered on (u_h, p_h), n = ndof_u + ndof_p
+    pair from here.  The walk visits the representatives of the element
+    and facet orbits (_Orbits): sector 0's elements and one facet of each
+    orbit of six on a Piola space of the hexagon fan, every element and
+    facet otherwise.  The elements, then each facet set the method has
+    terms on, interior first, are walked in chunks of at most CHUNK
+    representatives.  A chunk's tables come from the space walked, its
+    volume and facet_basis; every form with terms there reads them, and
+    they are dropped before the next chunk's are built.  The element
+    table feeds the volume terms and the load, a facet set's traces of
+    both owners feed both forms and, on M2's boundary, its N and G with
+    the pseudo-pressure values.  The load contracts f at every image's
+    own points, turned back by R^-j, with its representative's basis.
+    Each form's blocks of all chunks of a point set are turned onto every
+    image and scattered at once (_Orbits.turn), so no matrix depends on
+    CHUNK, bit for bit; the sector walk equals the full walk to
+    round-off, not bit for bit.  With a pp_space (M2),
+    A_h and the load are scattered on (u_h, p_h), n = ndof_u + ndof_p
     entries, zero on the pseudo-pressure rows, and B_h is
     assemble_m2_system's.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
-    dofs, nu = space.dof_map, space.ndof
+    orbits = _Orbits(space)
+    nu = space.ndof
     n = nu if pp_space is None else nu + pp_space.ndof     # A_h's size
+    dofs, signs = orbits.owners(space, [np.arange(orbits.elements)])
+    phys = space.mesh.element_quadrature(order)[2]
     a, b, rhs, d, mp, g = [], [], [], [], [], []   # each form's blocks
-    for elems in _chunks(space.mesh.num_triangles):
+    for elems in _chunks(orbits.elements):
         t = space.volume(order, elems)
         a.append(assemble_a_volume(coeffs, t))
         if f is not None:
-            rhs.append(assemble_rhs(f, t))
+            # f at each image's own points, turned back: R^-j f as rows
+            own = eval_pointwise(f, phys[orbits.images[:, elems]])
+            rhs.append(assemble_rhs(own @ orbits.rotations, t))
         if pp_space is None:
             b.append(assemble_b_volume(t))
         else:
@@ -413,16 +497,21 @@ def _assemble(method, space, coeffs, order, pp_space, f):
             d.append(blocks[0])
             mp.append(blocks[1])
         del t
-    A = _scatter(a, dofs, dofs, (n, n))
-    load = None if f is None else assemble_vector(dofs, np.concatenate(rhs), n)
+    A = assemble_csr(dofs, dofs, orbits.turn(a, signs), (n, n))
+    load = None
+    if f is not None:
+        rhs = np.concatenate(rhs, axis=1)
+        load = assemble_vector(dofs, rhs if signs is None else rhs * signs,
+                               n)
     if pp_space is None:
-        B = _scatter(b, dofs, dofs, (n, n))
+        B = assemble_csr(dofs, dofs, orbits.turn(b, signs), (n, n))
     else:
         npp, pdofs = pp_space.ndof, pp_space.dof_map
-        D = _scatter(d, pdofs, dofs, (npp, nu))
-        Mp = _scatter(mp, pdofs, pdofs, (npp, npp))
+        D = assemble_csr(pdofs, dofs, orbits.turn(d, None), (npp, nu))
+        Mp = assemble_csr(pdofs, pdofs, orbits.turn(mp, None), (npp, npp))
     for boundary in sorted(set(a_sets + b_sets)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
+        fg = fg.part(orbits.facets(boundary))
         for facets in _chunks(len(fg.length)):
             part = fg.part(facets)
             qv = None if pp_space is None else pp_space.eval_basis(
@@ -438,14 +527,16 @@ def _assemble(method, space, coeffs, order, pp_space, f):
             elif boundary in b_sets:
                 b.append(assemble_b_dg(coeffs, rule, part, traces))
             del traces, qv
-        fdofs = _facet_dofs(space, fg)
+        owners = [e for e, _, _ in fg.sides]
+        fdofs, fsigns = orbits.owners(space, owners)
         if boundary in a_sets:
-            A = A + _scatter(a, fdofs, fdofs, (n, n))
+            A = A + assemble_csr(fdofs, fdofs, orbits.turn(a, fsigns), (n, n))
         if pp_space is not None:    # M2's boundary normal penalty, coupling
-            N = _scatter(b, fdofs, fdofs, (nu, nu))
-            G = _scatter(g, _facet_dofs(pp_space, fg), fdofs, (npp, nu))
+            N = assemble_csr(fdofs, fdofs, orbits.turn(b, None), (nu, nu))
+            G = assemble_csr(orbits.owners(pp_space, owners)[0], fdofs,
+                             orbits.turn(g, None), (npp, nu))
         elif boundary in b_sets:
-            B = B + _scatter(b, fdofs, fdofs, (n, n))
+            B = B + assemble_csr(fdofs, fdofs, orbits.turn(b, fsigns), (n, n))
     if pp_space is not None:
         B = assemble_m2_system(D, Mp, N, G)
     return A, B, load
@@ -469,8 +560,9 @@ class _ErrorSpace:
     """The errors e_j = u_h[:, j] - u of k fields as a space of k functions.
 
     `u_h` is a DiscreteField with coefficients (ndof, k).  The space has
-    what _assemble reads of a space, the same k dofs 0..k-1 on every
-    element and the FeSpace methods volume and facet_basis, whose tables
+    what _assemble reads of a space: no family, so the walk is the full
+    one (_Orbits), the same k dofs 0..k-1 on every element and the
+    FeSpace methods volume and facet_basis, whose tables
     hold e_1..e_k as its basis, so the pair _assemble composes on it
     holds a_h(e_j, e_j) and b_h(e_j, e_j) on its k x k diagonals.  The
     element tables at `order` (`tables`, and u_h's values `vals`) are
@@ -480,6 +572,7 @@ class _ErrorSpace:
     points, where it is continuous.  With a `pp_space` (M2), div e_j is
     its L2 projection onto that space, one solve for all k.
     """
+    family = None
 
     def __init__(self, u_h, exact, order, pp_space):
         self.mesh = u_h.space.mesh

@@ -180,6 +180,22 @@ class Mesh:
                              "onto element (e + T/6) mod T")
         return image
 
+    def rotated_facets(self):
+        """The image of each facet under R, read off elem_facets: R turns
+        local edge k of element e onto local edge k of its image e'
+        (rotated_elements), so facet elem_facets[e, k] onto elem_facets[e',
+        k].  ValueError as rotated_elements raises, or when the two owners
+        of a facet disagree on its image.  No facet is fixed by a power
+        R^j, j = 1..5, as the fan's centre is a vertex: every facet orbit
+        has 6 facets."""
+        turned = np.empty(self.num_facets, dtype=int)
+        images = self.elem_facets[self.rotated_elements()]
+        turned[self.elem_facets] = images
+        if not np.array_equal(turned[self.elem_facets], images):
+            raise ValueError("the owners of a facet disagree on its image "
+                             "under the rotation")
+        return turned
+
     def facet_length(self, facets):
         """Chord length of one facet or of an array of facets."""
         fv = self.facet_vertices[facets]

@@ -271,5 +271,6 @@ def load_vector(space, f, order=None):
     """The load <f, basis> of the space, at quadrature_order(space) by
     default."""
     order = quadrature_order(space) if order is None else order
+    tables = space.volume(order)
     return assemble_vector(space.dof_map, forms.assemble_rhs(
-        f, space.volume(order)), space.ndof)
+        eval_pointwise(f, tables[1]), tables), space.ndof)

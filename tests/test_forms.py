@@ -278,24 +278,27 @@ def test_load_is_read_only_at_the_operator_size(method):
                  + ("" if chunk is None else f"-chunk{chunk}"))
     for load in (True, False)
     for chunk, counts, facets in ((None, (2, 4, 3, 4), (1, 1, 1, 2)),
-                                  (7, (6, 12, 14, 16), (2, 2, 5, 7)))
+                                  (7, (6, 12, 3, 4), (2, 2, 1, 2)))
     for m, n, nf in zip(METHODS, counts, facets)])
 def test_assembly_evaluates_each_point_set_once(monkeypatch, method,
                                                 point_sets, facet_chunks,
                                                 load, chunk):
     """One assembly (A_h, B_h and the load, or the pair alone as the dense
-    diagnostics assemble it) evaluates the basis once per space, point set
-    and chunk: the elements, and each owner side of the facet sets the
-    method has terms on, in chunks of at most forms.CHUNK items.  The
-    level-1 disc (24 elements, 30 interior and 12 boundary facets) is one
-    chunk per set at the default CHUNK, and 4, 5 and 2 chunks at
-    CHUNK = 7.  No earlier table is held when one is evaluated, apart from
-    the other owner of the same facet chunk and, for the pseudo-pressure
-    table of M2, the velocity table on the same points (D couples the
-    two) or, on a boundary chunk, the pseudo-pressure table on the points
-    where the velocity trace is evaluated (G couples them).  A facet
-    chunk's traces (FeSpace.facet_basis, which every method's facet sets
-    go through once per set and chunk, M2's boundary included) are its
+    diagnostics assemble it) evaluates the basis once per space, point
+    set and chunk: the elements, and each owner side of the facet sets
+    the method has terms on, in chunks of at most forms.CHUNK orbit
+    representatives.  On the level-1 disc (24 elements, 30 interior and
+    12 boundary facets) the Lagrange methods walk every item, one chunk
+    per set at the default CHUNK and 4, 5 and 2 chunks at CHUNK = 7; M3
+    and M4 walk the 4 elements of sector 0 and 5 interior and 2 boundary
+    facet representatives, one chunk per set at either CHUNK.  No
+    earlier table is held when one is evaluated, apart from the other
+    owner of the same facet chunk and, for the pseudo-pressure table of
+    M2, the velocity table on the same points (D couples the two) or, on
+    a boundary chunk, the pseudo-pressure table on the points where the
+    velocity trace is evaluated (G couples them).  A facet chunk's
+    traces (FeSpace.facet_basis, which every method's facet sets go
+    through once per set and chunk, M2's boundary included) are its
     owners' tables concatenated, so those are tracked too."""
     if chunk is not None:
         monkeypatch.setattr(forms, "CHUNK", chunk)
@@ -376,7 +379,8 @@ def test_chunked_assembly_is_bitwise_invariant(monkeypatch, chunk):
 @pytest.mark.parametrize("method,bound", [("M3", 6.5), ("M4", 4.0)])
 def test_assembly_peak_is_bounded_by_its_output(method, bound):
     """The memory _assemble allocates at its peak on the level-4 disc at
-    p=2 (1,536 elements, three chunks; 2,256 interior facets, four) stays
+    p=2 (1,536 elements, whose 256 sector-0 representatives are one chunk;
+    2,256 interior facets, whose 376 representatives are one chunk) stays
     below `bound` times the bytes of the CSR pair it returns; evaluating
     every table on all elements or facets at once took 9.1x (M3) and
     4.7x (M4).  Quadrature geometry is cached on the mesh first."""

@@ -11,6 +11,12 @@ degrees), and Q maps the constrained dofs onto themselves.  A wrong sign
 at a sector seam, a wrong Piola sign, a curved map that is not
 symmetric, or a boundary penalty that differs on one seam breaks one of
 these on any mesh level, whatever the manufactured solutions show.
+
+M3 and M4 are assembled on sector 0 and turned onto the other five
+sectors, so their pair commutes with Q by construction, and a term that
+differs on one seam's facets is copied to all six seams or to none.  For
+them the walk over every element and facet is the oracle too: the sector
+walk must equal it to round-off.
 """
 
 import numpy as np
@@ -19,11 +25,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gdfem.cli import DERHAM_METHODS, default_geom_order
-from gdfem.fespace import build_space
+from gdfem.fespace import FeSpace, build_space
 from gdfem.forms import (METHODS, assemble_method, paper_coefficients,
                          rotation_action)
 from gdfem.mesh import (FAN_ROTATION, Mesh, make_unit_disc_mesh,
                         make_unit_square_mesh)
+from gdfem.problems import convergence_problem
 
 ORACLE_TOL = 1e-13
 
@@ -120,3 +127,86 @@ def test_rotation_of_a_lagrange_space_turns_its_nodes(family):
         for v, w in enumerate(image):
             assert np.array_equal(Q[2 * w:2 * w + 2, 2 * v:2 * v + 2],
                                   FAN_ROTATION)
+
+
+# -- the sector walk ----------------------------------------------------------
+
+def full_walk(monkeypatch):
+    """Take the hexagon fan's symmetry from every mesh, so that _assemble
+    walks every element and facet."""
+    def no_symmetry(mesh):
+        raise ValueError("no hexagon-fan symmetry")
+    monkeypatch.setattr(Mesh, "rotated_elements", no_symmetry)
+
+
+# (p, level) of the sector-walk cells: p = 1-3 on levels 0-3, p = 1 on 4
+WALK_CELLS = [(p, level) for p in (1, 2, 3) for level in (0, 1, 2, 3)] \
+    + [(1, 4)]
+
+
+@pytest.mark.parametrize("method", DERHAM_METHODS)
+@pytest.mark.parametrize("p,level", WALK_CELLS)
+@pytest.mark.parametrize("default_g", [False, True])
+def test_sector_walk_equals_the_full_walk(monkeypatch, method, p, level,
+                                          default_g):
+    """A_h, B_h and the load of M3 and M4 assembled on sector 0 and one
+    facet of each orbit, and turned onto the other sectors, equal those of
+    the full walk to 1e-13 of their largest entries, at geometry order 1
+    and at the studies' order.  Compared by value: the two may store a
+    different number of exact zeros."""
+    mesh = make_unit_disc_mesh(level, geom_order=default_geom_order(p)
+                               if default_g else 1)
+    prob = convergence_problem(p)
+    sector = assemble_method(method, mesh, p, prob.coeffs, prob.f)
+    full_walk(monkeypatch)
+    full = assemble_method(method, mesh, p, prob.coeffs, prob.f)
+    for M, R in ((sector.a, full.a), (sector.b, full.b)):
+        assert abs(M - R).max() <= ORACLE_TOL * abs(R).max()
+    assert (np.abs(sector.load - full.load).max()
+            <= ORACLE_TOL * np.abs(full.load).max())
+
+
+def renumbered_fan():
+    fan = make_unit_disc_mesh(2)
+    order = np.random.default_rng(5).permutation(fan.num_triangles)
+    return Mesh(fan.vertices, fan.triangles[order], domain="disc")
+
+
+@pytest.mark.parametrize("method", DERHAM_METHODS)
+@pytest.mark.parametrize("mesh,share", [
+    pytest.param(make_unit_disc_mesh(2), 6, id="fan"),
+    pytest.param(make_unit_square_mesh(4), 1, id="square"),
+    pytest.param(renumbered_fan(), 1, id="renumbered_fan")])
+def test_sector_walk_evaluates_one_sixth(monkeypatch, method, mesh, share):
+    """The basis is evaluated on T / share elements and on that share of
+    the owner sides of M3's and M4's facet sets: a sixth on the hexagon
+    fan, all of them on the unit square and on a renumbered fan, where
+    each element and facet is its own orbit."""
+    volume, sides = [], []
+    eval_basis = FeSpace.eval_basis
+
+    def counted(space, elems, ref_pts):
+        (volume if np.ndim(ref_pts) == 2 else sides).append(len(elems))
+        return eval_basis(space, elems, ref_pts)
+
+    monkeypatch.setattr(FeSpace, "eval_basis", counted)
+    assemble_method(method, mesh, 1, paper_coefficients(1), None)
+    interior = np.count_nonzero(~mesh.facet_boundary)
+    owner_sides = 2 * interior + (mesh.num_facets - interior
+                                  if method == "M4" else 0)
+    assert sum(volume) * share == mesh.num_triangles
+    assert sum(sides) * share == owner_sides
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4])
+def test_facet_orbits_have_six_facets(level):
+    """R maps each facet onto a facet of the same set, and its six powers
+    carry every facet through six distinct facets back to itself."""
+    mesh = make_unit_disc_mesh(level)
+    turned = mesh.rotated_facets()
+    assert np.array_equal(mesh.facet_boundary[turned], mesh.facet_boundary)
+    orbit = [np.arange(mesh.num_facets)]
+    for _ in range(6):
+        orbit.append(turned[orbit[-1]])
+    assert np.array_equal(orbit[6], orbit[0])
+    assert all(len(set(o)) == 6 for o in np.transpose(orbit[:6]))
