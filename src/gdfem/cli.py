@@ -44,8 +44,7 @@ import numpy as np
 
 from .fespace import PIOLA_FAMILIES, DegreeError, DiscreteField
 from .forms import (METHOD_FORMS, METHODS, assemble_method, check_degree,
-                    check_number, error_norms, l2_norms, paper_coefficients,
-                    rotation_action)
+                    check_number, error_norms, l2_norms, paper_coefficients)
 from .linalg import (SingularMatrixError, dump_matrix,
                      estimate_control_constant, restrict_free, solve)
 from .mesh import make_unit_disc_mesh, mesh_size
@@ -481,11 +480,11 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     threshold on the eigenvalues of B_h, the route whose answer
     perfbench/expected.json records (estimate_control_constant).  Either
     route solves the pencil on the four Fourier blocks of the hexagon
-    fan's rotation (forms.rotation_action on the free dofs), with which
-    A_h and B_h commute.  A method with a pseudo-pressure family (M2) has
-    no single-field pair to compare; _plan refuses it as it does any bad
-    cell.  With out_path the result is written there as diagnostics.txt
-    (_record).
+    fan's rotation, with which A_h and B_h commute: its dof table on the
+    free dofs (forms.Rotation.dofs), from the Rotation the assembly built.
+    A method with a pseudo-pressure family (M2) has no single-field pair
+    to compare; _plan refuses it as it does any bad cell.  With out_path
+    the result is written there as diagnostics.txt (_record).
     """
     [(_, g, _)] = _plan("diagnostics", [method], [p], [level], geom_order)
     coeffs = paper_coefficients(p, lambda_b=lambda_b, lambda_n=lambda_n,
@@ -497,9 +496,8 @@ def run_diagnostics(method, level=1, p=1, out_path=None, geom_order=None,
     Bf = restrict_free(ms.b, constrained)
     kernel_dim = (derham_kernel_dim(mesh, p) if method in DERHAM_METHODS
                   else None)
-    rotation = restrict_free(rotation_action(ms.velocity_space), constrained)
     c_bh, c_hat, kdim = estimate_control_constant(
-        Af, Bf, kernel_dim=kernel_dim, rotation=rotation)
+        Af, Bf, kernel_dim=kernel_dim, rotation=ms.rotation.dofs(constrained))
     result = {"method": method, "level": level, "p": p, "geom_order": g,
               "ndof_free": Af.shape[0], "kernel_dim": kdim,
               "c_bh": c_bh, "c_hat": c_hat}

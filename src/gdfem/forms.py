@@ -162,7 +162,7 @@ def assemble_rhs(fvals, tables):
 # FacetGeometry and that chunk's traces (the space's facet_basis: values,
 # gradients, divergences and signs, owners side by side) and return the
 # chunk's local blocks (F, ns nloc, ns nloc) on the owners' dofs, side by
-# side (_Orbits.owners).
+# side (Rotation.owners).
 
 def assemble_a_dg(coeffs, rule, fg, traces):
     """Interior-penalty terms of a_h^DG in the b-weighted jump.
@@ -289,6 +289,7 @@ class MethodSystem:
     b: object                   # B_h per unit c_s^2, CSR
     load: object                # the load of the forcing, None without one
     cs2: float                  # the c_s^2 of `system`
+    rotation: object            # the velocity space's Rotation
 
     def system_at(self, cs2):
         """(cs2 B_h - A_h) x = load; ValueError unless cs2 is a positive,
@@ -333,74 +334,31 @@ def method_spaces(method, mesh, p):
             else build_space(pp_family, mesh, p - 1))
 
 
-def _turn_signs(space, turned):
-    """The signs by which R turns each basis function i of each element e
-    into that of element turned[..., e], (..., T, nloc), or None where
-    every sign is 1.  The Piola map commutes with R, so it turns BDM's
-    basis function i of e into that of e' times s[e', i] / s[e, i] = +-1
-    for its per-element scale s (FeSpace._bdm_scale), and vector DG's
-    into that of e'; the Lagrange families take their nodes along."""
-    if space.family != "hdiv_bdm":
-        return None
-    s = np.sign(space._bdm_scale)
-    return s[turned] * s
+class Rotation:
+    """The hexagon fan's rotation R by 60 degrees on a space, as index
+    tables: the element and facet orbits that _assemble walks, with the
+    turns that carry each representative onto its images, and R's dof
+    table (dofs).
 
-
-def rotation_action(space):
-    """Q, the dof action of the hexagon fan's rotation R by 60 degrees on a
-    space: the field u with coefficients x turned by R, R u(R^-1 .), has
-    coefficients Q x (CSR).
-
-    R maps element e onto e' = Mesh.rotated_elements()[e] in the same
-    local order, so it takes each Lagrange node of e to that of e', and
-    each Piola-mapped basis function of e to that of e' times its
-    _turn_signs sign: Q is a signed permutation.  For scalar Lagrange Q
-    is the node permutation P; vector Lagrange turns a node's value pair
-    (u_x, u_y) by R too, so Q = P kron R on its interleaved components,
-    orthogonal but no signed permutation.  ValueError for a mesh without
-    the symmetry, or elements that disagree on a shared dof's image or
-    sign.
-    """
-    image = space.mesh.rotated_elements()
-    dofs, n = space.dof_map, space.ndof
-    if space.family == "vector_lagrange":
-        dofs, n = dofs[:, ::2] // 2, n // 2                  # the nodes
-    turned = dofs[image]
-    sign = _turn_signs(space, image)
-    if sign is None:
-        sign = np.ones(dofs.shape)
-    target, factor = np.empty(n, dtype=int), np.empty(n)
-    target[dofs], factor[dofs] = turned, sign
-    if not (np.array_equal(target[dofs], turned)
-            and np.array_equal(factor[dofs], sign)):
-        raise ValueError("the elements disagree on the image or sign of a "
-                         "shared dof under the rotation")
-    Q = sp.csr_matrix((factor, (target, np.arange(n))), shape=(n, n))
-    if space.family == "vector_lagrange":
-        Q = sp.kron(Q, FAN_ROTATION, format="csr")
-    return Q
-
-
-class _Orbits:
-    """The orbits of the elements and facets that _assemble walks, and the
-    turns that carry each representative onto the members of its orbit.
-
+    R maps element e onto e' = (e + T/6) mod T (Mesh.rotated_elements) in
+    the same local order, so it takes each Lagrange node of e to that of
+    e', and each Piola-mapped basis function i of e to that of e' times
+    s[e', i] s[e, i] = +-1 for BDM's per-element scale s
+    (FeSpace._bdm_scale; 1 for vector DG): the Piola map commutes with R.
     On a space of a Piola family (PIOLA_FAMILIES) on a mesh with the
-    hexagon fan's symmetry (Mesh.rotated_facets succeeds), R^j, j = 0..5,
-    turns element e onto images[j, e] = (e + j T/6) mod T and its basis
-    function i onto that of the image times signs[j, e, i] (_turn_signs;
-    None for vector DG, all of whose signs are 1).  The forms are
-    invariant under R, so image j of a local block is the block times
-    outer(s, s) for the signs s of its owners' images, and the
-    representatives are the T/6 elements of sector 0 and the first facet
-    of each 6-facet orbit.  On any other space or mesh the one turn is the
-    identity, each element and facet is its own orbit and signs is None:
-    the full walk.
+    symmetry (Mesh.rotated_facets succeeds), R^j, j = 0..5, turns element
+    e onto images[j, e] and its basis function i onto that of the image
+    times signs[j, e, i] (None for vector DG).  The forms are invariant
+    under R, so image j of a local block is the block times outer(s, s)
+    for the signs s of its owners' images, and the representatives are
+    the T/6 elements of sector 0 and the first facet of each 6-facet
+    orbit.  On any other space or mesh the one turn is the identity, each
+    element and facet is its own orbit and signs is None: the full walk.
     """
 
     def __init__(self, space):
         mesh, nt = space.mesh, space.mesh.num_triangles
-        self.facet_image = None
+        self.space, self.facet_image, self.signs = space, None, None
         if space.family in PIOLA_FAMILIES:
             try:
                 self.facet_image = mesh.rotated_facets()
@@ -410,10 +368,43 @@ class _Orbits:
         self.mesh, self.elements = mesh, nt // m
         self.images = (np.arange(nt) + self.elements * np.arange(m)[:, None]
                        ) % nt
-        self.signs = None if m == 1 else _turn_signs(space, self.images)
+        if m == 6 and space.family == "hdiv_bdm":
+            s = np.sign(space._bdm_scale)
+            self.signs = s[self.images] * s
         # R^j, stacked to turn (m, E, q, 2) rows of values back by R^-j
         self.rotations = np.stack([np.linalg.matrix_power(FAN_ROTATION, j)
                                    for j in range(m)])[:, None]
+
+    def dofs(self, constrained):
+        """R's dof table (image, tau, partner) on the free dofs, those not
+        in constrained, numbered as restrict_free numbers them: R turns dof
+        d onto omega^tau[d] times dof image[d], omega = exp(i pi/3) and tau
+        0 or 3, and a vector Lagrange node's (u_x, u_y), dof d and its
+        partner, onto its image's pair turned by tau = 1 sixth.  ValueError
+        for a mesh without the symmetry, elements that disagree on a shared
+        dof's image or sign, or a free dof turned onto a constrained one."""
+        space, n, dofs = self.space, self.space.ndof, self.space.dof_map
+        turned = (self.images[1] if len(self.images) == 6
+                  else self.mesh.rotated_elements())
+        local = 0 if self.signs is None else np.where(self.signs[1] < 0, 3, 0)
+        image, tau = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        image[dofs], tau[dofs] = dofs[turned], local
+        if not (np.array_equal(image[dofs], dofs[turned])
+                and np.all(tau[dofs] == local)):
+            raise ValueError("the elements disagree on the image or sign of a "
+                             "shared dof under the rotation")
+        d = np.arange(n)
+        partner = d
+        if space.family == "vector_lagrange":     # (u_x, u_y) = (2v, 2v + 1)
+            tau, partner = tau + 1, d ^ 1
+        free = np.setdiff1d(d, constrained)
+        number = np.full(n, -1)
+        number[free] = np.arange(len(free))
+        image, partner = number[image[free]], number[partner[free]]
+        if np.any(np.minimum(image, partner) < 0):
+            raise ValueError("the rotation turns a free dof onto a "
+                             "constrained one")
+        return image, tau[free], partner
 
     def facets(self, boundary):
         """The representatives among the facets of one set, as positions
@@ -451,17 +442,18 @@ class _Orbits:
         return loc if m == 1 else np.tile(loc, (m, 1, 1))
 
 
-def _assemble(method, space, coeffs, order, pp_space, f):
-    """(A_h, B_h, load of f or None) of a method, chunk by chunk.
+def _assemble(method, rotation, coeffs, order, pp_space, f):
+    """(A_h, B_h, load of f or None) of a method on rotation.space, chunk
+    by chunk.
 
     The operator (assemble_method), the dense diagnostics (f None) and
     the triple-norm error (error_norms, on its _ErrorSpace) all take their
     pair from here.  The walk visits the representatives of the element
-    and facet orbits (_Orbits): sector 0's elements and one facet of each
-    orbit of six on a Piola space of the hexagon fan, every element and
-    facet otherwise.  The elements, then each facet set the method has
-    terms on, interior first, are walked in chunks of at most CHUNK
-    representatives.  A chunk's tables come from the space walked, its
+    and facet orbits of `rotation`, a Rotation: sector 0's elements and
+    one facet of each orbit of six on a Piola space of the hexagon fan,
+    every element and facet otherwise.  The elements, then each facet set
+    the method has terms on, interior first, are walked in chunks of at
+    most CHUNK representatives.  A chunk's tables come from the space walked, its
     volume and facet_basis; every form with terms there reads them, and
     they are dropped before the next chunk's are built.  The element
     table feeds the volume terms and the load, a facet set's traces of
@@ -469,7 +461,7 @@ def _assemble(method, space, coeffs, order, pp_space, f):
     the pseudo-pressure values.  The load contracts f at every image's
     own points, turned back by R^-j, with its representative's basis.
     Each form's blocks of all chunks of a point set are turned onto every
-    image and scattered at once (_Orbits.turn), so no matrix depends on
+    image and scattered at once (Rotation.turn), so no matrix depends on
     CHUNK, bit for bit; the sector walk equals the full walk to
     round-off, not bit for bit.  With a pp_space (M2),
     A_h and the load are scattered on (u_h, p_h), n = ndof_u + ndof_p
@@ -477,19 +469,18 @@ def _assemble(method, space, coeffs, order, pp_space, f):
     assemble_m2_system's.
     """
     _, _, a_sets, b_sets = METHOD_FORMS[method]
-    orbits = _Orbits(space)
-    nu = space.ndof
+    space, nu = rotation.space, rotation.space.ndof
     n = nu if pp_space is None else nu + pp_space.ndof     # A_h's size
-    dofs, signs = orbits.owners(space, [np.arange(orbits.elements)])
+    dofs, signs = rotation.owners(space, [np.arange(rotation.elements)])
     phys = space.mesh.element_quadrature(order)[2]
     a, b, rhs, d, mp, g = [], [], [], [], [], []   # each form's blocks
-    for elems in _chunks(orbits.elements):
+    for elems in _chunks(rotation.elements):
         t = space.volume(order, elems)
         a.append(assemble_a_volume(coeffs, t))
         if f is not None:
             # f at each image's own points, turned back: R^-j f as rows
-            own = eval_pointwise(f, phys[orbits.images[:, elems]])
-            rhs.append(assemble_rhs(own @ orbits.rotations, t))
+            own = eval_pointwise(f, phys[rotation.images[:, elems]])
+            rhs.append(assemble_rhs(own @ rotation.rotations, t))
         if pp_space is None:
             b.append(assemble_b_volume(t))
         else:
@@ -497,21 +488,21 @@ def _assemble(method, space, coeffs, order, pp_space, f):
             d.append(blocks[0])
             mp.append(blocks[1])
         del t
-    A = assemble_csr(dofs, dofs, orbits.turn(a, signs), (n, n))
+    A = assemble_csr(dofs, dofs, rotation.turn(a, signs), (n, n))
     load = None
     if f is not None:
         rhs = np.concatenate(rhs, axis=1)
         load = assemble_vector(dofs, rhs if signs is None else rhs * signs,
                                n)
     if pp_space is None:
-        B = assemble_csr(dofs, dofs, orbits.turn(b, signs), (n, n))
+        B = assemble_csr(dofs, dofs, rotation.turn(b, signs), (n, n))
     else:
         npp, pdofs = pp_space.ndof, pp_space.dof_map
-        D = assemble_csr(pdofs, dofs, orbits.turn(d, None), (npp, nu))
-        Mp = assemble_csr(pdofs, pdofs, orbits.turn(mp, None), (npp, npp))
+        D = assemble_csr(pdofs, dofs, rotation.turn(d, None), (npp, nu))
+        Mp = assemble_csr(pdofs, pdofs, rotation.turn(mp, None), (npp, npp))
     for boundary in sorted(set(a_sets + b_sets)):
         rule, fg = space.mesh.facet_quadrature(order, boundary)
-        fg = fg.part(orbits.facets(boundary))
+        fg = fg.part(rotation.facets(boundary))
         for facets in _chunks(len(fg.length)):
             part = fg.part(facets)
             qv = None if pp_space is None else pp_space.eval_basis(
@@ -528,15 +519,15 @@ def _assemble(method, space, coeffs, order, pp_space, f):
                 b.append(assemble_b_dg(coeffs, rule, part, traces))
             del traces, qv
         owners = [e for e, _, _ in fg.sides]
-        fdofs, fsigns = orbits.owners(space, owners)
+        fdofs, fsigns = rotation.owners(space, owners)
         if boundary in a_sets:
-            A = A + assemble_csr(fdofs, fdofs, orbits.turn(a, fsigns), (n, n))
+            A = A + assemble_csr(fdofs, fdofs, rotation.turn(a, fsigns), (n, n))
         if pp_space is not None:    # M2's boundary normal penalty, coupling
-            N = assemble_csr(fdofs, fdofs, orbits.turn(b, None), (nu, nu))
-            G = assemble_csr(orbits.owners(pp_space, owners)[0], fdofs,
-                             orbits.turn(g, None), (npp, nu))
+            N = assemble_csr(fdofs, fdofs, rotation.turn(b, None), (nu, nu))
+            G = assemble_csr(rotation.owners(pp_space, owners)[0], fdofs,
+                             rotation.turn(g, None), (npp, nu))
         elif boundary in b_sets:
-            B = B + assemble_csr(fdofs, fdofs, orbits.turn(b, fsigns), (n, n))
+            B = B + assemble_csr(fdofs, fdofs, rotation.turn(b, fsigns), (n, n))
     if pp_space is not None:
         B = assemble_m2_system(D, Mp, N, G)
     return A, B, load
@@ -548,10 +539,11 @@ def assemble_method(method, mesh, p, coeffs, f, order=None):
     quadrature_order of the velocity space by default."""
     vel, pp = method_spaces(method, mesh, p)
     order = quadrature_order(vel) if order is None else order
-    A, B, load = _assemble(method, vel, coeffs, order, pp, f)
+    rotation = Rotation(vel)
+    A, B, load = _assemble(method, rotation, coeffs, order, pp, f)
     if load is not None:
         load.setflags(write=False)
-    return MethodSystem(vel, pp, A, B, load, coeffs.cs2)
+    return MethodSystem(vel, pp, A, B, load, coeffs.cs2, rotation)
 
 
 # -- error norms ---------------------------------------------------------------
@@ -561,7 +553,7 @@ class _ErrorSpace:
 
     `u_h` is a DiscreteField with coefficients (ndof, k).  The space has
     what _assemble reads of a space: no family, so the walk is the full
-    one (_Orbits), the same k dofs 0..k-1 on every element and the
+    one (Rotation), the same k dofs 0..k-1 on every element and the
     FeSpace methods volume and facet_basis, whose tables
     hold e_1..e_k as its basis, so the pair _assemble composes on it
     holds a_h(e_j, e_j) and b_h(e_j, e_j) on its k x k diagonals.  The
@@ -680,7 +672,7 @@ def error_norms(u_h, exact, coeffs, method, pp_space=None, order=None):
         pp_space = build_space(pp_family, space.mesh, space.degree - 1)
     err = _ErrorSpace(u_h, exact, order,
                       None if pp_family is None else pp_space)
-    A, B, _ = _assemble(method, err, coeffs, order, None, None)
+    A, B, _ = _assemble(method, Rotation(err), coeffs, order, None, None)
     xh2 = A.diagonal() + coeffs.cs2 * B.diagonal()
     wq = err.tables[0]
     return [{"l2_error": e, "xh_error": float(np.sqrt(max(x, 0.0))),

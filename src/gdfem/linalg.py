@@ -10,15 +10,16 @@ longdouble residual.
 The diagnostics (n <= DIAGNOSTIC_SIZE_LIMIT) solve dense pencils with
 LAPACK's "gv" driver and take one of two routes
 (estimate_control_constant), both on the four Fourier blocks of the
-hexagon fan's rotation by 60 degrees, of about n/6 rows each: A_h and
-B_h commute with the rotation's dof action, so the split is exact, not
-an approximation.  Given the dimension of ker B_h, which the discrete de
-Rham sequence counts for M3 and M4, the spectrum of the pencil (B_h,
-A_h) gives c_bh.  Without a count (M1), the kernel is found by one
-relative threshold on the eigenvalues of B_h over all blocks, and each
-block's pencil is reduced to its a-orthogonal complement; this route
-stays while perfbench/expected.json records its answer for M1 p=2 level
-3, where the threshold and the pencil's own gap disagree.
+hexagon fan's rotation R by 60 degrees, of about n/6 rows each, read
+off R's dof table (forms.Rotation.dofs): A_h and B_h commute with R's
+dof action, so the split is exact, not an approximation.  Given the
+dimension of ker B_h, which the discrete de Rham sequence counts for M3
+and M4, the spectrum of the pencil (B_h, A_h) gives c_bh.  Without a
+count (M1), the kernel is found by one relative threshold on the
+eigenvalues of B_h over all blocks, and each block's pencil is reduced
+to its a-orthogonal complement; this route stays while
+perfbench/expected.json records its answer for M1 p=2 level 3, where the
+threshold and the pencil's own gap disagree.
 """
 
 from dataclasses import dataclass, field
@@ -214,19 +215,21 @@ def estimate_control_constant(A, B, kernel_dim=None, rotation=None):
     than the default divide-and-conquer "gvd" on these pencils (M1 p=2
     level 3's whole pencil: 0.29 s against 0.48 s).
 
-    Both routes solve the pencil on the Fourier blocks of `rotation`, an
-    orthogonal Q of order 6 with which A and B commute (the hexagon fan's
-    rotation on the free dofs, forms.rotation_action): a signed
-    permutation, or one up to 2 x 2 rotations of dof pairs, as on vector
-    Lagrange's node values (_orbits).  The pencil splits exactly into Q's
-    four Fourier blocks U_k^H (B, A) U_k, k = 0..3 (_fourier_blocks): the
-    eigenspaces of Q are invariant under A and B, and blocks 1 and 2,
-    complex Hermitian, stand for their conjugates 5 and 4 too (Bossavit,
-    CMAME 1986; Allgower, Boehmer, Georg & Miranda, SINUM 1992).  A block
-    has about n/6 rows, so its eigensolve costs about 1/216 of the whole
-    pencil's, or 1/54 if complex.  U is unitary, so a block's Cholesky
-    fails only when A is not SPD.  Without `rotation`, one identity
-    block.
+    Both routes solve the pencil on the Fourier blocks of `rotation`, the
+    dof table (image, tau, partner) of an orthogonal Q of order 6 with
+    which A and B commute (the hexagon fan's rotation on the free dofs,
+    forms.Rotation.dofs): per dof, the dof Q turns it onto, its turn in
+    sixths and its pair partner, so Q is a signed permutation, or one up
+    to 2 x 2 rotations of dof pairs, as on vector Lagrange's node values
+    (_orbits).  The pencil splits exactly into Q's four Fourier blocks
+    U_k^H (B, A) U_k, k = 0..3 (_fourier_blocks): the eigenspaces of Q
+    are invariant under A and B, and blocks 1 and 2, complex Hermitian,
+    stand for their conjugates 5 and 4 too (Bossavit, CMAME 1986;
+    Allgower, Boehmer, Georg & Miranda, SINUM 1992).  A block has about
+    n/6 rows, so its eigensolve costs about 1/216 of the whole pencil's,
+    or 1/54 if complex.  U is unitary, so a block's Cholesky fails only
+    when A is not SPD.  Without `rotation`, or with a table that fixes
+    every dof with tau 0, one identity block.
 
     - kernel_dim = N (M3 and M4, counted by cli.derham_kernel_dim): the
       spectrum lam of (B, A), each block by eigh(..., eigvals_only=True),
@@ -262,60 +265,52 @@ def estimate_control_constant(A, B, kernel_dim=None, rotation=None):
     return c_bh, c_hat, k
 
 
-_NOT_ROTATION = ("the rotation must be a signed permutation of order 6, up "
-                 "to 2 x 2 rotations of dof pairs, whose orbits hold six "
-                 "dofs or one")
 _OMEGA = np.exp(1j * np.pi / 3.0 * np.arange(6))    # omega^t, e^(i pi/3)
 
 
-def _orbits(Q, A, B):
-    """(legs, orbit, shift, mode): a unitary basis b_0..b_n-1 on which Q
-    acts as a permutation with orbits of six and fixed points, and those
-    orbits.  b_d lies at place shift[d] of orbit orbit[d]; mode[o] is -1
-    for an orbit of six, b_d0, Q b_d0, ..., Q^5 b_d0, and k for a fixed
+def _rotation_matrix(image, tau, partner):
+    """Q, the CSR matrix of R's dof table (_orbits): Q e_d = omega^tau[d]
+    e_image[d] for a dof without a pair, and cos(t) e_image[d] -+ sin(t)
+    e_image[partner[d]], t = tau[d] pi/3 and - for the pair's second dof,
+    as R turns a node's (u_x, u_y)."""
+    d = np.arange(len(image))
+    pair = np.flatnonzero(partner != d)
+    turn = _OMEGA[tau % 6]
+    sin = np.where(pair > partner[pair], -1, 1) * turn[pair].imag
+    rows = np.append(image, image[partner[pair]])
+    return sp.csr_matrix((np.append(turn.real, sin),
+                          (rows, np.append(d, pair))), shape=(len(d),) * 2)
+
+
+def _orbits(rotation, A, B):
+    """(legs, orbit, shift, mode) of R's dof table `rotation`, (image,
+    tau, partner) on the free dofs (forms.Rotation.dofs), and its matrix Q
+    (_rotation_matrix): a unitary basis b_0..b_n-1 on which Q acts as a
+    permutation with orbits of six and fixed points, and those orbits.
+    b_d lies at place shift[d] of orbit orbit[d]; mode[o] is -1 for an
+    orbit of six, b_d0, Q b_d0, ..., Q^5 b_d0, and k for a fixed
     Q b_d0 = omega^-k b_d0, omega = exp(i pi/3).  legs lists the basis by
     rows, [(dof, coef)] with b_dof[r] = coef[r] at row r: first each b_r
     at its own row, then, when Q turns pairs of dofs, each pair's b at its
     partner's row.
 
-    Q maps a dof onto +-1 times a dof, or a pair of dofs a < b onto a pair
-    r < s by a rotation through t sixths of a turn, as on vector
-    Lagrange's (u_x, u_y) at a node.  Along an orbit of six, b_d is Q^j
-    applied to the unit vector of the orbit's first dof: its sign, or its
-    pair turned by the sum of the turns t so far.  A fixed pair takes the
-    circular components (e_a -+ i e_b)/sqrt(2), in modes -+t.  Without Q,
-    each dof is fixed, in mode 0.  ValueError unless Q is (n, n) and of
-    that kind with Q^6 = I, has an orbit of six, and commutes with the
-    symmetric CSR A and B to 1e-10 relative.
+    Along an orbit of six, b_d is Q^j applied to the unit vector of the
+    orbit's first dof: its sign, or its pair turned by the sum of the
+    turns so far.  A fixed pair takes the circular components
+    (e_a -+ i e_b)/sqrt(2), in modes -+t.  Without `rotation`, or with one
+    that fixes every dof with tau 0, each dof is fixed, in mode 0.
+    ValueError unless the table has A's size, image is one to one with
+    orbits of six dofs or one, the turns along an orbit of six sum to
+    0 mod 6 (Q^6 = I), partners map onto partners, and the symmetric CSR
+    A and B commute with Q to 1e-10 relative.
     """
     n = A.shape[0]
     d = np.arange(n)
-    if Q is None:
-        zero = np.zeros(n, dtype=int)
-        return [(d, np.ones(n))], d, zero, zero
-    if Q.shape != (n, n):
-        raise ValueError(f"the rotation {Q.shape} must be of A's shape "
-                         f"{A.shape}")
-    Q = sp.csc_matrix(Q, dtype=float, copy=True)
-    Q.sum_duplicates()
-    Q.eliminate_zeros()
-    start, count = Q.indptr[:-1], np.diff(Q.indptr)
-    one, pairs = count == 1, np.flatnonzero(count == 2)
-    if not (np.all(one | (count == 2)) and len(pairs) % 2 == 0):
-        raise ValueError(_NOT_ROTATION)
-    rows = Q.indices[start[pairs, None] + [0, 1]]      # ascending
-    pairs = pairs[np.lexsort(rows.T[::-1])].reshape(-1, 2)
-    rows = Q.indices[start[pairs[:, :1]] + [0, 1]]     # (r, s) of (a, b)
-    (c, minus_s), (s, c_b) = (Q.data[start[pairs] + i].T for i in (0, 1))
-    t = np.rint(np.angle(c + 1j * s) / (np.pi / 3.0)).astype(int) % 6
-    if not (np.array_equal(rows, Q.indices[start[pairs[:, 1:]] + [0, 1]])
-            and np.all(np.abs(Q.data[start[one]]) == 1)
-            and np.allclose([c, s, minus_s, c_b], [_OMEGA[t].real,
-                            _OMEGA[t].imag, -s, c], rtol=0, atol=1e-12)):
-        raise ValueError(_NOT_ROTATION)
-    image, partner = Q.indices[start], d.copy()
-    tau = np.where(Q.data[start] < 0, 3, 0)            # omega^3 = -1
-    image[pairs], tau[pairs], partner[pairs] = rows, t[:, None], pairs[:, ::-1]
+    image, tau, partner = ((d, np.zeros(n, dtype=int), d) if rotation is None
+                           else rotation)
+    if len(image) != n:
+        raise ValueError(f"the rotation {(len(image),) * 2} must be of A's "
+                         f"shape {A.shape}")
     dofs, turns = [d], [np.zeros(n, dtype=int)]
     for _ in range(5):
         turns.append(turns[-1] + tau[dofs[-1]])
@@ -327,8 +322,11 @@ def _orbits(Q, A, B):
            & np.all(dofs[:, 1:] != dofs[:, :1], axis=1))
     if not (np.all(np.bincount(image, minlength=n) == 1)
             and np.array_equal(partner[image], image[partner])
-            and np.all(fixed | six) and not np.all(fixed)):
-        raise ValueError(_NOT_ROTATION)
+            and np.all(fixed | six)):
+        raise ValueError("the rotation must be a signed permutation of "
+                         "order 6, up to 2 x 2 rotations of dof pairs, whose "
+                         "orbits hold six dofs or one")
+    Q = _rotation_matrix(image, tau, partner)
     for M in (A, B):
         if abs(Q @ M - M @ Q).max() > 1e-10 * abs(M).max():
             raise ValueError("A and B must commute with the rotation")
@@ -341,14 +339,15 @@ def _orbits(Q, A, B):
     # turn (a sign without a partner), or a fixed pair's circular component
     second = np.where(d > partner, -1, 1)
     own, other = _OMEGA[turn].real, second * _OMEGA[turn].imag
-    circular = fixed & ~one
+    paired = partner != d
+    circular = fixed & paired
     if circular.any():
         h = np.sqrt(0.5)
         own = np.where(circular, np.where(second > 0, h, 1j * h), own)
         other = np.where(circular, np.where(second > 0, -1j * h, h), other)
-    tau[circular] *= second[circular]
-    mode = np.where(fixed, -tau % 6, -1)[dofs[first, 0]]
-    legs = [(d, own)] + ([(partner, other[partner])] if len(pairs) else [])
+    mode = np.where(fixed, -tau * np.where(circular, second, 1) % 6,
+                    -1)[dofs[first, 0]]
+    legs = [(d, own)] + ([(partner, other[partner])] if paired.any() else [])
     return legs, orbit, shift, mode
 
 

@@ -25,9 +25,9 @@ from hypothesis import given, settings, strategies as st
 from gdfem import cli, linalg
 from gdfem.cli import (DERHAM_METHODS, SINGLE_FIELD_METHODS,
                        default_geom_order, derham_kernel_dim, run_diagnostics)
-from gdfem.forms import assemble_method, paper_coefficients, rotation_action
+from gdfem.forms import assemble_method, paper_coefficients
 from gdfem.linalg import estimate_control_constant, restrict_free
-from gdfem.mesh import make_unit_disc_mesh
+from gdfem.mesh import Mesh, make_unit_disc_mesh
 
 REL_TOL = 1e-9
 
@@ -78,15 +78,15 @@ def assert_matches_reference(A, B):
 
 
 def free_pair(method, p, level, geom_order=None, **kw):
-    """(A_h, B_h) on the free dofs, the mesh and the rotation on the free
-    dofs, as run_diagnostics builds them."""
+    """(A_h, B_h) on the free dofs, the mesh and the rotation's dof table
+    on the free dofs, as run_diagnostics builds them."""
     g = default_geom_order(p) if geom_order is None else geom_order
     mesh = make_unit_disc_mesh(level, geom_order=g)
     ms = assemble_method(method, mesh, p, paper_coefficients(p, **kw), None)
     constrained = ms.velocity_space.constrained_dofs
-    rotation = restrict_free(rotation_action(ms.velocity_space), constrained)
     return (restrict_free(ms.a, constrained),
-            restrict_free(ms.b, constrained), mesh, rotation)
+            restrict_free(ms.b, constrained), mesh,
+            ms.rotation.dofs(constrained))
 
 
 @pytest.mark.parametrize("method", ["M1", "M3", "M4"])
@@ -144,21 +144,31 @@ def test_fourier_blocks_match_the_dense_pencil(method, p, level, geom_order):
 
 def test_run_diagnostics_counts_the_piola_kernels(monkeypatch):
     """run_diagnostics gives estimate_control_constant the de Rham count
-    for M3 and M4 and leaves M1 to the threshold route, and the rotation
-    to every method."""
+    for M3 and M4 and leaves M1 to the threshold route, and the rotation's
+    dof table on the free dofs to every method, reading R's element map
+    once per cell: the walk's for M3 and M4, the table's for M1."""
     assert DERHAM_METHODS == ("M3", "M4")
-    seen = []
+    seen, maps = [], []
 
     def spy(A, B, kernel_dim, rotation):
-        seen.append((kernel_dim, rotation.shape == A.shape))
+        seen.append((kernel_dim,
+                     [len(t) for t in rotation] == [A.shape[0]] * 3))
         return estimate_control_constant(A, B, kernel_dim=kernel_dim,
                                          rotation=rotation)
 
+    rotated_elements = Mesh.rotated_elements
+
+    def counted(mesh):
+        maps.append(mesh)
+        return rotated_elements(mesh)
+
     monkeypatch.setattr(cli, "estimate_control_constant", spy)
+    monkeypatch.setattr(Mesh, "rotated_elements", counted)
     kernels = [run_diagnostics(m, 1, 2)["kernel_dim"]
                for m in SINGLE_FIELD_METHODS]
     assert seen == [(None, True), (91, True), (91, True)]
     assert kernels == [0, 91, 91]
+    assert len(maps) == 3
 
 
 # (p, level) of the M1 cells of up to about 1,000 free dofs

@@ -393,8 +393,8 @@ def test_assembly_peak_is_bounded_by_its_output(method, bound):
     prob = convergence_problem(2)
     tracemalloc.start()
     try:
-        A, B, _ = forms._assemble(method, vel, prob.coeffs, order, pp,
-                                  prob.f)
+        A, B, _ = forms._assemble(method, forms.Rotation(vel), prob.coeffs,
+                                  order, pp, prob.f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

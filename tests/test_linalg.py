@@ -13,7 +13,7 @@ from gdfem.linalg import (DIAGNOSTIC_SIZE_LIMIT, LinearSystem,
                           SingularMatrixError, SizeLimitError, assemble_csr,
                           dense_nullspace, dump_matrix,
                           estimate_control_constant, restrict_free, solve)
-from gdfem.mesh import FAN_ROTATION, make_unit_disc_mesh
+from gdfem.mesh import make_unit_disc_mesh
 from gdfem.problems import (convergence_problem, gradrob_problem,
                             locking_problem)
 
@@ -414,36 +414,40 @@ def invariant_pair(Q, kernel, seed):
 
 
 def invariant_pencil(seed, orbits=4, kernel_orbits=1):
-    """(A, B, Q): a signed permutation Q of order 6 on n = 6 orbits dofs,
-    each orbit spread over random dofs with random signs, and an SPD A
-    and a PSD B that commute with Q, B's kernel the span of the first
-    kernel_orbits orbits."""
+    """(A, B, rotation): the dof table (image, tau, partner) of a signed
+    permutation Q of order 6 on n = 6 orbits dofs, each orbit spread over
+    random dofs with random signs (tau 0 or 3), and an SPD A and a PSD B
+    that commute with Q, B's kernel the span of the first kernel_orbits
+    orbits."""
     rng = np.random.default_rng(seed)
     n = 6 * orbits
     dofs = rng.permutation(n).reshape(orbits, 6)
     signs = rng.choice([-1.0, 1.0], size=(orbits, 6))
     signs[:, -1] = signs[:, :-1].prod(axis=1)          # Q^6 = I
-    Q = sp.csr_matrix((signs.ravel(), (np.roll(dofs, -1, axis=1).ravel(),
-                                       dofs.ravel())), shape=(n, n))
-    return (*invariant_pair(Q, dofs[:kernel_orbits].ravel(), seed), Q)
+    image, tau = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    image[dofs] = np.roll(dofs, -1, axis=1)
+    tau[dofs] = np.where(signs < 0, 3, 0)
+    rotation = (image, tau, np.arange(n))
+    return (*invariant_pair(linalg._rotation_matrix(*rotation),
+                            dofs[:kernel_orbits].ravel(), seed), rotation)
 
 
 def turned_pencil(seed, orbits=3, kernel_orbits=1):
-    """(A, B, Q) as invariant_pencil, but Q turns the values (x, y) of
-    nodes by R, as on vector Lagrange: 6 orbits + 1 nodes of two random
-    dofs x < y each, in orbits of six but the last node, which is fixed;
-    B's kernel the span of the first kernel_orbits orbits of nodes."""
+    """(A, B, rotation) as invariant_pencil, but the table turns the values
+    (x, y) of nodes by R (tau 1, x and y each other's partner), as on
+    vector Lagrange: 6 orbits + 1 nodes of two random dofs x < y each, in
+    orbits of six but the last node, which is fixed; B's kernel the span
+    of the first kernel_orbits orbits of nodes."""
     rng = np.random.default_rng(seed)
     nodes = 6 * orbits + 1
     xy = np.sort(rng.permutation(2 * nodes).reshape(nodes, 2), axis=1)
-    image = np.append(np.roll(np.arange(6 * orbits).reshape(orbits, 6), -1,
-                              axis=1).ravel(), nodes - 1)
-    rows = xy[image][:, :, None].repeat(2, axis=2)
-    cols = xy[:, None, :].repeat(2, axis=1)
-    Q = sp.csr_matrix((np.broadcast_to(FAN_ROTATION, rows.shape).ravel(),
-                       (rows.ravel(), cols.ravel())),
-                      shape=(2 * nodes, 2 * nodes))
-    return (*invariant_pair(Q, xy[:6 * kernel_orbits].ravel(), seed), Q)
+    turned = np.append(np.roll(np.arange(6 * orbits).reshape(orbits, 6), -1,
+                               axis=1).ravel(), nodes - 1)
+    image, partner = (np.empty(2 * nodes, dtype=int) for _ in range(2))
+    image[xy], partner[xy] = xy[turned], xy[:, ::-1]
+    rotation = (image, np.ones(2 * nodes, dtype=int), partner)
+    return (*invariant_pair(linalg._rotation_matrix(*rotation),
+                            xy[:6 * kernel_orbits].ravel(), seed), rotation)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -463,31 +467,53 @@ def test_fourier_blocks_match_the_whole_pencil(seed, kernel_orbits):
         estimate_control_constant(A, B, kernel_dim=k + 1, rotation=Q)
 
 
-def _signed_shift(Q, orbit_sign):
-    """Q with the sign of its first column times orbit_sign."""
-    Q = Q.tocsc(copy=True)
-    Q.data[Q.indptr[0]] *= orbit_sign
-    return Q
+def test_a_table_that_fixes_every_dof_is_the_identity_block():
+    """A table of order 1, every dof fixed with tau 0, splits nothing: both
+    routes return what they return without a rotation, bit for bit."""
+    A, B, _ = invariant_pencil(0)
+    d = np.arange(len(A))
+    identity = (d, np.zeros(len(d), dtype=int), d)
+    for k in (None, 6):
+        assert estimate_control_constant(A, B, kernel_dim=k,
+                                         rotation=identity) == \
+            estimate_control_constant(A, B, kernel_dim=k)
+
+
+def _with(rotation, at, image=None, tau=None):
+    """The table `rotation` with image[at] or tau[at] replaced."""
+    image_, tau_, partner = (t.copy() for t in rotation)
+    if image is not None:
+        image_[at] = image
+    if tau is not None:
+        tau_[at] = tau
+    return image_, tau_, partner
 
 
 @pytest.mark.parametrize("bad", [
-    lambda Q: sp.eye(Q.shape[0]),                        # order 1
-    lambda Q: 2.0 * Q,                                   # not signed
-    lambda Q: _signed_shift(Q, -1.0),                    # Q^6 = -I on an orbit
-    lambda Q: Q @ Q,                                     # orbits of three
-    lambda Q: sp.csr_matrix(np.abs(Q.toarray()) + sp.eye(Q.shape[0]))])
+    lambda t: _with(t, 0, tau=(t[1][0] + 3) % 6),        # Q^6 = -I on an orbit
+    lambda t: _with(t, 0, tau=(t[1][0] + 1) % 6),        # a sixth, no pair
+    lambda t: (t[0][t[0]], t[1] + t[1][t[0]], t[2]),     # orbits of three
+    lambda t: _with(t, 0, image=t[0][1]),                # not one to one
+    lambda t: (t[0], t[1], np.roll(t[2], 1))])           # partners not turned
 def test_estimate_rejects_a_rotation_that_is_not_one(bad):
+    """A table that no orthogonal Q of order 6 with orbits of six dofs or
+    one has: a turn along an orbit that does not sum to a whole turn,
+    orbits of three, two dofs turned onto one, or pairs that R does not
+    turn onto pairs."""
     A, B, Q = invariant_pencil(0)
     with pytest.raises(ValueError, match="signed permutation of order 6"):
         estimate_control_constant(A, B, kernel_dim=6, rotation=bad(Q))
 
 
 def test_estimate_rejects_a_rotation_of_the_wrong_shape():
-    A, B, Q = invariant_pencil(0)
+    A, B, (image, tau, partner) = invariant_pencil(0)
+    fixed = np.arange(24, 30)
     with pytest.raises(ValueError, match=r"rotation \(30, 30\) must be of "
                                          r"A's shape \(24, 24\)"):
-        estimate_control_constant(A, B, kernel_dim=6,
-                                  rotation=sp.block_diag([Q, sp.eye(6)]))
+        estimate_control_constant(
+            A, B, kernel_dim=6, rotation=(np.append(image, fixed),
+                                          np.append(tau, 0 * fixed),
+                                          np.append(partner, fixed)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -525,27 +551,22 @@ def test_fourier_blocks_of_turned_nodes_match_the_whole_pencil(
         [(6, 1), (7, 2), (6, 2), (6, 1)]
 
 
-@pytest.mark.parametrize("bad", [
-    lambda R: R.T @ np.diag([1.0, -1.0]),                # a reflection
-    lambda R: np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)])  # 45 deg
-def test_estimate_rejects_a_pair_turn_that_is_no_sixth(bad):
-    """A 2 x 2 block of Q that is not a rotation by a multiple of 60
-    degrees has no circular components that Q multiplies by a phase."""
-    A, B, Q = turned_pencil(0)
-    Q = Q.toarray()
-    rows = np.flatnonzero(Q[:, 0])                       # dof 0's node
-    Q[np.ix_(rows, np.flatnonzero(Q[rows[0]]))] = bad(FAN_ROTATION)
-    with pytest.raises(ValueError, match="signed permutation of order 6"):
-        estimate_control_constant(A, B, rotation=sp.csr_matrix(Q))
-
-
 def test_estimate_rejects_a_rotation_the_pencil_does_not_commute_with():
-    """A Q of the right kind that is not a symmetry of (B, A) would split
-    the pencil into blocks that do not hold its spectrum."""
+    """A table of the right kind that is not a symmetry of (B, A) would
+    split the pencil into blocks that do not hold its spectrum."""
     A, B, Q = invariant_pencil(0)
     _, _, other = invariant_pencil(1)
     with pytest.raises(ValueError, match="commute with the rotation"):
         estimate_control_constant(A, B, kernel_dim=6, rotation=other)
+
+
+def test_estimate_rejects_nodes_turned_the_wrong_way():
+    """Nodes turned by R^-1 (tau 5) where the pencil commutes with their
+    turn by R: a table of the right kind, but not the pencil's symmetry."""
+    A, B, turned = turned_pencil(0)
+    with pytest.raises(ValueError, match="commute with the rotation"):
+        estimate_control_constant(A, B, rotation=_with(turned, slice(None),
+                                                       tau=5))
 
 
 def test_restrict_free():

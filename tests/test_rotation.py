@@ -1,16 +1,20 @@
 """The hexagon fan's rotation by 60 degrees as an operator-level oracle.
 
-forms.rotation_action gives Q, the dof action of the rotation on a space:
-a signed permutation on the Piola-mapped spaces, a node permutation on
-scalar Lagrange, and that permutation with R on each node's (u_x, u_y)
-on vector Lagrange; M2's pair acts on (u_h, p_h) by Q_u + Q_p.  The disc
-mesh and the forms are invariant under the rotation, so Q A_h Q^T = A_h
-and Q B_h Q^T = B_h up to round-off, Q^6 = I (exactly for a signed
-permutation; to 1e-14 with R, whose entries are cos and sin of 60
-degrees), and Q maps the constrained dofs onto themselves.  A wrong sign
-at a sector seam, a wrong Piola sign, a curved map that is not
-symmetric, or a boundary penalty that differs on one seam breaks one of
-these on any mesh level, whatever the manufactured solutions show.
+forms.Rotation(space).dofs gives R's dof table on a space: per dof, the
+dof R turns it onto (image), its turn in sixths (tau: 0 or 3, a sign, on
+the Piola-mapped spaces and scalar Lagrange; 1 on each (u_x, u_y) pair of
+vector Lagrange, turned by R) and its pair partner.  Its matrix Q
+(linalg._rotation_matrix) is a signed permutation on the Piola-mapped
+spaces, a node permutation on scalar Lagrange, and that permutation with
+R on each node's (u_x, u_y) on vector Lagrange; M2's pair acts on
+(u_h, p_h) by Q_u + Q_p.  The disc mesh and the forms are invariant under
+the rotation, so Q A_h Q^T = A_h and Q B_h Q^T = B_h up to round-off,
+Q^6 = I (exactly for a signed permutation; to 1e-14 with R, whose entries
+are cos and sin of 60 degrees), and R maps the constrained dofs onto
+themselves.  A wrong sign at a sector seam, a wrong Piola sign, a curved
+map that is not symmetric, or a boundary penalty that differs on one seam
+breaks one of these on any mesh level, whatever the manufactured
+solutions show.
 
 M3 and M4 are assembled on sector 0 and turned onto the other five
 sectors, so their pair commutes with Q by construction, and a term that
@@ -24,23 +28,30 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from gdfem import linalg
 from gdfem.cli import DERHAM_METHODS, default_geom_order
 from gdfem.fespace import FeSpace, build_space
-from gdfem.forms import (METHODS, assemble_method, paper_coefficients,
-                         rotation_action)
+from gdfem.forms import (METHODS, Rotation, assemble_method,
+                         paper_coefficients)
 from gdfem.mesh import (FAN_ROTATION, Mesh, make_unit_disc_mesh,
                         make_unit_square_mesh)
 from gdfem.problems import convergence_problem
 
 ORACLE_TOL = 1e-13
+EVERY_DOF = np.array([], dtype=int)     # constrains no dof
+
+
+def rotation_matrix(rotation):
+    """Q of a Rotation's dof table on every dof of its space."""
+    return linalg._rotation_matrix(*rotation.dofs(EVERY_DOF))
 
 
 def assert_rotation_invariant(method, p, level, geom_order):
     mesh = make_unit_disc_mesh(level, geom_order=geom_order)
     ms = assemble_method(method, mesh, p, paper_coefficients(p), None)
-    Q = rotation_action(ms.velocity_space)
+    Q = rotation_matrix(ms.rotation)
     if ms.pressure_space is not None:
-        Q = sp.block_diag([Q, rotation_action(ms.pressure_space)],
+        Q = sp.block_diag([Q, rotation_matrix(Rotation(ms.pressure_space))],
                           format="csr")
     I = sp.eye(Q.shape[0], format="csr")
     Q6 = Q @ Q @ Q @ Q @ Q @ Q
@@ -51,7 +62,7 @@ def assert_rotation_invariant(method, p, level, geom_order):
     for M in (ms.a, ms.b):
         assert spla.norm(Q @ M @ Q.T - M) <= ORACLE_TOL * spla.norm(M)
     constrained = ms.velocity_space.constrained_dofs
-    image = Q[:, constrained].tocoo().row
+    image = ms.rotation.dofs(EVERY_DOF)[0][constrained]
     assert np.array_equal(np.sort(image), np.sort(constrained))
 
 
@@ -89,7 +100,7 @@ def test_rotation_of_the_square_mesh_raises():
     for n in (1, 3):
         space = build_space("hdiv_bdm", make_unit_square_mesh(n), 1)
         with pytest.raises(ValueError, match="no hexagon-fan symmetry"):
-            rotation_action(space)
+            Rotation(space).dofs(space.constrained_dofs)
 
 
 def test_rotation_of_a_perturbed_fan_raises():
@@ -106,27 +117,74 @@ def test_rotation_of_a_perturbed_fan_raises():
 
 @pytest.mark.parametrize("family", ["scalar_lagrange", "vector_lagrange"])
 def test_rotation_of_a_lagrange_space_turns_its_nodes(family):
-    """Q is orthogonal and takes the value at each vertex to the vertex R
-    turns it onto, turned by R for a vector; the scalar Q is a permutation
-    whose one fixed dof is the centre vertex."""
+    """The table takes the value at each vertex to the vertex R turns it
+    onto, with tau 1 and its pair partner for a vector, whose Q turns the
+    pair by R and is orthogonal; the scalar table's one fixed dof is the
+    centre vertex."""
     mesh = make_unit_disc_mesh(1)
-    Q = rotation_action(build_space(family, mesh, 2))
-    assert abs(Q @ Q.T - sp.eye(Q.shape[0])).max() <= 1e-15
+    image, tau, partner = Rotation(build_space(family, mesh, 2)).dofs(
+        EVERY_DOF)
     turned = mesh.vertices @ FAN_ROTATION.T
-    image = np.argmin(np.linalg.norm(
+    vertex = np.argmin(np.linalg.norm(
         turned[:, None] - mesh.vertices[None], axis=-1), axis=1)
-    assert np.abs(mesh.vertices[image] - turned).max() <= 1e-14
-    Q = Q.toarray()
+    assert np.abs(mesh.vertices[vertex] - turned).max() <= 1e-14
+    d, nv = np.arange(len(image)), len(vertex)
     if family == "scalar_lagrange":
-        assert np.array_equal(Q[image, np.arange(len(image))],
-                              np.ones(len(image)))
-        assert set(np.unique(Q)) == {0.0, 1.0}
+        assert np.array_equal(image[:nv], vertex)
+        assert not tau.any() and np.array_equal(partner, d)
         centre = np.argmin(np.linalg.norm(mesh.vertices, axis=1))
-        assert np.array_equal(np.flatnonzero(np.diag(Q)), [centre])
+        assert np.array_equal(np.flatnonzero(image == d), [centre])
     else:
-        for v, w in enumerate(image):
-            assert np.array_equal(Q[2 * w:2 * w + 2, 2 * v:2 * v + 2],
-                                  FAN_ROTATION)
+        assert np.array_equal(image[:2 * nv].reshape(nv, 2),
+                              2 * vertex[:, None] + [0, 1])
+        assert np.all(tau == 1) and np.array_equal(partner, d ^ 1)
+        Q = linalg._rotation_matrix(image, tau, partner)
+        assert abs(Q @ Q.T - sp.eye(Q.shape[0])).max() <= 1e-15
+        for v, w in enumerate(vertex):
+            assert np.array_equal(
+                Q[2 * w:2 * w + 2, 2 * v:2 * v + 2].toarray(), FAN_ROTATION)
+
+
+def test_dof_table_refuses_elements_that_disagree_on_a_sign():
+    """A BDM sign flipped on one element at a sector seam: its two owners
+    turn the shared dof by different signs."""
+    space = build_space("hdiv_bdm", make_unit_disc_mesh(1), 1)
+    space._bdm_scale = space._bdm_scale.copy()
+    space._bdm_scale[0, 0] *= -1.0
+    with pytest.raises(ValueError, match="disagree on the image or sign"):
+        Rotation(space).dofs(space.constrained_dofs)
+
+
+@pytest.mark.parametrize("family", ["hdiv_bdm", "vector_lagrange"])
+def test_dof_table_refuses_a_free_dof_turned_onto_a_constrained_one(family):
+    """A constrained set that R does not map onto itself: the table on the
+    free dofs would index no free dof."""
+    space = build_space(family, make_unit_disc_mesh(1), 1)
+    rotation = Rotation(space)
+    rotation.dofs(space.constrained_dofs)
+    with pytest.raises(ValueError, match="turns a free dof onto a "
+                                         "constrained one"):
+        rotation.dofs(np.array([1]))
+
+
+@pytest.mark.parametrize("method,calls", [("M1", 0), ("M2", 0), ("M3", 1),
+                                          ("M4", 1)])
+def test_assembly_reads_the_element_map_once_for_the_walk(monkeypatch,
+                                                          method, calls):
+    """The Piola methods read R's element map once, for the sector walk;
+    the Lagrange methods, which walk every element, do not read it, so a
+    solve builds no dof table it does not use."""
+    seen = []
+    rotated_elements = Mesh.rotated_elements
+
+    def counted(mesh):
+        seen.append(mesh)
+        return rotated_elements(mesh)
+
+    monkeypatch.setattr(Mesh, "rotated_elements", counted)
+    assemble_method(method, make_unit_disc_mesh(1), 2, paper_coefficients(2),
+                    None)
+    assert len(seen) == calls
 
 
 # -- the sector walk ----------------------------------------------------------
